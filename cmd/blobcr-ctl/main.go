@@ -24,9 +24,9 @@
 //	blobcr-ctl store <data-provider-addr> [compact]
 //	blobcr-ctl supervise
 //
-// With -dedup, uploads go through the content-addressed repository
-// (internal/cas): chunk bodies the repository already holds are neither
-// stored again nor shipped over the network.
+// Uploads go through the content-addressed repository (internal/cas): chunk
+// bodies the repository already holds are neither stored again nor shipped
+// over the network.
 //
 // With -timeout, every repository operation runs under a context deadline:
 // a hung daemon fails the command fast instead of blocking forever.
@@ -68,7 +68,6 @@ func main() {
 	pmAddr := flag.String("pmanager", "", "provider manager address")
 	meta := flag.String("meta", "", "comma-separated metadata provider addresses")
 	chunk := flag.Uint64("chunk", defaultChunkSize, "chunk size for uploads")
-	dedup := flag.Bool("dedup", false, "write through the content-addressed repository (dedup commits)")
 	replication := flag.Int("replication", 0, "chunk replica count; the scrub/repair target factor (0 = 1)")
 	parallel := flag.Int("parallel", 0, "concurrent per-provider streams for uploads/downloads (0 = client default)")
 	timeout := flag.Duration("timeout", 0, "deadline for repository operations (0 = none); hung daemons fail fast")
@@ -125,7 +124,6 @@ func main() {
 		VMAddr:      *vmAddr,
 		PMAddr:      *pmAddr,
 		MetaAddrs:   strings.Split(*meta, ","),
-		Dedup:       *dedup,
 		Replication: *replication,
 		Parallelism: *parallel,
 	}
@@ -413,7 +411,7 @@ func superviseDemo() {
 	fmt.Println("== autonomous checkpoint-restart supervisor demo ==")
 	net := transport.WithLatency(transport.NewInProc(), 200*time.Microsecond)
 	// Replication 3 keeps every chunk readable through a two-node storm.
-	cl, err := cloud.New(cloud.Config{Nodes: 6, MetaProviders: 2, Replication: 3, Dedup: true, Net: net})
+	cl, err := cloud.New(cloud.Config{Nodes: 6, MetaProviders: 2, Replication: 3, Net: net})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -538,7 +536,7 @@ commands:
   clone <blob> <version>              clone a snapshot into a new image
   inspect <blob> <version> [path]     browse the guest fs inside a snapshot
   stats                               dedup hit-rate, logical vs physical bytes,
-                                      refcount reclamation (see -dedup)
+                                      refcount reclamation
   providers                           storage membership: provider states + epoch
   scrub                               anti-entropy pass: verify every replica's
                                       SHA-256, report under-replicated/corrupt

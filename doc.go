@@ -10,8 +10,8 @@
 // under cmd/ and runnable examples under examples/. See README.md for a
 // tour and EXPERIMENTS.md for the reproduced evaluation.
 //
-// Beyond the paper, the repository implements a content-addressed
-// deduplicated chunk store (internal/cas): committed chunks are
+// Beyond the paper, the repository is a content-addressed deduplicated
+// chunk store (internal/cas) — the one write path: committed chunks are
 // fingerprinted with SHA-256, placed by rendezvous hash of their content,
 // and stored once no matter how many snapshots — across checkpoints and
 // across VMs — reference them; a "have fingerprint?" round trip keeps
@@ -19,15 +19,14 @@
 // reclaims space by decrementing per-chunk reference counts in O(retired
 // chunks), realizing the paper's proposed transparent snapshot garbage
 // collection (future work, Section 6) in incremental form; the
-// mark-and-sweep collector remains as the exhaustive fallback. Enable it
-// with blobseer.Client.Dedup or cloud.Config.Dedup.
+// mark-and-sweep collector remains as the exhaustive fallback.
 //
 // # Autonomous checkpoint-restart supervisor
 //
 // internal/supervisor closes the checkpoint-restart control loop: a
 // heartbeat failure detector over the proxies' PING verb, periodic global
 // checkpoints on the Young/Daly interval computed from the observed
-// checkpoint cost and a configured MTBF (simcloud.OptimalInterval),
+// checkpoint cost and a configured MTBF (ckptinterval.Optimal),
 // rollback planning restricted to the newest globally durable checkpoint
 // (cloud.Deployment's durability watermark — with asynchronous commits the
 // newest recorded checkpoint may still be publishing and is refused with
@@ -119,17 +118,16 @@
 // The whole data path — commit upload, dedup probing, restore reads, and
 // metadata-tree traffic — moves whole per-provider sets per round trip and
 // runs the per-provider streams concurrently. The wire protocol's batch
-// verbs (opChunkPutBatch/GetBatch, opCasRefBatch/PutBatch,
-// opNodePutBatch/GetBatch; see internal/blobseer's package comment) carry
-// many items per frame, so a dedup commit issues one "have these
-// fingerprints?" round trip per provider instead of one per chunk, a
-// Publish flushes its whole metadata-node set in one frame per shard, and a
+// verbs (opCasRefBatch/PutBatch, opChunkGetBatch, opNodePutBatch/GetBatch;
+// see internal/blobseer's package comment) carry many items per frame, so a
+// commit issues one "have these fingerprints?" round trip per provider
+// instead of one per chunk, a Publish flushes its whole metadata-node set in one frame per shard, and a
 // restore's lookup descends the tree level by level in O(depth) round trips.
 // blobseer.Client.Parallelism bounds the concurrent per-provider streams
 // (default blobseer.DefaultParallelism, currently 8; deployments striping
 // wider set it to at least their provider count — cloud.Config.Parallelism
 // and the -parallel flags of blobcr-ctl and blobcr-proxyd thread it
-// through). Replica reads rotate their starting replica by chunk-key hash,
+// through). Replica reads rotate their starting replica by chunk key,
 // spreading restore load across the replica set while keeping in-order
 // failover. blobcr-bench -only throughput measures commit/restore MB/s
 // against provider count.

@@ -16,6 +16,9 @@ import (
 
 var gctx = context.Background()
 
+// BenchmarkGCReclaim measures the mark-and-sweep pass after a Retire: the
+// reference counts already released the retired bodies, so what the sweep
+// walks the whole repository to find is the retired versions' tree nodes.
 func BenchmarkGCReclaim(b *testing.B) {
 	const chunk = 4096
 	for i := 0; i < b.N; i++ {
@@ -48,10 +51,10 @@ func BenchmarkGCReclaim(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StopTimer()
-		if stats.DeletedChunks == 0 {
+		if stats.DeletedNodes == 0 {
 			b.Fatal("GC reclaimed nothing")
 		}
-		b.ReportMetric(float64(stats.DeletedChunks), "chunks_reclaimed")
+		b.ReportMetric(float64(stats.DeletedNodes), "nodes_reclaimed")
 		d.Close()
 	}
 }
@@ -88,32 +91,11 @@ func successiveCommits(b *testing.B, c *blobseer.Client, rounds, chunks, chunk i
 	return total
 }
 
-// BenchmarkCommitSuccessiveNoCAS measures commit bytes-written for four
-// successive checkpoints with 50% overlapping writes on the classic
-// (blob, id)-addressed path: every body ships every round.
-func BenchmarkCommitSuccessiveNoCAS(b *testing.B) {
-	const chunk = 4096
-	var total blobseer.CommitStats
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		d, err := blobseer.Deploy(transport.NewInProc(), 2, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		c := d.Client()
-		b.StartTimer()
-		total = successiveCommits(b, c, 4, 32, chunk, 0.5)
-		b.StopTimer()
-		d.Close()
-	}
-	b.ReportMetric(float64(total.TransferBytes), "bytes_transferred")
-	b.ReportMetric(float64(total.LogicalBytes), "bytes_logical")
-	b.ReportMetric(100*float64(total.DedupChunks)/float64(total.Chunks), "dedup_hit_pct")
-}
-
-// BenchmarkCommitSuccessiveCAS is the same workload through the
-// content-addressed repository: repeated content ships once, so
-// bytes_transferred drops by the overlap fraction (plus cross-round reuse).
+// BenchmarkCommitSuccessiveCAS measures commit bytes shipped for four
+// successive checkpoints with 50% overlapping writes: repeated content ships
+// once, so bytes_transferred falls below bytes_logical (what shipping every
+// body every round would cost) by the overlap fraction plus cross-round
+// reuse.
 func BenchmarkCommitSuccessiveCAS(b *testing.B) {
 	const chunk = 4096
 	var total blobseer.CommitStats
@@ -124,7 +106,6 @@ func BenchmarkCommitSuccessiveCAS(b *testing.B) {
 			b.Fatal(err)
 		}
 		c := d.Client()
-		c.Dedup = true
 		b.StartTimer()
 		total = successiveCommits(b, c, 4, 32, chunk, 0.5)
 		b.StopTimer()
@@ -148,13 +129,12 @@ func BenchmarkRetireRefcountReclaim(b *testing.B) {
 			b.Fatal(err)
 		}
 		c := d.Client()
-		c.Dedup = true
 		blob, err := c.CreateBlob(gctx, chunk)
 		if err != nil {
 			b.Fatal(err)
 		}
 		// 8 versions x 32 chunks of per-version content, all but the last
-		// retired (the BenchmarkGCReclaim workload, dedup-committed).
+		// retired (the BenchmarkGCReclaim workload).
 		for v := 0; v < 8; v++ {
 			writes := make(map[uint64][]byte)
 			for idx := uint64(0); idx < 32; idx++ {

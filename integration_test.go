@@ -255,15 +255,16 @@ func TestTCPGarbageCollectionAfterCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Retire(itCtx, ckpt, last.Version); err != nil {
+	retired, err := c.RetireStats(itCtx, ckpt, last.Version)
+	if err != nil {
 		t.Fatal(err)
 	}
 	stats, err := c.GC(itCtx, d.DataAddrs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.DeletedChunks == 0 {
-		t.Error("GC over TCP reclaimed nothing")
+	if retired.ReclaimedChunks+stats.DeletedChunks == 0 {
+		t.Error("Retire + GC over TCP reclaimed nothing")
 	}
 	_, chunksAfter, err := c.Usage(itCtx, d.DataAddrs)
 	if err != nil {

@@ -63,7 +63,7 @@ func RunAvailability(partial bool, failures int) (AvailabilityResult, error) {
 
 	net := transport.WithLatency(transport.NewInProc(), availLatency)
 	cl, err := cloud.New(cloud.Config{
-		Nodes: availNodes, MetaProviders: 2, Replication: 3, Dedup: true, Seed: 11, Net: net,
+		Nodes: availNodes, MetaProviders: 2, Replication: 3, Seed: 11, Net: net,
 	})
 	if err != nil {
 		return res, err

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"blobcr/internal/blobseer"
+	"blobcr/internal/chunkstore"
 	"blobcr/internal/seglog"
 	"blobcr/internal/transport"
 )
@@ -163,35 +164,25 @@ func RunDiskLog(dir string, committers []int) ([]DiskLogResult, error) {
 // RunZeroElision measures the segment log's bytes-on-disk for a sparse
 // workload — half the chunks all-zero, the signature of a sparse VM image —
 // against the logical bytes any store without zero-page elision (the
-// file-per-chunk engine stores payloads verbatim) puts on disk.
+// file-per-chunk engine stores payloads verbatim) puts on disk. The chunks
+// go straight to the engine: through the repository the zero chunks would
+// collapse into one content-addressed body before the log ever saw them.
 func RunZeroElision(dir string) (logical, disk, zeroChunks uint64, err error) {
-	ctx := context.Background()
-	d, err := blobseer.DeployWith(transport.NewInProc(), 1, 1, blobseer.SeglogStores(dir, seglog.Options{}))
+	store, err := seglog.Open(dir, seglog.Options{})
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	defer d.Close()
-	client := d.Client()
-	client.Parallelism = 8
-	blob, err := client.CreateBlob(ctx, dlChunk)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	writes := make(map[uint64][]byte, dlChunks)
+	defer store.Close()
 	for i := 0; i < dlChunks; i++ {
-		if i%2 == 0 {
-			writes[uint64(i)] = make([]byte, dlChunk)
-		} else {
-			writes[uint64(i)] = dlBody(0, i)
+		body := make([]byte, dlChunk)
+		if i%2 == 1 {
+			body = dlBody(0, i)
+		}
+		if err := store.Put(chunkstore.Key{Blob: 1, ID: uint64(i)}, body); err != nil {
+			return 0, 0, 0, err
 		}
 	}
-	if _, err := client.WriteVersion(ctx, blob, writes, dlChunk*dlChunks); err != nil {
-		return 0, 0, 0, err
-	}
-	es, err := client.StoreEngineStats(ctx, d.DataAddrs[0])
-	if err != nil {
-		return 0, 0, 0, err
-	}
+	es := store.EngineStats()
 	return es.Field("logical_bytes"), es.Field("disk_bytes"), es.Field("zero_chunks"), nil
 }
 

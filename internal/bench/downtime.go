@@ -16,6 +16,7 @@ package bench
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"time"
@@ -124,25 +125,12 @@ func RunDowntime(dirtyChunks []int) ([]DowntimeResult, error) {
 		return nil, err
 	}
 
-	dirty := func(mod *mirror.Module, chunks int) error {
-		buf := make([]byte, downtimeChunk)
-		for i := range buf {
-			buf[i] = byte(chunks + i)
-		}
-		for c := 0; c < chunks; c++ {
-			if _, err := mod.WriteAt(buf, int64(c)*downtimeChunk); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
 	var out []DowntimeResult
 	for _, chunks := range dirtyChunks {
 		r := DowntimeResult{DirtyMB: float64(chunks) * downtimeChunk / (1 << 20)}
 
 		// Synchronous: the whole commit sits inside the suspend window.
-		if err := dirty(syncMod, chunks); err != nil {
+		if err := dirtyDistinct(syncMod, chunks, downtimeChunk, uint64(chunks)); err != nil {
 			return nil, err
 		}
 		calls0 := lat.Calls()
@@ -162,7 +150,7 @@ func RunDowntime(dirtyChunks []int) ([]DowntimeResult, error) {
 
 		// Asynchronous: the proxy resumes the VM after the local capture;
 		// the upload happens outside the measured window.
-		if err := dirty(asyncMod, chunks); err != nil {
+		if err := dirtyDistinct(asyncMod, chunks, downtimeChunk, uint64(chunks)|1<<32); err != nil {
 			return nil, err
 		}
 		// The async window contains exactly one round trip by construction —
@@ -194,6 +182,26 @@ func RunDowntime(dirtyChunks []int) ([]DowntimeResult, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// dirtyDistinct overwrites the first n chunks of mod's device with bodies no
+// other chunk and no other call shares: a filler pattern stamped with (salt,
+// chunk index). Commits are content-addressed, so anything less lets a
+// fingerprint hit hide the transfer an experiment is timing. Callers pick
+// salts unique within their deployment.
+func dirtyDistinct(mod *mirror.Module, n, chunkSize int, salt uint64) error {
+	buf := make([]byte, chunkSize)
+	for i := range buf {
+		buf[i] = byte(i)
+	}
+	for c := 0; c < n; c++ {
+		binary.LittleEndian.PutUint64(buf, salt)
+		binary.LittleEndian.PutUint64(buf[8:], uint64(c))
+		if _, err := mod.WriteAt(buf, int64(c)*int64(chunkSize)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // verifyStageTelemetry calls METRICS on a proxy and checks the commit

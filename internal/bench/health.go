@@ -167,7 +167,7 @@ func RunHealth() (HealthResult, error) {
 		defer driverWG.Done()
 		for round := 1; driveCtx.Err() == nil; round++ {
 			for i, inst := range dep.Instances {
-				if err := dirtyRound(inst.Mirror, healthDirtyChunks, round); err != nil {
+				if err := dirtyDistinct(inst.Mirror, healthDirtyChunks, downtimeChunk, uint64(round)<<8|uint64(i)); err != nil {
 					return
 				}
 				h, err := inst.Proxy.RequestCheckpointAsync(driveCtx)

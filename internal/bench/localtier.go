@@ -80,6 +80,7 @@ type tierBench struct {
 	flatInst *vm.Instance
 	flatMod  *mirror.Module
 
+	dirtied uint64 // dirty calls so far: the salt that keeps every burst's content fresh
 	closers []func()
 }
 
@@ -201,26 +202,19 @@ func newTierBench() (*tierBench, error) {
 	return b, nil
 }
 
-// dirtyRound rewrites chunks chunks with round-unique content, so no
-// fingerprint shortcut can hide the transfer cost between rounds.
-func dirtyRound(mod *mirror.Module, chunks, round int) error {
-	buf := make([]byte, downtimeChunk)
-	for i := range buf {
-		buf[i] = byte(chunks + i + round*31)
-	}
-	for c := 0; c < chunks; c++ {
-		if _, err := mod.WriteAt(buf, int64(c)*downtimeChunk); err != nil {
-			return err
-		}
-	}
-	return nil
+// dirty rewrites chunks chunks of mod with content no earlier round, burst
+// or module of this bench wrote, so no fingerprint shortcut can hide the
+// transfer cost.
+func (b *tierBench) dirty(mod *mirror.Module, chunks int) error {
+	b.dirtied++
+	return dirtyDistinct(mod, chunks, downtimeChunk, b.dirtied)
 }
 
 // burst runs localTierRounds back-to-back dirty+checkpoint rounds against
 // cl and returns the worst CHECKPOINT-exchange wall time plus the handles.
-func burst(ctx context.Context, cl *proxy.Client, mod *mirror.Module, chunks int) (worstMillis float64, handles []uint64, err error) {
+func (b *tierBench) burst(ctx context.Context, cl *proxy.Client, mod *mirror.Module, chunks int) (worstMillis float64, handles []uint64, err error) {
 	for round := 0; round < localTierRounds; round++ {
-		if err := dirtyRound(mod, chunks, round); err != nil {
+		if err := b.dirty(mod, chunks); err != nil {
 			return 0, nil, err
 		}
 		t0 := time.Now()
@@ -281,12 +275,12 @@ func RunLocalTier(dirtyChunks []int) ([]LocalTierResult, error) {
 	// (heap growth, fresh page faults, the first GC cycles) so the measured
 	// bursts compare like against like.
 	warm := dirtyChunks[len(dirtyChunks)-1]
-	if _, handles, err := burst(ctx, b.tier, b.tierMod, warm); err != nil {
+	if _, handles, err := b.burst(ctx, b.tier, b.tierMod, warm); err != nil {
 		return nil, err
 	} else if err := settleBurst(ctx, b.tier, handles); err != nil {
 		return nil, err
 	}
-	if _, handles, err := burst(ctx, b.flat, b.flatMod, warm); err != nil {
+	if _, handles, err := b.burst(ctx, b.flat, b.flatMod, warm); err != nil {
 		return nil, err
 	} else if err := settleBurst(ctx, b.flat, handles); err != nil {
 		return nil, err
@@ -297,7 +291,7 @@ func RunLocalTier(dirtyChunks []int) ([]LocalTierResult, error) {
 		r := LocalTierResult{DirtyMB: float64(chunks) * downtimeChunk / (1 << 20)}
 
 		measure := func(cl *proxy.Client, mod *mirror.Module) (float64, error) {
-			ms, handles, err := burst(ctx, cl, mod, chunks)
+			ms, handles, err := b.burst(ctx, cl, mod, chunks)
 			if err != nil {
 				return 0, err
 			}
@@ -447,7 +441,7 @@ func RunPreemption(dirtyChunks []int) ([]PreemptionResult, error) {
 		b.starve()
 		var handles []uint64
 		for round := 0; round < preemptionRounds; round++ {
-			if err := dirtyRound(b.tierMod, chunks, round); err != nil {
+			if err := b.dirty(b.tierMod, chunks); err != nil {
 				return nil, err
 			}
 			h, err := b.tier.RequestCheckpointAsync(ctx)

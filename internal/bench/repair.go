@@ -57,7 +57,6 @@ func RunRepair(providerCounts []int) ([]RepairResult, error) {
 			return nil, err
 		}
 		client := repo.Client()
-		client.Dedup = true
 		client.Replication = 2
 		client.Parallelism = 16
 

@@ -77,29 +77,16 @@ func commitStagesOne(ctx context.Context, repo *blobseer.Deployment, np int) (St
 		return StageResult{}, err
 	}
 
-	dirty := func(round int) error {
-		buf := make([]byte, tpChunk)
-		for i := range buf {
-			buf[i] = byte(round + i)
-		}
-		for c := 0; c < tpChunks; c++ {
-			if _, err := mod.WriteAt(buf, int64(c)*tpChunk); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
 	// Warm-up commit: first-touch costs (ticket path, provider connections)
 	// stay out of the measured trace.
-	if err := dirty(0); err != nil {
+	if err := dirtyDistinct(mod, tpChunks, tpChunk, 0); err != nil {
 		return StageResult{}, err
 	}
 	if _, err := mod.Commit(ctx); err != nil {
 		return StageResult{}, err
 	}
 
-	if err := dirty(1); err != nil {
+	if err := dirtyDistinct(mod, tpChunks, tpChunk, 1); err != nil {
 		return StageResult{}, err
 	}
 	tr := obs.NewTrace()

@@ -247,7 +247,12 @@ func TestReplication(t *testing.T) {
 	c := d.Client()
 	c.Replication = 2
 	blob, _ := c.CreateBlob(ctx, testChunkSize)
-	info, err := c.WriteAt(ctx, blob, 0, bytes.Repeat([]byte{9}, 4*testChunkSize))
+	// Four chunks of distinct content: identical bodies would be stored once.
+	data := make([]byte, 4*testChunkSize)
+	for i := range data {
+		data[i] = byte(9 + i/testChunkSize)
+	}
+	info, err := c.WriteAt(ctx, blob, 0, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +267,7 @@ func TestReplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 4*testChunkSize || got[0] != 9 {
+	if !bytes.Equal(got, data) {
 		t.Error("replicated read failed")
 	}
 }
@@ -381,15 +386,22 @@ func TestGCReclaimsRetiredVersions(t *testing.T) {
 		t.Fatalf("stored %d chunks, want 40", chunksBefore)
 	}
 	// Retire versions 0-3, keep only version 4.
-	if err := c.Retire(ctx, blob, 4); err != nil {
+	// Retire releases the superseded bodies by reference count; the sweep
+	// collects whatever is left (here: only the retired tree nodes).
+	retired, err := c.RetireStats(ctx, blob, 4)
+	if err != nil {
 		t.Fatal(err)
 	}
 	stats, err := c.GC(ctx, d.DataAddrs)
 	if err != nil {
 		t.Fatalf("GC: %v", err)
 	}
-	if stats.DeletedChunks != 32 {
-		t.Errorf("GC deleted %d chunks, want 32", stats.DeletedChunks)
+	if got := retired.ReclaimedChunks + stats.DeletedChunks; got != 32 {
+		t.Errorf("Retire + GC reclaimed %d chunks (%d by refcount, %d swept), want 32",
+			got, retired.ReclaimedChunks, stats.DeletedChunks)
+	}
+	if stats.DeletedNodes == 0 {
+		t.Error("GC swept no retired metadata nodes")
 	}
 	_, chunksAfter, err := c.Usage(ctx, d.DataAddrs)
 	if err != nil {

@@ -20,6 +20,13 @@ import (
 // Client accesses a BlobSeer deployment. A Client is stateless apart from
 // the deployment addresses; it is safe to create one per goroutine.
 //
+// Every commit is content-addressed (internal/cas): chunks are fingerprinted,
+// placed by rendezvous hash of their content, and a "have these
+// fingerprints?" round trip (opCasRefBatch, one per provider per commit)
+// skips the body transfer for content any snapshot already stored. Retire
+// releases the retired snapshots' references, and every body read back is
+// verified against its content key.
+//
 // Every operation takes a context.Context: cancelling it abandons the
 // operation. A cancelled commit runs its abort path under a detached context
 // (context.WithoutCancel), releasing the version ticket and every
@@ -36,16 +43,6 @@ type Client struct {
 	PMAddr      string   // provider manager
 	MetaAddrs   []string // metadata providers, hash-sharded
 	Replication int      // chunk replica count (default 1)
-
-	// Dedup routes commits through the content-addressed repository
-	// (internal/cas): chunks are fingerprinted, placed by rendezvous hash of
-	// their content, and a "have these fingerprints?" round trip
-	// (opCasRefBatch, one per provider per commit) skips the body transfer
-	// for content any snapshot already stored. Retire then releases the
-	// retired snapshots' references instead of relying on a
-	// whole-repository sweep. Requires CAS-capable data providers (Deploy
-	// creates them).
-	Dedup bool
 
 	// Parallelism bounds how many per-provider streams a commit or restore
 	// runs concurrently. The data path groups chunks by provider and moves
@@ -286,8 +283,7 @@ func (c *Client) ListBlobs(ctx context.Context) ([]BlobInfo, error) {
 // saved. LogicalBytes is the commit's payload — each written chunk counted
 // once, independent of replication — so dedup hit-rate math is not skewed by
 // the replica count; TransferBytes is what actually crossed the network,
-// including replica copies. With Dedup off and Replication 1 the two are
-// equal.
+// including replica copies.
 type CommitStats struct {
 	Chunks        int    // chunks written by the commit
 	DedupChunks   int    // chunks whose body was already held by every replica
@@ -415,17 +411,15 @@ func (c *Client) writeVersionStaged(ctx context.Context, blob uint64, base *Snap
 		}
 	}
 
-	// Ticket: version number + private chunk-id range.
-	w := wire.NewBuffer(24)
+	// Ticket: the version number this commit will publish under.
+	w := wire.NewBuffer(16)
 	w.PutU8(opTicket)
 	w.PutU64(blob)
-	w.PutU64(uint64(len(writes)))
 	r, err := c.call(probeCtx, c.VMAddr, w)
 	if err != nil {
 		return VersionInfo{}, stats, err
 	}
 	version := r.U64()
-	firstID := r.U64()
 	if err := r.Err(); err != nil {
 		return VersionInfo{}, stats, err
 	}
@@ -442,13 +436,7 @@ func (c *Client) writeVersionStaged(ctx context.Context, blob uint64, base *Snap
 	}
 	sort.Slice(indices, func(i, j int) bool { return indices[i] < indices[j] })
 
-	var leaves map[uint64]meta.Leaf
-	var manifest []manifestEntry
-	if c.Dedup {
-		leaves, manifest, err = c.uploadDedup(uploadCtx, indices, writes, &stats)
-	} else {
-		leaves, err = c.uploadPlaced(uploadCtx, blob, firstID, indices, writes, &stats)
-	}
+	leaves, manifest, err := c.uploadDedup(uploadCtx, indices, writes, &stats)
 	if err != nil {
 		c.abort(cleanupCtx, blob, version)
 		return VersionInfo{}, stats, err
@@ -486,17 +474,14 @@ func (c *Client) writeVersionStaged(ctx context.Context, blob uint64, base *Snap
 	durableCtx, durable := obs.StartSpan(ctx, obs.SpanCommitDurable)
 	defer durable.End()
 
-	// Commit. A dedup commit carries the write manifest so the version
-	// manager can track which write supersedes which (refcount GC).
+	// Commit. The write manifest rides along so the version manager can
+	// track which write supersedes which (refcount GC).
 	info := VersionInfo{Version: version, Size: newSize, Span: newSpan, Root: root}
 	w = wire.NewBuffer(64)
 	w.PutU8(opCommit)
 	w.PutU64(blob)
 	putVersionInfo(w, info)
-	w.PutBool(len(manifest) > 0)
-	if len(manifest) > 0 {
-		putManifest(w, manifest)
-	}
+	putManifest(w, manifest)
 	if _, err := c.call(durableCtx, c.VMAddr, w); err != nil {
 		// The commit may or may not have landed; releasing refs here could
 		// double-release a published version's chunks. Leave reconciliation
@@ -507,173 +492,13 @@ func (c *Client) writeVersionStaged(ctx context.Context, blob uint64, base *Snap
 	return info, stats, nil
 }
 
-// uploadPlaced is the classic (blob, id)-addressed upload path: placement
-// from the provider manager, every body shipped. Replicas are grouped by
-// provider and each provider's set moves in batched frames over bounded
-// concurrent streams; chunks whose provider dies mid-commit fall back to the
-// serial per-chunk failover, preserving the distinct-replica guarantee.
-func (c *Client) uploadPlaced(ctx context.Context, blob, firstID uint64, indices []uint64, writes map[uint64][]byte, stats *CommitStats) (map[uint64]meta.Leaf, error) {
-	w := wire.NewBuffer(16)
-	w.PutU8(opPlacement)
-	w.PutUvarint(uint64(len(writes)))
-	w.PutUvarint(uint64(c.replication()))
-	r, err := c.call(ctx, c.PMAddr, w)
-	if err != nil {
-		return nil, err
-	}
-	nPlaced := r.Uvarint()
-	if int(nPlaced) != len(indices) {
-		return nil, fmt.Errorf("blobseer: placement returned %d entries for %d chunks", nPlaced, len(indices))
-	}
-	placements := make([][]string, nPlaced)
-	for i := range placements {
-		k := r.Uvarint()
-		if k > 1024 {
-			return nil, fmt.Errorf("blobseer: implausible replica count %d", k)
-		}
-		placements[i] = make([]string, k)
-		for j := range placements[i] {
-			placements[i][j] = r.String()
-		}
-	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-
-	keys := make([]chunkstore.Key, len(indices))
-	for i := range indices {
-		keys[i] = chunkstore.Key{Blob: blob, ID: firstID + uint64(i)}
-	}
-
-	// Group replica PUTs by provider: one stream per provider, each split
-	// into frames of at most batchBytesLimit.
-	type slot struct{ chunk, replica int }
-	groups := make(map[string][]slot)
-	for i := range indices {
-		for j, addr := range placements[i] {
-			groups[addr] = append(groups[addr], slot{chunk: i, replica: j})
-		}
-	}
-	// landed[i][j] records that replica j of chunk i reached its planned
-	// provider. Slots are disjoint across goroutines, so no lock is needed.
-	landed := make([][]bool, len(indices))
-	for i := range landed {
-		landed[i] = make([]bool, len(placements[i]))
-	}
-	err = runGroups(ctx, c.parallelism(), groups, func(ctx context.Context, addr string, slots []slot) error {
-		err := splitByBytes(len(slots), func(i int) int { return len(writes[indices[slots[i].chunk]]) }, func(start, end int) error {
-			bkeys := make([]chunkstore.Key, 0, end-start)
-			bodies := make([][]byte, 0, end-start)
-			for _, s := range slots[start:end] {
-				bkeys = append(bkeys, keys[s.chunk])
-				bodies = append(bodies, writes[indices[s.chunk]])
-			}
-			if err := c.putChunkBatch(ctx, addr, bkeys, bodies); err != nil {
-				// The provider is unreachable: leave this provider's
-				// remaining slots unlanded for the failover pass instead of
-				// failing the commit. A cancelled commit does fail here.
-				if cerr := ctx.Err(); cerr != nil {
-					return cerr
-				}
-				return errStopGroup
-			}
-			for _, s := range slots[start:end] {
-				landed[s.chunk][s.replica] = true
-			}
-			return nil
-		})
-		if errors.Is(err, errStopGroup) {
-			return nil
-		}
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	leaves := make(map[uint64]meta.Leaf, len(writes))
-	// Write-path failover: alternates for chunks whose assigned provider died
-	// mid-commit, fetched lazily on the first failure.
-	var alternates []string
-	for i, idx := range indices {
-		data := writes[idx]
-		placed := make([]string, 0, len(placements[i]))
-		for j, providerAddr := range placements[i] {
-			addr := providerAddr
-			if !landed[i][j] {
-				// The provider died mid-commit: retry the PUT on an alternate
-				// live provider instead of failing the whole commit. The leaf
-				// records where the replica actually landed, so the read path
-				// (which already tries replicas in order) finds it. Every
-				// planned placement for this chunk — tried or not — is
-				// excluded, so the alternate never collides with a replica a
-				// later loop iteration will place: the chunk keeps its full
-				// count of *distinct* physical replicas.
-				used := append(append([]string(nil), placed...), placements[i]...)
-				var err error
-				addr, err = c.putChunkFailover(ctx, keys[i], data, &alternates, used)
-				if err != nil {
-					return nil, err
-				}
-			}
-			stats.TransferBytes += uint64(len(data))
-			placed = append(placed, addr)
-		}
-		stats.Chunks++
-		stats.LogicalBytes += uint64(len(data))
-		leaves[idx] = meta.Leaf{Providers: placed, Key: keys[i], Size: uint32(len(data))}
-	}
-	return leaves, nil
-}
-
-// putChunk ships one (blob, id)-addressed chunk replica to one provider.
-func (c *Client) putChunk(ctx context.Context, addr string, key chunkstore.Key, data []byte) error {
-	pw := wire.NewBuffer(32 + len(data))
-	pw.PutU8(opChunkPut)
-	putChunkKey(pw, key)
-	pw.PutBytes(data)
-	if _, err := c.rpc(ctx, addr, "chunk-put", pw.Bytes()); err != nil {
-		return fmt.Errorf("blobseer: put chunk to %s: %w", addr, err)
-	}
-	return nil
-}
-
-// putChunkFailover retries a failed chunk PUT on the registered providers
-// not yet holding a replica of this chunk, returning the address that took
-// it. *alternates caches the provider list across a commit's failovers.
-func (c *Client) putChunkFailover(ctx context.Context, key chunkstore.Key, data []byte, alternates *[]string, used []string) (string, error) {
-	if *alternates == nil {
-		ps, err := c.Providers(ctx)
-		if err != nil {
-			return "", err
-		}
-		*alternates = ps
-	}
-	var lastErr error
-	for _, addr := range *alternates {
-		if slices.Contains(used, addr) {
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return "", err
-		}
-		if err := c.putChunk(ctx, addr, key, data); err != nil {
-			lastErr = err
-			continue
-		}
-		obs.RegistryFrom(ctx).Counter("blobseer_write_failovers_total").Inc()
-		return addr, nil
-	}
-	return "", fmt.Errorf("blobseer: chunk %v: no live provider took the replica: %w", key, lastErr)
-}
-
-// uploadDedup is the content-addressed upload path: each chunk is
-// fingerprinted, placed on the providers that rendezvous-hashing assigns to
-// its content (so identical content always lands on the same providers,
-// cluster-wide), and shipped only if the provider does not already hold the
-// fingerprint. Returns the leaves and the commit's write manifest. On any
-// failure — including ctx cancellation — every reference taken so far is
-// released under a detached context before returning.
+// uploadDedup is the commit's upload stage: each chunk is fingerprinted,
+// placed on the providers that rendezvous-hashing assigns to its content (so
+// identical content always lands on the same providers, cluster-wide), and
+// shipped only if the provider does not already hold the fingerprint. Returns
+// the leaves and the commit's write manifest. On any failure — including ctx
+// cancellation — every reference taken so far is released under a detached
+// context before returning.
 //
 // The probe/upload traffic is batched per provider: each round issues one
 // "have these fingerprints?" round trip (opCasRefBatch) and at most one body
@@ -916,21 +741,6 @@ func casPlacementRanked(fp cas.Fingerprint, providers []string) []string {
 	return PlacementRanked(fp.Key(), providers)
 }
 
-// casRef performs the "have fingerprint?" round trip against one provider:
-// true means the provider holds the body and took a reference on it.
-func (c *Client) casRef(ctx context.Context, addr string, fp cas.Fingerprint) (bool, error) {
-	w := wire.NewBuffer(40)
-	w.PutU8(opCasRef)
-	putFingerprint(w, fp)
-	resp, err := c.rpc(ctx, addr, "cas-ref", w.Bytes())
-	if err != nil {
-		return false, fmt.Errorf("blobseer: cas ref on %s: %w", addr, err)
-	}
-	r := wire.NewReader(resp)
-	held := r.Bool()
-	return held, r.Err()
-}
-
 // casRelease drops one reference on fp at one provider.
 func (c *Client) casRelease(ctx context.Context, addr string, fp cas.Fingerprint) (reclaimedBytes uint64, err error) {
 	w := wire.NewBuffer(40)
@@ -1027,8 +837,8 @@ func (c *Client) abort(ctx context.Context, blob, version uint64) {
 
 // ReadStats reports what one ReadVersion had to do beyond the happy path:
 // replicas failed over (provider unreachable or body absent), corrupt
-// replicas detected (a body that no longer hashes to its content key — only
-// detectable in dedup mode) and skipped, and chunks that exhausted their
+// replicas detected (a body that no longer hashes to its content key) and
+// skipped, and chunks that exhausted their
 // leaf-recorded replicas and were served through the rendezvous-ranked
 // fallback over the current membership (a replica re-homed by the repair
 // plane).
@@ -1064,8 +874,7 @@ func (c *Client) ReadVersion(ctx context.Context, ref SnapshotRef, offset, size 
 // chunk whose provider is unreachable or no longer holds it fails over to
 // its next replica in the following pass.
 //
-// In dedup mode every received body is verified against the leaf's
-// content-derived key (the first 128 bits of the chunk's SHA-256): a
+// Every received body is verified against the leaf's content-derived key (the first 128 bits of the chunk's SHA-256): a
 // mismatch is treated exactly like a missing replica — the read fails over
 // to the next replica and the corruption is counted — so a rotted or
 // tampered replica can never reach the caller. A chunk whose leaf-recorded
@@ -1190,7 +999,7 @@ func (c *Client) ReadVersionStats(ctx context.Context, ref SnapshotRef, offset, 
 						mu.Unlock()
 						continue
 					}
-					if c.Dedup && cas.Sum(data).Key() != rc.slot.Leaf.Key {
+					if cas.Sum(data).Key() != rc.slot.Leaf.Key {
 						// The replica no longer matches its content key:
 						// deliver from another replica, never bad bytes.
 						mu.Lock()
@@ -1229,23 +1038,20 @@ func (c *Client) ReadVersionStats(ctx context.Context, ref SnapshotRef, offset, 
 
 // replicaOrder returns the order in which a reader tries a leaf's replicas:
 // the deterministic rotation of the placement order that starts at the
-// replica picked by the chunk key's hash. Readers of different chunks start
-// at different replicas — spreading a restore's load across the whole
-// replica set instead of hot-spotting the first-placed provider — while any
-// single chunk keeps a fixed, in-order failover sequence.
+// replica picked by the chunk key. Readers of different chunks start at
+// different replicas — spreading a restore's load across the whole replica
+// set instead of hot-spotting the first-placed provider — while any single
+// chunk keeps a fixed, in-order failover sequence. The key is 128 bits of
+// the content's SHA-256, so its low word is already uniform; hashing it with
+// FNV again would correlate the start with the rendezvous ranking (FNV over
+// the same key) and pin every chunk's first read to the same provider of an
+// adjacent-address pair.
 func replicaOrder(l meta.Leaf) []string {
 	n := len(l.Providers)
 	if n <= 1 {
 		return l.Providers
 	}
-	h := fnv.New64a()
-	var buf [16]byte
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(l.Key.Blob >> (8 * i))
-		buf[8+i] = byte(l.Key.ID >> (8 * i))
-	}
-	h.Write(buf[:])
-	start := int(h.Sum64() % uint64(n))
+	start := int(l.Key.ID % uint64(n))
 	out := make([]string, 0, n)
 	out = append(out, l.Providers[start:]...)
 	out = append(out, l.Providers[:start]...)
@@ -1352,9 +1158,7 @@ func (c *Client) Retire(ctx context.Context, blob, before uint64) error {
 // RetireStats retires versions below `before` and immediately releases the
 // content-addressed references held by the superseded chunk writes of the
 // retired snapshots — incremental garbage collection in O(retired chunks),
-// no repository sweep. For blobs written without Dedup there is nothing to
-// release and the stats come back zero (the mark-and-sweep GC still applies).
-// Releases to unreachable providers are counted in Failed and left for the
+// no repository sweep. Releases to unreachable providers are counted in Failed and left for the
 // sweep to reconcile.
 func (c *Client) RetireStats(ctx context.Context, blob, before uint64) (ReclaimStats, error) {
 	var stats ReclaimStats
@@ -1367,19 +1171,15 @@ func (c *Client) RetireStats(ctx context.Context, blob, before uint64) (ReclaimS
 		return stats, err
 	}
 	r.U64() // retired horizon
-	n := r.Uvarint()
-	type release struct {
-		fp        cas.Fingerprint
-		providers []string
+	n, err := getCount(r)
+	if err != nil {
+		return stats, err
 	}
-	releases := make([]release, 0, n)
-	for i := uint64(0); i < n && r.Err() == nil; i++ {
-		var rel release
-		rel.fp = getFingerprint(r)
-		np := r.Uvarint()
-		rel.providers = make([]string, np)
-		for j := range rel.providers {
-			rel.providers[j] = r.String()
+	releases := make([]manifestEntry, 0, n)
+	for i := uint64(0); i < n; i++ {
+		rel := manifestEntry{fp: getFingerprint(r)}
+		if rel.providers, err = getProviderList(r); err != nil {
+			return stats, err
 		}
 		releases = append(releases, rel)
 	}
@@ -1421,8 +1221,7 @@ type GCStats struct {
 // paper's proposed future-work extension (transparent snapshot garbage
 // collection) in its exhaustive form.
 //
-// With Dedup enabled, RetireStats already reclaims retired snapshots' chunk
-// bodies incrementally through the content-addressed repository's reference
+// RetireStats already reclaims retired snapshots' chunk bodies incrementally through the content-addressed repository's reference
 // counts, in O(retired chunks); this sweep remains the full-fidelity
 // fallback — it also collects metadata-tree nodes, chunks orphaned by failed
 // commits, and references leaked past unreachable providers. Sweeping a

@@ -7,30 +7,64 @@ import (
 	"testing"
 
 	"blobcr/internal/cas"
-	"blobcr/internal/transport"
 )
 
-// dedupDeploy starts a deployment and returns a dedup-enabled client.
-func dedupDeploy(t *testing.T, nMeta, nData int) (*Deployment, *Client) {
-	t.Helper()
-	d, err := Deploy(transport.NewInProc(), nMeta, nData)
+func chunkOf(b byte, n int) []byte { return bytes.Repeat([]byte{b}, n) }
+
+// TestDefaultClientIsContentAddressed: Deployment.Client() with no field set
+// already runs the one write path — two identical chunks in one commit
+// transfer one body — and the read path verifies content: a replica
+// corrupted in the backing store is failed over, never delivered.
+func TestDefaultClientIsContentAddressed(t *testing.T) {
+	const chunk = 4096
+	d, c := deploy(t, 1, 2) // deploy hands back Deployment.Client() untouched
+	blob, err := c.CreateBlob(ctx, chunk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(d.Close)
-	c := d.Client()
-	c.Dedup = true
-	return d, c
-}
+	body := chunkOf('d', chunk)
+	info, cs, err := c.WriteVersionStats(ctx, blob, map[uint64][]byte{0: body, 1: body}, 2*chunk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs.DedupChunks != 1 || cs.TransferBytes != chunk {
+		t.Fatalf("two identical chunks: %d dedup hits, %d bytes shipped; want 1 and %d", cs.DedupChunks, cs.TransferBytes, chunk)
+	}
 
-func chunkOf(b byte, n int) []byte { return bytes.Repeat([]byte{b}, n) }
+	// A second replica so the read has somewhere to fail over to, then rot
+	// the first in place (Mem.Get hands back the live slice).
+	key := cas.Sum(body).Key()
+	stores := d.DataProviderStores()
+	holder, spare := stores[0], stores[1]
+	if !holder.Has(key) {
+		holder, spare = spare, holder
+	}
+	if _, err := spare.(*cas.Store).PutContent(cas.Sum(body), body); err != nil {
+		t.Fatal(err)
+	}
+	stored, err := holder.Get(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored[0] ^= 0xFF
+	got, rs, err := c.ReadVersionStats(ctx, SnapshotRef{Blob: blob, Version: info.Version}, 0, chunk)
+	if err != nil {
+		t.Fatalf("read past the corrupt replica: %v", err)
+	}
+	if !bytes.Equal(got, body) {
+		t.Fatal("corrupt replica delivered to the reader")
+	}
+	if rs.CorruptReplicas != 1 {
+		t.Fatalf("CorruptReplicas = %d, want 1 (%+v)", rs.CorruptReplicas, rs)
+	}
+}
 
 // TestDedupSecondCommitShipsNothing is the headline property: committing the
 // same chunk content twice — here across two snapshots of one blob — stores
 // exactly one body and skips the duplicate's network transfer.
 func TestDedupSecondCommitShipsNothing(t *testing.T) {
 	const chunk = 4096
-	d, c := dedupDeploy(t, 2, 3)
+	d, c := deploy(t, 2, 3)
 	blob, err := c.CreateBlob(ctx, chunk)
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +124,7 @@ func TestDedupSecondCommitShipsNothing(t *testing.T) {
 // committing identical content share one body.
 func TestDedupAcrossBlobs(t *testing.T) {
 	const chunk = 2048
-	d, c := dedupDeploy(t, 2, 4)
+	d, c := deploy(t, 2, 4)
 	content := chunkOf('s', chunk)
 
 	var blobs []uint64
@@ -126,7 +160,7 @@ func TestDedupAcrossBlobs(t *testing.T) {
 // duplicate commit skips every replica transfer.
 func TestDedupReplicationPlacesPerContent(t *testing.T) {
 	const chunk = 1024
-	d, c := dedupDeploy(t, 2, 5)
+	d, c := deploy(t, 2, 5)
 	c.Replication = 2
 	content := chunkOf('r', chunk)
 
@@ -165,7 +199,7 @@ func TestDedupReplicationPlacesPerContent(t *testing.T) {
 func TestRetireReleasesByRefcount(t *testing.T) {
 	const chunk = 4096
 	const rounds = 6
-	d, c := dedupDeploy(t, 2, 3)
+	d, c := deploy(t, 2, 3)
 	blob, err := c.CreateBlob(ctx, chunk)
 	if err != nil {
 		t.Fatal(err)
@@ -221,7 +255,7 @@ func TestRetireReleasesByRefcount(t *testing.T) {
 // wrote; retiring A's snapshot must decrement, not delete, the shared body.
 func TestSharedContentSurvivesOtherBlobsRetire(t *testing.T) {
 	const chunk = 2048
-	_, c := dedupDeploy(t, 2, 3)
+	_, c := deploy(t, 2, 3)
 	shared := chunkOf('S', chunk)
 
 	a, err := c.CreateBlob(ctx, chunk)
@@ -259,7 +293,7 @@ func TestSharedContentSurvivesOtherBlobsRetire(t *testing.T) {
 // by the origin's retire, so the clone stays readable.
 func TestClonePinPreventsRelease(t *testing.T) {
 	const chunk = 4096
-	_, c := dedupDeploy(t, 2, 3)
+	_, c := deploy(t, 2, 3)
 	blob, err := c.CreateBlob(ctx, chunk)
 	if err != nil {
 		t.Fatal(err)
@@ -295,7 +329,7 @@ func TestClonePinPreventsRelease(t *testing.T) {
 // leaked extra reference keeping a dead body alive past its retire).
 func TestMarkSweepGCComposesWithDedup(t *testing.T) {
 	const chunk = 4096
-	d, c := dedupDeploy(t, 2, 3)
+	d, c := deploy(t, 2, 3)
 	blob, err := c.CreateBlob(ctx, chunk)
 	if err != nil {
 		t.Fatal(err)
@@ -313,8 +347,8 @@ func TestMarkSweepGCComposesWithDedup(t *testing.T) {
 	// commit would: refcount retire alone can no longer reclaim that body.
 	leakedFP := cas.Sum(chunkOf('c', chunk))
 	leakedAddr := casPlacementRanked(leakedFP, providers)[0]
-	held, err := c.casRef(ctx, leakedAddr, leakedFP)
-	if err != nil || !held {
+	held, _, err := c.casRefBatch(ctx, leakedAddr, []cas.Fingerprint{leakedFP})
+	if err != nil || !held[0] {
 		t.Fatalf("leak ref: held=%v err=%v", held, err)
 	}
 
@@ -370,7 +404,7 @@ func TestDedupCommitRetireRaceStress(t *testing.T) {
 		stripes = 4 // chunks per commit
 		pool    = 3 // distinct contents — heavy cross-writer sharing
 	)
-	_, c := dedupDeploy(t, 3, 4)
+	_, c := deploy(t, 3, 4)
 
 	contents := make([][]byte, pool)
 	for i := range contents {

@@ -157,7 +157,7 @@ func (d *Deployment) recordRegistry(addr string, reg *obs.Registry) {
 	}
 }
 
-// AddDataProvider starts one more CAS-capable data provider (backed by the
+// AddDataProvider starts one more data provider (the CAS layer over the
 // deployment's store factory) and JOINs it to the provider manager: from the
 // moment the join registers, new chunk placements may land on it — the
 // elasticity the repair plane relies on for spare storage capacity after a
@@ -168,8 +168,6 @@ func (d *Deployment) AddDataProvider(ctx context.Context) (string, error) {
 		return "", err
 	}
 	d.nextStore++
-	// Every provider is CAS-capable: a cas.Store implements the plain
-	// chunkstore interface, so non-dedup clients see no difference.
 	store, err := cas.NewStore(backend)
 	if err != nil {
 		closeStore(backend)

@@ -50,12 +50,11 @@ func (n *trapNet) didTrip() bool {
 	return n.tripped
 }
 
-// writeFailoverCase runs one partition-during-commit scenario: enough fresh
-// chunks that rendezvous (or round-robin placement) sends at least one body
-// to the victim provider, which dies the moment the body arrives. The commit
-// must fail over to live providers and publish a fully readable snapshot.
-func writeFailoverCase(t *testing.T, dedup bool) {
-	t.Helper()
+// TestWritePathFailover runs a partition-during-commit scenario: enough
+// fresh chunks that rendezvous placement sends at least one body to the
+// victim provider, which dies the moment the body arrives. The commit must
+// fail over to live providers and publish a fully readable snapshot.
+func TestWritePathFailover(t *testing.T) {
 	ctx := context.Background()
 	net := &trapNet{InProc: transport.NewInProc()}
 	d, err := Deploy(net, 2, 4)
@@ -64,7 +63,6 @@ func writeFailoverCase(t *testing.T, dedup bool) {
 	}
 	defer d.Close()
 	c := d.Client()
-	c.Dedup = dedup
 
 	const cs = 2048
 	blob, err := c.CreateBlob(ctx, cs)
@@ -107,6 +105,3 @@ func writeFailoverCase(t *testing.T, dedup bool) {
 		t.Fatalf("follow-up commit with dead provider: %v", err)
 	}
 }
-
-func TestWritePathFailoverDedup(t *testing.T)  { writeFailoverCase(t, true) }
-func TestWritePathFailoverPlaced(t *testing.T) { writeFailoverCase(t, false) }

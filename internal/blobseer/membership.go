@@ -163,6 +163,12 @@ func (c *Client) VersionLeaves(ctx context.Context, info VersionInfo) ([]meta.Le
 // next-ranked live provider, and a reader that exhausts a leaf's recorded
 // replicas can fall back to the same ranking over the current membership.
 // The order is stable when a provider leaves the rotation.
+//
+// The address is hashed before the key: FNV-1a diffuses its last input bytes
+// poorly, so with the address last, providers whose addresses differ only in
+// a final digit (inproc-5..8, consecutive ports) rank by that digit's bits
+// and one of four takes half the chunks. The key's 16 uniform bytes after
+// the address spread that difference over the whole score.
 func PlacementRanked(key chunkstore.Key, providers []string) []string {
 	type scored struct {
 		addr  string
@@ -174,8 +180,8 @@ func PlacementRanked(key chunkstore.Key, providers []string) []string {
 	scores := make([]scored, len(providers))
 	for i, addr := range providers {
 		h := fnv.New64a()
-		h.Write(kb[:])
 		h.Write([]byte(addr))
+		h.Write(kb[:])
 		scores[i] = scored{addr: addr, score: h.Sum64()}
 	}
 	sort.Slice(scores, func(i, j int) bool {
@@ -300,13 +306,4 @@ func (c *Client) DeleteChunkAt(ctx context.Context, addr string, key chunkstore.
 	putChunkKey(w, key)
 	_, err := c.call(ctx, addr, w)
 	return err
-}
-
-// StoreChunkReplicas ships (blob, id)-addressed chunk replicas to one
-// provider in batched frames — the repair path for chunks written without
-// deduplication.
-func (c *Client) StoreChunkReplicas(ctx context.Context, addr string, keys []chunkstore.Key, bodies [][]byte) error {
-	return splitByBytes(len(keys), func(i int) int { return len(bodies[i]) }, func(start, end int) error {
-		return c.putChunkBatch(ctx, addr, keys[start:end], bodies[start:end])
-	})
 }

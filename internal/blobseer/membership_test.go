@@ -111,7 +111,6 @@ func TestRelocateWritesCountsAndRewrites(t *testing.T) {
 	}
 	t.Cleanup(d.Close)
 	c := d.Client()
-	c.Dedup = true
 	c.Replication = 2
 
 	blob, err := c.CreateBlob(ctx, 512)

@@ -127,27 +127,6 @@ func splitByBytes(n int, size func(i int) int, fn func(start, end int) error) er
 	return nil
 }
 
-// putChunkBatch ships a set of (blob, id)-addressed chunk replicas to one
-// provider in a single round trip.
-func (c *Client) putChunkBatch(ctx context.Context, addr string, keys []chunkstore.Key, bodies [][]byte) error {
-	size := 16
-	for _, b := range bodies {
-		size += 24 + len(b)
-	}
-	w := wire.NewBuffer(size)
-	w.PutU8(opChunkPutBatch)
-	w.PutUvarint(uint64(len(keys)))
-	for i, k := range keys {
-		putChunkKey(w, k)
-		w.PutBytes(bodies[i])
-	}
-	obs.RegistryFrom(ctx).Counter("blobseer_batch_calls_total", obs.L("op", "chunk-put-batch")).Inc()
-	if _, err := c.rpc(ctx, addr, "chunk-put-batch", w.Bytes()); err != nil {
-		return fmt.Errorf("blobseer: put %d chunks to %s: %w", len(keys), addr, err)
-	}
-	return nil
-}
-
 // getChunkBatch fetches a set of chunks from one provider in a single round
 // trip. The result is aligned with keys; a chunk the provider does not hold
 // yields a nil entry (the caller fails over to another replica).

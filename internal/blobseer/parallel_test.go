@@ -14,44 +14,6 @@ import (
 	"blobcr/internal/wire"
 )
 
-// TestPlacedReplicationCountsLogicalBytesOncePerChunk is the regression test
-// for the LogicalBytes accounting fix: a replicated placed commit ships one
-// body per replica (TransferBytes) but its payload is each chunk once —
-// before the fix, LogicalBytes was inflated by the replica count, skewing
-// the dedup hit-rate math.
-func TestPlacedReplicationCountsLogicalBytesOncePerChunk(t *testing.T) {
-	const chunk = 512
-	d, err := Deploy(transport.NewInProc(), 1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(d.Close)
-	c := d.Client()
-	c.Replication = 2
-
-	blob, err := c.CreateBlob(ctx, chunk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	writes := make(map[uint64][]byte)
-	for i := uint64(0); i < 4; i++ {
-		writes[i] = bytes.Repeat([]byte{byte('p' + i)}, chunk)
-	}
-	_, cs, err := c.WriteVersionStats(ctx, blob, writes, 4*chunk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cs.Chunks != 4 {
-		t.Errorf("Chunks = %d, want 4", cs.Chunks)
-	}
-	if cs.LogicalBytes != 4*chunk {
-		t.Errorf("LogicalBytes = %d, want %d (once per chunk, not per replica)", cs.LogicalBytes, 4*chunk)
-	}
-	if cs.TransferBytes != 8*chunk {
-		t.Errorf("TransferBytes = %d, want %d (both replica bodies cross the network)", cs.TransferBytes, 8*chunk)
-	}
-}
-
 // TestDedupCommitProbesPerProviderNotPerChunk is the acceptance test for the
 // batched CAS probe: a dedup commit must issue O(providers) round trips —
 // one "have these fingerprints?" frame and one body-upload frame per
@@ -68,7 +30,6 @@ func TestDedupCommitProbesPerProviderNotPerChunk(t *testing.T) {
 	}
 	t.Cleanup(d.Close)
 	c := d.Client()
-	c.Dedup = true
 
 	blob, err := c.CreateBlob(ctx, 1024)
 	if err != nil {
@@ -207,7 +168,6 @@ func TestParallelCommitRetireRaceStress(t *testing.T) {
 	}
 	t.Cleanup(d.Close)
 	c := d.Client()
-	c.Dedup = true
 	c.Replication = 2
 	c.Parallelism = 4
 
@@ -276,15 +236,6 @@ func batchFrames() map[string][]byte {
 	fp := cas.Sum(body)
 
 	w := wire.NewBuffer(64)
-	w.PutU8(opChunkPutBatch)
-	w.PutUvarint(2)
-	putChunkKey(w, key)
-	w.PutBytes(body)
-	putChunkKey(w, chunkstore.Key{Blob: 7, ID: 10})
-	w.PutBytes(body)
-	frames["opChunkPutBatch"] = append([]byte(nil), w.Bytes()...)
-
-	w = wire.NewBuffer(64)
 	w.PutU8(opChunkGetBatch)
 	w.PutUvarint(2)
 	putChunkKey(w, key)
@@ -385,54 +336,5 @@ func TestCasPutBatchCorruptBodyTakesNoRefs(t *testing.T) {
 	st := store.Stats()
 	if st.Refs != 0 || st.Chunks != 0 {
 		t.Fatalf("corrupt batch applied partially: %d refs, %d chunks", st.Refs, st.Chunks)
-	}
-}
-
-// TestSingularNodeVerbsRemainServed: the pre-batch opNodePut/opNodeGet verbs
-// stay on the wire for older clients; the metadata provider must keep
-// serving them alongside the batch path.
-func TestSingularNodeVerbsRemainServed(t *testing.T) {
-	mp := NewMetadataProvider()
-	nk := meta.NodeKey{Blob: 5, Version: 1, Offset: 0, Span: 2}
-
-	w := wire.NewBuffer(64)
-	w.PutU8(opNodePut)
-	putNodeKey(w, nk)
-	w.PutBytes([]byte("legacy-node"))
-	if _, err := mp.handle(ctx, w.Bytes()); err != nil {
-		t.Fatalf("opNodePut: %v", err)
-	}
-
-	w = wire.NewBuffer(64)
-	w.PutU8(opNodeGet)
-	putNodeKey(w, nk)
-	resp, err := mp.handle(ctx, w.Bytes())
-	if err != nil {
-		t.Fatalf("opNodeGet: %v", err)
-	}
-	r := wire.NewReader(resp)
-	if got := string(r.Bytes()); got != "legacy-node" || r.Err() != nil {
-		t.Fatalf("opNodeGet returned %q (err %v)", got, r.Err())
-	}
-
-	// A singular put is visible to the batch get, and vice versa absence is
-	// an error on the singular path (not a presence flag).
-	w = wire.NewBuffer(64)
-	w.PutU8(opNodeGetBatch)
-	w.PutUvarint(1)
-	putNodeKey(w, nk)
-	resp, err = mp.handle(ctx, w.Bytes())
-	if err != nil {
-		t.Fatalf("opNodeGetBatch after singular put: %v", err)
-	}
-	r = wire.NewReader(resp)
-	if !r.Bool() || string(r.Bytes()) != "legacy-node" {
-		t.Fatal("batch get does not see singular put")
-	}
-	w = wire.NewBuffer(64)
-	w.PutU8(opNodeGet)
-	putNodeKey(w, meta.NodeKey{Blob: 9})
-	if _, err := mp.handle(ctx, w.Bytes()); err == nil {
-		t.Fatal("opNodeGet of missing node succeeded")
 	}
 }

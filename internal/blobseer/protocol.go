@@ -5,14 +5,16 @@
 //
 //   - one version manager, which serializes version publication per BLOB and
 //     stores the per-version descriptors (size, metadata root);
-//   - one provider manager, which tracks data providers and assigns chunk
-//     placements (round-robin with load awareness);
+//   - one provider manager, which tracks the data-provider membership that
+//     writers rendezvous-hash their chunks over;
 //   - N metadata providers, which store segment-tree nodes (package meta)
 //     sharded by key hash;
-//   - M data providers, which store immutable chunks (package chunkstore).
+//   - M data providers, which store immutable content-addressed chunks
+//     (package cas over a package chunkstore engine).
 //
-// Clients stripe BLOBs into fixed-size chunks, write chunks to data
-// providers, build the new version's metadata tree, and commit the version.
+// Clients stripe BLOBs into fixed-size chunks, fingerprint them, ship the
+// bodies no provider already holds, build the new version's metadata tree,
+// and commit the version.
 // Shadowing and cloning (the operations BlobCR's COMMIT and CLONE map to)
 // come from the versioned segment tree: see package meta.
 //
@@ -26,14 +28,13 @@
 // one item per call. Every batch frame starts with the op byte and a uvarint
 // item count, followed by the items back to back:
 //
-//   - opChunkPutBatch: n x (chunk key, body). Response: empty. One frame
-//     ships every chunk a commit assigns to one data provider.
 //   - opChunkGetBatch: n x chunk key. Response: n x (present bool, body if
 //     present). Absent chunks are reported per item, not as a frame error,
 //     so the reader fails over only the chunks that need it.
 //   - opCasRefBatch: n x fingerprint. Response: n x held bool. One "have
 //     these fingerprints?" round trip per provider per commit; a reference
-//     is taken for every held fingerprint, exactly as opCasRef does singly.
+//     is taken for every held fingerprint, so a writer that gets `true` back
+//     never ships the body at all.
 //   - opCasPutBatch: n x (fingerprint, body). Response: n x dup bool. All
 //     fingerprints are validated against their bodies before any item is
 //     applied, so a corrupt frame takes no references.
@@ -59,7 +60,7 @@ import (
 // Op codes for the version manager.
 const (
 	opCreate = iota + 1 // create blob
-	opTicket            // reserve a version + chunk-id range
+	opTicket            // reserve a version number
 	opCommit            // publish a version
 	opAbort             // abandon a reserved ticket
 	opGetVersion
@@ -82,7 +83,6 @@ const (
 // Op codes for the provider manager.
 const (
 	opRegister = iota + 32 // JOIN: the provider becomes placement-eligible
-	opPlacement
 	opProviders
 	opUnregister
 
@@ -98,24 +98,16 @@ const (
 
 // Op codes for data providers.
 const (
-	opChunkPut = iota + 64
-	opChunkGet
-	opChunkDelete
+	opChunkDelete = iota + 64
 	opChunkList
 	opChunkUsage
-	opChunkHas
 
-	// Content-addressed repository ops (internal/cas). opCasRef is the
-	// "have fingerprint?" round trip: it takes a reference if the body is
-	// held, so a writer that gets `true` back never ships the body at all.
-	opCasRef
-	opCasPut
+	// Content-addressed repository ops (internal/cas).
 	opCasRelease
 	opCasStats
 
 	// Batch verbs (see the package comment): many items per frame, one
 	// frame per provider per commit or restore pass.
-	opChunkPutBatch
 	opChunkGetBatch
 	opCasRefBatch
 	opCasPutBatch
@@ -138,9 +130,7 @@ const (
 
 // Op codes for metadata providers.
 const (
-	opNodePut = iota + 96
-	opNodeGet
-	opNodeList
+	opNodeList = iota + 96
 	opNodeDelete
 	opNodeUsage
 	opNodePutBatch
@@ -276,27 +266,47 @@ func putManifest(w *wire.Buffer, m []manifestEntry) {
 	}
 }
 
-func getManifest(r *wire.Reader) []manifestEntry {
-	n := r.Uvarint()
-	if n > 1<<24 {
-		return nil // implausible; the reader's error latch will surface it
+func getManifest(r *wire.Reader) ([]manifestEntry, error) {
+	n, err := getCount(r)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]manifestEntry, 0, n)
-	for i := uint64(0); i < n && r.Err() == nil; i++ {
-		var e manifestEntry
-		e.index = r.Uvarint()
-		e.fp = getFingerprint(r)
-		np := r.Uvarint()
-		if np > 1024 {
-			return nil
-		}
-		e.providers = make([]string, np)
-		for j := range e.providers {
-			e.providers[j] = r.String()
+	for i := uint64(0); i < n; i++ {
+		e := manifestEntry{index: r.Uvarint(), fp: getFingerprint(r)}
+		if e.providers, err = getProviderList(r); err != nil {
+			return nil, err
 		}
 		out = append(out, e)
 	}
-	return out
+	return out, r.Err()
+}
+
+// getCount decodes the item count of a list whose items each occupy at
+// least one byte, rejecting a count the rest of the frame cannot hold — so a
+// corrupt count fails the decode before anything is allocated from it.
+func getCount(r *wire.Reader) (uint64, error) {
+	n := r.Uvarint()
+	if err := r.Err(); err != nil {
+		return 0, err
+	}
+	if n > uint64(r.Remaining()) {
+		return 0, fmt.Errorf("blobseer: implausible count %d with %d bytes left in the frame", n, r.Remaining())
+	}
+	return n, nil
+}
+
+// getProviderList decodes a write event's replica provider addresses.
+func getProviderList(r *wire.Reader) ([]string, error) {
+	n, err := getCount(r)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]string, n)
+	for i := range out {
+		out[i] = r.String()
+	}
+	return out, r.Err()
 }
 
 // Relocation asks the version manager to move one fingerprint's write-event

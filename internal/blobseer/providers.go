@@ -70,9 +70,9 @@ func (m Membership) Addrs() []string {
 	return out
 }
 
-// ProviderManager tracks data providers and assigns chunk placements.
-// Placement is round-robin over registered providers, skewed away from the
-// most loaded ones, which evens out the global I/O workload the way the
+// ProviderManager tracks the data-provider membership writers place over:
+// a commit fetches the active set (opProviders) and rendezvous-ranks it per
+// chunk (PlacementRanked), which stripes the global I/O workload the way the
 // paper's striping scheme intends.
 //
 // Membership is dynamic: providers JOIN at any time (opRegister) and leave
@@ -86,10 +86,8 @@ type ProviderManager struct {
 	Obs *obs.Registry
 
 	mu        sync.Mutex
-	providers []string          // placement-eligible (active), sorted
-	draining  []string          // decommissioning, still readable, sorted
-	load      map[string]uint64 // chunks assigned
-	rr        int
+	providers []string // placement-eligible (active), sorted
+	draining  []string // decommissioning, still readable, sorted
 	epoch     uint64
 }
 
@@ -102,30 +100,12 @@ func (pm *ProviderManager) registry() *obs.Registry {
 
 // NewProviderManager returns an empty provider manager.
 func NewProviderManager() *ProviderManager {
-	return &ProviderManager{load: make(map[string]uint64)}
+	return &ProviderManager{}
 }
 
 // Serve binds the provider manager to addr on n.
 func (pm *ProviderManager) Serve(n transport.Network, addr string) (transport.Server, error) {
 	return n.Listen(addr, pm.handle)
-}
-
-// placeLocked returns replication distinct provider addresses for one chunk.
-func (pm *ProviderManager) placeLocked(replication int) ([]string, error) {
-	if len(pm.providers) == 0 {
-		return nil, errors.New("blobseer: no data providers registered")
-	}
-	if replication > len(pm.providers) {
-		replication = len(pm.providers)
-	}
-	out := make([]string, 0, replication)
-	for len(out) < replication {
-		addr := pm.providers[pm.rr%len(pm.providers)]
-		pm.rr++
-		out = append(out, addr)
-		pm.load[addr]++
-	}
-	return out, nil
 }
 
 func (pm *ProviderManager) handle(ctx context.Context, req []byte) ([]byte, error) {
@@ -159,30 +139,6 @@ func (pm *ProviderManager) handle(ctx context.Context, req []byte) ([]byte, erro
 		sort.Strings(pm.providers) // deterministic placement order
 		pm.epoch++
 
-	case opPlacement:
-		nChunks := r.Uvarint()
-		replication := int(r.Uvarint())
-		if err := reqErr(op, r); err != nil {
-			return nil, err
-		}
-		if replication < 1 {
-			replication = 1
-		}
-		if nChunks > 1<<24 {
-			return nil, fmt.Errorf("blobseer: placement request for %d chunks is implausible", nChunks)
-		}
-		w.PutUvarint(nChunks)
-		for i := uint64(0); i < nChunks; i++ {
-			addrs, err := pm.placeLocked(replication)
-			if err != nil {
-				return nil, err
-			}
-			w.PutUvarint(uint64(len(addrs)))
-			for _, a := range addrs {
-				w.PutString(a)
-			}
-		}
-
 	case opProviders:
 		if err := reqErr(op, r); err != nil {
 			return nil, err
@@ -201,7 +157,6 @@ func (pm *ProviderManager) handle(ctx context.Context, req []byte) ([]byte, erro
 		}
 		pm.providers = removeAddr(pm.providers, addr)
 		pm.draining = removeAddr(pm.draining, addr)
-		delete(pm.load, addr)
 		pm.epoch++
 
 	case opMembership:
@@ -247,7 +202,6 @@ func (pm *ProviderManager) handle(ctx context.Context, req []byte) ([]byte, erro
 			break // already gone: retiring twice is idempotent
 		}
 		pm.draining = removeAddr(pm.draining, addr)
-		delete(pm.load, addr)
 		pm.epoch++
 
 	default:
@@ -266,14 +220,14 @@ func removeAddr(list []string, addr string) []string {
 	return list
 }
 
-// DataProvider serves chunk storage over the network, backed by any
-// chunkstore.Store.
+// DataProvider serves content-addressed chunk storage over the network:
+// any chunkstore.Store engine under the cas.Store dedup layer.
 type DataProvider struct {
 	// Obs is the registry handler spans and span stores record into; nil
 	// means obs.Default. Set before Serve.
 	Obs *obs.Registry
 
-	store chunkstore.Store
+	store *cas.Store
 }
 
 func (dp *DataProvider) registry() *obs.Registry {
@@ -290,7 +244,7 @@ func (dp *DataProvider) registry() *obs.Registry {
 const putApplyParallelism = 16
 
 // NewDataProvider wraps store as a network service.
-func NewDataProvider(store chunkstore.Store) *DataProvider {
+func NewDataProvider(store *cas.Store) *DataProvider {
 	return &DataProvider{store: store}
 }
 
@@ -315,27 +269,6 @@ func (dp *DataProvider) handle(ctx context.Context, req []byte) ([]byte, error) 
 	defer sp.End()
 	w := wire.NewBuffer(64)
 	switch op {
-	case opChunkPut:
-		key := getChunkKey(r)
-		data := r.Bytes()
-		if err := reqErr(op, r); err != nil {
-			return nil, err
-		}
-		if err := dp.store.Put(key, data); err != nil {
-			return nil, err
-		}
-
-	case opChunkGet:
-		key := getChunkKey(r)
-		if err := reqErr(op, r); err != nil {
-			return nil, err
-		}
-		data, err := dp.store.Get(key)
-		if err != nil {
-			return nil, err
-		}
-		w.PutBytes(data)
-
 	case opChunkDelete:
 		key := getChunkKey(r)
 		if err := reqErr(op, r); err != nil {
@@ -345,18 +278,11 @@ func (dp *DataProvider) handle(ctx context.Context, req []byte) ([]byte, error) 
 			return nil, err
 		}
 
-	case opChunkHas:
-		key := getChunkKey(r)
-		if err := reqErr(op, r); err != nil {
-			return nil, err
-		}
-		w.PutBool(dp.store.Has(key))
-
 	case opChunkList:
 		if err := reqErr(op, r); err != nil {
 			return nil, err
 		}
-		keys := listChunks(dp.store)
+		keys := dp.store.Keys()
 		w.PutUvarint(uint64(len(keys)))
 		for _, k := range keys {
 			putChunkKey(w, k)
@@ -368,50 +294,6 @@ func (dp *DataProvider) handle(ctx context.Context, req []byte) ([]byte, error) 
 		}
 		w.PutU64(uint64(dp.store.UsedBytes()))
 		w.PutU64(uint64(dp.store.Len()))
-
-	case opChunkPutBatch:
-		n, err := batchCount(op, r)
-		if err != nil {
-			return nil, err
-		}
-		// Decode the whole frame before applying anything: a truncated or
-		// corrupt batch stores no chunks.
-		keys := make([]chunkstore.Key, 0, n)
-		bodies := make([][]byte, 0, n)
-		for i := uint64(0); i < n && r.Err() == nil; i++ {
-			keys = append(keys, getChunkKey(r))
-			bodies = append(bodies, r.Bytes())
-		}
-		if err := reqErr(op, r); err != nil {
-			return nil, err
-		}
-		// All-or-nothing application: the client treats a failed frame as
-		// nothing-landed and re-places every slot elsewhere, so chunks
-		// stored before a mid-frame backend failure would be orphans no
-		// leaf ever references — unwind them. Only keys this frame actually
-		// inserted are deleted: a re-delivered replica of a chunk an
-		// earlier commit published must survive the unwind. The puts go in
-		// concurrently (keys are independent): a group-committing backend
-		// folds them into a few large appends, and the file-per-chunk store
-		// overlaps its per-file fsyncs in the journal.
-		existed := make([]bool, len(keys))
-		perr := make([]error, len(keys))
-		runLimited(context.Background(), putApplyParallelism, len(keys), func(_ context.Context, i int) error {
-			existed[i] = dp.store.Has(keys[i])
-			perr[i] = dp.store.Put(keys[i], bodies[i])
-			return nil // collect every item's outcome; the unwind needs the full map
-		})
-		for i := range keys {
-			if perr[i] == nil {
-				continue
-			}
-			for j := range keys {
-				if perr[j] == nil && !existed[j] {
-					dp.store.Delete(keys[j]) //nolint:errcheck // best effort unwind
-				}
-			}
-			return nil, perr[i]
-		}
 
 	case opChunkGetBatch:
 		n, err := batchCount(op, r)
@@ -442,17 +324,6 @@ func (dp *DataProvider) handle(ctx context.Context, req []byte) ([]byte, error) 
 			}
 		}
 
-	case opCasRef:
-		fp := getFingerprint(r)
-		if err := reqErr(op, r); err != nil {
-			return nil, err
-		}
-		cs, err := dp.casStore()
-		if err != nil {
-			return nil, err
-		}
-		w.PutBool(cs.Ref(fp))
-
 	case opCasRefBatch:
 		n, err := batchCount(op, r)
 		if err != nil {
@@ -465,12 +336,8 @@ func (dp *DataProvider) handle(ctx context.Context, req []byte) ([]byte, error) 
 		if err := reqErr(op, r); err != nil {
 			return nil, err
 		}
-		cs, err := dp.casStore()
-		if err != nil {
-			return nil, err
-		}
 		for _, fp := range fps {
-			w.PutBool(cs.Ref(fp))
+			w.PutBool(dp.store.Ref(fp))
 		}
 
 	case opCasPutBatch:
@@ -487,23 +354,19 @@ func (dp *DataProvider) handle(ctx context.Context, req []byte) ([]byte, error) 
 		if err := reqErr(op, r); err != nil {
 			return nil, err
 		}
-		cs, err := dp.casStore()
-		if err != nil {
-			return nil, err
-		}
 		// The frame is all-or-nothing: the client treats a failed frame as
 		// "no references taken" and fails the chunks over to other
 		// providers, so on any mid-frame failure — a body that does not
 		// hash to its claimed fingerprint (PutContent validates) or a
 		// backend error — the references already taken by the other items
-		// are returned before erroring out. Application is concurrent, like
-		// the plain put batch: the striped CAS index admits it and a
-		// group-committing backend batches the appends; the dup flags are
-		// written back in frame order afterwards.
+		// are returned before erroring out. Application is concurrent: the
+		// striped CAS index admits it and a group-committing backend
+		// batches the appends; the dup flags are written back in frame
+		// order afterwards.
 		dups := make([]bool, len(fps))
 		cerr := make([]error, len(fps))
 		runLimited(context.Background(), putApplyParallelism, len(fps), func(_ context.Context, i int) error {
-			dups[i], cerr[i] = cs.PutContent(fps[i], bodies[i])
+			dups[i], cerr[i] = dp.store.PutContent(fps[i], bodies[i])
 			return nil // collect every item's outcome; the unwind needs the full map
 		})
 		for i := range fps {
@@ -512,7 +375,7 @@ func (dp *DataProvider) handle(ctx context.Context, req []byte) ([]byte, error) 
 			}
 			for j := range fps {
 				if cerr[j] == nil {
-					cs.Release(fps[j]) //nolint:errcheck // best effort unwind
+					dp.store.Release(fps[j]) //nolint:errcheck // best effort unwind
 				}
 			}
 			return nil, cerr[i]
@@ -521,32 +384,12 @@ func (dp *DataProvider) handle(ctx context.Context, req []byte) ([]byte, error) 
 			w.PutBool(dup)
 		}
 
-	case opCasPut:
-		fp := getFingerprint(r)
-		data := r.Bytes()
-		if err := reqErr(op, r); err != nil {
-			return nil, err
-		}
-		cs, err := dp.casStore()
-		if err != nil {
-			return nil, err
-		}
-		dup, err := cs.PutContent(fp, data)
-		if err != nil {
-			return nil, err
-		}
-		w.PutBool(dup)
-
 	case opCasRelease:
 		fp := getFingerprint(r)
 		if err := reqErr(op, r); err != nil {
 			return nil, err
 		}
-		cs, err := dp.casStore()
-		if err != nil {
-			return nil, err
-		}
-		remaining, reclaimed, err := cs.Release(fp)
+		remaining, reclaimed, err := dp.store.Release(fp)
 		if err != nil {
 			return nil, err
 		}
@@ -562,13 +405,9 @@ func (dp *DataProvider) handle(ctx context.Context, req []byte) ([]byte, error) 
 		if n > maxBatchItems {
 			return nil, fmt.Errorf("blobseer: op %d: implausible release of %d references", op, n)
 		}
-		cs, err := dp.casStore()
-		if err != nil {
-			return nil, err
-		}
 		var remaining, totalReclaimed uint64
 		for i := uint64(0); i < n; i++ {
-			rem, reclaimed, err := cs.Release(fp)
+			rem, reclaimed, err := dp.store.Release(fp)
 			if err != nil {
 				return nil, err
 			}
@@ -585,57 +424,33 @@ func (dp *DataProvider) handle(ctx context.Context, req []byte) ([]byte, error) 
 		if err := reqErr(op, r); err != nil {
 			return nil, err
 		}
-		cs, err := dp.casStore()
-		if err != nil {
-			return nil, err
-		}
-		putCasStats(w, cs.Stats())
+		putCasStats(w, dp.store.Stats())
 
 	case opStoreStats:
 		if err := reqErr(op, r); err != nil {
 			return nil, err
 		}
-		putEngineStats(w, chunkstore.StatsOf(dp.store))
+		putEngineStats(w, dp.store.EngineStats())
 
 	case opStoreCompact:
 		if err := reqErr(op, r); err != nil {
 			return nil, err
 		}
-		c, ok := dp.store.(chunkstore.Compactor)
-		w.PutBool(ok)
-		if ok {
-			res, err := c.CompactNow()
-			if err != nil {
-				return nil, err
-			}
-			w.PutUvarint(uint64(res.Segments))
-			w.PutUvarint(uint64(res.Relocated))
-			w.PutU64(res.ReclaimedBytes)
+		res, err := dp.store.CompactNow()
+		if err != nil {
+			return nil, err
 		}
+		// supported: the CAS layer always answers, with a zero result over
+		// an engine that has nothing to compact.
+		w.PutBool(true)
+		w.PutUvarint(uint64(res.Segments))
+		w.PutUvarint(uint64(res.Relocated))
+		w.PutU64(res.ReclaimedBytes)
 
 	default:
 		return nil, fmt.Errorf("blobseer: data provider: unknown op %d", op)
 	}
 	return w.Bytes(), nil
-}
-
-// casStore returns the provider's content-addressed store, or an error for a
-// provider running a plain chunk store.
-func (dp *DataProvider) casStore() (*cas.Store, error) {
-	if cs, ok := dp.store.(*cas.Store); ok {
-		return cs, nil
-	}
-	return nil, errors.New("blobseer: data provider is not content-addressed")
-}
-
-// chunkLister is implemented by stores that can enumerate their keys.
-type chunkLister interface{ Keys() []chunkstore.Key }
-
-func listChunks(s chunkstore.Store) []chunkstore.Key {
-	if l, ok := s.(chunkLister); ok {
-		return l.Keys()
-	}
-	return nil
 }
 
 // MetadataProvider stores segment-tree nodes. The client shards node keys
@@ -681,32 +496,6 @@ func (mp *MetadataProvider) handle(ctx context.Context, req []byte) ([]byte, err
 	defer sp.End()
 	w := wire.NewBuffer(64)
 	switch op {
-	case opNodePut:
-		key := getNodeKey(r)
-		val := r.BytesCopy()
-		if err := reqErr(op, r); err != nil {
-			return nil, err
-		}
-		mp.mu.Lock()
-		if _, exists := mp.nodes[key]; !exists {
-			mp.nodes[key] = val
-			mp.bytes += int64(len(val))
-		}
-		mp.mu.Unlock()
-
-	case opNodeGet:
-		key := getNodeKey(r)
-		if err := reqErr(op, r); err != nil {
-			return nil, err
-		}
-		mp.mu.RLock()
-		val, ok := mp.nodes[key]
-		mp.mu.RUnlock()
-		if !ok {
-			return nil, fmt.Errorf("%w: %+v", meta.ErrNodeNotFound, key)
-		}
-		w.PutBytes(val)
-
 	case opNodeList:
 		if err := reqErr(op, r); err != nil {
 			return nil, err

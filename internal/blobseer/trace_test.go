@@ -37,32 +37,20 @@ func TestTracePropagationEveryBatchVerb(t *testing.T) {
 		chunks[i] = body
 	}
 
-	// Plain path: chunk-put-batch + node-put-batch on write, chunk-get-batch
-	// + node-get-batch on read.
-	plain := repo.Client()
-	plain.Parallelism = 4
-	blob, err := plain.CreateBlob(ctx, cs)
+	// cas-ref-batch (the fingerprint probe), cas-put-batch (the missing
+	// bodies) and node-put-batch on write; chunk-get-batch + node-get-batch
+	// on read.
+	c := repo.Client()
+	c.Parallelism = 4
+	blob, err := c.CreateBlob(ctx, cs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := plain.WriteVersion(ctx, blob, chunks, 8*cs)
+	info, err := c.WriteVersion(ctx, blob, chunks, 8*cs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := plain.ReadVersion(ctx, SnapshotRef{Blob: blob, Version: info.Version}, 0, 8*cs); err != nil {
-		t.Fatal(err)
-	}
-
-	// Dedup path: cas-ref-batch (the fingerprint probe) + cas-put-batch (the
-	// missing bodies).
-	dedup := repo.Client()
-	dedup.Dedup = true
-	dedup.Parallelism = 4
-	dblob, err := dedup.CreateBlob(ctx, cs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dedup.WriteVersion(ctx, dblob, chunks, 8*cs); err != nil {
+	if _, err := c.ReadVersion(ctx, SnapshotRef{Blob: blob, Version: info.Version}, 0, 8*cs); err != nil {
 		t.Fatal(err)
 	}
 	root.End()
@@ -77,9 +65,8 @@ func TestTracePropagationEveryBatchVerb(t *testing.T) {
 	}
 
 	for _, verb := range []string{
-		"chunk-put-batch", "chunk-get-batch",
+		"cas-ref-batch", "cas-put-batch", "chunk-get-batch",
 		"node-put-batch", "node-get-batch",
-		"cas-ref-batch", "cas-put-batch",
 	} {
 		var handlers []obs.SpanRecord
 		for _, s := range serverSpans {
@@ -139,12 +126,12 @@ func TestRemoteTraceAndFlightVerbs(t *testing.T) {
 	}
 	found := false
 	for _, s := range spans {
-		if s.Name == "handler/chunk-put-batch" && s.Trace == trace {
+		if s.Name == "handler/cas-put-batch" && s.Trace == trace {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("provider's TRACE reply lacks the chunk-put-batch handler span: %+v", spans)
+		t.Errorf("provider's TRACE reply lacks the cas-put-batch handler span: %+v", spans)
 	}
 	flight, err := cl.RemoteFlight(ctx, dataAddr)
 	if err != nil {

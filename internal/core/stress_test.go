@@ -7,6 +7,7 @@ import (
 
 	"blobcr/internal/blcr"
 	"blobcr/internal/cloud"
+	"blobcr/internal/repair"
 )
 
 // TestRepeatedFailuresAndRollbacks drives a ProcessLevel job through three
@@ -55,6 +56,11 @@ func TestRepeatedFailuresAndRollbacks(t *testing.T) {
 			t.Fatal(err)
 		}
 		c.KillDeploymentInstancesOn(job.Deployment())
+		// Two replicas ride out one failure at a time: re-replicate what the
+		// dead provider held before the next round kills another node.
+		if _, err := repair.New(repair.Config{Client: c.Client()}).Repair(ctx); err != nil {
+			t.Fatalf("round %d repair: %v", round, err)
+		}
 		ckpt, err := job.LatestCheckpoint()
 		if err != nil {
 			t.Fatal(err)

@@ -78,7 +78,6 @@ func asyncSetup(t *testing.T) (*gateNet, *blobseer.Deployment, *blobseer.Client,
 	}
 	t.Cleanup(d.Close)
 	c := d.Client()
-	c.Dedup = true
 	base, err := c.CreateBlob(ctx, cs)
 	if err != nil {
 		t.Fatal(err)
@@ -191,9 +190,11 @@ func TestCancelledAsyncCommitReleasesCASRefs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Let three bodies land (taking references) before wedging the fourth,
-	// so the abort has real references to return.
-	g.arm(3)
+	// Let one body frame land (taking references) before wedging the next
+	// large call, so the abort has real references to return. Rendezvous
+	// placement decides how many body frames six chunks make; any count puts
+	// the second large call before the version-manager commit.
+	g.arm(1)
 	cctx, cancel := context.WithCancel(context.Background())
 	pc, err := m.CommitAsync(cctx)
 	if err != nil {
@@ -258,7 +259,6 @@ func TestAsyncCommitRetireRaceStress(t *testing.T) {
 	}
 	t.Cleanup(d.Close)
 	c := d.Client()
-	c.Dedup = true
 	base, err := c.CreateBlob(ctx, cs)
 	if err != nil {
 		t.Fatal(err)

@@ -90,9 +90,9 @@ type Module struct {
 	localHits   uint64
 	commits     uint64
 
-	// Cumulative commit accounting across all Commits. With a dedup-enabled
-	// client, committed chunks are fingerprinted and bodies the repository
-	// already holds are never shipped; these counters expose the savings.
+	// Cumulative commit accounting across all Commits. Committed chunks are
+	// fingerprinted and bodies the repository already holds are never
+	// shipped; these counters expose the savings.
 	commitStats blobseer.CommitStats
 
 	// Commit pipeline. sem bounds in-flight commits; queue holds captures

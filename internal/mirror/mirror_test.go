@@ -172,10 +172,11 @@ func TestSuccessiveCommitsAreIncremental(t *testing.T) {
 	}
 	var versions []uint64
 	for ck := 0; ck < 4; ck++ {
-		// Each checkpoint dirties exactly 3 chunks.
+		// Each checkpoint dirties exactly 3 chunks, each with its own
+		// content (identical bodies would be stored once).
 		for j := 0; j < 3; j++ {
 			idx := int64(ck*3 + j)
-			if _, err := m.WriteAt(bytes.Repeat([]byte{byte(ck + 1)}, cs), idx*cs); err != nil {
+			if _, err := m.WriteAt(bytes.Repeat([]byte{byte(ck + 1), byte(j)}, cs/2), idx*cs); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -447,7 +448,6 @@ func TestCommitDedupAccounting(t *testing.T) {
 	}
 	t.Cleanup(d.Close)
 	c := d.Client()
-	c.Dedup = true
 	base, err := c.CreateBlob(ctx, cs)
 	if err != nil {
 		t.Fatal(err)

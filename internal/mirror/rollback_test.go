@@ -19,7 +19,6 @@ func rollbackSetup(t *testing.T) (*blobseer.Client, *Module, blobseer.SnapshotRe
 	}
 	t.Cleanup(d.Close)
 	c := d.Client()
-	c.Dedup = true
 	base, err := c.CreateBlob(ctx, cs)
 	if err != nil {
 		t.Fatal(err)

@@ -24,7 +24,6 @@ func stageSetup(t *testing.T) (*gateNet, *blobseer.Deployment, *blobseer.Client,
 	}
 	t.Cleanup(d.Close)
 	c := d.Client()
-	c.Dedup = true
 	base, err := c.CreateBlob(ctx, cs)
 	if err != nil {
 		t.Fatal(err)

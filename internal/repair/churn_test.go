@@ -3,12 +3,10 @@ package repair
 import (
 	"bytes"
 	"fmt"
-	"slices"
 	"sync"
 	"testing"
 
 	"blobcr/internal/blobseer"
-	"blobcr/internal/chunkstore"
 )
 
 // TestJoinMidCommitBecomesPlacementEligible: a provider that JOINs while
@@ -148,65 +146,6 @@ func TestDecommissionDrainsFully(t *testing.T) {
 	if !post.Clean() {
 		t.Fatalf("post-drain scrub dirty: %s", post)
 	}
-}
-
-// TestDecommissionDrainsPlacedMode: DECOMMISSION also converges for
-// repositories written without deduplication — replicas are copied to
-// active providers first, then the drained copies are deleted, and the
-// provider retires.
-func TestDecommissionDrainsPlacedMode(t *testing.T) {
-	net, d, c := deploy(t, 4)
-	c.Dedup = false
-	blob, want := commitVersions(t, c, 1024, 16, 2)
-	victim := d.DataAddrs[0]
-
-	r := New(Config{Client: c})
-	rep, err := r.Drain(ctx, victim)
-	if err != nil {
-		t.Fatalf("placed-mode drain: %v (%s)", err, rep.Post)
-	}
-	if rep.ReplicasRestored == 0 {
-		t.Fatalf("drain moved nothing: %s", rep)
-	}
-	m, err := c.Membership(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if slices.Contains(m.Addrs(), victim) {
-		t.Fatalf("victim still a member after placed-mode drain: %v", m.Providers)
-	}
-	// Nothing live remains on the drained provider, and the repository
-	// survives it going dark.
-	for _, key := range liveKeysOn(t, c, d, 0) {
-		t.Fatalf("drained provider still holds live chunk %v", key)
-	}
-	net.Partition(victim)
-	readAll(t, c, blob, want)
-}
-
-// liveKeysOn returns the live chunk keys still stored on provider i.
-func liveKeysOn(t *testing.T, c *blobseer.Client, d *blobseer.Deployment, i int) []chunkstore.Key {
-	t.Helper()
-	live, err := c.LiveVersions(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := d.DataProviderStores()[i]
-	var out []chunkstore.Key
-	seen := make(map[chunkstore.Key]bool)
-	for _, lv := range live {
-		leaves, err := c.VersionLeaves(ctx, lv.Info)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, slot := range leaves {
-			if !seen[slot.Leaf.Key] && store.Has(slot.Leaf.Key) {
-				seen[slot.Leaf.Key] = true
-				out = append(out, slot.Leaf.Key)
-			}
-		}
-	}
-	return out
 }
 
 // TestPartitionDuringDrain: a provider that dies after the drain started

@@ -124,84 +124,12 @@ func (r *Repairer) repairLocked(ctx context.Context) (RepairReport, error) {
 	return report, nil
 }
 
-// fixPass plans and executes one round of fixes against the survey.
+// fixPass plans and executes one round of fixes against the survey: destroy
+// corrupt replicas, relocate the write-event references off every bad
+// provider with the precount / pre-install / apply / settle protocol
+// described in the package comment, and restore clone-pinned chunks with a
+// pinned reference.
 func (r *Repairer) fixPass(ctx context.Context, sv *survey) (passStats, error) {
-	var ps passStats
-	if r.client.Dedup {
-		return r.fixDedup(ctx, sv)
-	}
-	// Placed chunks carry no content fingerprints and no reference counts:
-	// the fix is a plain copy of a surviving body to the ranked targets. A
-	// drain-resident copy is deleted once the chunk is fully replicated on
-	// active providers — copy on one pass, delete on the next, so the
-	// draining replica is never destroyed before its replacements exist.
-	installs := make(map[string][]*install)
-	for _, key := range sv.order {
-		cs := sv.chunks[key]
-		goodActive := cs.goodOn(sv.activeSet)
-		if len(cs.good) == 0 || sv.want < 1 {
-			// No surviving replica to copy from — or no active provider to
-			// copy to (want == 0, e.g. the last active provider is the one
-			// draining): never touch what exists, and above all never
-			// delete a drain-resident copy that has no replacement.
-			continue
-		}
-		if len(goodActive) >= sv.want {
-			for _, p := range cs.good {
-				if sv.draining[p] && !sv.dead[p] {
-					if err := r.client.DeleteChunkAt(ctx, p, cs.key); err == nil {
-						ps.attempted++
-					}
-				}
-			}
-			continue
-		}
-		planned := 0
-		for _, p := range blobseer.PlacementRanked(cs.key, sv.active) {
-			if len(goodActive)+planned >= sv.want {
-				break
-			}
-			if sv.dead[p] || slices.Contains(cs.good, p) {
-				continue
-			}
-			installs[p] = append(installs[p], &install{cs: cs, needBody: true})
-			planned++
-			ps.attempted++
-		}
-	}
-	r.fetchBodies(ctx, sv, installs)
-	var fixMu sync.Mutex
-	r.forEachInstallProvider(installs, func(addr string, ins []*install) {
-		var keys []chunkstore.Key
-		var bodies [][]byte
-		for _, in := range ins {
-			if in.body == nil {
-				continue
-			}
-			keys = append(keys, in.cs.key)
-			bodies = append(bodies, in.body)
-		}
-		if len(keys) == 0 {
-			return
-		}
-		if err := r.client.StoreChunkReplicas(ctx, addr, keys, bodies); err != nil {
-			return // the next pass plans around the dead provider
-		}
-		fixMu.Lock()
-		ps.replicasRestored += len(keys)
-		for _, b := range bodies {
-			ps.bytesRestored += uint64(len(b))
-		}
-		fixMu.Unlock()
-	})
-	return ps, nil
-}
-
-// fixDedup is the content-addressed fix: destroy corrupt replicas, relocate
-// the write-event references off every bad provider with the precount /
-// pre-install / apply / settle protocol described in the package comment,
-// and restore clone-pinned chunks with a pinned reference.
-func (r *Repairer) fixDedup(ctx context.Context, sv *survey) (passStats, error) {
 	var ps passStats
 
 	// Precount: how many write-event references name each bad candidate.
@@ -214,7 +142,7 @@ func (r *Repairer) fixDedup(ctx context.Context, sv *survey) (passStats, error) 
 	bads := make(map[chunkstore.Key][]string)
 	for _, key := range sv.order {
 		cs := sv.chunks[key]
-		if !cs.hasFP {
+		if len(cs.good) == 0 {
 			continue // no verified body anywhere: nothing to plan from
 		}
 		goodActive := cs.goodOn(sv.activeSet)
@@ -252,7 +180,7 @@ func (r *Repairer) fixDedup(ctx context.Context, sv *survey) (passStats, error) 
 	var deletes []deletion
 	for _, key := range sv.order {
 		cs := sv.chunks[key]
-		if !cs.hasFP {
+		if len(cs.good) == 0 {
 			continue
 		}
 		goodActive := cs.goodOn(sv.activeSet)
@@ -342,9 +270,9 @@ func (r *Repairer) fixDedup(ctx context.Context, sv *survey) (passStats, error) 
 	// Pre-install the references (and bodies) at every new home.
 	failedAt := make(map[string]bool)
 	var fixMu sync.Mutex
-	r.forEachInstallProvider(installs, func(addr string, ins []*install) {
+	r.forEachAddr(keysOf(installs), func(addr string) {
 		var reps []blobseer.CasReplica
-		for _, in := range ins {
+		for _, in := range installs[addr] {
 			if in.refs == 0 || (in.needBody && in.body == nil) {
 				continue // body fetch failed: the next pass retries
 			}
@@ -418,7 +346,7 @@ func (r *Repairer) fixDedup(ctx context.Context, sv *survey) (passStats, error) 
 
 // fetchBodies fills the body of every install that needs one, fetching from
 // a surviving good replica with one batched stream per source provider and
-// re-verifying the bytes (dedup mode) before they are re-uploaded.
+// re-verifying the bytes before they are re-uploaded.
 func (r *Repairer) fetchBodies(ctx context.Context, sv *survey, installs map[string][]*install) {
 	bySource := make(map[string][]*install)
 	for _, ins := range installs {
@@ -459,19 +387,11 @@ func (r *Repairer) fetchBodies(ctx context.Context, sv *survey, installs map[str
 			if body == nil {
 				continue
 			}
-			if r.client.Dedup && cas.Sum(body) != in.cs.fp {
+			if cas.Sum(body) != in.cs.fp {
 				continue // source rotted under us: the next pass re-plans
 			}
 			in.body = body
 		}
-	})
-}
-
-// forEachInstallProvider fans installs out one provider at a time on bounded
-// concurrent streams.
-func (r *Repairer) forEachInstallProvider(installs map[string][]*install, fn func(addr string, ins []*install)) {
-	r.forEachAddr(keysOf(installs), func(addr string) {
-		fn(addr, installs[addr])
 	})
 }
 

@@ -6,8 +6,8 @@
 //
 //   - Anti-entropy scrub: walk the metadata trees of every live version,
 //     fetch each chunk's replicas in batched per-provider frames, recompute
-//     the SHA-256 fingerprint of every stored body (dedup mode), and report
-//     missing replicas, corrupt replicas, and chunks below the configured
+//     the SHA-256 fingerprint of every stored body, and report missing
+//     replicas, corrupt replicas, and chunks below the configured
 //     replication factor on the current *active* membership.
 //   - Background re-replication: restore every under-replicated chunk to
 //     the replication factor by copying a verified body from a surviving
@@ -19,10 +19,10 @@
 //     (blobseer.Client.DrainProvider) and retire it from the membership
 //     once it holds no live chunk.
 //
-// Reference exactness. In dedup mode every replica of a published chunk
-// write holds one reference in the provider's content-addressed store, and
-// Retire releases references at the providers the version manager's write
-// events record. Repair keeps that accounting exact while replicas move: a
+// Reference exactness. Every replica of a published chunk write holds one
+// reference in the provider's content-addressed store, and Retire releases
+// references at the providers the version manager's write events record.
+// Repair keeps that accounting exact while replicas move: a
 // re-replication first counts the write-event references naming the lost
 // provider (RelocateWrites, apply=false), pre-installs exactly that many
 // references at the new home, then commits the rewrite (apply=true) and
@@ -49,7 +49,7 @@ import (
 
 // Config tunes a Repairer.
 type Config struct {
-	// Client is the repository client the repairer works through. Dedup,
+	// Client is the repository client the repairer works through.
 	// Replication and Parallelism are read from it.
 	Client *blobseer.Client
 	// Replication overrides the client's replica target when > 0.
@@ -88,7 +88,7 @@ type ScrubReport struct {
 
 	Versions        int // live versions walked
 	Chunks          int // distinct live chunks
-	ReplicasChecked int // bodies fetched and (in dedup mode) re-hashed
+	ReplicasChecked int // bodies fetched and re-hashed
 	Healthy         int // replicas whose bytes verified
 	Missing         int // leaf-recorded replicas that are gone
 	Corrupt         int // replicas whose bytes no longer hash to their key

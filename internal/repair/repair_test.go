@@ -22,7 +22,6 @@ func deploy(t *testing.T, nData int) (*transport.InProc, *blobseer.Deployment, *
 	}
 	t.Cleanup(d.Close)
 	c := d.Client()
-	c.Dedup = true
 	c.Replication = 2
 	return net, d, c
 }
@@ -172,33 +171,33 @@ func TestScrubDetectsAndRepairFixesCorruptReplica(t *testing.T) {
 	_, d, c := deploy(t, 4)
 	blob, want := commitVersions(t, c, 1024, 8, 2)
 
-	// Rot one stored replica in place: pick the latest version's first chunk
-	// and overwrite its body on one of the providers holding it.
-	found := false
+	// Rot one stored replica in place: the latest version's first chunk, on
+	// the provider a reader tries first (each holder in turn, restoring the
+	// ones the replica rotation never reads).
 	chunkBody := want[len(want)-1][:1024]
 	victim := cas.Sum(chunkBody)
+	var stats blobseer.ReadStats
 	for _, store := range d.DataProviderStores() {
-		if store.Has(victim.Key()) {
-			// Mem.Get hands back the live slice: flip a bit in place, the
-			// way silent disk corruption would, leaving the dedup index and
-			// its reference count untouched.
-			body, err := store.Get(victim.Key())
-			if err != nil {
-				t.Fatal(err)
-			}
-			body[0] ^= 0xFF
-			found = true
+		if !store.Has(victim.Key()) {
+			continue
+		}
+		// Mem.Get hands back the live slice: flip a bit in place, the way
+		// silent disk corruption would, leaving the dedup index and its
+		// reference count untouched.
+		body, err := store.Get(victim.Key())
+		if err != nil {
+			t.Fatal(err)
+		}
+		body[0] ^= 0xFF
+		// The read path must fail the corrupt replica over, not deliver it.
+		stats = readAll(t, c, blob, want)
+		if stats.CorruptReplicas > 0 {
 			break // corrupt exactly one replica
 		}
+		body[0] ^= 0xFF
 	}
-	if !found {
-		t.Fatal("no provider holds the victim chunk")
-	}
-
-	// The read path must fail the corrupt replica over, not deliver it.
-	stats := readAll(t, c, blob, want)
 	if stats.CorruptReplicas == 0 {
-		t.Fatalf("reads never saw the corrupt replica: %+v", stats)
+		t.Fatalf("reads never saw a corrupt replica: %+v", stats)
 	}
 
 	r := New(Config{Client: c})

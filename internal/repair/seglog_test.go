@@ -23,7 +23,6 @@ func seglogDeploy(t *testing.T, nData int) (*blobseer.Deployment, *blobseer.Clie
 	}
 	t.Cleanup(d.Close)
 	c := d.Client()
-	c.Dedup = true
 	c.Replication = 2
 	return d, c
 }

@@ -14,10 +14,9 @@ import (
 
 // chunkState is the survey's record of one live chunk.
 type chunkState struct {
-	key   chunkstore.Key
-	size  int
-	fp    cas.Fingerprint // true fingerprint, recomputed from a verified body
-	hasFP bool
+	key  chunkstore.Key
+	size int
+	fp   cas.Fingerprint // recomputed from a verified body; set when good is non-empty
 
 	leafProviders []string // replica homes the metadata trees record (union)
 	candidates    []string // providers probed (leaf homes + ranked targets)
@@ -63,9 +62,9 @@ type probe struct {
 }
 
 // runSurvey walks every live version's metadata tree, fetches every
-// candidate replica in batched per-provider frames, verifies the bytes
-// (dedup mode re-hashes them), and classifies each chunk's health against
-// the current active membership.
+// candidate replica in batched per-provider frames, verifies the bytes by
+// re-hashing them, and classifies each chunk's health against the current
+// active membership.
 func (r *Repairer) runSurvey(ctx context.Context) (*survey, error) {
 	start := time.Now()
 	sv := &survey{
@@ -153,8 +152,7 @@ func (r *Repairer) runSurvey(ctx context.Context) (*survey, error) {
 	}
 
 	// Fetch every candidate replica, one batched stream per provider, and
-	// verify the bytes. In dedup mode the verification recomputes the
-	// SHA-256 fingerprint; in placed mode presence is all there is to check.
+	// verify the bytes by recomputing the SHA-256 fingerprint.
 	var mu sync.Mutex
 	r.forEachAddr(keysOf(byProvider), func(addr string) {
 		probes := byProvider[addr]
@@ -177,15 +175,13 @@ func (r *Repairer) runSurvey(ctx context.Context) (*survey, error) {
 			if body == nil {
 				continue // missing here; classification below
 			}
-			if r.client.Dedup {
-				fp := cas.Sum(body)
-				if fp.Key() != pb.cs.key {
-					pb.cs.corrupt = append(pb.cs.corrupt, addr)
-					sv.report.Corrupt++
-					continue
-				}
-				pb.cs.fp, pb.cs.hasFP = fp, true
+			fp := cas.Sum(body)
+			if fp.Key() != pb.cs.key {
+				pb.cs.corrupt = append(pb.cs.corrupt, addr)
+				sv.report.Corrupt++
+				continue
 			}
+			pb.cs.fp = fp
 			pb.cs.good = append(pb.cs.good, addr)
 			sv.report.Healthy++
 		}

@@ -35,6 +35,8 @@ package simcloud
 import (
 	"fmt"
 	"math"
+
+	"blobcr/internal/ckptinterval"
 )
 
 // Approach identifies one of the five evaluated configurations.
@@ -199,38 +201,11 @@ func Default() Params {
 	}
 }
 
-// OptimalInterval returns the optimal time between checkpoints for a
-// per-checkpoint cost ckptCost and a mean time between failures mtbf (both
-// in seconds), using Daly's higher-order refinement of Young's
-// sqrt(2*C*MTBF) formula:
-//
-//	T = sqrt(2*C*M) * (1 + (1/3)*sqrt(C/(2M)) + (1/9)*(C/(2M))) - C   for C < 2M
-//	T = M                                                            otherwise
-//
-// The supervisor computes its live checkpoint cadence from this function
-// with the cost it actually observes, and the simulator prices the same
-// formula with modelled costs — the sim and the live system agree by
-// construction.
-func OptimalInterval(ckptCost, mtbf float64) float64 {
-	if ckptCost <= 0 || mtbf <= 0 {
-		return 0
-	}
-	if ckptCost >= 2*mtbf {
-		return mtbf
-	}
-	r := ckptCost / (2 * mtbf)
-	t := math.Sqrt(2*ckptCost*mtbf)*(1+math.Sqrt(r)/3+r/9) - ckptCost
-	if t < 0 {
-		return 0
-	}
-	return t
-}
-
 // OptimalCheckpointInterval prices the Daly interval for one approach at
 // experiment scale: the per-checkpoint cost is the simulated completion time
 // of a global checkpoint of nVMs instances, and the MTBF is p.MTBF.
 func (p Params) OptimalCheckpointInterval(a Approach, nVMs int, stateBytes float64, procsPerVM int) float64 {
-	return OptimalInterval(CheckpointTime(p, a, nVMs, stateBytes, procsPerVM), p.MTBF)
+	return ckptinterval.Optimal(CheckpointTime(p, a, nVMs, stateBytes, procsPerVM), p.MTBF)
 }
 
 // roundUp rounds bytes up to a multiple of gran.

@@ -8,6 +8,7 @@ package supervisor_test
 
 import (
 	"context"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -19,6 +20,15 @@ import (
 	"blobcr/internal/supervisor"
 	"blobcr/internal/vm"
 )
+
+// randomImage returns 256 KiB of seeded noise: bodies the repository already
+// holds (or all-zero ones) would dedup away and give the segment logs no
+// group commit to record.
+func randomImage(seed int64) []byte {
+	img := make([]byte, 256*1024)
+	rand.New(rand.NewSource(seed)).Read(img)
+	return img
+}
 
 func TestConfirmedDeathArchivesFlightDump(t *testing.T) {
 	cl, err := cloud.New(cloud.Config{
@@ -36,7 +46,7 @@ func TestConfirmedDeathArchivesFlightDump(t *testing.T) {
 	// The upload spreads chunks across both co-located providers: each one's
 	// segment log group-commits them, recording seglog/groupcommit spans into
 	// its flight ring.
-	base, err := cl.UploadBaseImage(ctx, make([]byte, 256*1024), e2eChunk)
+	base, err := cl.UploadBaseImage(ctx, randomImage(1), e2eChunk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +57,7 @@ func TestConfirmedDeathArchivesFlightDump(t *testing.T) {
 	// Deploy-time boot reads churn the bounded flight ring; a second upload
 	// makes group commits the providers' *final* durable work before death —
 	// the spans the archived dump must prove were mirrored in time.
-	if _, err := cl.UploadBaseImage(ctx, make([]byte, 256*1024), e2eChunk); err != nil {
+	if _, err := cl.UploadBaseImage(ctx, randomImage(2), e2eChunk); err != nil {
 		t.Fatal(err)
 	}
 

@@ -16,7 +16,7 @@ import (
 )
 
 func TestFailureTriggersStorageRepair(t *testing.T) {
-	cl, err := cloud.New(cloud.Config{Nodes: 4, MetaProviders: 2, Replication: 2, Dedup: true, Seed: 7})
+	cl, err := cloud.New(cloud.Config{Nodes: 4, MetaProviders: 2, Replication: 2, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@
 //     checkpointing proxy (the lightweight PING verb); a node missing
 //     SuspectAfter consecutive pings is confirmed fail-stopped.
 //   - Checkpoint cadence: periodic global checkpoints on the Young/Daly
-//     interval sqrt(2*C*MTBF)-C (simcloud.OptimalInterval, so the simulator
+//     interval sqrt(2*C*MTBF)-C (ckptinterval.Optimal, so the simulator
 //     and the live system price the same formula), where C is an EWMA of
 //     the observed checkpoint cost and MTBF is configured. On a multilevel
 //     deployment (cloud.Config.LocalTier) C is the time to *locally safe* —
@@ -44,13 +44,13 @@ import (
 	"sync"
 	"time"
 
+	"blobcr/internal/ckptinterval"
 	"blobcr/internal/cloud"
 	"blobcr/internal/health"
 	"blobcr/internal/localtier"
 	"blobcr/internal/obs"
 	"blobcr/internal/proxy"
 	"blobcr/internal/repair"
-	"blobcr/internal/simcloud"
 	"blobcr/internal/vm"
 )
 
@@ -361,7 +361,7 @@ func (s *Supervisor) Interval() time.Duration {
 	if cost == 0 {
 		cost = s.cfg.InitialCkptCost.Seconds()
 	}
-	t := simcloud.OptimalInterval(cost, s.cfg.MTBF.Seconds())
+	t := ckptinterval.Optimal(cost, s.cfg.MTBF.Seconds())
 	d := time.Duration(t * float64(time.Second))
 	if d < s.cfg.MinInterval {
 		d = s.cfg.MinInterval

@@ -42,7 +42,7 @@ func newHarness(t *testing.T, cfg supervisor.Config, nodes, instances int, net *
 	// of a chunk (these tests run without the storage-repair plane, so no
 	// re-replication happens between failures; storagerepair_test.go covers
 	// the self-healing path).
-	ccfg := cloud.Config{Nodes: nodes, MetaProviders: 2, Replication: 3, Dedup: true, Seed: 42}
+	ccfg := cloud.Config{Nodes: nodes, MetaProviders: 2, Replication: 3, Seed: 42}
 	if net != nil {
 		ccfg.Net = net
 	}

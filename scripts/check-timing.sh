@@ -40,6 +40,7 @@ check internal/mirror     0
 check internal/proxy      0
 check internal/chunkstore 0
 check internal/seglog     0
+check internal/localtier  0
 check internal/obs        8
 check internal/health     1
 check internal/supervisor 13
