@@ -156,18 +156,14 @@ func counterRates(points []obs.Point, prev map[string]uint64, dt time.Duration) 
 
 func ms(ns float64) float64 { return ns / 1e6 }
 
-// renderMetrics prints the operator-facing summary sections, then every
-// remaining counter and gauge so nothing recorded is invisible. rates, when
-// non-nil (watch mode past the first scrape), annotates counters with their
-// per-second rate.
-func renderMetrics(w *os.File, points []obs.Point, rates map[string]float64) {
-	covered := map[string]bool{}
-
-	// Commit pipeline: the five stages of the last commit plus their
-	// distribution across all commits seen by this endpoint.
-	var stageRows []string
+// renderStages prints one table of stage spans — count, last, mean and p99
+// per stage — and, when the stages run back to back, the sum of their last
+// durations. Stages this endpoint never recorded are left out; a table with
+// none is not printed.
+func renderStages(w *os.File, points []obs.Point, title string, stages []string, sum bool) {
+	var rows []string
 	var totalLast float64
-	for _, stage := range obs.CommitStages {
+	for _, stage := range stages {
 		h := obs.Find(points, "span_ns", obs.L("span", stage))
 		g := obs.Find(points, "span_last_ns", obs.L("span", stage))
 		if h == nil || h.Count == 0 {
@@ -178,18 +174,36 @@ func renderMetrics(w *os.File, points []obs.Point, rates map[string]float64) {
 			last = float64(g.GaugeValue)
 		}
 		totalLast += last
-		stageRows = append(stageRows, fmt.Sprintf("  %-16s %8d %10.2f %10.2f %10.2f",
+		rows = append(rows, fmt.Sprintf("  %-16s %8d %10.2f %10.2f %10.2f",
 			stage, h.Count, ms(last), ms(h.Mean()), ms(h.Quantile(0.99))))
 	}
-	covered["span_ns"], covered["span_last_ns"] = true, true
-	if len(stageRows) > 0 {
-		fmt.Fprintf(w, "\ncommit pipeline (per stage)\n")
-		fmt.Fprintf(w, "  %-16s %8s %10s %10s %10s\n", "STAGE", "COUNT", "LAST-MS", "MEAN-MS", "P99-MS")
-		for _, r := range stageRows {
-			fmt.Fprintln(w, r)
-		}
+	if len(rows) == 0 {
+		return
+	}
+	fmt.Fprintf(w, "\n%s\n", title)
+	fmt.Fprintf(w, "  %-16s %8s %10s %10s %10s\n", "STAGE", "COUNT", "LAST-MS", "MEAN-MS", "P99-MS")
+	for _, r := range rows {
+		fmt.Fprintln(w, r)
+	}
+	if sum {
 		fmt.Fprintf(w, "  %-16s %8s %10.2f\n", "total", "", ms(totalLast))
 	}
+}
+
+// renderMetrics prints the operator-facing summary sections, then every
+// remaining counter and gauge so nothing recorded is invisible. rates, when
+// non-nil (watch mode past the first scrape), annotates counters with their
+// per-second rate.
+func renderMetrics(w *os.File, points []obs.Point, rates map[string]float64) {
+	covered := map[string]bool{}
+
+	// Commit pipeline: the five stages of the last commit plus their
+	// distribution across all commits seen by this endpoint. Restart path:
+	// the same for the attach and the read stages (not summed: read/verify
+	// runs inside read/fetch, and one restart makes many reads).
+	renderStages(w, points, "commit pipeline (per stage)", obs.CommitStages, true)
+	renderStages(w, points, "restart path (per stage)", obs.RestartStages, false)
+	covered["span_ns"], covered["span_last_ns"] = true, true
 
 	// Suspend window: what the guest actually observed.
 	if h := obs.Find(points, "proxy_suspend_ns"); h != nil && h.Count > 0 {

@@ -5,9 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"blobcr/internal/cas"
 	"blobcr/internal/chunkstore"
@@ -17,8 +17,12 @@ import (
 	"blobcr/internal/wire"
 )
 
-// Client accesses a BlobSeer deployment. A Client is stateless apart from
-// the deployment addresses; it is safe to create one per goroutine.
+// Client accesses a BlobSeer deployment. Apart from the deployment addresses
+// its only state is a bounded cache of immutable metadata-tree nodes
+// (meta.NodeCache), which never goes stale; it is safe for concurrent use and
+// cheap to create one per goroutine. A Client starts cold: whoever wants a
+// restart measured without a warm cache gives it a Client of its own, as
+// internal/cloud does for every instance it deploys.
 //
 // Every commit is content-addressed (internal/cas): chunks are fingerprinted,
 // placed by rendezvous hash of their content, and a "have these
@@ -55,7 +59,15 @@ type Client struct {
 	// (commit stage spans, dedup hit bytes, batch round trips, per-provider
 	// stream times, failover counters). Nil means obs.Default.
 	Obs *obs.Registry
+
+	nodesOnce sync.Once
+	nodes     *meta.NodeCache
 }
+
+// nodeCacheNodes bounds the client's tree-node cache. A node costs about
+// 150 bytes cached, so the bound is some 10 MiB: the whole tree of a
+// 32768-chunk image, or the upper levels of any larger one.
+const nodeCacheNodes = 1 << 16
 
 // Registry returns the client's metrics registry (obs.Default when unset),
 // so layers above (mirror, proxy) record into the same scrape surface.
@@ -90,8 +102,20 @@ func (c *Client) nodeStore(ctx context.Context) *remoteNodeStore {
 	return &remoteNodeStore{ctx: ctx, c: c, addrs: c.MetaAddrs, par: c.parallelism()}
 }
 
+// tree returns the metadata tree over the client's node cache, bound to ctx
+// for the duration of one tree operation.
 func (c *Client) tree(ctx context.Context) *meta.Tree {
-	return &meta.Tree{Store: c.nodeStore(ctx)}
+	return c.treeOver(c.nodeStore(ctx))
+}
+
+// treeOver is tree over a store view the caller keeps, to read its
+// round-trip count afterwards. The cache is created on first use: a Client
+// is built as a struct literal.
+func (c *Client) treeOver(store *remoteNodeStore) *meta.Tree {
+	c.nodesOnce.Do(func() { c.nodes = meta.NewNodeCache(nodeCacheNodes) })
+	reg := obs.RegistryFrom(store.ctx)
+	return &meta.Tree{Store: c.nodes.Store(store,
+		reg.Counter("blobseer_node_cache_hits_total"), reg.Counter("blobseer_node_cache_misses_total"))}
 }
 
 // remoteNodeStore shards tree nodes across metadata providers by key hash.
@@ -104,6 +128,7 @@ type remoteNodeStore struct {
 	c     *Client
 	addrs []string
 	par   int
+	gets  atomic.Uint64 // node-get-batch round trips issued through this view
 }
 
 func (s *remoteNodeStore) shard(k meta.NodeKey) string {
@@ -177,6 +202,7 @@ func (s *remoteNodeStore) GetNodes(keys []meta.NodeKey) ([][]byte, error) {
 				putNodeKey(w, keys[pos])
 			}
 			obs.RegistryFrom(ctx).Counter("blobseer_batch_calls_total", obs.L("op", "node-get-batch")).Inc()
+			s.gets.Add(1)
 			resp, err := s.c.rpc(ctx, addr, "node-get-batch", w.Bytes())
 			if err != nil {
 				return fmt.Errorf("blobseer: get %d nodes from %s: %w", end-start, addr, err)
@@ -833,229 +859,6 @@ func (c *Client) abort(ctx context.Context, blob, version uint64) {
 	w.PutU64(blob)
 	w.PutU64(version)
 	c.call(ctx, c.VMAddr, w) // best effort; the version slot is released
-}
-
-// ReadStats reports what one ReadVersion had to do beyond the happy path:
-// replicas failed over (provider unreachable or body absent), corrupt
-// replicas detected (a body that no longer hashes to its content key) and
-// skipped, and chunks that exhausted their
-// leaf-recorded replicas and were served through the rendezvous-ranked
-// fallback over the current membership (a replica re-homed by the repair
-// plane).
-type ReadStats struct {
-	Chunks          int // chunks read (holes excluded)
-	FailedOver      int // replica attempts that moved to the next replica
-	CorruptReplicas int // replicas skipped because their content hash mismatched
-	RankedFallbacks int // chunks served from ranked-membership fallback providers
-}
-
-// Add accumulates other into s (aggregation across reads).
-func (s *ReadStats) Add(o ReadStats) {
-	s.Chunks += o.Chunks
-	s.FailedOver += o.FailedOver
-	s.CorruptReplicas += o.CorruptReplicas
-	s.RankedFallbacks += o.RankedFallbacks
-}
-
-// ReadVersion reads size bytes at offset from the referenced snapshot into a
-// new buffer. Holes (never-written ranges) read as zeros. Reads past the
-// version size are truncated.
-func (c *Client) ReadVersion(ctx context.Context, ref SnapshotRef, offset, size uint64) ([]byte, error) {
-	data, _, err := c.ReadVersionStats(ctx, ref, offset, size)
-	return data, err
-}
-
-// ReadVersionStats is ReadVersion returning failover and integrity
-// accounting.
-//
-// The data transfer is striped: chunks are grouped by the replica provider
-// chosen for each (see replicaOrder) and every provider's set moves in
-// batched frames over bounded concurrent streams (Client.Parallelism). A
-// chunk whose provider is unreachable or no longer holds it fails over to
-// its next replica in the following pass.
-//
-// Every received body is verified against the leaf's content-derived key (the first 128 bits of the chunk's SHA-256): a
-// mismatch is treated exactly like a missing replica — the read fails over
-// to the next replica and the corruption is counted — so a rotted or
-// tampered replica can never reach the caller. A chunk whose leaf-recorded
-// replicas are all gone falls back to the rendezvous ranking over the
-// current membership, which is where the repair plane re-homes lost
-// replicas.
-func (c *Client) ReadVersionStats(ctx context.Context, ref SnapshotRef, offset, size uint64) ([]byte, ReadStats, error) {
-	ctx = obs.WithRegistry(ctx, c.Obs)
-	var stats ReadStats
-	defer func() {
-		reg := obs.RegistryFrom(ctx)
-		reg.Counter("blobseer_read_chunks_total").Add(uint64(stats.Chunks))
-		reg.Counter("blobseer_read_failovers_total").Add(uint64(stats.FailedOver))
-		reg.Counter("blobseer_read_corrupt_replicas_total").Add(uint64(stats.CorruptReplicas))
-		reg.Counter("blobseer_read_ranked_fallbacks_total").Add(uint64(stats.RankedFallbacks))
-	}()
-	info, chunkSize, err := c.GetVersion(ctx, ref)
-	if err != nil {
-		return nil, stats, err
-	}
-	if offset >= info.Size {
-		return nil, stats, nil
-	}
-	if offset+size > info.Size {
-		size = info.Size - offset
-	}
-	buf := make([]byte, size)
-	if size == 0 {
-		return buf, stats, nil
-	}
-	firstChunk := offset / chunkSize
-	lastChunk := (offset + size - 1) / chunkSize
-	slots, err := c.tree(ctx).Lookup(info.Root, info.Span, firstChunk, lastChunk-firstChunk+1)
-	if err != nil {
-		return nil, stats, err
-	}
-
-	type readChunk struct {
-		slot     meta.LeafSlot
-		order    []string // replica attempt order (rotated)
-		next     int
-		extended bool // order already widened with the ranked fallback
-		lastErr  error
-	}
-	var work []*readChunk
-	for _, slot := range slots {
-		if !slot.Present {
-			continue // zeros
-		}
-		work = append(work, &readChunk{slot: slot, order: replicaOrder(slot.Leaf)})
-	}
-	stats.Chunks = len(work)
-	var members []string // ranked-fallback candidates, fetched once on demand
-	for len(work) > 0 {
-		// Group each chunk under its current replica provider.
-		groups := make(map[string][]*readChunk)
-		for _, rc := range work {
-			if rc.next >= len(rc.order) && !rc.extended {
-				// Every leaf-recorded replica is gone. The repair plane
-				// re-homes lost replicas on the rendezvous-ranked providers
-				// of the current membership — try those before giving up.
-				rc.extended = true
-				if members == nil {
-					m, err := c.Membership(ctx)
-					if err != nil {
-						return nil, stats, fmt.Errorf("blobseer: chunk %v unavailable on all replicas (membership fallback: %v): %w",
-							rc.slot.Leaf.Key, err, rc.lastErr)
-					}
-					members = m.Addrs() // draining providers still serve reads
-				}
-				for _, addr := range PlacementRanked(rc.slot.Leaf.Key, members) {
-					if !slices.Contains(rc.order, addr) {
-						rc.order = append(rc.order, addr)
-					}
-				}
-				if rc.next < len(rc.order) {
-					stats.RankedFallbacks++
-				}
-			}
-			if rc.next >= len(rc.order) {
-				lastErr := rc.lastErr
-				if lastErr == nil {
-					lastErr = transport.ErrNotFound
-				}
-				return nil, stats, fmt.Errorf("blobseer: chunk %v unavailable on all replicas: %w", rc.slot.Leaf.Key, lastErr)
-			}
-			groups[rc.order[rc.next]] = append(groups[rc.order[rc.next]], rc)
-		}
-		var mu sync.Mutex
-		var retry []*readChunk
-		err := runGroups(ctx, c.parallelism(), groups, func(ctx context.Context, addr string, batch []*readChunk) error {
-			// Bound each frame by its expected response size.
-			err := splitByBytes(len(batch), func(int) int { return int(chunkSize) }, func(start, end int) error {
-				keys := make([]chunkstore.Key, 0, end-start)
-				for _, rc := range batch[start:end] {
-					keys = append(keys, rc.slot.Leaf.Key)
-				}
-				bodies, err := c.getChunkBatch(ctx, addr, keys)
-				if err != nil {
-					if cerr := ctx.Err(); cerr != nil {
-						return cerr
-					}
-					// Provider unreachable: all its remaining chunks fail
-					// over to their next replica.
-					mu.Lock()
-					for _, rc := range batch[start:] {
-						rc.next++
-						rc.lastErr = err
-						stats.FailedOver++
-						retry = append(retry, rc)
-					}
-					mu.Unlock()
-					return errStopGroup
-				}
-				for i, rc := range batch[start:end] {
-					data := bodies[i]
-					if data == nil {
-						mu.Lock()
-						rc.next++
-						stats.FailedOver++
-						retry = append(retry, rc)
-						mu.Unlock()
-						continue
-					}
-					if cas.Sum(data).Key() != rc.slot.Leaf.Key {
-						// The replica no longer matches its content key:
-						// deliver from another replica, never bad bytes.
-						mu.Lock()
-						rc.next++
-						rc.lastErr = fmt.Errorf("blobseer: chunk %v: corrupt replica on %s", rc.slot.Leaf.Key, addr)
-						stats.CorruptReplicas++
-						stats.FailedOver++
-						retry = append(retry, rc)
-						mu.Unlock()
-						continue
-					}
-					chunkStart := rc.slot.Index * chunkSize
-					// Overlap of [chunkStart, chunkStart+len(data)) with
-					// [offset, offset+size). Distinct chunks cover disjoint
-					// buf ranges, so concurrent copies need no lock.
-					lo := max(chunkStart, offset)
-					hi := min(chunkStart+uint64(len(data)), offset+size)
-					if lo < hi {
-						copy(buf[lo-offset:hi-offset], data[lo-chunkStart:hi-chunkStart])
-					}
-				}
-				return nil
-			})
-			if errors.Is(err, errStopGroup) {
-				return nil
-			}
-			return err
-		})
-		if err != nil {
-			return nil, stats, err
-		}
-		work = retry
-	}
-	return buf, stats, nil
-}
-
-// replicaOrder returns the order in which a reader tries a leaf's replicas:
-// the deterministic rotation of the placement order that starts at the
-// replica picked by the chunk key. Readers of different chunks start at
-// different replicas — spreading a restore's load across the whole replica
-// set instead of hot-spotting the first-placed provider — while any single
-// chunk keeps a fixed, in-order failover sequence. The key is 128 bits of
-// the content's SHA-256, so its low word is already uniform; hashing it with
-// FNV again would correlate the start with the rendezvous ranking (FNV over
-// the same key) and pin every chunk's first read to the same provider of an
-// adjacent-address pair.
-func replicaOrder(l meta.Leaf) []string {
-	n := len(l.Providers)
-	if n <= 1 {
-		return l.Providers
-	}
-	start := int(l.Key.ID % uint64(n))
-	out := make([]string, 0, n)
-	out = append(out, l.Providers[start:]...)
-	out = append(out, l.Providers[:start]...)
-	return out
 }
 
 // WriteAt publishes a new version with data written at offset, performing

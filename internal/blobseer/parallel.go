@@ -129,7 +129,10 @@ func splitByBytes(n int, size func(i int) int, fn func(start, end int) error) er
 
 // getChunkBatch fetches a set of chunks from one provider in a single round
 // trip. The result is aligned with keys; a chunk the provider does not hold
-// yields a nil entry (the caller fails over to another replica).
+// yields a nil entry (the caller fails over to another replica). The bodies
+// are not copied out of the response frame: each is a window of it whose
+// capacity ends where the body does, so an append to one cannot write into
+// the next.
 func (c *Client) getChunkBatch(ctx context.Context, addr string, keys []chunkstore.Key) ([][]byte, error) {
 	w := wire.NewBuffer(16 + 16*len(keys))
 	w.PutU8(opChunkGetBatch)
@@ -146,7 +149,8 @@ func (c *Client) getChunkBatch(ctx context.Context, addr string, keys []chunksto
 	out := make([][]byte, len(keys))
 	for i := range keys {
 		if r.Bool() {
-			out[i] = r.BytesCopy()
+			body := r.Bytes()
+			out[i] = body[:len(body):len(body)]
 		}
 	}
 	if err := r.Err(); err != nil {

@@ -2,6 +2,7 @@ package blobseer
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -307,20 +308,24 @@ func (dp *DataProvider) handle(ctx context.Context, req []byte) ([]byte, error) 
 		if err := reqErr(op, r); err != nil {
 			return nil, err
 		}
+		// One allocation for the whole response — a flag, a length prefix and
+		// the body per key, sized from the dedup index — and every body read
+		// from the store straight into it.
+		w = wire.NewBuffer(len(keys)*(1+binary.MaxVarintLen32) + dp.store.BodyBytes(keys))
 		for _, k := range keys {
-			data, err := dp.store.Get(k)
+			mark := w.Len()
+			w.PutBool(true)
+			err := dp.store.ReadInto(k, w.ReserveBytes)
 			switch {
 			case errors.Is(err, chunkstore.ErrNotFound):
 				// Per-item absence: the reader fails over this chunk only.
+				w.Truncate(mark)
 				w.PutBool(false)
 			case err != nil:
 				// A real backend failure (unreadable file, I/O error) must
 				// not masquerade as absence: fail the frame so the reader
 				// records the true cause while failing over.
 				return nil, err
-			default:
-				w.PutBool(true)
-				w.PutBytes(data)
 			}
 		}
 
@@ -567,15 +572,23 @@ func (mp *MetadataProvider) handle(ctx context.Context, req []byte) ([]byte, err
 		if err := reqErr(op, r); err != nil {
 			return nil, err
 		}
+		// Collect under the lock (stored nodes are immutable), then encode
+		// into a response sized once: a whole tree level can ride one frame.
+		vals := make([][]byte, len(keys))
+		size := 0
 		mp.mu.RLock()
-		for _, key := range keys {
-			val, ok := mp.nodes[key]
-			w.PutBool(ok)
-			if ok {
+		for i, key := range keys {
+			vals[i] = mp.nodes[key]
+			size += 1 + binary.MaxVarintLen32 + len(vals[i])
+		}
+		mp.mu.RUnlock()
+		w = wire.NewBuffer(size)
+		for _, val := range vals {
+			w.PutBool(val != nil)
+			if val != nil {
 				w.PutBytes(val)
 			}
 		}
-		mp.mu.RUnlock()
 
 	default:
 		return nil, fmt.Errorf("blobseer: metadata provider: unknown op %d", op)

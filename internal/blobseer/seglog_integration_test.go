@@ -2,12 +2,17 @@ package blobseer
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math/rand"
 	"strings"
 	"testing"
 
+	"blobcr/internal/cas"
 	"blobcr/internal/chunkstore"
+	"blobcr/internal/obs"
 	"blobcr/internal/seglog"
 	"blobcr/internal/transport"
+	"blobcr/internal/wire"
 )
 
 // seglogDeploy starts a deployment whose data providers sit on segment logs
@@ -142,5 +147,81 @@ func TestOpenStoreBackend(t *testing.T) {
 			t.Fatalf("OpenStoreBackend(%q, %q) = %q, want %q", tc.kind, tc.dir, got, tc.want)
 		}
 		closeStore(s)
+	}
+}
+
+// TestChunkGetBatchBuildsOneSizedResponse: the data provider answers a chunk
+// batch from one buffer sized from the dedup index — no growth while the
+// bodies are read into it, whatever their on-disk encoding — reports absent
+// keys per item without leaving a half-written item behind, and still serves
+// a body the index does not know (stored behind its back) by growing.
+func TestChunkGetBatchBuildsOneSizedResponse(t *testing.T) {
+	backend, err := seglog.Open(t.TempDir(), seglog.Options{DisableAutoCompact: true, Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := cas.NewStore(backend)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	dp := NewDataProvider(store)
+
+	rng := rand.New(rand.NewSource(5))
+	raw := make([]byte, 64<<10)
+	rng.Read(raw)
+	bodies := [][]byte{raw, make([]byte, 8192), bytes.Repeat([]byte("checkpoint"), 900), raw[:100]}
+	for _, b := range bodies {
+		if _, err := store.PutContent(cas.Sum(b), b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	absent := chunkstore.Key{Blob: 404, ID: 404}
+	ask := func(keys []chunkstore.Key) ([]byte, [][]byte) {
+		t.Helper()
+		w := wire.NewBuffer(16 + 16*len(keys))
+		w.PutU8(opChunkGetBatch)
+		w.PutUvarint(uint64(len(keys)))
+		for _, k := range keys {
+			putChunkKey(w, k)
+		}
+		resp, err := dp.handle(ctx, w.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := wire.NewReader(resp)
+		out := make([][]byte, len(keys))
+		for i := range keys {
+			if r.Bool() {
+				out[i] = r.Bytes()
+			}
+		}
+		if r.Err() != nil || r.Remaining() != 0 {
+			t.Fatalf("response does not decode cleanly: err %v, %d bytes left over", r.Err(), r.Remaining())
+		}
+		return resp, out
+	}
+
+	keys := []chunkstore.Key{cas.Sum(bodies[0]).Key(), absent, cas.Sum(bodies[1]).Key(), cas.Sum(bodies[2]).Key(), absent, cas.Sum(bodies[3]).Key()}
+	resp, got := ask(keys)
+	want := [][]byte{bodies[0], nil, bodies[1], bodies[2], nil, bodies[3]}
+	sized := 0
+	for i := range keys {
+		if (got[i] == nil) != (want[i] == nil) || !bytes.Equal(got[i], want[i]) {
+			t.Errorf("item %d: got %d bytes (present %v), want %d (present %v)", i, len(got[i]), got[i] != nil, len(want[i]), want[i] != nil)
+		}
+		sized += 1 + binary.MaxVarintLen32 + len(want[i])
+	}
+	if cap(resp) != sized {
+		t.Errorf("response capacity %d, want the %d it was sized to: the buffer grew or was sized twice", cap(resp), sized)
+	}
+
+	// A body the dedup index has never seen.
+	stray := chunkstore.Key{Blob: 1, ID: 2}
+	if err := store.Put(stray, raw[:5000]); err != nil {
+		t.Fatal(err)
+	}
+	if _, got := ask([]chunkstore.Key{stray, keys[0]}); !bytes.Equal(got[0], raw[:5000]) || !bytes.Equal(got[1], raw) {
+		t.Error("a chunk stored behind the index's back was not served")
 	}
 }

@@ -39,7 +39,8 @@ func TestTracePropagationEveryBatchVerb(t *testing.T) {
 
 	// cas-ref-batch (the fingerprint probe), cas-put-batch (the missing
 	// bodies) and node-put-batch on write; chunk-get-batch + node-get-batch
-	// on read.
+	// on read — through a second client, because the writer's node cache
+	// holds every node it just put and would read without node-get-batch.
 	c := repo.Client()
 	c.Parallelism = 4
 	blob, err := c.CreateBlob(ctx, cs)
@@ -50,7 +51,7 @@ func TestTracePropagationEveryBatchVerb(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.ReadVersion(ctx, SnapshotRef{Blob: blob, Version: info.Version}, 0, 8*cs); err != nil {
+	if _, err := repo.Client().ReadVersion(ctx, SnapshotRef{Blob: blob, Version: info.Version}, 0, 8*cs); err != nil {
 		t.Fatal(err)
 	}
 	root.End()

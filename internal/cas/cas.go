@@ -377,6 +377,27 @@ func (s *Store) Put(k chunkstore.Key, data []byte) error {
 // Get implements chunkstore.Store.
 func (s *Store) Get(k chunkstore.Key) ([]byte, error) { return s.backend.Get(k) }
 
+// ReadInto implements chunkstore.ReaderInto: Get into the caller's memory,
+// without an intermediate buffer when the backend can place it there itself.
+func (s *Store) ReadInto(k chunkstore.Key, alloc func(n int) []byte) error {
+	return chunkstore.ReadInto(s.backend, k, alloc)
+}
+
+// BodyBytes returns the summed length of the bodies the dedup index holds
+// under keys (a key it does not know counts as 0) — what a batch read needs
+// to size its response before touching the backend.
+func (s *Store) BodyBytes(keys []chunkstore.Key) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	total := 0
+	for _, k := range keys {
+		if e, ok := s.index[s.byKey[k]]; ok {
+			total += int(e.size)
+		}
+	}
+	return total
+}
+
 // Has implements chunkstore.Store.
 func (s *Store) Has(k chunkstore.Key) bool { return s.backend.Has(k) }
 
@@ -444,4 +465,5 @@ var (
 	_ chunkstore.Store         = (*Store)(nil)
 	_ chunkstore.EngineStatser = (*Store)(nil)
 	_ chunkstore.Compactor     = (*Store)(nil)
+	_ chunkstore.ReaderInto    = (*Store)(nil)
 )

@@ -64,3 +64,28 @@ func (r *CompactResult) Add(o CompactResult) {
 type Compactor interface {
 	CompactNow() (CompactResult, error)
 }
+
+// ReaderInto is implemented by backends that can read a chunk body straight
+// into memory the caller provides, saving the buffer Get has to allocate:
+// the data provider reads bodies directly into its response frame.
+type ReaderInto interface {
+	// ReadInto reads k's body into the slice alloc returns for the body's
+	// length. alloc is called at most once, and not at all for an absent
+	// chunk (ErrNotFound). After an error the slice's content is undefined.
+	ReadInto(k Key, alloc func(n int) []byte) error
+}
+
+// ReadInto reads k's body from s into the slice alloc returns for its
+// length: directly when the backend is a ReaderInto, else through Get and
+// one copy.
+func ReadInto(s Store, k Key, alloc func(n int) []byte) error {
+	if r, ok := s.(ReaderInto); ok {
+		return r.ReadInto(k, alloc)
+	}
+	data, err := s.Get(k)
+	if err != nil {
+		return err
+	}
+	copy(alloc(len(data)), data)
+	return nil
+}

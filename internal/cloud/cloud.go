@@ -48,6 +48,7 @@ type Node struct {
 	PartnerAddr string
 
 	proxy  *proxy.Proxy
+	srv    transport.Server // the proxy's listener, closed with the cloud
 	stage  *localtier.Stage
 	reg    *obs.Registry // the node's own registry (Config.Health), else nil
 	failed atomic.Bool
@@ -234,7 +235,7 @@ func New(cfg Config) (*Cloud, error) {
 		p.Obs = nodeReg
 		srv, err := p.Serve(net, "")
 		if err != nil {
-			repo.Close()
+			c.Close()
 			return nil, err
 		}
 		node := &Node{
@@ -242,6 +243,7 @@ func New(cfg Config) (*Cloud, error) {
 			ProxyAddr: srv.Addr(),
 			DataAddr:  repo.DataAddrs[i],
 			proxy:     p,
+			srv:       srv,
 		}
 		if hopts != nil {
 			node.reg = nodeReg
@@ -263,7 +265,7 @@ func New(cfg Config) (*Cloud, error) {
 		for i, n := range c.nodes {
 			store, err := newStage(i)
 			if err != nil {
-				repo.Close()
+				c.Close()
 				return nil, fmt.Errorf("cloud: stage store %d: %w", i, err)
 			}
 			n.stage = localtier.New(store, c.nodeRegistry(n))
@@ -363,11 +365,13 @@ func (c *Cloud) AddNode(ctx context.Context) (*Node, error) {
 		ProxyAddr: srv.Addr(),
 		DataAddr:  dataAddr,
 		proxy:     p,
+		srv:       srv,
 		reg:       nodeReg,
 	}
 	if c.localTier {
 		store, err := c.stageStores(len(c.nodes))
 		if err != nil {
+			srv.Close()                                  //nolint:errcheck // teardown
 			c.Client().UnregisterProvider(ctx, dataAddr) //nolint:errcheck // best effort rollback
 			return nil, fmt.Errorf("cloud: stage store: %w", err)
 		}
@@ -974,12 +978,15 @@ func (c *Cloud) Prune(ctx context.Context, dep *Deployment, keepFromCkptID int) 
 	return stats, err
 }
 
-// Close shuts the cloud down.
+// Close shuts the cloud down: the per-node proxy listeners (a proxy left
+// listening would pin its last instance's whole mirror cache), the local
+// tiers, the history rings and the repository. Closing twice is harmless.
 func (c *Cloud) Close() {
 	c.mu.Lock()
 	nodes := append([]*Node(nil), c.nodes...)
 	c.mu.Unlock()
 	for _, n := range nodes {
+		n.srv.Close() //nolint:errcheck // teardown
 		if n.stage != nil {
 			n.stage.Close() //nolint:errcheck // teardown
 		}

@@ -20,7 +20,9 @@
 // PutNodes call, and Publish's reads of the previous version's paths as well
 // as Lookup's descent proceed level by level, fetching each level's node set
 // in one GetNodes call — so a tree operation costs O(tree depth) round trips
-// per metadata provider instead of O(nodes touched).
+// per metadata provider instead of O(nodes touched). Because nodes are
+// immutable and their keys never reused, a NodeCache in front of the store
+// (cache.go) is valid forever: it takes the cached levels out of that count.
 package meta
 
 import (
@@ -163,10 +165,12 @@ func decodeNode(p []byte) (*node, error) {
 }
 
 // treePos names one node position being fetched during a level-order
-// descent: the reference to follow and the range it covers.
+// descent: the reference to follow and the range it covers — and, in a
+// lookup, which of the wanted indices lie below it: positions [lo, hi).
 type treePos struct {
 	ref          NodeRef
 	offset, span uint64
+	lo, hi       int
 }
 
 // getLevel fetches and decodes one descent level's nodes in a single
@@ -421,71 +425,104 @@ func (b *builder) put(offset, span uint64, n *node) (NodeRef, error) {
 
 // Lookup returns the leaf slots for chunk indices [first, first+count) in
 // the tree rooted at root with the given span, in index order. Indices
-// beyond the span are reported as holes.
-//
-// The descent is level-order: each level's node set is fetched in one
-// GetNodes call, so a lookup costs O(tree depth) round trips per metadata
-// provider no matter how many chunks it covers.
+// beyond the span are reported as holes. It is LookupSet over the range.
 func (t *Tree) Lookup(root NodeRef, span uint64, first, count uint64) ([]LeafSlot, error) {
-	lo, hi := first, first+count
-	out := make([]LeafSlot, 0, count)
-	frontier := []treePos{{ref: root, offset: 0, span: span}}
+	indices := make([]uint64, count)
+	for i := range indices {
+		indices[i] = first + uint64(i)
+	}
+	return t.LookupSet(root, span, indices)
+}
+
+// LookupSet returns the leaf slots for the given chunk indices, which must
+// be ascending, aligned with them. Indices beyond the span, and indices
+// under a never-written subtree, are reported as holes.
+//
+// The descent is level-order over the whole set at once: each level's node
+// set — the nodes with a wanted index below them — is fetched in one
+// GetNodes call, so a lookup costs O(tree depth) round trips per metadata
+// provider no matter how many chunks it covers or how they are scattered.
+// Through a NodeCache only the levels it does not hold cost a round trip.
+func (t *Tree) LookupSet(root NodeRef, span uint64, indices []uint64) ([]LeafSlot, error) {
+	out := make([]LeafSlot, len(indices))
+	for i, idx := range indices {
+		out[i].Index = idx
+	}
+	// below returns the first position in [lo, hi) whose index is >= bound.
+	below := func(lo, hi int, bound uint64) int {
+		return lo + sort.Search(hi-lo, func(i int) bool { return indices[lo+i] >= bound })
+	}
+	// The frontier holds the nodes with wanted indices below them.
+	var frontier []treePos
+	if n := below(0, len(indices), span); n > 0 && root.Valid {
+		frontier = []treePos{{ref: root, offset: 0, span: span, lo: 0, hi: n}}
+	}
 	for len(frontier) > 0 {
-		var next []treePos
-		var fetch []treePos
-		for _, it := range frontier {
-			if it.offset >= hi || it.offset+it.span <= lo {
-				continue // disjoint
-			}
-			if !it.ref.Valid {
-				// Hole subtree: report holes for the overlap.
-				start, end := max(it.offset, lo), min(it.offset+it.span, hi)
-				for idx := start; idx < end; idx++ {
-					out = append(out, LeafSlot{Index: idx})
-				}
-				continue
-			}
-			fetch = append(fetch, it)
-		}
-		nodes, err := t.getLevel("lookup node", fetch)
+		nodes, err := t.getLevel("lookup node", frontier)
 		if err != nil {
 			return nil, err
 		}
-		for i, it := range fetch {
+		var next []treePos
+		for i, it := range frontier {
 			n := nodes[i]
 			if it.span == 1 {
 				if !n.isLeaf {
 					return nil, fmt.Errorf("meta: inner node at span 1")
 				}
-				out = append(out, LeafSlot{Index: it.offset, Leaf: n.leaf, Present: true})
+				for p := it.lo; p < it.hi; p++ {
+					out[p].Leaf, out[p].Present = n.leaf, true
+				}
 				continue
 			}
 			if n.isLeaf {
 				return nil, fmt.Errorf("meta: leaf node at span %d", it.span)
 			}
 			half := it.span / 2
-			next = append(next,
-				treePos{ref: n.left, offset: it.offset, span: half},
-				treePos{ref: n.right, offset: it.offset + half, span: half})
+			mid := below(it.lo, it.hi, it.offset+half)
+			if n.left.Valid && mid > it.lo {
+				next = append(next, treePos{ref: n.left, offset: it.offset, span: half, lo: it.lo, hi: mid})
+			}
+			if n.right.Valid && it.hi > mid {
+				next = append(next, treePos{ref: n.right, offset: it.offset + half, span: half, lo: mid, hi: it.hi})
+			}
 		}
 		frontier = next
 	}
-	// Fill any indices beyond the tree span as holes.
-	for idx := first; idx < first+count; idx++ {
-		if idx >= span {
-			out = append(out, LeafSlot{Index: idx})
-		}
-	}
-	slices.SortFunc(out, func(a, b LeafSlot) int {
-		switch {
-		case a.Index < b.Index:
-			return -1
-		case a.Index > b.Index:
-			return 1
-		}
-		return 0
-	})
 	return out, nil
+}
+
+// Warm reads the top of the tree rooted at root, level by level, for as long
+// as the next level keeps the total within budget nodes. It returns nothing
+// but an error: its use is to pull those nodes through a NodeCache, so that
+// later lookups pay round trips only for the levels below them.
+func (t *Tree) Warm(root NodeRef, span uint64, budget int) error {
+	var frontier []treePos
+	if root.Valid {
+		frontier = []treePos{{ref: root, offset: 0, span: span}}
+	}
+	for fetched := 0; len(frontier) > 0 && fetched+len(frontier) <= budget; {
+		nodes, err := t.getLevel("warm node", frontier)
+		if err != nil {
+			return err
+		}
+		fetched += len(frontier)
+		var next []treePos
+		for i, it := range frontier {
+			n := nodes[i]
+			if n.isLeaf {
+				continue
+			}
+			half := it.span / 2
+			if n.left.Valid {
+				next = append(next, treePos{ref: n.left, offset: it.offset, span: half})
+			}
+			if n.right.Valid {
+				next = append(next, treePos{ref: n.right, offset: it.offset + half, span: half})
+			}
+		}
+		frontier = next
+	}
+	return nil
 }
 
 // Walk visits every node reachable from root (covering [0, span)), calling

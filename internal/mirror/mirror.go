@@ -68,6 +68,7 @@ type Module struct {
 
 	mu        sync.Mutex
 	src       blobseer.SnapshotRef // backing snapshot for unfetched content
+	snap      *blobseer.Snapshot   // src, opened: every fetch reads through it
 	ckptBlob  uint64               // checkpoint image; 0 until Clone
 	hasCkpt   bool
 	chunkSize uint64
@@ -81,7 +82,7 @@ type Module struct {
 	// when its deployment failed over).
 	base blobseer.SnapshotRef
 
-	local   map[uint64][]byte // chunk index -> locally available content
+	local   map[uint64][]byte // chunk index -> locally available content; nil is a known hole (dirty chunks never are)
 	dirty   map[uint64]bool   // modified since the last Commit
 	written map[uint64]bool   // ever locally modified: dropped on RollbackTo
 	trace   []uint64          // first-access order (for prefetch hints)
@@ -149,17 +150,26 @@ func (m *Module) AttachStage(cfg StageConfig) {
 
 // Attach opens the given published snapshot as the device's backing content.
 // For a fresh VM this is the base image; on restart it is the disk snapshot
-// chosen for rollback.
+// chosen for rollback. The snapshot's version is pinned here and the top of
+// its metadata tree is read ahead into the client's node cache, so a demand
+// fault later costs the uncached bottom levels of the tree plus one chunk
+// round trip — and never a version-manager call.
 func Attach(ctx context.Context, c *blobseer.Client, ref blobseer.SnapshotRef) (*Module, error) {
-	info, chunkSize, err := c.GetVersion(ctx, ref)
+	ctx, span := obs.StartSpan(obs.WithRegistry(ctx, c.Obs), obs.SpanRestartAttach)
+	defer span.End()
+	snap, err := c.Open(ctx, ref)
 	if err != nil {
 		return nil, fmt.Errorf("mirror: attach %s: %w", ref, err)
 	}
+	// Best effort: a cold cache costs round trips, not correctness, and a
+	// metadata failure that matters will fail the first read.
+	_ = snap.Warm(ctx)
 	return &Module{
 		client:        c,
 		src:           ref,
-		chunkSize:     chunkSize,
-		size:          info.Size,
+		snap:          snap,
+		chunkSize:     snap.ChunkSize(),
+		size:          snap.Size(),
 		local:         make(map[uint64][]byte),
 		dirty:         make(map[uint64]bool),
 		written:       make(map[uint64]bool),
@@ -196,33 +206,50 @@ func (m *Module) Size() int64 {
 // virtual disk (our writes are synchronous).
 func (m *Module) Flush() error { return nil }
 
-// ensureLocal makes chunk idx locally available, fetching from the
-// repository if needed. Caller holds m.mu.
-func (m *Module) ensureLocal(idx uint64) ([]byte, error) {
-	if data, ok := m.local[idx]; ok {
-		m.localHits++
-		return data, nil
+// fullChunk returns body as the mirror keeps a chunk: chunkSize bytes it may
+// write in place, or nil for a hole. A whole chunk delivered by the
+// repository client is kept as it came — a window of its response frame, not
+// a copy — and a hole stays nil: it is known to read as zeros and costs no
+// memory until the guest writes to it (WriteAt). The device's short tail
+// chunk is the only allocation.
+func (m *Module) fullChunk(body []byte) []byte {
+	if body == nil || uint64(len(body)) == m.chunkSize {
+		return body
 	}
-	m.remoteReads++
-	m.trace = append(m.trace, idx)
-	// vdisk.Device has no context parameter, so demand fetches run under the
-	// background context; cancellation applies to commits, not page-ins.
-	data, err := m.client.ReadVersion(context.Background(), m.src, idx*m.chunkSize, m.chunkSize)
-	if err != nil {
-		return nil, fmt.Errorf("mirror: fetch chunk %d: %w", idx, err)
-	}
-	// Pad to full chunk size so in-place writes are simple; the tail chunk
-	// of the device may be short in the repository.
-	if uint64(len(data)) < m.chunkSize {
-		full := make([]byte, m.chunkSize)
-		copy(full, data)
-		data = full
-	}
-	m.local[idx] = data
-	return data, nil
+	full := make([]byte, m.chunkSize)
+	copy(full, body)
+	return full
 }
 
-// ReadAt implements vdisk.Device.
+// fault pages the given absent chunks (ascending) in from the backing
+// snapshot with one read-engine call: one ranged lookup, one batch fetch per
+// provider. Caller holds m.mu, so no rollback can interleave.
+func (m *Module) fault(indices []uint64) error {
+	sw := obs.StartTimer()
+	var mu sync.Mutex // deliveries come from the engine's concurrent streams
+	fetched := make(map[uint64][]byte, len(indices))
+	// vdisk.Device has no context parameter, so demand fetches run under the
+	// background context; cancellation applies to commits, not page-ins.
+	_, err := m.snap.ReadChunks(context.Background(), indices, func(idx uint64, body []byte) {
+		chunk := m.fullChunk(body)
+		mu.Lock()
+		fetched[idx] = chunk
+		mu.Unlock()
+	})
+	if err != nil {
+		return fmt.Errorf("mirror: fetch chunks %d..%d: %w", indices[0], indices[len(indices)-1], err)
+	}
+	for _, idx := range indices {
+		m.local[idx] = fetched[idx]
+	}
+	m.remoteReads += uint64(len(indices))
+	m.trace = append(m.trace, indices...)
+	sw.ObserveInto(m.client.Registry().Histogram("mirror_demand_fault_ns"))
+	return nil
+}
+
+// ReadAt implements vdisk.Device. Every chunk of the range that is not yet
+// local is fetched in one demand fault before anything is copied out.
 func (m *Module) ReadAt(p []byte, off int64) (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -233,21 +260,32 @@ func (m *Module) ReadAt(p []byte, off int64) (int, error) {
 	if off+int64(total) > int64(m.size) {
 		total = int(int64(m.size) - off)
 	}
+	if total > 0 {
+		var absent []uint64
+		for idx := uint64(off) / m.chunkSize; idx <= (uint64(off)+uint64(total)-1)/m.chunkSize; idx++ {
+			if _, ok := m.local[idx]; ok {
+				m.localHits++
+			} else {
+				absent = append(absent, idx)
+			}
+		}
+		if len(absent) > 0 {
+			if err := m.fault(absent); err != nil {
+				return 0, err
+			}
+		}
+	}
 	read := 0
 	for read < total {
 		o := uint64(off) + uint64(read)
-		idx := o / m.chunkSize
 		inner := o % m.chunkSize
-		n := m.chunkSize - inner
-		if rem := uint64(total - read); n > rem {
-			n = rem
+		dst := p[read:min(total, read+int(m.chunkSize-inner))]
+		if chunk := m.local[o/m.chunkSize]; chunk != nil {
+			copy(dst, chunk[inner:])
+		} else {
+			clear(dst) // a hole
 		}
-		data, err := m.ensureLocal(idx)
-		if err != nil {
-			return read, err
-		}
-		copy(p[read:read+int(n)], data[inner:inner+n])
-		read += int(n)
+		read += len(dst)
 	}
 	if read < len(p) {
 		return read, io.EOF
@@ -273,22 +311,26 @@ func (m *Module) WriteAt(p []byte, off int64) (int, error) {
 		if rem := uint64(len(p) - written); n > rem {
 			n = rem
 		}
-		var data []byte
+		data, ok := m.local[idx]
 		if n == m.chunkSize {
 			// Whole-chunk overwrite: no fill needed.
-			if existing, ok := m.local[idx]; ok {
-				data = existing
-			} else {
-				data = make([]byte, m.chunkSize)
-				m.local[idx] = data
+			if !ok {
 				m.trace = append(m.trace, idx)
 			}
+		} else if ok {
+			m.localHits++ // partial write over local content
 		} else {
-			var err error
-			data, err = m.ensureLocal(idx)
-			if err != nil {
+			// Partial write: copy-on-write over the backing content.
+			if err := m.fault([]uint64{idx}); err != nil {
 				return written, err
 			}
+			data = m.local[idx]
+		}
+		if data == nil {
+			// Never fetched and wholly overwritten, or a hole: its first write
+			// is what gives the chunk memory.
+			data = make([]byte, m.chunkSize)
+			m.local[idx] = data
 		}
 		copy(data[inner:inner+n], p[written:written+int(n)])
 		if !m.dirty[idx] {
@@ -334,7 +376,7 @@ func (m *Module) Clone(ctx context.Context) error {
 // RollbackTo fails with ErrCommitsInFlight while captures are still in the
 // commit pipeline; callers drain (or time out and re-deploy) first.
 func (m *Module) RollbackTo(ctx context.Context, ref blobseer.SnapshotRef) error {
-	info, chunkSize, err := m.client.GetVersion(ctx, ref)
+	snap, err := m.client.Open(ctx, ref)
 	if err != nil {
 		return fmt.Errorf("mirror: rollback to %s: %w", ref, err)
 	}
@@ -346,8 +388,8 @@ func (m *Module) RollbackTo(ctx context.Context, ref blobseer.SnapshotRef) error
 	if !(m.hasCkpt && ref.Blob == m.ckptBlob) && ref != m.src {
 		return fmt.Errorf("%w: %s", ErrBadRollback, ref)
 	}
-	if chunkSize != m.chunkSize {
-		return fmt.Errorf("mirror: rollback to %s: chunk size %d != %d", ref, chunkSize, m.chunkSize)
+	if snap.ChunkSize() != m.chunkSize {
+		return fmt.Errorf("mirror: rollback to %s: chunk size %d != %d", ref, snap.ChunkSize(), m.chunkSize)
 	}
 	for idx := range m.written {
 		delete(m.local, idx)
@@ -355,8 +397,9 @@ func (m *Module) RollbackTo(ctx context.Context, ref blobseer.SnapshotRef) error
 	m.written = make(map[uint64]bool)
 	m.dirty = make(map[uint64]bool)
 	m.src = ref
+	m.snap = snap
 	m.base = ref
-	m.size = info.Size
+	m.size = snap.Size()
 	if m.stageCfg != nil {
 		// Staged captures overlay the pre-rollback chain; they are stale now.
 		m.stageCfg.Stage.Drop(m.stageCfg.Owner)
@@ -767,7 +810,7 @@ func (m *Module) runCommit(pc *PendingCommit) {
 			}
 			if !absorbed {
 				for _, idx := range pc.indices {
-					if _, ok := m.local[idx]; ok {
+					if m.local[idx] != nil {
 						m.dirty[idx] = true
 					}
 				}
@@ -924,87 +967,57 @@ func (m *Module) AccessTrace() []uint64 {
 }
 
 // Prefetch fetches the given chunks into the local cache ahead of demand.
-// Already-local chunks are skipped. Missing chunks are grouped into
-// contiguous runs, each fetched with one ReadVersion call — which the
-// repository client stripes across providers in batched frames — instead of
-// one round trip per chunk. The module lock is not held across the network
-// reads, so guest I/O proceeds while a (possibly large) trace is warming;
-// chunks the guest writes or pages in meanwhile are left untouched, and a
-// rollback mid-prefetch discards the stale data.
+// Already-local chunks are skipped. The missing set — however scattered —
+// is resolved with one level-order metadata lookup and fetched with one
+// read-engine call, which stripes it across the providers in batched frames
+// of at most 4 MiB on Client.Parallelism streams: what is in flight is
+// bounded by that, not by the size of the trace. Each verified body is
+// installed as it arrives, as the window of its response frame it was
+// delivered as (no copy), while the next frames are still moving; a hole is
+// installed as known-zero and takes no memory. The module
+// lock is not held across the network reads, so guest I/O proceeds while a
+// (possibly large) trace is warming; chunks the guest writes or pages in
+// meanwhile are left untouched, and a rollback mid-prefetch stops the fetch
+// and discards what it would have installed.
 func (m *Module) Prefetch(ctx context.Context, indices []uint64) error {
 	m.mu.Lock()
-	src := m.src
-	// Collect the chunks that actually need fetching, deduplicated, sorted
-	// so contiguous index runs group into single striped reads.
+	snap := m.snap
 	need := make([]uint64, 0, len(indices))
-	seen := make(map[uint64]bool, len(indices))
 	for _, idx := range indices {
-		if idx*m.chunkSize >= m.size || seen[idx] {
-			continue
+		if _, ok := m.local[idx]; !ok && idx*m.chunkSize < m.size {
+			need = append(need, idx)
 		}
-		if _, ok := m.local[idx]; ok {
-			continue
-		}
-		seen[idx] = true
-		need = append(need, idx)
 	}
 	m.mu.Unlock()
 	slices.Sort(need)
-	// Cap each run so one striped read never materializes more than
-	// prefetchRunBytes at once (a sequential boot trace over a large disk
-	// would otherwise collapse into a single whole-disk read).
-	maxRun := prefetchRunBytes / m.chunkSize
-	if maxRun < 1 {
-		maxRun = 1
+	need = slices.Compact(need)
+	if len(need) == 0 {
+		return nil
 	}
-	for start := 0; start < len(need); {
-		end := start + 1
-		for end < len(need) && need[end] == need[end-1]+1 && uint64(end-start) < maxRun {
-			end++
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	rolledBack := false
+	_, err := snap.ReadChunks(ctx, need, func(idx uint64, body []byte) {
+		chunk := m.fullChunk(body)
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		if m.snap != snap {
+			// Rolled back mid-prefetch: this data is stale. Drop it and stop
+			// fetching more of it.
+			rolledBack = true
+			cancel()
+			return
 		}
-		if err := m.fetchRun(ctx, src, need[start:end]); err != nil {
-			return err
-		}
-		start = end
-	}
-	return nil
-}
-
-// prefetchRunBytes bounds how many bytes one Prefetch run fetches (and
-// buffers) per repository read.
-const prefetchRunBytes = 4 << 20
-
-// fetchRun pages a contiguous run of chunks into the local cache with one
-// striped repository read against the snapshot captured at Prefetch entry.
-// The fetch runs without m.mu; installation re-checks under the lock that
-// the module still exposes that snapshot (rollback discards the run) and
-// that the chunk is still absent (a concurrent guest write wins).
-func (m *Module) fetchRun(ctx context.Context, src blobseer.SnapshotRef, run []uint64) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	first := run[0]
-	data, err := m.client.ReadVersion(ctx, src, first*m.chunkSize, uint64(len(run))*m.chunkSize)
-	if err != nil {
-		return fmt.Errorf("mirror: prefetch chunks %d..%d: %w", first, run[len(run)-1], err)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.src != src {
-		return nil // rolled back mid-prefetch: this data is stale, drop it
-	}
-	for _, idx := range run {
 		if _, ok := m.local[idx]; ok {
-			continue // written or paged in while we fetched
+			return // written or paged in while we fetched
 		}
 		m.remoteReads++
 		m.trace = append(m.trace, idx)
-		chunk := make([]byte, m.chunkSize)
-		lo := (idx - first) * m.chunkSize
-		if lo < uint64(len(data)) {
-			copy(chunk, data[lo:min(uint64(len(data)), lo+m.chunkSize)])
-		}
 		m.local[idx] = chunk
+	})
+	// Every delivery has returned by now, so rolledBack is settled.
+	if err != nil && !rolledBack {
+		return fmt.Errorf("mirror: prefetch chunks %d..%d: %w", need[0], need[len(need)-1], err)
 	}
 	return nil
 }

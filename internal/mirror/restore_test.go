@@ -1,0 +1,125 @@
+package mirror
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"blobcr/internal/blobseer"
+	"blobcr/internal/obs"
+	"blobcr/internal/seglog"
+	"blobcr/internal/transport"
+)
+
+// restoreImageBytes is the image every restore below brings back.
+const restoreImageBytes = 64 << 20
+
+// restoreBed is a repository on real sockets and a real directory — four
+// data providers on seglog, two metadata providers, loopback TCP — holding
+// one dense image of incompressible bytes.
+type restoreBed struct {
+	d   *blobseer.Deployment
+	ref blobseer.SnapshotRef
+	all []uint64 // every chunk index of the image
+}
+
+func newRestoreBed(tb testing.TB, chunk int) *restoreBed {
+	tb.Helper()
+	tcp := transport.NewTCP()
+	tb.Cleanup(func() { tcp.Close() })
+	stores := blobseer.SeglogStores(tb.TempDir(), seglog.Options{Registry: obs.NewRegistry(), DisableAutoCompact: true})
+	d, err := blobseer.DeployWith(tcp, 2, 4, stores)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(d.Close)
+	c := d.Client()
+	c.Obs = obs.NewRegistry()
+	blob, err := c.CreateBlob(ctx, uint64(chunk))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	bed := &restoreBed{d: d}
+	rng := rand.New(rand.NewSource(int64(chunk)))
+	const batch = 8 << 20 // bytes per commit, so the writer's staging stays small
+	for off := 0; off < restoreImageBytes; off += batch {
+		writes := make(map[uint64][]byte)
+		for o := off; o < off+batch; o += chunk {
+			body := make([]byte, chunk)
+			rng.Read(body)
+			writes[uint64(o/chunk)] = body
+			bed.all = append(bed.all, uint64(o/chunk))
+		}
+		info, err := c.WriteVersion(ctx, blob, writes, restoreImageBytes)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		bed.ref = blobseer.SnapshotRef{Blob: blob, Version: info.Version}
+	}
+	return bed
+}
+
+// restore is what a restarted instance does to get its whole disk back: a
+// cold repository client, Attach, Prefetch of every chunk. Every body is
+// hashed against its leaf key on the way in.
+func (bed *restoreBed) restore(tb testing.TB) *Module {
+	c := bed.d.Client()
+	c.Obs = obs.NewRegistry()
+	m, err := Attach(ctx, c, bed.ref)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := m.Prefetch(ctx, bed.all); err != nil {
+		tb.Fatal(err)
+	}
+	if remote, _, _ := m.Stats(); remote != uint64(len(bed.all)) {
+		tb.Fatalf("restore fetched %d of %d chunks", remote, len(bed.all))
+	}
+	return m
+}
+
+// BenchmarkRestoreTCP restores a 64 MiB image over loopback TCP from seglog
+// on a real directory, at the paper's 256 KiB stripe and at the 16 KiB chunks
+// of a metadata-heavy image.
+func BenchmarkRestoreTCP(b *testing.B) {
+	for _, chunk := range []int{256 << 10, 16 << 10} {
+		b.Run(fmt.Sprintf("chunk=%dKiB", chunk>>10), func(b *testing.B) {
+			bed := newRestoreBed(b, chunk)
+			bed.restore(b) // connections dialled, page cache warm
+			b.SetBytes(restoreImageBytes)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				bed.restore(b)
+			}
+		})
+	}
+}
+
+// TestRestoreCopyBudget is the read path's copy budget as a regression gate:
+// provider and client run in this one process, and between the provider's
+// pread and the mirror's chunk map a restored byte may be allocated at most
+// three times over — it is allocated twice (the provider's response frame,
+// which seglog reads into directly, and the client's receive frame, whose
+// windows the mirror keeps), and the rest is metadata, requests and slack.
+// The tree this grew from allocated about eight.
+func TestRestoreCopyBudget(t *testing.T) {
+	const budget = 3.0
+	for _, chunk := range []int{256 << 10, 16 << 10} {
+		bed := newRestoreBed(t, chunk)
+		bed.restore(t)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		m := bed.restore(t)
+		runtime.ReadMemStats(&after)
+		perByte := float64(after.TotalAlloc-before.TotalAlloc) / restoreImageBytes
+		t.Logf("chunk %d KiB: %.2f bytes allocated per byte restored, %d mallocs per chunk",
+			chunk>>10, perByte, (after.Mallocs-before.Mallocs)/uint64(len(bed.all)))
+		if perByte > budget {
+			t.Errorf("chunk %d KiB: %.2f bytes allocated per byte restored, budget %.1f", chunk>>10, perByte, budget)
+		}
+		runtime.KeepAlive(m)
+	}
+}

@@ -159,3 +159,72 @@ func stageSpans(tr *obs.Trace) []obs.SpanRecord {
 	}
 	return out
 }
+
+// TestRestartPathEmitsStageSpans: a restart is as legible as a commit. An
+// attach, a demand fault and a prefetch leave the four restart-path stage
+// spans in the client's registry — restart/attach once, the read stages once
+// per engine call — with read/verify nested inside read/fetch in the
+// prefetch's trace, the fault in the demand-fault histogram, and the node
+// cache and metadata round trips counted.
+func TestRestartPathEmitsStageSpans(t *testing.T) {
+	d, _, first, _ := setup(t, 64*cs)
+	reg := obs.NewRegistry()
+	cold := d.Client() // the writer's cache holds the whole tree already
+	cold.Obs = reg
+	m, err := Attach(ctx, cold, first.Source())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.ReadAt(make([]byte, 3*cs), 5*cs); err != nil { // one fault, three chunks
+		t.Fatal(err)
+	}
+	tr := obs.NewTrace()
+	tctx, _ := obs.BeginTrace(obs.WithTrace(context.Background(), tr))
+	if err := m.Prefetch(tctx, []uint64{40, 41, 42, 60}); err != nil {
+		t.Fatal(err)
+	}
+
+	for stage, want := range map[string]uint64{
+		obs.SpanRestartAttach: 1,
+		obs.SpanReadLookup:    2,
+		obs.SpanReadFetch:     2,
+	} {
+		if got := reg.Histogram("span_ns", obs.L("span", stage)).Count(); got != want {
+			t.Errorf("%s recorded %d times, want %d", stage, got, want)
+		}
+	}
+	if reg.Histogram("span_ns", obs.L("span", obs.SpanReadVerify)).Count() < 2 {
+		t.Error("read/verify not recorded for every fetch")
+	}
+	if got := reg.Histogram("mirror_demand_fault_ns").Count(); got != 1 {
+		t.Errorf("mirror_demand_fault_ns has %d observations, want the one fault", got)
+	}
+	for _, name := range []string{"blobseer_node_cache_hits_total", "blobseer_node_cache_misses_total", "blobseer_read_meta_calls_total"} {
+		if reg.Counter(name).Value() == 0 {
+			t.Errorf("%s stayed at zero across an attach, a fault and a prefetch", name)
+		}
+	}
+	fetch, ok := tr.ByName(obs.SpanReadFetch)
+	if !ok {
+		t.Fatal("the prefetch's trace has no read/fetch span")
+	}
+	lookup, _ := tr.ByName(obs.SpanReadLookup)
+	if lookup.End.After(fetch.Start) {
+		t.Error("read/fetch started before read/lookup ended")
+	}
+	verified := 0
+	for _, s := range tr.Spans() {
+		switch {
+		case s.Name == obs.SpanReadVerify:
+			verified++
+			if s.Start.Before(fetch.Start) || s.End.After(fetch.End) {
+				t.Error("a read/verify span lies outside its read/fetch")
+			}
+		case s.Name == "rpc/get-version":
+			t.Error("a read through an attached snapshot went back to the version manager")
+		}
+	}
+	if verified == 0 {
+		t.Error("the prefetch's trace has no read/verify span")
+	}
+}

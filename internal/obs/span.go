@@ -215,3 +215,24 @@ var CommitStagesLocalTier = []string{
 	SpanCommitPublish,
 	SpanCommitDurable,
 }
+
+// The restart-path stage names. An instance re-deployed from a snapshot
+// attaches its mirroring module (restart/attach: the version lookup and the
+// warm-up of the node cache); every read of the snapshot after that — a
+// demand fault, a prefetch, a ReadVersion — resolves its leaves
+// (read/lookup), moves the bodies (read/fetch) and, inside the fetch, checks
+// each frame's bodies against their content keys (read/verify).
+const (
+	SpanRestartAttach = "restart/attach"
+	SpanReadLookup    = "read/lookup"
+	SpanReadFetch     = "read/fetch"
+	SpanReadVerify    = "read/verify"
+)
+
+// RestartStages lists the restart-path stage span names in order.
+var RestartStages = []string{
+	SpanRestartAttach,
+	SpanReadLookup,
+	SpanReadFetch,
+	SpanReadVerify,
+}

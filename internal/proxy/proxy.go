@@ -585,9 +585,9 @@ func (c *Client) Status(ctx context.Context) (state string, dirtyChunks, pending
 // Prefetch asks the proxy to page the given chunks of this instance's disk
 // into the mirroring module's local cache ahead of demand — the restart
 // path's adaptive prefetching, driven by another instance's access trace.
-// The module groups the chunks into contiguous runs and the repository
-// client stripes each run across the data providers in batched frames, so a
-// large trace costs O(providers) round trips, not O(chunks).
+// The module resolves the whole set with one metadata lookup and the
+// repository client stripes it across the data providers in batched frames,
+// so a large trace costs O(tree height + frames) round trips, not O(chunks).
 func (c *Client) Prefetch(ctx context.Context, indices []uint64) error {
 	if len(indices) == 0 {
 		return nil

@@ -105,27 +105,22 @@ func sampleCompressible(sample []byte) bool {
 	return int(bits*16) <= maxSampleEntropyX16
 }
 
-// decodePayload expands a stored payload back into the chunk body. The
-// result never aliases payload.
-func decodePayload(flags uint8, payload []byte, ulen uint32) ([]byte, error) {
-	switch {
-	case flags&flagZero != 0:
-		return make([]byte, ulen), nil
-	case flags&flagFlate != 0:
-		out := make([]byte, ulen)
-		fr := flate.NewReader(bytes.NewReader(payload))
-		if _, err := io.ReadFull(fr, out); err != nil {
-			return nil, fmt.Errorf("seglog: decompress: %w", err)
-		}
-		var extra [1]byte
-		if n, _ := fr.Read(extra[:]); n != 0 {
-			return nil, fmt.Errorf("seglog: decompress: stream longer than recorded length")
-		}
-		fr.Close()
-		return out, nil
-	default:
-		out := make([]byte, len(payload))
-		copy(out, payload)
-		return out, nil
+// decodePayload expands a compressed or elided stored payload into dst, the
+// chunk body's recorded length. (A raw payload needs no decoding: the read
+// path places it in its destination directly.)
+func decodePayload(flags uint8, payload, dst []byte) error {
+	if flags&flagZero != 0 {
+		clear(dst)
+		return nil
 	}
+	fr := flate.NewReader(bytes.NewReader(payload))
+	defer fr.Close()
+	if _, err := io.ReadFull(fr, dst); err != nil {
+		return fmt.Errorf("seglog: decompress: %w", err)
+	}
+	var extra [1]byte
+	if n, _ := fr.Read(extra[:]); n != 0 {
+		return fmt.Errorf("seglog: decompress: stream longer than recorded length")
+	}
+	return nil
 }

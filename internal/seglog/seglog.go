@@ -23,8 +23,10 @@
 //     tail — the signature of a crash mid-append — is truncated at the first
 //     bad CRC of the highest segment; damage anywhere else is real
 //     corruption and fails Open.
-//   - Reads are positional (ReadAt) into pooled buffers, verify the record
-//     CRC, and never block behind the writer.
+//   - Reads are positional (ReadAt), verify the record CRC, and never block
+//     behind the writer. A raw payload is read straight into the memory the
+//     caller names (ReadInto; Get names a fresh buffer), so the bulk of a
+//     restore is never copied inside the engine.
 //   - Compaction rewrites sealed segments whose live ratio fell below a
 //     threshold (deletes from Retire/GC sweeps leave dead bytes behind),
 //     copying live records through the same group-commit path (compact.go).
@@ -38,8 +40,10 @@ package seglog
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -716,7 +720,7 @@ func (s *Store) sameStoredRecordLocked(e entry, raw []byte) bool {
 func (s *Store) Put(k chunkstore.Key, data []byte) error {
 	s.puts.Add(1)
 	s.m.puts.Inc()
-	if existing, found, err := s.read(k); err != nil {
+	if existing, found, err := s.read(k, ownedBuf); err != nil {
 		return err
 	} else if found {
 		if bytes.Equal(existing, data) {
@@ -746,10 +750,26 @@ func (s *Store) Put(k chunkstore.Key, data []byte) error {
 
 // Get returns the chunk body, verifying the record CRC on the way out.
 func (s *Store) Get(k chunkstore.Key) ([]byte, error) {
+	return s.get(k, ownedBuf)
+}
+
+// ReadInto implements chunkstore.ReaderInto: Get into the caller's memory.
+func (s *Store) ReadInto(k chunkstore.Key, alloc func(n int) []byte) error {
+	_, err := s.get(k, alloc)
+	return err
+}
+
+// ownedBuf is the alloc of a read whose caller keeps the body: a fresh,
+// exactly-sized buffer.
+func ownedBuf(n int) []byte { return make([]byte, n) }
+
+// get is read under the get counters and latency histogram, with absence
+// reported as ErrNotFound.
+func (s *Store) get(k chunkstore.Key, alloc func(n int) []byte) ([]byte, error) {
 	sw := obs.StartTimer()
 	s.gets.Add(1)
 	s.m.gets.Inc()
-	data, found, err := s.read(k)
+	data, found, err := s.read(k, alloc)
 	if err != nil {
 		return nil, err
 	}
@@ -760,16 +780,20 @@ func (s *Store) Get(k chunkstore.Key) ([]byte, error) {
 	return data, nil
 }
 
-// readBufs pools pread buffers for the record hot path.
+// readBufs pools the pread buffers of compressed records; a raw payload is
+// read straight into its destination and needs none.
 var readBufs = sync.Pool{New: func() any {
 	b := make([]byte, 64*1024)
 	return &b
 }}
 
-// read fetches and decodes a chunk. found distinguishes absence from an
-// empty body. A read that fails because compaction moved the record under
-// us is retried against the entry's new home.
-func (s *Store) read(k chunkstore.Key) (data []byte, found bool, err error) {
+// read fetches and decodes a chunk into the slice alloc returns for its
+// length (called at most once, and only for a chunk the index holds). found
+// distinguishes absence from an empty body. A read that fails because
+// compaction moved the record under us is retried against the entry's new
+// home.
+func (s *Store) read(k chunkstore.Key, alloc func(n int) []byte) (data []byte, found bool, err error) {
+	allocated := false
 	for attempt := 0; attempt < 8; attempt++ {
 		s.mu.RLock()
 		e, ok := s.index[k]
@@ -789,37 +813,65 @@ func (s *Store) read(k chunkstore.Key) (data []byte, found bool, err error) {
 		if f == nil {
 			continue // entry mid-relocation; re-resolve
 		}
-		bp := readBufs.Get().(*[]byte)
-		if int64(cap(*bp)) < e.size {
-			*bp = make([]byte, e.size)
+		if !allocated {
+			data, allocated = alloc(int(e.ulen)), true
 		}
-		*bp = (*bp)[:e.size]
-		_, rerr := f.ReadAt(*bp, e.off)
-		if rerr == nil && !verifyRecord(*bp) {
-			rerr = fmt.Errorf("record CRC mismatch at %s offset %d", s.segPath(e.seg), e.off)
+		rerr := readRecord(f, e, data)
+		if rerr == nil {
+			return data, true, nil
 		}
-		if rerr != nil {
-			readBufs.Put(bp)
-			s.mu.RLock()
-			cur, still := s.index[k]
-			s.mu.RUnlock()
-			if !still {
-				return nil, false, nil // deleted while we read
-			}
-			if cur != e {
-				continue // compacted away under us; follow the move
-			}
-			return nil, true, fmt.Errorf("seglog: read %v: %w", k, rerr)
+		s.mu.RLock()
+		cur, still := s.index[k]
+		s.mu.RUnlock()
+		if !still {
+			return nil, false, nil // deleted while we read
 		}
-		h := parseHeader(*bp)
-		data, derr := decodePayload(h.flags, (*bp)[hdrSize:], h.ulen)
-		readBufs.Put(bp)
-		if derr != nil {
-			return nil, true, fmt.Errorf("seglog: read %v: %w", k, derr)
+		if cur != e {
+			continue // compacted away under us; follow the move
 		}
-		return data, true, nil
+		return nil, true, fmt.Errorf("seglog: read %v at %s offset %d: %w", k, s.segPath(e.seg), e.off, rerr)
 	}
 	return nil, true, fmt.Errorf("seglog: read %v: record kept moving", k)
+}
+
+var errRecordCRC = errors.New("record CRC mismatch")
+
+// readRecord reads the record e locates in f, verifies its CRC and decodes
+// the body into dst (e.ulen bytes). A raw payload — incompressible
+// checkpoint data, the bulk of every restore — is pread straight into dst,
+// with only the header going to the stack; a compressed or elided one goes
+// through a pooled buffer.
+func readRecord(f *os.File, e entry, dst []byte) error {
+	if e.flags&(flagZero|flagFlate) == 0 {
+		var hb [hdrSize]byte
+		if int64(len(dst)) != e.size-hdrSize {
+			return errRecordCRC
+		}
+		if _, err := f.ReadAt(hb[:], e.off); err != nil {
+			return err
+		}
+		if _, err := f.ReadAt(dst, e.off+hdrSize); err != nil {
+			return err
+		}
+		crc := crc32.Update(crc32.Update(0, castagnoli, hb[4:]), castagnoli, dst)
+		if parseHeader(hb[:]).plen != uint32(len(dst)) || binary.BigEndian.Uint32(hb[:4]) != crc {
+			return errRecordCRC
+		}
+		return nil
+	}
+	bp := readBufs.Get().(*[]byte)
+	defer readBufs.Put(bp)
+	if int64(cap(*bp)) < e.size {
+		*bp = make([]byte, e.size)
+	}
+	raw := (*bp)[:e.size]
+	if _, err := f.ReadAt(raw, e.off); err != nil {
+		return err
+	}
+	if !verifyRecord(raw) {
+		return errRecordCRC
+	}
+	return decodePayload(e.flags, raw[hdrSize:], dst)
 }
 
 // Has implements chunkstore.Store.
@@ -956,4 +1008,5 @@ var (
 	_ chunkstore.Store         = (*Store)(nil)
 	_ chunkstore.EngineStatser = (*Store)(nil)
 	_ chunkstore.Compactor     = (*Store)(nil)
+	_ chunkstore.ReaderInto    = (*Store)(nil)
 )

@@ -125,19 +125,20 @@ const (
 	traceHeaderLen = 1 + 1 + 8 + 8
 )
 
-// injectTraceContext prefixes req with the trace header when ctx carries an
-// active distributed trace; otherwise it returns req unchanged.
-func injectTraceContext(ctx context.Context, req []byte) []byte {
+// traceHeader encodes the trace header for the distributed trace ctx
+// carries, or returns nil when there is none. The caller sends it in front
+// of the request as its own frame part; the request is never copied.
+func traceHeader(ctx context.Context) []byte {
 	sc, ok := obs.SpanContextFrom(ctx)
 	if !ok {
-		return req
+		return nil
 	}
-	out := make([]byte, traceHeaderLen, traceHeaderLen+len(req))
-	out[0] = traceMarker
-	out[1] = traceVersion
-	binary.LittleEndian.PutUint64(out[2:], sc.Trace)
-	binary.LittleEndian.PutUint64(out[10:], sc.Span)
-	return append(out, req...)
+	hdr := make([]byte, traceHeaderLen)
+	hdr[0] = traceMarker
+	hdr[1] = traceVersion
+	binary.LittleEndian.PutUint64(hdr[2:], sc.Trace)
+	binary.LittleEndian.PutUint64(hdr[10:], sc.Span)
+	return hdr
 }
 
 // extractTraceContext strips a leading trace header from req, returning the
@@ -225,10 +226,19 @@ func (n *InProc) Call(ctx context.Context, addr string, req []byte) ([]byte, err
 	if !ok || dead {
 		return nil, fmt.Errorf("%w: %s", ErrUnreachable, addr)
 	}
-	// Run the same inject/strip round trip the TCP network performs, so the
+	// Run the same encode/strip round trip the TCP network performs, so the
 	// in-process network exercises the wire encoding and the handler sees
-	// identical semantics (span context re-established, header stripped).
-	hctx, body, err := extractTraceContext(ctx, injectTraceContext(ctx, req))
+	// identical semantics (span context re-established, header stripped). The
+	// frame starts with the caller's trace header when there is one, else
+	// with the request, and either may carry the marker.
+	body := req
+	var hctx context.Context
+	var err error
+	if hdr := traceHeader(ctx); hdr != nil {
+		hctx, _, err = extractTraceContext(ctx, hdr)
+	} else {
+		hctx, body, err = extractTraceContext(ctx, req)
+	}
 	if err != nil {
 		return nil, remoteErrorFrom(err)
 	}
@@ -533,19 +543,17 @@ func serveConn(ctx context.Context, conn net.Conn, h Handler) {
 		if herr == nil {
 			resp, herr = h(hctx, body)
 		}
-		out := make([]byte, 0, len(resp)+1)
+		// The status byte travels as its own frame part: the handler's
+		// response goes to the socket from the buffer the handler built.
+		status := []byte{statusOK}
 		if herr != nil {
+			status[0] = statusErr
 			if errors.Is(herr, ErrNotFound) {
-				out = append(out, statusNotFound)
-			} else {
-				out = append(out, statusErr)
+				status[0] = statusNotFound
 			}
-			out = append(out, herr.Error()...)
-		} else {
-			out = append(out, statusOK)
-			out = append(out, resp...)
+			resp = []byte(herr.Error())
 		}
-		if err := wire.WriteFrame(conn, out); err != nil {
+		if err := wire.WriteFrameParts(conn, status, resp); err != nil {
 			return
 		}
 	}
@@ -567,25 +575,16 @@ func (t *TCP) Call(ctx context.Context, addr string, req []byte) ([]byte, error)
 	} else {
 		conn.SetDeadline(time.Time{})
 	}
-	// Watch for cancellation while the exchange is in flight.
-	watchDone := make(chan struct{})
-	watchErr := make(chan struct{})
-	go func() {
-		defer close(watchErr)
-		select {
-		case <-ctx.Done():
-			conn.Close()
-		case <-watchDone:
-		}
-	}()
-	frame, err := func() ([]byte, error) {
-		if err := wire.WriteFrame(conn, injectTraceContext(ctx, req)); err != nil {
-			return nil, err
-		}
-		return wire.ReadFrame(conn)
-	}()
-	close(watchDone)
-	<-watchErr
+	// Cancellation closes the connection under the in-flight exchange.
+	stop := context.AfterFunc(ctx, func() { conn.Close() })
+	err = wire.WriteFrameParts(conn, traceHeader(ctx), req)
+	var frame []byte
+	if err == nil {
+		frame, err = wire.ReadFrame(conn)
+	}
+	// intact: the cancellation func never started, so nothing has closed (or
+	// is about to close) the connection.
+	intact := stop()
 	if err != nil {
 		conn.Close()
 		if cerr := ctx.Err(); cerr != nil {
@@ -600,14 +599,13 @@ func (t *TCP) Call(ctx context.Context, addr string, req []byte) ([]byte, error)
 		}
 		return nil, fmt.Errorf("transport: call %s: %w", addr, err)
 	}
-	if ctx.Err() != nil {
-		// Cancellation raced the successful exchange: the watcher may have
-		// closed the connection, so it must not go back in the pool. The
-		// response arrived intact, so still return it.
+	if intact {
+		t.putConn(addr, conn)
+	} else {
+		// Cancellation raced the successful exchange: the connection must not
+		// go back in the pool. The response arrived intact, so still return it.
 		conn.Close()
-		return decodeResponse(addr, frame)
 	}
-	t.putConn(addr, conn)
 	return decodeResponse(addr, frame)
 }
 

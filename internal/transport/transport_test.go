@@ -322,6 +322,45 @@ func TestTCPCallCancelMidFlight(t *testing.T) {
 	}
 }
 
+// TestTCPCancelledCallDoesNotPoolItsConnection: a connection whose exchange
+// was abandoned still has that exchange's response coming; it must never
+// carry another call. Every call after a cancelled one gets its own answer.
+func TestTCPCancelledCallDoesNotPoolItsConnection(t *testing.T) {
+	n := NewTCP()
+	defer n.Close()
+	arrived, release := make(chan struct{}), make(chan struct{})
+	srv, err := n.Listen("", func(ctx context.Context, req []byte) ([]byte, error) {
+		if string(req) == "slow" {
+			arrived <- struct{}{}
+			<-release
+		}
+		return append([]byte("re:"), req...), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for i := 0; i < 20; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		go func() {
+			_, err := n.Call(ctx, srv.Addr(), []byte("slow"))
+			done <- err
+		}()
+		<-arrived
+		cancel()
+		if err := <-done; !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled call: %v", err)
+		}
+		release <- struct{}{} // the abandoned handler answers into its dead connection
+		want := fmt.Sprintf("fast-%d", i)
+		resp, err := n.Call(context.Background(), srv.Addr(), []byte(want))
+		if err != nil || string(resp) != "re:"+want {
+			t.Fatalf("call after a cancelled one: %q, %v; want %q", resp, err, "re:"+want)
+		}
+	}
+}
+
 func TestLatencyWrapperCountsAndForwardsFaults(t *testing.T) {
 	inner := NewInProc()
 	net := WithLatency(inner, 0)

@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
+	"slices"
 )
 
 // ErrTruncated is returned when a Reader runs out of bytes mid-field.
@@ -84,6 +86,20 @@ func (w *Buffer) PutBytes(p []byte) {
 	w.PutUvarint(uint64(len(p)))
 	w.b = append(w.b, p...)
 }
+
+// ReserveBytes appends a varint length prefix for n bytes and n bytes of
+// space, and returns the space for the caller to fill: PutBytes for a body
+// that is read straight into the message instead of copied into it. The
+// space is not zeroed, and it stays valid only until the next append.
+func (w *Buffer) ReserveBytes(n int) []byte {
+	w.PutUvarint(uint64(n))
+	start := len(w.b)
+	w.b = slices.Grow(w.b, n)[:start+n]
+	return w.b[start : start+n : start+n]
+}
+
+// Truncate drops everything after the first n encoded bytes.
+func (w *Buffer) Truncate(n int) { w.b = w.b[:n] }
 
 // PutString appends a varint length prefix followed by the string bytes.
 func (w *Buffer) PutString(s string) {
@@ -216,16 +232,41 @@ func (r *Reader) String() string {
 
 // WriteFrame writes one length-prefixed frame to w.
 func WriteFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFieldSize {
+	return WriteFrameParts(w, nil, payload)
+}
+
+// joinBelow is the body size under which WriteFrameParts copies the body
+// behind the length prefix and issues one plain write: for a small message
+// the copy is cheaper than the bookkeeping of a vectored write.
+const joinBelow = 1 << 10
+
+// WriteFrameParts writes one frame whose payload is head followed by body,
+// without joining the two: the length prefix and head (a status byte, a
+// trace header) share one small buffer, which goes out together with body in
+// a single vectored write — writev on a net.Conn — so a large body is never
+// copied to prepend a few bytes to it.
+func WriteFrameParts(w io.Writer, head, body []byte) error {
+	n := len(head) + len(body)
+	if n > MaxFieldSize {
 		return ErrTooLarge
 	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("wire: write frame header: %w", err)
+	join := len(body) < joinBelow
+	size := 4 + len(head)
+	if join {
+		size += len(body)
 	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("wire: write frame payload: %w", err)
+	hdr := make([]byte, 4, size)
+	binary.LittleEndian.PutUint32(hdr, uint32(n))
+	hdr = append(hdr, head...)
+	var err error
+	if join {
+		_, err = w.Write(append(hdr, body...))
+	} else {
+		bufs := net.Buffers{hdr, body}
+		_, err = bufs.WriteTo(w)
+	}
+	if err != nil {
+		return fmt.Errorf("wire: write frame: %w", err)
 	}
 	return nil
 }

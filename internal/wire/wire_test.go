@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"io"
 	"math"
+	"net"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -228,5 +230,129 @@ func TestBufferReset(t *testing.T) {
 	r := NewReader(w.Bytes())
 	if got := r.U8(); got != 5 {
 		t.Errorf("after reset U8 = %d", got)
+	}
+}
+
+// TestFramePartsEqualJoinedFrame: head and body written as parts read back
+// as the one frame their concatenation would have been, on both sides of
+// the small-body threshold, over a plain writer and over a real socket
+// (where the parts go out as one vectored write).
+func TestFramePartsEqualJoinedFrame(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	peer, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+
+	big := bytes.Repeat([]byte("0123456789abcdef"), 1<<16) // 1 MiB
+	for _, tc := range []struct{ head, body []byte }{
+		{nil, nil},
+		{[]byte{7}, nil},
+		{[]byte{7}, []byte("small")},
+		{[]byte("eighteen byte head"), big[:joinBelow-1]},
+		{[]byte("eighteen byte head"), big[:joinBelow]},
+		{[]byte{0}, big},
+		{nil, big},
+	} {
+		want := append(bytes.Clone(tc.head), tc.body...)
+		var buf bytes.Buffer
+		if err := WriteFrameParts(&buf, tc.head, tc.body); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := ReadFrame(&buf); err != nil || !bytes.Equal(got, want) || buf.Len() != 0 {
+			t.Errorf("head %d + body %d bytes over a buffer: %d bytes back, %d left over, err %v", len(tc.head), len(tc.body), len(got), buf.Len(), err)
+		}
+		errc := make(chan error, 1)
+		go func() { errc <- WriteFrameParts(conn, tc.head, tc.body) }()
+		got, err := ReadFrame(peer)
+		if werr := <-errc; werr != nil || err != nil || !bytes.Equal(got, want) {
+			t.Errorf("head %d + body %d bytes over TCP: %d bytes back, write err %v, read err %v", len(tc.head), len(tc.body), len(got), werr, err)
+		}
+	}
+}
+
+// TestReserveBytesIsPutBytesWithoutTheCopy: space reserved and filled in
+// place decodes exactly as PutBytes of the same body, the window cannot be
+// appended past its end, and Truncate takes an item back out.
+func TestReserveBytesIsPutBytesWithoutTheCopy(t *testing.T) {
+	body := []byte("read straight into the frame")
+	w := NewBuffer(8) // too small: the reservation has to grow it
+	w.PutBool(true)
+	space := w.ReserveBytes(len(body))
+	if len(space) != len(body) || cap(space) != len(body) {
+		t.Fatalf("reserved len %d cap %d, want both %d", len(space), cap(space), len(body))
+	}
+	copy(space, body)
+	mark := w.Len()
+	w.PutBool(true)
+	copy(w.ReserveBytes(3), "abc")
+	w.Truncate(mark)
+	w.PutBool(false)
+
+	want := NewBuffer(64)
+	want.PutBool(true)
+	want.PutBytes(body)
+	want.PutBool(false)
+	if !bytes.Equal(w.Bytes(), want.Bytes()) {
+		t.Errorf("encoded %q, want %q", w.Bytes(), want.Bytes())
+	}
+	r := NewReader(w.Bytes())
+	if !r.Bool() || !bytes.Equal(r.Bytes(), body) || r.Bool() || r.Err() != nil || r.Remaining() != 0 {
+		t.Errorf("decode of a reserved body went wrong: err %v, %d bytes left", r.Err(), r.Remaining())
+	}
+}
+
+// TestFrameWindowsWrittenConcurrently is the sharing the restart path relies
+// on: one received frame, decoded into windows with Reader.Bytes, each
+// window then written by its own goroutine. The windows are disjoint, so
+// the race detector stays quiet and every window holds what was written to
+// it and nothing else.
+func TestFrameWindowsWrittenConcurrently(t *testing.T) {
+	const windows, size = 16, 4096
+	w := NewBuffer(windows * (size + 4))
+	for i := 0; i < windows; i++ {
+		w.PutBytes(bytes.Repeat([]byte{byte(i)}, size))
+	}
+	var sock bytes.Buffer
+	if err := WriteFrame(&sock, w.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	frame, err := ReadFrame(&sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewReader(frame)
+	got := make([][]byte, windows)
+	for i := range got {
+		got[i] = r.Bytes()
+	}
+	if r.Err() != nil {
+		t.Fatal(r.Err())
+	}
+	var wg sync.WaitGroup
+	for i, win := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := range win {
+				win[j] = byte(0x80 + i)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, win := range got {
+		if !bytes.Equal(win, bytes.Repeat([]byte{byte(0x80 + i)}, size)) {
+			t.Errorf("window %d holds bytes written to another", i)
+		}
 	}
 }
