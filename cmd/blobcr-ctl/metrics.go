@@ -20,7 +20,7 @@ const watchWindow = 10 * time.Second
 // metricsQuery scrapes a METRICS endpoint (checkpointing proxy, supervisor
 // or repair daemon — they all speak the same verb) and renders the telemetry
 // an operator reaches for first: the last commit's suspend window decomposed
-// into the five pipeline stages, per-provider wire latency, and the dedup
+// into the pipeline stages, per-provider wire latency, and the dedup
 // hit-rate. With watch, it re-scrapes every two seconds and annotates every
 // counter with its per-second rate. Rates come from the endpoint's own
 // history ring when it keeps one (the HISTORY verb: delta-exact, computed
@@ -197,13 +197,28 @@ func renderStages(w *os.File, points []obs.Point, title string, stages []string,
 func renderMetrics(w *os.File, points []obs.Point, rates map[string]float64) {
 	covered := map[string]bool{}
 
-	// Commit pipeline: the five stages of the last commit plus their
+	// Commit pipeline: the stages of the last commit plus their
 	// distribution across all commits seen by this endpoint. Restart path:
 	// the same for the attach and the read stages (not summed: read/verify
 	// runs inside read/fetch, and one restart makes many reads).
 	renderStages(w, points, "commit pipeline (per stage)", obs.CommitStages, true)
 	renderStages(w, points, "restart path (per stage)", obs.RestartStages, false)
 	covered["span_ns"], covered["span_last_ns"] = true, true
+
+	// Write batching: what fingerprinting the dirty set cost a commit (the
+	// commit/hash stage above, as its own histogram), and beside it how many
+	// records each sync of a segment log carried — chunks per put frame when
+	// frames board the log as batches, about one if they arrive as singles.
+	if h := obs.Find(points, "blobseer_commit_hash_ns"); h != nil && h.Count > 0 {
+		fmt.Fprintf(w, "\ncommit hash: mean %.2f ms, p99 %.2f ms over %d commits\n", ms(h.Mean()), ms(h.Quantile(0.99)), h.Count)
+		covered["blobseer_commit_hash_ns"] = true
+	}
+	for i := range points {
+		if p := &points[i]; p.Name == "seglog_fsync_batch_records" && p.Count > 0 {
+			fmt.Fprintf(w, "seglog %s: %d syncs, records per sync p50 %.0f, mean %.1f\n", p.Label("store"), p.Count, p.Quantile(0.5), p.Mean())
+			covered["seglog_fsync_batch_records"] = true
+		}
+	}
 
 	// Suspend window: what the guest actually observed.
 	if h := obs.Find(points, "proxy_suspend_ns"); h != nil && h.Count > 0 {

@@ -15,9 +15,14 @@
 // fingerprinted with SHA-256, placed by rendezvous hash of their content,
 // and stored once no matter how many snapshots — across checkpoints and
 // across VMs — reference them; a "have fingerprint?" round trip keeps
-// duplicate bodies off the network entirely. Retiring old snapshots then
-// reclaims space by decrementing per-chunk reference counts in O(retired
-// chunks), realizing the paper's proposed transparent snapshot garbage
+// duplicate bodies off the network entirely. The commit path's layers meet
+// in batches: the client fingerprints the dirty set on every core (an
+// all-zero body from a memo), a provider verifies a put frame's bodies in
+// parallel and hands its engine the ones it lacks as one batch
+// (cas.PutContentBatch over chunkstore.PutBatch), and a retire's releases
+// reach each provider as one cas-release-batch frame. Retiring old
+// snapshots then reclaims space by decrementing per-chunk reference counts
+// in O(retired chunks) and O(providers) calls, realizing the paper's proposed transparent snapshot garbage
 // collection (future work, Section 6) in incremental form; the
 // mark-and-sweep collector remains as the exhaustive fallback.
 //
@@ -71,10 +76,13 @@
 //
 // internal/seglog gives the data providers a disk engine built for
 // checkpoint commit storms: chunks are appended to segment files as
-// CRC32C-checksummed self-delimiting records, and concurrent Puts ride a
-// shared group commit — the leader writes the whole batch with one append
-// and one fdatasync, so under load the fsync count is a small fraction of
-// the put count (the file-per-chunk store pays two fsyncs per chunk). The
+// CRC32C-checksummed self-delimiting records. A put frame, a staged
+// capture or a retire's tombstones board the log as one unit (PutBatch /
+// DeleteBatch, the optional chunkstore.BatchPutter): records encoded on
+// parallel workers, then one append and one fdatasync for all of them;
+// concurrent callers ride a shared group commit, so the fsync count is at
+// most the number of frames (the file-per-chunk store pays two fsyncs per
+// chunk). The
 // engine elides all-zero chunks (sparse VM images) to a header flag and
 // DEFLATE-compresses payloads when an entropy probe says it will pay,
 // rebuilds its in-memory index on open by scanning the segments —
@@ -90,7 +98,8 @@
 // internal/localtier adds the write-back tier in front of the striped
 // remote commit. With cloud.Config.LocalTier (or blobcr-proxyd
 // -stage-backend mem|disk|seglog -partner <addr>), each proxy stages every
-// capture into a node-local chunkstore-backed staging store and pushes a
+// capture into a node-local chunkstore-backed staging store — one batch,
+// one sync, written outside the stage's lock — and pushes a
 // replica to one partner proxy over binary stage frames, then acks the
 // checkpoint as locally safe (proxy WAITLOCAL; mirror.PendingCommit.
 // WaitLocallySafe) and releases the commit pipeline's admission slot — the
@@ -137,9 +146,9 @@
 // internal/obs gives every layer one dependency-free metrics registry —
 // atomic counters, gauges and log2-bucketed histograms keyed by
 // name+labels — plus span tracing for the commit pipeline: each
-// asynchronous commit emits five ordered spans (commit/capture under the
-// suspend window, then commit/probe, commit/upload, commit/publish,
-// commit/durable in the background), carried on the context.Context and
+// asynchronous commit emits six ordered spans (commit/capture under the
+// suspend window, then commit/probe, commit/hash, commit/upload,
+// commit/publish, commit/durable in the background), carried on the context.Context and
 // recorded both per-request (obs.Trace) and as span_ns histograms.
 // transport.Meter wraps any Network and records per-verb calls, bytes and
 // latency (plus a per-address breakdown), tagging RemoteError values with

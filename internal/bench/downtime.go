@@ -174,7 +174,7 @@ func RunDowntime(dirtyChunks []int) ([]DowntimeResult, error) {
 		out = append(out, r)
 	}
 	// Scrape the proxy over the wire like an operator would and assert the
-	// pipeline's stage telemetry is really there: every one of the five
+	// pipeline's stage telemetry is really there: every one of the
 	// commit stages must have a non-empty span histogram, and the suspend
 	// window must have been recorded. A silent instrumentation regression
 	// fails the experiment, not just a dashboard.

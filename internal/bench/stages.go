@@ -1,16 +1,17 @@
 // Commit-stage experiment: where the asynchronous commit pipeline spends
 // its time as the striping width grows. Each commit of a fixed 16 MiB dirty
-// set is traced through the five instrumented stages — capture (the only
-// one inside the suspend window), probe, upload, publish, durable — using
-// the obs span plumbing, against 1, 4 and 8 data providers. The upload
-// stage is the one that divides with the provider count; capture is local
-// and stays flat, which is precisely why the async suspend window does not
-// grow with the dirty set.
+// set is traced through the instrumented stages (obs.CommitStages) —
+// capture (the only one inside the suspend window), probe, hash, upload,
+// publish, durable — using the obs span plumbing, against 1, 4 and 8 data
+// providers. The upload stage is the one that divides with the provider
+// count; capture and hash are local and stay flat, which is precisely why
+// the async suspend window does not grow with the dirty set.
 package bench
 
 import (
 	"context"
 	"fmt"
+	"strings"
 	"time"
 
 	"blobcr/internal/blobseer"
@@ -19,7 +20,7 @@ import (
 	"blobcr/internal/transport"
 )
 
-// StageResult is one sweep point of the commit-stage experiment: the five
+// StageResult is one sweep point of the commit-stage experiment: the
 // pipeline stage durations of one traced commit.
 type StageResult struct {
 	Providers   int
@@ -28,7 +29,7 @@ type StageResult struct {
 }
 
 // RunCommitStages traces one warm commit of a 16 MiB dirty set per provider
-// count and decomposes it into the five pipeline stages.
+// count and decomposes it into the pipeline stages.
 func RunCommitStages(providerCounts []int) ([]StageResult, error) {
 	ctx := context.Background()
 	var out []StageResult
@@ -111,15 +112,18 @@ func commitStagesOne(ctx context.Context, repo *blobseer.Deployment, np int) (St
 	return r, nil
 }
 
-// FigStages renders the commit-stage experiment: the five pipeline stage
+// FigStages renders the commit-stage experiment: the pipeline stage
 // durations of one traced 16 MiB commit against 1, 4 and 8 providers.
 func FigStages() Series {
 	s := Series{
-		Title:   "Commit stages: where the async pipeline spends its time (16 MiB dirty set)",
-		XLabel:  "providers",
-		YLabel:  "ms per stage",
-		Columns: []string{"capture ms", "probe ms", "upload ms", "publish ms", "durable ms", "total ms"},
+		Title:  "Commit stages: where the async pipeline spends its time (16 MiB dirty set)",
+		XLabel: "providers",
+		YLabel: "ms per stage",
 	}
+	for _, stage := range obs.CommitStages {
+		s.Columns = append(s.Columns, strings.TrimPrefix(stage, "commit/")+" ms")
+	}
+	s.Columns = append(s.Columns, "total ms")
 	results, err := RunCommitStages([]int{1, 4, 8})
 	if err != nil {
 		s.Title += fmt.Sprintf(" — FAILED: %v", err)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -390,7 +391,7 @@ func (c *Client) writeVersion(ctx context.Context, blob uint64, base *SnapshotRe
 }
 
 // writeVersionStaged is the commit pipeline proper, decomposed into the
-// named probe → upload → publish → durable stages the suspend-window
+// named probe → hash → upload → publish → durable stages the suspend-window
 // breakdown reports (the capture stage happens above, in internal/mirror,
 // under the VM suspend).
 func (c *Client) writeVersionStaged(ctx context.Context, blob uint64, base *SnapshotRef, writes map[uint64][]byte, newSize uint64) (VersionInfo, CommitStats, error) {
@@ -451,18 +452,34 @@ func (c *Client) writeVersionStaged(ctx context.Context, blob uint64, base *Snap
 	}
 	probe.End()
 
-	// Stage: upload — chunk bodies move to the data providers.
-	uploadCtx, upload := obs.StartSpan(ctx, obs.SpanCommitUpload)
-	defer upload.End()
-
+	// Stage: hash — every dirty chunk is fingerprinted before the first
+	// probe can leave. It is pure CPU, so it runs on every core the process
+	// has (and no more: a restart beside it keeps its share).
+	hashCtx, hash := obs.StartSpan(ctx, obs.SpanCommitHash)
+	defer hash.End()
+	sw := obs.StartTimer()
 	// Deterministic order of chunk uploads.
 	indices := make([]uint64, 0, len(writes))
 	for idx := range writes {
 		indices = append(indices, idx)
 	}
 	sort.Slice(indices, func(i, j int) bool { return indices[i] < indices[j] })
+	fps := make([]cas.Fingerprint, len(indices))
+	if err := runLimited(hashCtx, runtime.GOMAXPROCS(0), len(indices), func(_ context.Context, i int) error {
+		fps[i] = cas.Sum(writes[indices[i]])
+		return nil
+	}); err != nil {
+		c.abort(cleanupCtx, blob, version)
+		return VersionInfo{}, stats, err
+	}
+	sw.ObserveInto(obs.RegistryFrom(ctx).Histogram("blobseer_commit_hash_ns"))
+	hash.End()
 
-	leaves, manifest, err := c.uploadDedup(uploadCtx, indices, writes, &stats)
+	// Stage: upload — chunk bodies move to the data providers.
+	uploadCtx, upload := obs.StartSpan(ctx, obs.SpanCommitUpload)
+	defer upload.End()
+
+	leaves, manifest, err := c.uploadDedup(uploadCtx, indices, fps, writes, &stats)
 	if err != nil {
 		c.abort(cleanupCtx, blob, version)
 		return VersionInfo{}, stats, err
@@ -518,10 +535,11 @@ func (c *Client) writeVersionStaged(ctx context.Context, blob uint64, base *Snap
 	return info, stats, nil
 }
 
-// uploadDedup is the commit's upload stage: each chunk is fingerprinted,
-// placed on the providers that rendezvous-hashing assigns to its content (so
-// identical content always lands on the same providers, cluster-wide), and
-// shipped only if the provider does not already hold the fingerprint. Returns
+// uploadDedup is the commit's upload stage: each chunk — fps[i] is the
+// fingerprint of writes[indices[i]], from the hash stage — is placed on the
+// providers that rendezvous-hashing assigns to its content (so identical
+// content always lands on the same providers, cluster-wide), and shipped
+// only if the provider does not already hold the fingerprint. Returns
 // the leaves and the commit's write manifest. On any failure — including ctx
 // cancellation — every reference taken so far is released under a detached
 // context before returning.
@@ -529,12 +547,13 @@ func (c *Client) writeVersionStaged(ctx context.Context, blob uint64, base *Snap
 // The probe/upload traffic is batched per provider: each round issues one
 // "have these fingerprints?" round trip (opCasRefBatch) and at most one body
 // upload pass (opCasPutBatch frames) per provider, the providers proceeding
-// concurrently — O(providers) round trips per commit instead of O(chunks).
-// When a ranked provider is unreachable, its chunks move to the next-ranked
+// concurrently — O(providers) round trips per commit instead of O(chunks),
+// and each put frame is one batch in the provider's engine: one sync per
+// frame, not per chunk. When a ranked provider is unreachable, its chunks move to the next-ranked
 // provider in the following round (write-path failover); the leaf and
 // manifest record where replicas actually landed, so reads and refcount
 // releases find them.
-func (c *Client) uploadDedup(ctx context.Context, indices []uint64, writes map[uint64][]byte, stats *CommitStats) (map[uint64]meta.Leaf, []manifestEntry, error) {
+func (c *Client) uploadDedup(ctx context.Context, indices []uint64, fps []cas.Fingerprint, writes map[uint64][]byte, stats *CommitStats) (map[uint64]meta.Leaf, []manifestEntry, error) {
 	leaves := make(map[uint64]meta.Leaf, len(writes))
 	manifest := make([]manifestEntry, 0, len(writes))
 	if len(writes) == 0 {
@@ -561,8 +580,7 @@ func (c *Client) uploadDedup(ctx context.Context, indices []uint64, writes map[u
 	}
 	chunks := make([]*casChunk, len(indices))
 	for i, idx := range indices {
-		data := writes[idx]
-		fp := cas.Sum(data)
+		data, fp := writes[idx], fps[i]
 		ranked := casPlacementRanked(fp, providers)
 		want := c.replication()
 		if want > len(ranked) {
@@ -767,30 +785,63 @@ func casPlacementRanked(fp cas.Fingerprint, providers []string) []string {
 	return PlacementRanked(fp.Key(), providers)
 }
 
-// casRelease drops one reference on fp at one provider.
-func (c *Client) casRelease(ctx context.Context, addr string, fp cas.Fingerprint) (reclaimedBytes uint64, err error) {
-	w := wire.NewBuffer(40)
-	w.PutU8(opCasRelease)
-	putFingerprint(w, fp)
-	resp, err := c.rpc(ctx, addr, "cas-release", w.Bytes())
-	if err != nil {
-		return 0, err
-	}
-	r := wire.NewReader(resp)
-	r.U64() // remaining count, unused here
-	reclaimed := r.U64()
-	return reclaimed, r.Err()
-}
-
-// releaseRefs undoes the references a failed commit acquired (best effort;
-// anything missed is picked up by the mark-and-sweep fallback GC). Callers
-// pass a detached context so releases run even after cancellation.
-func (c *Client) releaseRefs(ctx context.Context, manifest []manifestEntry) {
+// releaseRefs drops the references the manifest's entries hold — what a
+// failed commit acquired, or what a retire superseded — in O(providers)
+// calls: the fingerprints are grouped by provider, each group goes out as
+// opCasReleaseBatch frames, the providers proceeding concurrently. It is
+// best effort: a reference whose provider cannot be reached is counted in
+// Failed and left to the mark-and-sweep fallback GC. Callers pass a detached
+// context so releases run even after cancellation.
+func (c *Client) releaseRefs(ctx context.Context, manifest []manifestEntry) ReclaimStats {
+	groups := make(map[string][]cas.Fingerprint)
 	for _, e := range manifest {
 		for _, addr := range e.providers {
-			c.casRelease(ctx, addr, e.fp) //nolint:errcheck // best effort
+			groups[addr] = append(groups[addr], e.fp)
 		}
 	}
+	var stats ReclaimStats
+	var mu sync.Mutex
+	runGroups(ctx, c.parallelism(), groups, func(ctx context.Context, addr string, fps []cas.Fingerprint) error { //nolint:errcheck // the callback never fails: errors are counted
+		for start := 0; start < len(fps); start += maxFrameItems {
+			frame := fps[start:min(start+maxFrameItems, len(fps))]
+			chunks, freed, err := c.casReleaseBatch(ctx, addr, frame)
+			mu.Lock()
+			if err != nil {
+				stats.Failed += len(frame)
+			} else {
+				stats.ReleasedRefs += len(frame)
+				stats.ReclaimedChunks += chunks
+				stats.ReclaimedBytes += freed
+			}
+			mu.Unlock()
+		}
+		return nil
+	})
+	return stats
+}
+
+// casReleaseBatch drops one reference per fingerprint at one provider.
+func (c *Client) casReleaseBatch(ctx context.Context, addr string, fps []cas.Fingerprint) (reclaimedChunks int, reclaimedBytes uint64, err error) {
+	w := wire.NewBuffer(16 + 40*len(fps))
+	w.PutU8(opCasReleaseBatch)
+	w.PutUvarint(uint64(len(fps)))
+	for _, fp := range fps {
+		putFingerprint(w, fp)
+	}
+	obs.RegistryFrom(ctx).Counter("blobseer_batch_calls_total", obs.L("op", "cas-release-batch")).Inc()
+	r, err := c.call(ctx, addr, w)
+	if err != nil {
+		return 0, 0, err
+	}
+	chunks := r.Uvarint()
+	reclaimedBytes = r.U64()
+	if err := r.Err(); err != nil {
+		return 0, 0, err
+	}
+	if chunks > uint64(len(fps)) {
+		return 0, 0, fmt.Errorf("blobseer: cas release batch on %s: %d bodies reclaimed by %d releases", addr, chunks, len(fps))
+	}
+	return int(chunks), reclaimedBytes, nil
 }
 
 // CasStats aggregates the content-addressed repository counters across the
@@ -964,50 +1015,34 @@ func (c *Client) Retire(ctx context.Context, blob, before uint64) error {
 // no repository sweep. Releases to unreachable providers are counted in Failed and left for the
 // sweep to reconcile.
 func (c *Client) RetireStats(ctx context.Context, blob, before uint64) (ReclaimStats, error) {
-	var stats ReclaimStats
 	w := wire.NewBuffer(24)
 	w.PutU8(opRetire)
 	w.PutU64(blob)
 	w.PutU64(before)
 	r, err := c.call(ctx, c.VMAddr, w)
 	if err != nil {
-		return stats, err
+		return ReclaimStats{}, err
 	}
 	r.U64() // retired horizon
 	n, err := getCount(r)
 	if err != nil {
-		return stats, err
+		return ReclaimStats{}, err
 	}
 	releases := make([]manifestEntry, 0, n)
 	for i := uint64(0); i < n; i++ {
 		rel := manifestEntry{fp: getFingerprint(r)}
 		if rel.providers, err = getProviderList(r); err != nil {
-			return stats, err
+			return ReclaimStats{}, err
 		}
 		releases = append(releases, rel)
 	}
 	if err := r.Err(); err != nil {
-		return stats, err
+		return ReclaimStats{}, err
 	}
 	// The version manager already dropped its supersede records: finish the
 	// releases even if ctx is cancelled meanwhile, or the refs would leak
 	// until the sweep.
-	releaseCtx := context.WithoutCancel(ctx)
-	for _, rel := range releases {
-		for _, addr := range rel.providers {
-			reclaimed, err := c.casRelease(releaseCtx, addr, rel.fp)
-			if err != nil {
-				stats.Failed++
-				continue
-			}
-			stats.ReleasedRefs++
-			if reclaimed > 0 {
-				stats.ReclaimedChunks++
-				stats.ReclaimedBytes += reclaimed
-			}
-		}
-	}
-	return stats, nil
+	return c.releaseRefs(context.WithoutCancel(ctx), releases), nil
 }
 
 // GCStats reports what a garbage collection pass reclaimed.

@@ -256,6 +256,13 @@ func batchFrames() map[string][]byte {
 	w.PutBytes(body)
 	frames["opCasPutBatch"] = append([]byte(nil), w.Bytes()...)
 
+	w = wire.NewBuffer(128)
+	w.PutU8(opCasReleaseBatch)
+	w.PutUvarint(2)
+	putFingerprint(w, fp)
+	putFingerprint(w, cas.Sum([]byte("never stored")))
+	frames["opCasReleaseBatch"] = append([]byte(nil), w.Bytes()...)
+
 	nk := meta.NodeKey{Blob: 1, Version: 2, Offset: 3, Span: 4}
 	w = wire.NewBuffer(64)
 	w.PutU8(opNodePutBatch)

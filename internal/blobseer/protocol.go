@@ -37,7 +37,10 @@
 //     never ships the body at all.
 //   - opCasPutBatch: n x (fingerprint, body). Response: n x dup bool. All
 //     fingerprints are validated against their bodies before any item is
-//     applied, so a corrupt frame takes no references.
+//     applied, so a corrupt frame takes no references; the bodies the
+//     provider lacks reach its engine as one batch.
+//   - opCasReleaseBatch: n x fingerprint. Response: reclaimed bodies and
+//     bytes. One reference dropped per fingerprint.
 //   - opNodePutBatch: n x (node key, encoded node). Response: empty. A
 //     Publish flushes its whole staged node set in one frame per shard.
 //   - opNodeGetBatch: n x node key. Response: n x (present bool, encoded
@@ -102,8 +105,12 @@ const (
 	opChunkList
 	opChunkUsage
 
-	// Content-addressed repository ops (internal/cas).
-	opCasRelease
+	// Content-addressed repository ops (internal/cas). opCasReleaseBatch
+	// drops one reference per listed fingerprint — a retire's, or an aborted
+	// commit's, whole share of one provider in a round trip, the bodies whose
+	// count reaches zero deleted as one backend batch. Request: n x
+	// fingerprint. Response: bodies reclaimed (uvarint), their bytes (u64).
+	opCasReleaseBatch
 	opCasStats
 
 	// Batch verbs (see the package comment): many items per frame, one

@@ -238,12 +238,6 @@ func (dp *DataProvider) registry() *obs.Registry {
 	return obs.Default
 }
 
-// putApplyParallelism bounds the concurrent store writes one put-batch frame
-// issues. With several frames in flight the store sees frames×this many
-// concurrent puts — enough for a group-commit engine to form multi-MiB
-// batches without unbounded goroutine fan-out per request.
-const putApplyParallelism = 16
-
 // NewDataProvider wraps store as a network service.
 func NewDataProvider(store *cas.Store) *DataProvider {
 	return &DataProvider{store: store}
@@ -361,45 +355,35 @@ func (dp *DataProvider) handle(ctx context.Context, req []byte) ([]byte, error) 
 		}
 		// The frame is all-or-nothing: the client treats a failed frame as
 		// "no references taken" and fails the chunks over to other
-		// providers, so on any mid-frame failure — a body that does not
-		// hash to its claimed fingerprint (PutContent validates) or a
-		// backend error — the references already taken by the other items
-		// are returned before erroring out. Application is concurrent: the
-		// striped CAS index admits it and a group-committing backend
-		// batches the appends; the dup flags are written back in frame
-		// order afterwards.
-		dups := make([]bool, len(fps))
-		cerr := make([]error, len(fps))
-		runLimited(context.Background(), putApplyParallelism, len(fps), func(_ context.Context, i int) error {
-			dups[i], cerr[i] = dp.store.PutContent(fps[i], bodies[i])
-			return nil // collect every item's outcome; the unwind needs the full map
-		})
-		for i := range fps {
-			if cerr[i] == nil {
-				continue
-			}
-			for j := range fps {
-				if cerr[j] == nil {
-					dp.store.Release(fps[j]) //nolint:errcheck // best effort unwind
-				}
-			}
-			return nil, cerr[i]
+		// providers. PutContentBatch verifies every body against its
+		// fingerprint before it applies anything, and hands the engine the
+		// bodies this provider lacks as one batch.
+		dups, err := dp.store.PutContentBatch(fps, bodies)
+		if err != nil {
+			return nil, err
 		}
 		for _, dup := range dups {
 			w.PutBool(dup)
 		}
 
-	case opCasRelease:
-		fp := getFingerprint(r)
-		if err := reqErr(op, r); err != nil {
-			return nil, err
-		}
-		remaining, reclaimed, err := dp.store.Release(fp)
+	case opCasReleaseBatch:
+		n, err := batchCount(op, r)
 		if err != nil {
 			return nil, err
 		}
-		w.PutU64(remaining)
-		w.PutU64(reclaimed)
+		fps := make([]cas.Fingerprint, 0, n)
+		for i := uint64(0); i < n && r.Err() == nil; i++ {
+			fps = append(fps, getFingerprint(r))
+		}
+		if err := reqErr(op, r); err != nil {
+			return nil, err
+		}
+		chunks, freed, err := dp.store.ReleaseBatch(fps)
+		if err != nil {
+			return nil, err
+		}
+		w.PutUvarint(uint64(chunks))
+		w.PutU64(freed)
 
 	case opCasReleaseN:
 		fp := getFingerprint(r)
@@ -461,14 +445,83 @@ func (dp *DataProvider) handle(ctx context.Context, req []byte) ([]byte, error) 
 // MetadataProvider stores segment-tree nodes. The client shards node keys
 // across several metadata providers by hash, which is what lets 120
 // concurrent committers avoid a single metadata bottleneck.
+//
+// A provider holds every node of every version until a sweep deletes it —
+// a thousand per sparse checkpoint — so the store is laid out for the
+// collector: encoded nodes sit back to back in megabyte slabs and the index
+// maps a key to a pointer-free location, which the collector does not scan.
+// Its mark work is then per slab, not per node, however many versions the
+// repository has accumulated (one heap object per node made every
+// collection of a long-lived provider's process cost in proportion to its
+// age).
 type MetadataProvider struct {
 	// Obs is the registry handler spans and span stores record into; nil
 	// means obs.Default. Set before Serve.
 	Obs *obs.Registry
 
 	mu    sync.RWMutex
-	nodes map[meta.NodeKey][]byte
+	nodes map[meta.NodeKey]nodeLoc
+	slabs []nodeSlab
 	bytes int64
+}
+
+// nodeSlabBytes is the capacity of one slab of encoded nodes.
+const nodeSlabBytes = 1 << 20
+
+// nodeLoc locates one encoded node: n bytes at off in slabs[slab].
+type nodeLoc struct{ slab, off, n uint32 }
+
+// nodeSlab is one append-only run of encoded nodes. Stored nodes are
+// immutable and a slab's bytes are never reused, so a reader may keep a
+// window of buf after letting go of mu; a slab whose nodes have all been
+// deleted drops its buffer.
+type nodeSlab struct {
+	buf  []byte
+	live int // bytes of nodes the index still points at
+}
+
+// putLocked stores val under key unless the key is already stored (nodes
+// are immutable). Caller holds mu.
+func (mp *MetadataProvider) putLocked(key meta.NodeKey, val []byte) {
+	if _, exists := mp.nodes[key]; exists {
+		return
+	}
+	last := len(mp.slabs) - 1
+	if last < 0 || len(mp.slabs[last].buf)+len(val) > cap(mp.slabs[last].buf) {
+		mp.slabs = append(mp.slabs, nodeSlab{buf: make([]byte, 0, max(nodeSlabBytes, len(val)))})
+		last++
+	}
+	sl := &mp.slabs[last]
+	mp.nodes[key] = nodeLoc{slab: uint32(last), off: uint32(len(sl.buf)), n: uint32(len(val))}
+	sl.buf = append(sl.buf, val...)
+	sl.live += len(val)
+	mp.bytes += int64(len(val))
+}
+
+// getLocked returns the stored node as a window of its slab. Caller holds mu
+// (read mode suffices).
+func (mp *MetadataProvider) getLocked(key meta.NodeKey) (val []byte, ok bool) {
+	loc, ok := mp.nodes[key]
+	if !ok {
+		return nil, false
+	}
+	return mp.slabs[loc.slab].buf[loc.off : loc.off+loc.n : loc.off+loc.n], true
+}
+
+// deleteLocked removes a node; the slab it leaves empty is released (a full
+// slab now, the one still filling as soon as the next put moves on — its
+// bytes are never handed out twice). Caller holds mu.
+func (mp *MetadataProvider) deleteLocked(key meta.NodeKey) {
+	loc, ok := mp.nodes[key]
+	if !ok {
+		return
+	}
+	delete(mp.nodes, key)
+	mp.bytes -= int64(loc.n)
+	sl := &mp.slabs[loc.slab]
+	if sl.live -= int(loc.n); sl.live == 0 {
+		sl.buf = nil
+	}
 }
 
 func (mp *MetadataProvider) registry() *obs.Registry {
@@ -480,7 +533,7 @@ func (mp *MetadataProvider) registry() *obs.Registry {
 
 // NewMetadataProvider returns an empty metadata provider.
 func NewMetadataProvider() *MetadataProvider {
-	return &MetadataProvider{nodes: make(map[meta.NodeKey][]byte)}
+	return &MetadataProvider{nodes: make(map[meta.NodeKey]nodeLoc)}
 }
 
 // Serve binds the metadata provider to addr on n.
@@ -522,10 +575,7 @@ func (mp *MetadataProvider) handle(ctx context.Context, req []byte) ([]byte, err
 			return nil, err
 		}
 		mp.mu.Lock()
-		if val, ok := mp.nodes[key]; ok {
-			mp.bytes -= int64(len(val))
-			delete(mp.nodes, key)
-		}
+		mp.deleteLocked(key)
 		mp.mu.Unlock()
 
 	case opNodeUsage:
@@ -546,17 +596,14 @@ func (mp *MetadataProvider) handle(ctx context.Context, req []byte) ([]byte, err
 		vals := make([][]byte, 0, n)
 		for i := uint64(0); i < n && r.Err() == nil; i++ {
 			keys = append(keys, getNodeKey(r))
-			vals = append(vals, r.BytesCopy())
+			vals = append(vals, r.Bytes()) // windows of the frame: putLocked copies
 		}
 		if err := reqErr(op, r); err != nil {
 			return nil, err
 		}
 		mp.mu.Lock()
 		for i, key := range keys {
-			if _, exists := mp.nodes[key]; !exists {
-				mp.nodes[key] = vals[i]
-				mp.bytes += int64(len(vals[i]))
-			}
+			mp.putLocked(key, vals[i])
 		}
 		mp.mu.Unlock()
 
@@ -575,17 +622,18 @@ func (mp *MetadataProvider) handle(ctx context.Context, req []byte) ([]byte, err
 		// Collect under the lock (stored nodes are immutable), then encode
 		// into a response sized once: a whole tree level can ride one frame.
 		vals := make([][]byte, len(keys))
+		held := make([]bool, len(keys))
 		size := 0
 		mp.mu.RLock()
 		for i, key := range keys {
-			vals[i] = mp.nodes[key]
+			vals[i], held[i] = mp.getLocked(key)
 			size += 1 + binary.MaxVarintLen32 + len(vals[i])
 		}
 		mp.mu.RUnlock()
 		w = wire.NewBuffer(size)
-		for _, val := range vals {
-			w.PutBool(val != nil)
-			if val != nil {
+		for i, val := range vals {
+			w.PutBool(held[i])
+			if held[i] {
 				w.PutBytes(val)
 			}
 		}

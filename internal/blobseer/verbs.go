@@ -25,17 +25,17 @@ var opNames = map[byte]string{
 	opDrain:          "drain",
 	opRetireProvider: "retire-provider",
 
-	opChunkDelete:   "chunk-delete",
-	opChunkList:     "chunk-list",
-	opChunkUsage:    "chunk-usage",
-	opCasRelease:    "cas-release",
-	opCasStats:      "cas-stats",
-	opChunkGetBatch: "chunk-get-batch",
-	opCasRefBatch:   "cas-ref-batch",
-	opCasPutBatch:   "cas-put-batch",
-	opCasReleaseN:   "cas-release-n",
-	opStoreStats:    "store-stats",
-	opStoreCompact:  "store-compact",
+	opChunkDelete:     "chunk-delete",
+	opChunkList:       "chunk-list",
+	opChunkUsage:      "chunk-usage",
+	opCasReleaseBatch: "cas-release-batch",
+	opCasStats:        "cas-stats",
+	opChunkGetBatch:   "chunk-get-batch",
+	opCasRefBatch:     "cas-ref-batch",
+	opCasPutBatch:     "cas-put-batch",
+	opCasReleaseN:     "cas-release-n",
+	opStoreStats:      "store-stats",
+	opStoreCompact:    "store-compact",
 
 	opNodeList:     "node-list",
 	opNodeDelete:   "node-delete",

@@ -19,9 +19,11 @@
 // unchanged on a CAS-capable provider.
 //
 // Reference counting: every published chunk write holds one reference per
-// replica (Ref on a dedup hit, PutContent on a miss). Retiring a snapshot
-// releases the references its superseded writes held (Release); a body whose
-// count reaches zero is deleted immediately. This makes snapshot-retire
+// replica (Ref on a dedup hit; on a miss PutContentBatch, which takes a
+// provider's whole put frame — PutContent is its one-item case). Retiring a
+// snapshot releases the references its superseded writes held (ReleaseBatch,
+// a provider's whole share at once); a body whose count reaches zero is
+// deleted immediately. This makes snapshot-retire
 // garbage collection O(retired chunks) instead of a whole-repository sweep —
 // the paper's proposed transparent snapshot GC (future work, see
 // internal/blobseer) in its cheap incremental form. The mark-and-sweep GC
@@ -43,6 +45,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"blobcr/internal/chunkstore"
@@ -51,8 +54,38 @@ import (
 // Fingerprint is the SHA-256 digest of a chunk body.
 type Fingerprint [32]byte
 
-// Sum fingerprints a chunk body.
-func Sum(data []byte) Fingerprint { return sha256.Sum256(data) }
+// Sum fingerprints a chunk body: its SHA-256. An all-zero body — most of a
+// sparse guest image — is answered from a per-length memo of exactly that
+// digest, so it costs a scan (chunkstore.IsZero, which gives up at the first
+// non-zero word) instead of a hash wherever a body is fingerprinted: the
+// committing client, the provider's verification, the restart read path.
+func Sum(data []byte) Fingerprint {
+	if len(data) == 0 || !chunkstore.IsZero(data) {
+		return sha256.Sum256(data)
+	}
+	zeroSums.RLock()
+	fp, ok := zeroSums.byLen[len(data)]
+	zeroSums.RUnlock()
+	if !ok {
+		fp = sha256.Sum256(data)
+		zeroSums.Lock()
+		if len(zeroSums.byLen) < maxZeroSums {
+			zeroSums.byLen[len(data)] = fp
+		}
+		zeroSums.Unlock()
+	}
+	return fp
+}
+
+// zeroSums memoizes the SHA-256 of n zero bytes by n. Bodies come in a
+// handful of lengths (the chunk sizes in use and their tails); the bound
+// keeps a peer that sends every length from growing the memo without limit.
+var zeroSums = struct {
+	sync.RWMutex
+	byLen map[int]Fingerprint
+}{byLen: make(map[int]Fingerprint)}
+
+const maxZeroSums = 64
 
 // Key derives the chunkstore key under which the body is stored: the first
 // 16 digest bytes, big-endian. 128 bits of a cryptographic hash make
@@ -136,11 +169,14 @@ const casStripes = 64
 // serialize on a striped per-fingerprint lock — taken before, and held
 // across, any backend I/O — so a body can never be reclaimed between a
 // successful Ref and the read it protects. mu guards only the in-memory
-// index and counters and is never held across backend calls: bodies with
-// different fingerprints reach the backend concurrently, which is what lets
-// a group-committing backend (seglog) batch their fsyncs.
+// index and counters and is never held across backend calls. A put frame
+// (PutContentBatch) and a retire's releases (ReleaseBatch) take every stripe
+// their fingerprints touch and hand the backend the misses, or the bodies
+// whose count reached zero, as one batch — one append and one fsync in the
+// segment log — so it is frames, not chunks, that meet there.
 //
-// Lock order: stripe, then mu.
+// Lock order: stripes in ascending index order (single-fingerprint
+// operations hold exactly one), then mu.
 type Store struct {
 	mu      sync.Mutex
 	backend chunkstore.Store
@@ -159,8 +195,35 @@ type Store struct {
 // body stored under k. Fingerprint-addressed operations stripe by fp.Key(),
 // so a CAS op and a key op on the same body always share a stripe.
 func (s *Store) stripe(k chunkstore.Key) *sync.Mutex {
+	return &s.stripes[stripeIndex(k)]
+}
+
+func stripeIndex(k chunkstore.Key) int {
 	h := (k.Blob ^ k.ID) * 0x9e3779b97f4a7c15 // Fibonacci mixing
-	return &s.stripes[(h>>32)%casStripes]
+	return int((h >> 32) % casStripes)
+}
+
+// lockStripes takes the distinct stripes of fps in ascending index order —
+// the order every multi-stripe operation uses, so two frames with
+// overlapping fingerprints in opposite orders cannot deadlock — and returns
+// the function that releases them.
+func (s *Store) lockStripes(fps []Fingerprint) (unlock func()) {
+	var need [casStripes]bool
+	for _, fp := range fps {
+		need[stripeIndex(fp.Key())] = true
+	}
+	for i := range need {
+		if need[i] {
+			s.stripes[i].Lock()
+		}
+	}
+	return func() {
+		for i := range need {
+			if need[i] {
+				s.stripes[i].Unlock()
+			}
+		}
+	}
 }
 
 // keyLister is satisfied by both chunkstore backends.
@@ -227,79 +290,166 @@ func (s *Store) Ref(fp Fingerprint) bool {
 	return true
 }
 
-// PutContent stores a body under its fingerprint and takes one reference.
-// If the body is already held (a concurrent writer won the race), no bytes
-// are written and dup is true.
+// PutContent stores a body under its fingerprint and takes one reference:
+// PutContentBatch of one item. If the body is already held (a concurrent
+// writer won the race), no bytes are written and dup is true.
 func (s *Store) PutContent(fp Fingerprint, data []byte) (dup bool, err error) {
-	if Sum(data) != fp {
-		return false, fmt.Errorf("%w: %s", ErrContentMismatch, fp)
-	}
-	st := s.stripe(fp.Key())
-	st.Lock()
-	defer st.Unlock()
-	s.mu.Lock()
-	if e, ok := s.index[fp]; ok {
-		e.refs++
-		s.hits++
-		s.logicalBytes += uint64(e.size)
-		s.mu.Unlock()
-		return true, nil
-	}
-	s.mu.Unlock()
-	// Backend write outside mu: same-fingerprint writers are serialized by
-	// the stripe, different bodies land in the backend concurrently.
-	if err := s.backend.Put(fp.Key(), data); err != nil {
+	dups, err := s.PutContentBatch([]Fingerprint{fp}, [][]byte{data})
+	if err != nil {
 		return false, err
 	}
-	s.mu.Lock()
-	s.indexLocked(fp, uint32(len(data)), 1)
-	s.misses++
-	s.mu.Unlock()
-	return false, nil
+	return dups[0], nil
 }
 
-// Release drops one reference on fp. When the count reaches zero the body is
-// deleted — unless the entry was recovered from a pre-existing backend
-// (pinned), whose true count is unknown: pinned bodies outlive their counted
-// references and are left for the mark-and-sweep pass. Releasing an unknown
-// fingerprint is a no-op (the body was already collected by a sweep).
-func (s *Store) Release(fp Fingerprint) (remaining uint64, reclaimedBytes uint64, err error) {
-	st := s.stripe(fp.Key())
-	st.Lock()
-	defer st.Unlock()
-	s.mu.Lock()
-	e, ok := s.index[fp]
-	if !ok {
-		s.mu.Unlock()
-		return 0, 0, nil
+// PutContentBatch stores a frame of bodies under their fingerprints and
+// takes one reference per item, all or nothing. Every body is verified
+// against its fingerprint first, on parallel workers: a frame with one bad
+// body changes nothing. Then, holding the frame's stripes, items whose body
+// is already held — before the frame, or by an earlier item of it — become
+// references (dups[i] true) and the rest reach the backend as one batch;
+// only when that batch is durable are they indexed and the references
+// counted. A backend failure takes no reference and leaves no body behind.
+func (s *Store) PutContentBatch(fps []Fingerprint, bodies [][]byte) (dups []bool, err error) {
+	bad := make([]bool, len(fps))
+	forEachParallel(len(fps), func(i int) { bad[i] = Sum(bodies[i]) != fps[i] })
+	for i := range fps {
+		if bad[i] {
+			return nil, fmt.Errorf("%w: %s", ErrContentMismatch, fps[i])
+		}
 	}
-	if e.refs > 0 {
+	defer s.lockStripes(fps)()
+
+	// The stripes pin every item's held/missing state until they are
+	// released, so the frame can be classified now and applied after the
+	// backend write.
+	dups = make([]bool, len(fps))
+	var keys []chunkstore.Key
+	var missBodies [][]byte
+	inFrame := make(map[Fingerprint]bool)
+	s.mu.Lock()
+	for i, fp := range fps {
+		if _, held := s.index[fp]; held || inFrame[fp] {
+			dups[i] = true
+			continue
+		}
+		inFrame[fp] = true
+		keys = append(keys, fp.Key())
+		missBodies = append(missBodies, bodies[i])
+	}
+	s.mu.Unlock()
+	if len(keys) > 0 {
+		if err := chunkstore.PutBatch(s.backend, keys, missBodies); err != nil {
+			chunkstore.DeleteBatch(s.backend, keys) //nolint:errcheck // best effort: none of them is indexed
+			return nil, err
+		}
+	}
+	s.mu.Lock()
+	for i, fp := range fps {
+		if e, ok := s.index[fp]; ok {
+			e.refs++
+			s.hits++
+			s.logicalBytes += uint64(e.size)
+			continue
+		}
+		s.indexLocked(fp, uint32(len(bodies[i])), 1)
+		s.misses++
+	}
+	s.mu.Unlock()
+	return dups, nil
+}
+
+// forEachParallel runs fn(i) for every i in [0, n) on at most GOMAXPROCS
+// goroutines, the caller's among them — hashing is CPU-bound, so more would
+// only queue, and a single item starts none.
+func forEachParallel(n int, fn func(i int)) {
+	workers := max(1, min(runtime.GOMAXPROCS(0), n))
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < n; i += workers {
+				fn(i)
+			}
+		}()
+	}
+	for i := 0; i < n; i += workers {
+		fn(i)
+	}
+	wg.Wait()
+}
+
+// Release drops one reference on fp: ReleaseBatch of one fingerprint,
+// reporting the count that remains.
+func (s *Store) Release(fp Fingerprint) (remaining uint64, reclaimedBytes uint64, err error) {
+	remaining, _, reclaimedBytes, err = s.release([]Fingerprint{fp})
+	return remaining, reclaimedBytes, err
+}
+
+// ReleaseBatch drops one reference per listed fingerprint (one listed twice
+// drops two). A body whose count reaches zero is deleted — all of them as
+// one backend batch — unless the entry was recovered from a pre-existing
+// backend (pinned), whose true count is unknown: pinned bodies outlive
+// their counted references and are left for the mark-and-sweep pass.
+// Releasing an unknown fingerprint is a no-op (the body was already
+// collected by a sweep). It reports how many bodies were deleted and the
+// payload bytes they held.
+func (s *Store) ReleaseBatch(fps []Fingerprint) (reclaimedChunks int, reclaimedBytes uint64, err error) {
+	_, reclaimedChunks, reclaimedBytes, err = s.release(fps)
+	return reclaimedChunks, reclaimedBytes, err
+}
+
+// release is the one release path; remaining is the count left on the last
+// fingerprint.
+func (s *Store) release(fps []Fingerprint) (remaining uint64, reclaimedChunks int, reclaimedBytes uint64, err error) {
+	defer s.lockStripes(fps)()
+	var dead []*entry
+	s.mu.Lock()
+	for _, fp := range fps {
+		e, ok := s.index[fp]
+		if !ok || e.refs == 0 {
+			remaining = 0
+			continue // unknown, a pinned floor, or already dying in this batch
+		}
 		e.refs--
 		s.logicalBytes -= uint64(e.size)
-	}
-	if e.refs > 0 || e.pinned {
-		rem := e.refs
-		s.mu.Unlock()
-		return rem, 0, nil
+		remaining = e.refs
+		if e.refs == 0 && !e.pinned {
+			dead = append(dead, e)
+		}
 	}
 	s.mu.Unlock()
-	// Count hit zero: delete the body. The stripe (held) keeps a concurrent
-	// Ref from reviving the entry while the backend delete is in flight.
-	if err := s.backend.Delete(fp.Key()); err != nil {
-		s.mu.Lock()
-		e.refs++ // keep the index consistent with the backend
-		s.logicalBytes += uint64(e.size)
-		rem := e.refs
-		s.mu.Unlock()
-		return rem, 0, err
+	if len(dead) == 0 {
+		return remaining, 0, 0, nil
+	}
+	// Counts hit zero: delete the bodies. The stripes (held) keep a
+	// concurrent Ref from reviving an entry while the delete is in flight.
+	keys := make([]chunkstore.Key, len(dead))
+	for i, e := range dead {
+		keys[i] = e.fp.Key()
+	}
+	err = chunkstore.DeleteBatch(s.backend, keys)
+	survived := make([]bool, len(dead)) // bodies a failed batch left in the backend
+	for i := range dead {
+		survived[i] = err != nil && s.backend.Has(keys[i])
 	}
 	s.mu.Lock()
-	delete(s.index, fp)
-	delete(s.byKey, fp.Key())
-	s.reclaimedChunks++
-	s.reclaimedBytes += uint64(e.size)
+	for i, e := range dead {
+		if survived[i] {
+			e.refs++ // keep the index consistent with the backend
+			s.logicalBytes += uint64(e.size)
+			remaining = e.refs
+			continue
+		}
+		delete(s.index, e.fp)
+		delete(s.byKey, e.fp.Key())
+		s.reclaimedChunks++
+		s.reclaimedBytes += uint64(e.size)
+		reclaimedChunks++
+		reclaimedBytes += uint64(e.size)
+	}
 	s.mu.Unlock()
-	return 0, uint64(e.size), nil
+	return remaining, reclaimedChunks, reclaimedBytes, err
 }
 
 // GetContent returns the body for fp.

@@ -249,3 +249,83 @@ func TestUsedBytesAccounting(t *testing.T) {
 		})
 	}
 }
+
+// batchSpy is a Store that is also a BatchPutter, recording the batch calls.
+type batchSpy struct {
+	*Mem
+	puts, deletes int
+}
+
+func (b *batchSpy) PutBatch(keys []Key, bodies [][]byte) error {
+	b.puts++
+	for i, k := range keys {
+		if err := b.Put(k, bodies[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (b *batchSpy) DeleteBatch(keys []Key) error {
+	b.deletes++
+	for _, k := range keys {
+		b.Delete(k) //nolint:errcheck // absent keys are skipped
+	}
+	return nil
+}
+
+// TestBatchHelpers: PutBatch and DeleteBatch hand a BatchPutter the whole
+// set in one call, and give any other Store the same outcome through its
+// single-chunk methods — every chunk stored with Put's semantics, absent
+// keys skipped by DeleteBatch.
+func TestBatchHelpers(t *testing.T) {
+	const n = 40
+	keys := make([]Key, n)
+	bodies := make([][]byte, n)
+	for i := range keys {
+		keys[i] = Key{Blob: 3, ID: uint64(i)}
+		bodies[i] = bytes.Repeat([]byte{byte(i)}, 10+i)
+	}
+	spy := &batchSpy{Mem: NewMem()}
+	for name, s := range map[string]Store{"fallback": NewMem(), "batch putter": spy} {
+		if err := PutBatch(s, keys, bodies); err != nil {
+			t.Fatalf("%s: PutBatch: %v", name, err)
+		}
+		if err := PutBatch(s, keys[:1], bodies[:1]); err != nil {
+			t.Fatalf("%s: identical re-put: %v", name, err)
+		}
+		if err := PutBatch(s, keys[:2], [][]byte{bodies[0], bodies[0]}); !errors.Is(err, ErrExists) {
+			t.Fatalf("%s: different content under a stored key: %v, want ErrExists", name, err)
+		}
+		for i, k := range keys {
+			if got, err := s.Get(k); err != nil || !bytes.Equal(got, bodies[i]) {
+				t.Fatalf("%s: chunk %d: %v", name, i, err)
+			}
+		}
+		if err := DeleteBatch(s, append([]Key{{Blob: 9, ID: 9}}, keys[:n/2]...)); err != nil {
+			t.Fatalf("%s: DeleteBatch with an absent key: %v", name, err)
+		}
+		if s.Len() != n/2 {
+			t.Fatalf("%s: %d chunks left, want %d", name, s.Len(), n/2)
+		}
+	}
+	if spy.puts != 3 || spy.deletes != 1 {
+		t.Fatalf("a BatchPutter saw %d PutBatch and %d DeleteBatch calls, want 3 and 1", spy.puts, spy.deletes)
+	}
+}
+
+func TestIsZero(t *testing.T) {
+	for n := 0; n < 40; n++ {
+		p := make([]byte, n)
+		if !IsZero(p) {
+			t.Fatalf("IsZero(zeros(%d)) = false", n)
+		}
+		for i := range p {
+			p[i] = 1
+			if IsZero(p) {
+				t.Fatalf("IsZero missed byte %d of %d", i, n)
+			}
+			p[i] = 0
+		}
+	}
+}

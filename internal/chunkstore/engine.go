@@ -1,5 +1,11 @@
 package chunkstore
 
+import (
+	"encoding/binary"
+	"errors"
+	"sync"
+)
+
 // EngineField is one named statistic of a storage engine.
 type EngineField struct {
 	Name  string
@@ -88,4 +94,83 @@ func ReadInto(s Store, k Key, alloc func(n int) []byte) error {
 	}
 	copy(alloc(len(data)), data)
 	return nil
+}
+
+// BatchPutter is implemented by backends that make a set of chunks durable
+// — or gone — together, for less than the sum of the single calls: the
+// segment log boards a whole batch with one append and one fdatasync.
+type BatchPutter interface {
+	// PutBatch stores bodies[i] under keys[i], each with the semantics of
+	// Put (an identical re-put is a no-op, different content under a stored
+	// key is ErrExists), and returns once all of them are durable. After an
+	// error any subset may have been stored.
+	PutBatch(keys []Key, bodies [][]byte) error
+	// DeleteBatch removes every key; one that is not stored is skipped, so
+	// after a nil return none of them is. After an error any subset may
+	// have been removed.
+	DeleteBatch(keys []Key) error
+}
+
+// batchFallbackParallelism bounds the concurrent Puts PutBatch issues
+// against a backend that is not a BatchPutter: enough for a group-committing
+// engine behind a wrapper to still share fsyncs between them.
+const batchFallbackParallelism = 16
+
+// PutBatch stores the chunks through s's own PutBatch when it is a
+// BatchPutter, else through bounded-concurrent Puts.
+func PutBatch(s Store, keys []Key, bodies [][]byte) error {
+	if b, ok := s.(BatchPutter); ok {
+		return b.PutBatch(keys, bodies)
+	}
+	if len(keys) == 1 {
+		return s.Put(keys[0], bodies[0])
+	}
+	errs := make([]error, len(keys))
+	sem := make(chan struct{}, batchFallbackParallelism)
+	var wg sync.WaitGroup
+	for i := range keys {
+		sem <- struct{}{}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = s.Put(keys[i], bodies[i])
+			<-sem
+		}(i)
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
+// DeleteBatch removes the keys through s's own DeleteBatch when it is a
+// BatchPutter, else one Delete at a time, skipping absent keys alike.
+func DeleteBatch(s Store, keys []Key) error {
+	if b, ok := s.(BatchPutter); ok {
+		return b.DeleteBatch(keys)
+	}
+	var errs []error
+	for _, k := range keys {
+		if err := s.Delete(k); err != nil && !errors.Is(err, ErrNotFound) {
+			errs = append(errs, err)
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// IsZero reports whether every byte of p is zero, eight bytes at a time. A
+// body with a non-zero first word — nearly every non-zero body — costs one
+// comparison. All-zero chunks dominate sparse VM images: the segment log
+// stores them as a flag and cas.Sum answers them from a memo.
+func IsZero(p []byte) bool {
+	for len(p) >= 8 {
+		if binary.LittleEndian.Uint64(p) != 0 {
+			return false
+		}
+		p = p[8:]
+	}
+	for _, b := range p {
+		if b != 0 {
+			return false
+		}
+	}
+	return true
 }

@@ -1,11 +1,16 @@
 package cloud
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
 
+	"blobcr/internal/blobseer"
+	"blobcr/internal/chunkstore"
+	"blobcr/internal/obs"
 	"blobcr/internal/proxy"
+	"blobcr/internal/seglog"
 	"blobcr/internal/vm"
 )
 
@@ -259,5 +264,71 @@ func TestLocalTierStatusSurfacesBacklog(t *testing.T) {
 	}
 	if partner.Checkpoints != 0 {
 		t.Errorf("partner backlog = %+v on the staging node, want empty", partner)
+	}
+}
+
+// TestTieredCaptureSyncBudget: with the local tier on seglog, a checkpoint's
+// locally-safe ack costs each node at most two fdatasyncs — the owner stages
+// the capture as one batch, its partner stages the replica as one batch —
+// however many chunks the capture holds, read from the engines' own
+// EngineStats. One sync per staged chunk per copy was the price before.
+func TestTieredCaptureSyncBudget(t *testing.T) {
+	var stages []chunkstore.Store
+	inner := blobseer.SeglogStores(t.TempDir(), seglog.Options{Registry: obs.NewRegistry(), DisableAutoCompact: true})
+	c, err := New(Config{Nodes: 3, MetaProviders: 2, Seed: 1, LocalTier: true, StageStores: func(i int) (chunkstore.Store, error) {
+		s, err := inner(i)
+		stages = append(stages, s)
+		return s, err
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	base := uploadBase(t, c, 128*1024)
+	dep, err := c.Deploy(ctx, 1, base, vm.Config{BlockSize: 512, BootNoiseBytes: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := dep.Instances[0]
+	// A warm checkpoint drains fully, so the clone exists and nothing is
+	// staged; then the remote plane goes dark, so the measured capture's
+	// drain cannot add its tombstones to the count.
+	inst.VM.FS().WriteFile("/state", []byte("warm"))
+	if _, err := inst.Proxy.RequestCheckpoint(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, addr := range c.Repository().DataAddrs {
+		c.Network().Partition(addr)
+	}
+	fsyncs := func() []uint64 {
+		out := make([]uint64, len(stages))
+		for i, s := range stages {
+			out[i] = chunkstore.StatsOf(s).Field("fsyncs")
+		}
+		return out
+	}
+	before := fsyncs()
+	inst.VM.FS().WriteFile("/big", bytes.Repeat([]byte("sixteen dirty chunks at least. "), 4096))
+	handle, err := inst.Proxy.RequestCheckpointAsync(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := inst.Proxy.WaitCheckpointLocal(ctx, handle); err != nil {
+		t.Fatalf("checkpoint did not reach local safety: %v", err)
+	}
+	own, _, err := proxy.Backlog(ctx, c.Network(), inst.Node.ProxyAddr)
+	if err != nil || own.Chunks < 16 {
+		t.Fatalf("staged %d chunks (err %v), want a capture of 16 or more", own.Chunks, err)
+	}
+	total := uint64(0)
+	for i, after := range fsyncs() {
+		if d := after - before[i]; d > 2 {
+			t.Errorf("node %d: %d fdatasyncs for one capture of %d chunks, budget 2", i, d, own.Chunks)
+		} else {
+			total += d
+		}
+	}
+	if total < 2 {
+		t.Errorf("%d fdatasyncs in all: the capture and its replica must each be durable", total)
 	}
 }

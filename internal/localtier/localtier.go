@@ -119,15 +119,15 @@ func New(store chunkstore.Store, reg *obs.Registry) *Stage {
 	}
 }
 
-// Put stages one capture. Staging the same (owner, seq) again replaces the
-// previous copy (a partner push retried after a wire error is idempotent).
+// Put stages one capture: its chunks reach the store as one batch — one
+// sync in the segment log, so a locally-safe ack costs one, not one per
+// chunk. Staging the same (owner, seq) again replaces the previous copy (a
+// partner push retried after a wire error is idempotent). The store is
+// written outside s.mu — only the chunk namespace is reserved, and the
+// finished capture published, under it — so Backlog, OwnerBacklog and
+// Pending never wait for a stage's disk I/O.
 func (s *Stage) Put(owner string, seq uint64, base blobseer.SnapshotRef, size, chunkSize uint64, writes map[uint64][]byte, replica bool) (*Capture, error) {
 	sw := obs.StartTimer()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if old, ok := s.owners[owner][seq]; ok {
-		s.removeLocked(old.cap)
-	}
 	c := &Capture{
 		Owner:     owner,
 		Seq:       seq,
@@ -135,30 +135,54 @@ func (s *Stage) Put(owner string, seq uint64, base blobseer.SnapshotRef, size, c
 		Size:      size,
 		ChunkSize: chunkSize,
 		Replica:   replica,
-		stageBlob: s.nextBlob,
+		indices:   make([]uint64, 0, len(writes)),
 	}
-	s.nextBlob++
 	for idx, data := range writes {
-		if err := s.store.Put(chunkstore.Key{Blob: c.stageBlob, ID: idx}, data); err != nil {
-			// Roll back the partial stage so the store holds no orphans.
-			for _, done := range c.indices {
-				s.store.Delete(chunkstore.Key{Blob: c.stageBlob, ID: done})
-			}
-			return nil, fmt.Errorf("localtier: stage %s seq %d chunk %d: %w", owner, seq, idx, err)
-		}
 		c.indices = append(c.indices, idx)
 		c.bytes += uint64(len(data))
 	}
 	sort.Slice(c.indices, func(i, j int) bool { return c.indices[i] < c.indices[j] })
+	s.mu.Lock()
+	c.stageBlob = s.nextBlob
+	s.nextBlob++
+	s.mu.Unlock()
+
+	keys := c.keys()
+	bodies := make([][]byte, len(keys))
+	for i, idx := range c.indices {
+		bodies[i] = writes[idx]
+	}
+	if err := chunkstore.PutBatch(s.store, keys, bodies); err != nil {
+		// Roll back the partial stage so the store holds no orphans.
+		chunkstore.DeleteBatch(s.store, keys) //nolint:errcheck // best effort
+		return nil, fmt.Errorf("localtier: stage %s seq %d: %w", owner, seq, err)
+	}
+
+	s.mu.Lock()
+	var replaced []chunkstore.Key
+	if old, ok := s.owners[owner][seq]; ok {
+		replaced = s.unlinkLocked(old.cap)
+	}
 	if s.owners[owner] == nil {
 		s.owners[owner] = make(map[uint64]*entry)
 	}
 	s.owners[owner][seq] = &entry{cap: c, sw: sw}
 	s.gauges(c).ckpt.Add(1)
 	s.gauges(c).bytes.Add(int64(c.bytes))
+	s.mu.Unlock()
+	s.discard(replaced)
 	s.cStaged.Inc()
 	sw.ObserveInto(s.hStage)
 	return c, nil
+}
+
+// keys returns the store keys of the capture's chunks, in index order.
+func (c *Capture) keys() []chunkstore.Key {
+	keys := make([]chunkstore.Key, len(c.indices))
+	for i, idx := range c.indices {
+		keys[i] = chunkstore.Key{Blob: c.stageBlob, ID: idx}
+	}
+	return keys
 }
 
 type rolePair struct{ ckpt, bytes *obs.Gauge }
@@ -215,15 +239,17 @@ func (s *Stage) Owners() []string {
 // Drop): the memo still advances so chain state survives.
 func (s *Stage) MarkDrained(owner string, seq uint64, ref blobseer.SnapshotRef) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	var drained []chunkstore.Key
 	if e, ok := s.owners[owner][seq]; ok {
 		e.sw.ObserveInto(s.hDrainLag)
-		s.removeLocked(e.cap)
+		drained = s.unlinkLocked(e.cap)
 		s.cDrained.Inc()
 	}
 	if m, ok := s.memo[owner]; !ok || seq >= m.seq {
 		s.memo[owner] = drainMemo{seq: seq, ref: ref}
 	}
+	s.mu.Unlock()
+	s.discard(drained)
 }
 
 // LastDrained returns the owner's most recently drained capture sequence and
@@ -240,23 +266,24 @@ func (s *Stage) LastDrained(owner string) (seq uint64, ref blobseer.SnapshotRef,
 // chain is superseded — a rollback, or a re-registration after restart.
 func (s *Stage) Drop(owner string) int {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	n := 0
+	var dropped []chunkstore.Key
 	for _, e := range s.owners[owner] {
-		s.removeLocked(e.cap)
+		dropped = append(dropped, s.unlinkLocked(e.cap)...)
 		s.cDropped.Inc()
 		n++
 	}
 	delete(s.owners, owner)
 	delete(s.memo, owner)
+	s.mu.Unlock()
+	s.discard(dropped)
 	return n
 }
 
-// removeLocked deletes a capture's chunks and bookkeeping. Caller holds s.mu.
-func (s *Stage) removeLocked(c *Capture) {
-	for _, idx := range c.indices {
-		s.store.Delete(chunkstore.Key{Blob: c.stageBlob, ID: idx})
-	}
+// unlinkLocked removes a capture's bookkeeping and returns the keys of its
+// chunks, which the caller discards once it has let go of s.mu. Caller holds
+// s.mu.
+func (s *Stage) unlinkLocked(c *Capture) []chunkstore.Key {
 	if pending, ok := s.owners[c.Owner]; ok {
 		delete(pending, c.Seq)
 		if len(pending) == 0 {
@@ -265,6 +292,15 @@ func (s *Stage) removeLocked(c *Capture) {
 	}
 	s.gauges(c).ckpt.Add(-1)
 	s.gauges(c).bytes.Add(-int64(c.bytes))
+	return c.keys()
+}
+
+// discard deletes unlinked captures' chunks from the store, as one batch
+// and outside s.mu: nothing reaches them any more.
+func (s *Stage) discard(keys []chunkstore.Key) {
+	if len(keys) > 0 {
+		chunkstore.DeleteBatch(s.store, keys) //nolint:errcheck // best effort, as the per-chunk deletes were
+	}
 }
 
 // Backlog returns the staged-but-undrained totals, split into the node's own

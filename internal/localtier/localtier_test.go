@@ -185,3 +185,96 @@ func TestGaugeAccounting(t *testing.T) {
 		t.Errorf("localtier_dropped_total = %d, want 1", got)
 	}
 }
+
+// gatedStore is a store whose PutBatch blocks until released, and fails when
+// told to after storing half of the batch.
+type gatedStore struct {
+	*chunkstore.Mem
+	entered chan struct{} // a PutBatch is inside the store
+	release chan error    // what that PutBatch returns
+	batches int
+}
+
+func (g *gatedStore) PutBatch(keys []chunkstore.Key, bodies [][]byte) error {
+	g.batches++
+	g.entered <- struct{}{}
+	err := <-g.release
+	n := len(keys)
+	if err != nil {
+		n /= 2
+	}
+	for i, k := range keys[:n] {
+		if perr := g.Put(k, bodies[i]); perr != nil {
+			return perr
+		}
+	}
+	return err
+}
+
+func (g *gatedStore) DeleteBatch(keys []chunkstore.Key) error {
+	for _, k := range keys {
+		g.Delete(k) //nolint:errcheck // absent keys are skipped
+	}
+	return nil
+}
+
+// TestPutHoldsNoLockAcrossStoreIO: a capture reaches the store as one batch,
+// and while that batch is on its way to disk the stage still answers
+// Backlog, OwnerBacklog and Pending — the BACKLOG verb and the backlog
+// gauges never wait for a stage's I/O. A batch that fails leaves no orphan
+// chunk behind and nothing staged; a re-put of the same (owner, seq) still
+// replaces the earlier copy.
+func TestPutHoldsNoLockAcrossStoreIO(t *testing.T) {
+	store := &gatedStore{Mem: chunkstore.NewMem(), entered: make(chan struct{}), release: make(chan error)}
+	s := New(store, obs.NewRegistry())
+	writes := map[uint64][]byte{0: []byte("a"), 1: []byte("bb"), 2: []byte("ccc"), 3: []byte("dddd")}
+	put := func(seq uint64) chan error {
+		done := make(chan error, 1)
+		go func() {
+			_, err := s.Put("vm-0", seq, blobseer.SnapshotRef{}, 256, 64, writes, false)
+			done <- err
+		}()
+		<-store.entered // the batch is inside the store, blocked
+		return done
+	}
+
+	done := put(1)
+	if own, _ := s.Backlog(); own.Checkpoints != 0 { // returns at all: no lock is held
+		t.Fatalf("Backlog during a stage = %+v, want nothing published yet", own)
+	}
+	if b := s.OwnerBacklog("vm-0"); b.Checkpoints != 0 || len(s.Pending("vm-0")) != 0 {
+		t.Fatalf("capture visible before its batch is durable: %+v", b)
+	}
+	store.release <- nil
+	if err := <-done; err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	if own, _ := s.Backlog(); own.Checkpoints != 1 || own.Chunks != 4 || store.Len() != 4 || store.batches != 1 {
+		t.Fatalf("after one stage: backlog %+v, %d chunks stored in %d batches", own, store.Len(), store.batches)
+	}
+
+	// A failed batch: nothing staged, no orphan keys.
+	done = put(2)
+	store.release <- errors.New("disk full")
+	if err := <-done; err == nil {
+		t.Fatal("Put over a failing store succeeded")
+	}
+	if own, _ := s.Backlog(); own.Checkpoints != 1 || store.Len() != 4 {
+		t.Fatalf("after a failed stage: backlog %+v, %d chunks stored (want 1 checkpoint, 4 chunks)", own, store.Len())
+	}
+
+	// A re-put of seq 1 replaces the old copy: still one checkpoint, and the
+	// old copy's chunks are gone from the store.
+	done = put(1)
+	store.release <- nil
+	if err := <-done; err != nil {
+		t.Fatalf("re-put: %v", err)
+	}
+	if own, _ := s.Backlog(); own.Checkpoints != 1 || own.Chunks != 4 || store.Len() != 4 {
+		t.Fatalf("after a re-put: backlog %+v, %d chunks stored", own, store.Len())
+	}
+	back, err := s.Writes(s.Pending("vm-0")[0])
+	if err != nil || len(back) != 4 {
+		t.Fatalf("replaced capture unreadable: %v", err)
+	}
+}

@@ -8,8 +8,8 @@ import (
 )
 
 // TestCommitPipelineEmitsFiveStages asserts one async commit produces the
-// five named pipeline spans — capture, probe, upload, publish, durable —
-// with monotonic, non-overlapping timestamps, and that the same stages land
+// named pipeline spans (obs.CommitStages: capture, probe, hash, upload,
+// publish, durable — five when the test was named) with monotonic, non-overlapping timestamps, and that the same stages land
 // in the client's metrics registry.
 func TestCommitPipelineEmitsFiveStages(t *testing.T) {
 	_, c, m, _ := setup(t, 8*cs)

@@ -177,27 +177,32 @@ func (s *Span) End() {
 	s.reg.recordSpan(rec)
 }
 
-// The five commit-pipeline stage names, in execution order: mirror records
-// capture under the suspend window; the blobseer client records the rest.
-// SpanCommitStageLocal is the multilevel-checkpointing stage between them:
+// The commit-pipeline stage names, in execution order: mirror records
+// capture under the suspend window; the blobseer client records the rest —
+// probe (base version, ticket), hash (the dirty set fingerprinted, on every
+// core), upload (fingerprint probes and the bodies no provider holds),
+// publish (the metadata tree), durable (the version-manager commit).
+// SpanCommitStageLocal is the multilevel-checkpointing stage after capture:
 // with a node-local write-back tier attached, a capture is staged into the
 // local store (and replicated to the partner proxy) under this span before
-// the remote drain runs the probe/upload/publish/durable stages.
+// the remote drain runs the client's stages.
 const (
 	SpanCommitCapture    = "commit/capture"
 	SpanCommitStageLocal = "commit/stage-local"
 	SpanCommitProbe      = "commit/probe"
+	SpanCommitHash       = "commit/hash"
 	SpanCommitUpload     = "commit/upload"
 	SpanCommitPublish    = "commit/publish"
 	SpanCommitDurable    = "commit/durable"
 )
 
-// CommitStages lists the five always-present pipeline stage span names in
-// order. The stage-local span is not included: it only exists on modules
-// with a local tier attached (CommitStagesLocalTier covers those).
+// CommitStages lists the always-present pipeline stage span names in order.
+// The stage-local span is not included: it only exists on modules with a
+// local tier attached (CommitStagesLocalTier covers those).
 var CommitStages = []string{
 	SpanCommitCapture,
 	SpanCommitProbe,
+	SpanCommitHash,
 	SpanCommitUpload,
 	SpanCommitPublish,
 	SpanCommitDurable,
@@ -211,6 +216,7 @@ var CommitStagesLocalTier = []string{
 	SpanCommitCapture,
 	SpanCommitStageLocal,
 	SpanCommitProbe,
+	SpanCommitHash,
 	SpanCommitUpload,
 	SpanCommitPublish,
 	SpanCommitDurable,

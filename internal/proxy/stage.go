@@ -56,6 +56,10 @@ const (
 	opStageRelease = 0xD1
 )
 
+// minStagedChunkBytes is the least a staged chunk occupies in a stage-put
+// frame: its u64 index and a one-byte length prefix.
+const minStagedChunkBytes = 9
+
 // handleStageFrame dispatches the binary partner-replication frames.
 func (p *Proxy) handleStageFrame(ctx context.Context, req []byte) ([]byte, error) {
 	if p.Stage == nil {
@@ -70,10 +74,22 @@ func (p *Proxy) handleStageFrame(ctx context.Context, req []byte) ([]byte, error
 		size := r.U64()
 		chunkSize := r.U64()
 		n := int(r.U32())
+		if err := r.Err(); err != nil {
+			return nil, fmt.Errorf("proxy: stage-put: %w", err)
+		}
+		// Every chunk occupies at least its index and a length prefix: a
+		// count the rest of the frame cannot hold is corrupt, and nothing is
+		// allocated from it.
+		if n > r.Remaining()/minStagedChunkBytes {
+			return nil, fmt.Errorf("proxy: stage-put: implausible count %d with %d bytes left in the frame", n, r.Remaining())
+		}
+		// The bodies stay windows of the request frame, which is this
+		// handler's until it returns: Stage.Put has them in its store —
+		// copied, or on disk — by then.
 		writes := make(map[uint64][]byte, n)
 		for i := 0; i < n; i++ {
 			idx := r.U64()
-			writes[idx] = r.BytesCopy()
+			writes[idx] = r.Bytes()
 		}
 		if err := r.Err(); err != nil {
 			return nil, fmt.Errorf("proxy: stage-put: %w", err)

@@ -3,11 +3,12 @@ package seglog
 import (
 	"bytes"
 	"compress/flate"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"sync"
+
+	"blobcr/internal/chunkstore"
 )
 
 // minCompress is the smallest payload worth running DEFLATE over; below it
@@ -34,30 +35,13 @@ var flateWriters = sync.Pool{New: func() any {
 	return fw
 }}
 
-// isZero reports whether every byte of p is zero, eight bytes at a time.
-// All-zero chunks dominate sparse VM images, so this runs on every Put.
-func isZero(p []byte) bool {
-	for len(p) >= 8 {
-		if binary.LittleEndian.Uint64(p) != 0 {
-			return false
-		}
-		p = p[8:]
-	}
-	for _, b := range p {
-		if b != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // encodePayload picks the storage encoding for a chunk body: zero-page
 // elision first (flag only, no payload), then DEFLATE if it saves at least
 // 1/8th of the bytes, else raw. The returned payload may alias data (raw
 // case); callers must treat it as read-only. The choice is deterministic
 // for given bytes and options, so identical re-puts encode identically.
 func (s *Store) encodePayload(data []byte) (flags uint8, payload []byte) {
-	if len(data) > 0 && isZero(data) {
+	if len(data) > 0 && chunkstore.IsZero(data) {
 		return flagZero, nil
 	}
 	if s.opts.NoCompress || len(data) < minCompress {

@@ -9,12 +9,16 @@
 //   - Chunks are appended to segment files as self-delimiting records
 //     (record.go). A record is visible only after the batch containing it is
 //     fsynced, so an acked Put is durable.
-//   - Group commit: concurrent Puts ride one batch. The first writer to find
-//     no open batch becomes the leader; it claims the batch, writes it with
-//     a single WriteAt and a single fsync, installs the index entries, and
-//     wakes every rider. Writers that arrive while a leader is flushing form
-//     the next batch, so under concurrency the fsync count is a small
-//     fraction of the put count.
+//   - Group commit: a PutBatch (a data provider's put frame, a staged
+//     capture) and a DeleteBatch (a retire's releases) board the log as one
+//     unit — records encoded on parallel workers, then one append and one
+//     fdatasync for all of them; Put and Delete are the one-record case.
+//     Concurrent callers ride one batch: the first to find no open batch
+//     becomes the leader; it claims the batch, writes it with a single
+//     WriteAt and a single fsync, installs the index entries, and wakes every
+//     rider. Writers that arrive while a leader is flushing form the next
+//     batch, so the fsync count is at most the number of calls and under
+//     concurrency a fraction of it.
 //   - Compression: all-zero payloads (sparse VM images) store as a flag with
 //     no payload at all; other payloads are DEFLATE-compressed when that
 //     saves at least 1/8th of the bytes, else stored raw (compress.go).
@@ -151,6 +155,9 @@ var batchBufs = sync.Pool{New: func() any {
 }}
 
 const maxRetainedBuf = 8 << 20
+
+// bufGrain is the granularity a batch buffer's capacity grows in.
+const bufGrain = 1 << 20
 
 type metricHandles struct {
 	puts, gets, deletes, fsyncs, batches   *obs.Counter
@@ -429,6 +436,17 @@ func (s *Store) enqueue(recs []*pendingRec, raws []encodedRec) (*batch, error) {
 		leader = true
 	}
 	b := s.cur
+	// One growth for everything boarding: a put frame arrives as megabytes
+	// at once, and growing by doubling would re-copy what is already aboard.
+	// Capacities are whole multiples of bufGrain, so a pooled buffer that
+	// carried one full frame fits the next, a few header bytes longer.
+	need := len(b.buf)
+	for i := range raws {
+		need += hdrSize + len(raws[i].payload)
+	}
+	if need > cap(b.buf) {
+		b.buf = append(make([]byte, 0, (need+bufGrain-1)/bufGrain*bufGrain), b.buf...)
+	}
 	for i, rec := range recs {
 		switch rec.kind {
 		case recPut:
@@ -514,11 +532,15 @@ const maxFormSpins = 16
 //
 // Between taking fmu and claiming, the leader holds a short formation
 // window: it yields the processor while the batch keeps growing, claiming
-// only once boarding pauses (or the spin bound hits). Concurrent putters
-// that are runnable but not yet through their encode step — the common case
-// on few-core machines, where puts serialize on the CPU — get to ride this
-// batch instead of fragmenting into single-record flushes. An idle store
-// pays one yield (~a microsecond), far below the fsync it precedes.
+// only once boarding pauses (or the spin bound hits). A put frame needs no
+// window — PutBatch boards all its records in one enqueue, after encoding
+// them — so the window is for everyone else: frames of concurrent committers,
+// the bounded-concurrent single Puts of a wrapper that does not forward
+// PutBatch (chunkstore.PutBatch's fallback), compaction copies. Those are
+// runnable but not yet through their encode step when the leader arrives,
+// and get to ride this batch instead of fragmenting into flushes of their
+// own. An idle store, and a lone frame, pay one yield (~a microsecond), far
+// below the fsync it precedes.
 func (s *Store) flush(b *batch) {
 	s.fmu.Lock()
 	defer s.fmu.Unlock()
@@ -714,19 +736,58 @@ func (s *Store) sameStoredRecordLocked(e entry, raw []byte) bool {
 
 // --- chunkstore.Store ---
 
-// Put appends the chunk and returns once it is fsync-durable. Concurrent
-// Puts share a batch and an fsync. Re-putting identical content is a no-op;
-// different content under a stored key is ErrExists.
+// Put appends the chunk and returns once it is fsync-durable: PutBatch of
+// one record. Concurrent Puts share a batch and an fsync.
 func (s *Store) Put(k chunkstore.Key, data []byte) error {
-	s.puts.Add(1)
-	s.m.puts.Inc()
+	return s.PutBatch([]chunkstore.Key{k}, [][]byte{data})
+}
+
+// PutBatch implements chunkstore.BatchPutter: the records are encoded on
+// parallel workers — the idempotence check, zero test, DEFLATE and CRC of
+// each are independent, and none of it runs on the group-commit leader —
+// and board the log with one enqueue, so a batch nobody else rides costs one
+// append and one fdatasync however many records it carries. Re-putting
+// identical content is a no-op; different content under a stored key is
+// ErrExists (for that record: the others are stored).
+func (s *Store) PutBatch(keys []chunkstore.Key, bodies [][]byte) error {
+	s.puts.Add(uint64(len(keys)))
+	s.m.puts.Add(uint64(len(keys)))
+	recs := make([]*pendingRec, len(keys))
+	raws := make([]encodedRec, len(keys))
+	errs := make([]error, len(keys))
+	forEachParallel(len(keys), func(i int) {
+		recs[i], raws[i], errs[i] = s.encodePut(keys[i], bodies[i])
+	})
+	// Records already stored (or refused) drop out; the rest board together.
+	n := 0
+	for i, rec := range recs {
+		if rec != nil {
+			recs[n], raws[n] = rec, raws[i]
+			n++
+		}
+	}
+	if n > 0 {
+		if _, err := s.enqueue(recs[:n], raws[:n]); err != nil {
+			return err
+		}
+		for _, rec := range recs[:n] {
+			errs = append(errs, rec.err)
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// encodePut builds the boarding form of one put. A nil record means there
+// is nothing to append: the key already holds this content, or err says why
+// it cannot be stored.
+func (s *Store) encodePut(k chunkstore.Key, data []byte) (*pendingRec, encodedRec, error) {
 	if existing, found, err := s.read(k, ownedBuf); err != nil {
-		return err
+		return nil, encodedRec{}, err
 	} else if found {
 		if bytes.Equal(existing, data) {
-			return nil // idempotent replica re-delivery
+			return nil, encodedRec{}, nil // idempotent replica re-delivery
 		}
-		return fmt.Errorf("%w: %v", chunkstore.ErrExists, k)
+		return nil, encodedRec{}, fmt.Errorf("%w: %v", chunkstore.ErrExists, k)
 	}
 	flags, payload := s.encodePayload(data)
 	switch {
@@ -742,10 +803,28 @@ func (s *Store) Put(k chunkstore.Key, data []byte) error {
 	}
 	enc := encodeRec(header{key: k, flags: flags, ulen: uint32(len(data)), plen: uint32(len(payload))}, payload)
 	rec := &pendingRec{kind: recPut, key: k, size: int64(hdrSize + len(payload)), ulen: uint32(len(data)), flags: flags}
-	if _, err := s.enqueue([]*pendingRec{rec}, []encodedRec{enc}); err != nil {
-		return err
+	return rec, enc, nil
+}
+
+// forEachParallel runs fn(i) for every i in [0, n) on at most GOMAXPROCS
+// goroutines, the caller's among them — the work is CPU-bound, so more would
+// only queue, and a single item starts none.
+func forEachParallel(n int, fn func(i int)) {
+	workers := max(1, min(runtime.GOMAXPROCS(0), n))
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < n; i += workers {
+				fn(i)
+			}
+		}()
 	}
-	return rec.err
+	for i := 0; i < n; i += workers {
+		fn(i)
+	}
+	wg.Wait()
 }
 
 // Get returns the chunk body, verifying the record CRC on the way out.
@@ -885,24 +964,50 @@ func (s *Store) Has(k chunkstore.Key) bool {
 // Delete appends a tombstone and returns once it is durable. The dead bytes
 // it leaves behind are reclaimed by compaction.
 func (s *Store) Delete(k chunkstore.Key) error {
-	s.deletes.Add(1)
-	s.m.deletes.Inc()
+	absent, err := s.deleteBatch([]chunkstore.Key{k})
+	if err == nil && absent > 0 {
+		err = fmt.Errorf("%w: %v", chunkstore.ErrNotFound, k)
+	}
+	return err
+}
+
+// DeleteBatch implements chunkstore.BatchPutter: one tombstone batch — one
+// append, one fdatasync — and one nudge to the compactor for the whole set.
+func (s *Store) DeleteBatch(keys []chunkstore.Key) error {
+	_, err := s.deleteBatch(keys)
+	return err
+}
+
+// deleteBatch tombstones every key the index holds and reports how many it
+// did not (absent before the batch, or deleted by a racing batch first).
+func (s *Store) deleteBatch(keys []chunkstore.Key) (absent int, err error) {
+	s.deletes.Add(uint64(len(keys)))
+	s.m.deletes.Add(uint64(len(keys)))
+	recs := make([]*pendingRec, 0, len(keys))
+	raws := make([]encodedRec, 0, len(keys))
 	s.mu.RLock()
-	_, ok := s.index[k]
+	for _, k := range keys {
+		if _, ok := s.index[k]; !ok {
+			absent++
+			continue
+		}
+		recs = append(recs, &pendingRec{kind: recTomb, key: k, size: hdrSize})
+		raws = append(raws, encodeRec(header{key: k, flags: flagTombstone}, nil))
+	}
 	s.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("%w: %v", chunkstore.ErrNotFound, k)
+	if len(recs) == 0 {
+		return absent, nil
 	}
-	enc := encodeRec(header{key: k, flags: flagTombstone}, nil)
-	rec := &pendingRec{kind: recTomb, key: k, size: hdrSize}
-	if _, err := s.enqueue([]*pendingRec{rec}, []encodedRec{enc}); err != nil {
-		return err
+	if _, err := s.enqueue(recs, raws); err != nil {
+		return absent, err
 	}
-	if rec.err != nil {
-		return rec.err
+	for _, rec := range recs {
+		if rec.err != nil { // only ever ErrNotFound: see install
+			absent++
+		}
 	}
 	s.triggerCompact()
-	return nil
+	return absent, nil
 }
 
 // Len implements chunkstore.Store.
@@ -1009,4 +1114,5 @@ var (
 	_ chunkstore.EngineStatser = (*Store)(nil)
 	_ chunkstore.Compactor     = (*Store)(nil)
 	_ chunkstore.ReaderInto    = (*Store)(nil)
+	_ chunkstore.BatchPutter   = (*Store)(nil)
 )

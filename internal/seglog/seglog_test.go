@@ -162,7 +162,7 @@ func TestZeroPageElision(t *testing.T) {
 		t.Fatalf("logical_bytes = %d, want %d", es.Field("logical_bytes"), chunk)
 	}
 	got, err := s.Get(key(1))
-	if err != nil || len(got) != chunk || !isZero(got) {
+	if err != nil || len(got) != chunk || !chunkstore.IsZero(got) {
 		t.Fatalf("zero page roundtrip failed: %v", err)
 	}
 }
