@@ -230,6 +230,19 @@ func renderMetrics(w *os.File, points []obs.Point, rates map[string]float64) {
 			ms(last), ms(h.Mean()), ms(h.Quantile(0.99)), h.Count)
 		covered["proxy_suspend_ns"], covered["proxy_suspend_last_ns"] = true, true
 	}
+	// Where the capture's copy went: the window hands dirty buffers over, and
+	// only a guest write that keeps part of a captured chunk copies it.
+	if captured := obs.Find(points, "mirror_capture_chunks_total"); captured != nil && captured.Value > 0 {
+		line := fmt.Sprintf("capture: %d chunks handed off under suspend", captured.Value)
+		if copies := obs.Find(points, "mirror_cow_copies_total"); copies != nil {
+			line += fmt.Sprintf(", %d copied since by partial guest writes", copies.Value)
+		}
+		if bytes := obs.Find(points, "mirror_cow_bytes_total"); bytes != nil {
+			line += fmt.Sprintf(" (%d bytes)", bytes.Value)
+		}
+		fmt.Fprintln(w, line)
+		covered["mirror_capture_chunks_total"], covered["mirror_cow_copies_total"], covered["mirror_cow_bytes_total"] = true, true, true
+	}
 
 	// Dedup: bytes the content-addressed repository kept off the wire.
 	if logical := obs.Find(points, "blobseer_commit_logical_bytes_total"); logical != nil && logical.Value > 0 {

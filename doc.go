@@ -147,8 +147,9 @@
 // atomic counters, gauges and log2-bucketed histograms keyed by
 // name+labels — plus span tracing for the commit pipeline: each
 // asynchronous commit emits six ordered spans (commit/capture under the
-// suspend window, then commit/probe, commit/hash, commit/upload,
-// commit/publish, commit/durable in the background), carried on the context.Context and
+// suspend window — a hand-off of the dirty buffers, about zero — then
+// commit/probe, commit/hash, commit/upload, commit/publish, commit/durable
+// in the background), carried on the context.Context and
 // recorded both per-request (obs.Trace) and as span_ns histograms.
 // transport.Meter wraps any Network and records per-verb calls, bytes and
 // latency (plus a per-address breakdown), tagging RemoteError values with
@@ -224,8 +225,11 @@
 // # Asynchronous checkpoint handles
 //
 // The checkpoint lifecycle is asynchronous end to end: the proxy's
-// CHECKPOINT verb resumes the VM as soon as its dirty chunks are captured
-// locally, and the commit to the repository proceeds in the background
+// CHECKPOINT verb clones before it suspends (first checkpoint only) and
+// resumes the VM as soon as its dirty chunks' buffers have changed hands —
+// the mirror copies nothing under suspend; it never writes a captured
+// buffer again, so the guest's next write to such a chunk moves it to a
+// fresh one — and the commit to the repository proceeds in the background
 // behind a handle (mirror.PendingCommit / core.PendingCheckpoint) that
 // WAIT or POLL resolve. Every operation takes a context.Context —
 // cancelling an in-flight commit runs the abort path and returns every

@@ -1,6 +1,6 @@
 // Downtime experiment: effective VM downtime of the synchronous commit
 // (suspend-clone-commit-resume, the pre-redesign CHECKPOINT verb) versus
-// the asynchronous pipeline (suspend-clone-capture-resume with the upload
+// the asynchronous pipeline (clone-suspend-capture-resume with the upload
 // in the background). It runs the real stack — blobseer deployment, mirror
 // module, vm instance, checkpointing proxy — over a latency- and
 // bandwidth-injecting in-process network, and reports both wall time and
@@ -33,8 +33,8 @@ import (
 type DowntimeResult struct {
 	DirtyMB       float64
 	SyncMillis    float64
-	AsyncMillis   float64
-	SyncNetCalls  uint64 // network round trips inside the suspend window
+	AsyncMillis   float64 // suspend to resume as the proxy timed it (proxy_suspend_ns)
+	SyncNetCalls  uint64  // network round trips inside the suspend window
 	AsyncNetCalls uint64
 }
 
@@ -158,13 +158,17 @@ func RunDowntime(dirtyChunks []int) ([]DowntimeResult, error) {
 		// moment the capture is enqueued, so the shared counter may also see
 		// its first call before this goroutine samples it: the count is
 		// bounded by a small constant, never by the dirty-set size.
+		// The window is the proxy's own suspend-to-resume timing, as the sync
+		// side's is: the call's wall time adds the exchange's modelled latency,
+		// a timer sleep that an idle runtime rounds up to a millisecond.
 		calls0 = lat.Calls()
-		t0 = time.Now()
+		windows := client.Obs.Histogram("proxy_suspend_ns")
+		ns0 := windows.Sum()
 		handle, err := asyncClient.RequestCheckpointAsync(ctx)
 		if err != nil {
 			return nil, err
 		}
-		r.AsyncMillis = float64(time.Since(t0).Microseconds()) / 1000
+		r.AsyncMillis = float64(windows.Sum()-ns0) / 1e6
 		r.AsyncNetCalls = lat.Calls() - calls0
 		// Drain the pipeline before the next round so rounds don't overlap.
 		if _, err := asyncClient.WaitCheckpoint(ctx, handle); err != nil {
@@ -233,8 +237,8 @@ func verifyStageTelemetry(ctx context.Context, net transport.Network, addr strin
 
 // FigDowntime renders the downtime experiment: effective downtime (and
 // suspend-window round trips) of sync vs async commit across dirty-set
-// sizes. Async downtime is flat — O(local capture) — while sync grows with
-// the dirty set.
+// sizes. Async downtime is flat — the capture walks the dirty index and hands
+// the buffers over, copying nothing — while sync grows with the dirty set.
 func FigDowntime() Series {
 	s := Series{
 		Title:   "Downtime: synchronous vs asynchronous commit (effective VM downtime)",

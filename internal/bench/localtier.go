@@ -3,7 +3,7 @@
 // scenario it exists for.
 //
 // The downtime experiment already shows a single async checkpoint's suspend
-// window is O(local capture). What it cannot show is the *admission*
+// window is a walk over the dirty index. What it cannot show is the *admission*
 // coupling: the mirror pipeline is bounded, so once DefaultPipelineDepth
 // commits are in flight, the next suspend window waits for the remote plane
 // to finish one — back-to-back checkpoints against a starved plane inherit

@@ -921,15 +921,13 @@ func (c *Cloud) PartialRestart(ctx context.Context, dep *Deployment, ckptID int)
 // the mirror module back, reboot. The proxy registration, token and node
 // stay as they are.
 func (c *Cloud) rollbackInPlace(ctx context.Context, inst *Instance, ref SnapshotRef) error {
-	deadline := time.Now().Add(inPlaceDrainTimeout)
-	for inst.Mirror.PendingCommits() > 0 {
-		if err := ctx.Err(); err != nil {
-			return err
+	drainCtx, cancel := context.WithTimeout(ctx, inPlaceDrainTimeout)
+	defer cancel()
+	if err := inst.Mirror.DrainNow(drainCtx); err != nil {
+		if ctx.Err() != nil {
+			return ctx.Err()
 		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("cloud: %s: %w", inst.VMID, mirror.ErrCommitsInFlight)
-		}
-		time.Sleep(time.Millisecond)
+		return fmt.Errorf("cloud: %s: %w", inst.VMID, mirror.ErrCommitsInFlight)
 	}
 	inst.VM.Kill()
 	if err := inst.Mirror.RollbackTo(ctx, ref); err != nil {

@@ -53,7 +53,8 @@ type Capture struct {
 	bytes     uint64
 }
 
-// Indices returns the chunk indices the capture covers, in staging order.
+// Indices returns the chunk indices the capture covers, in staging order:
+// ascending.
 func (c *Capture) Indices() []uint64 { return append([]uint64(nil), c.indices...) }
 
 // Bytes returns the capture's staged payload size.

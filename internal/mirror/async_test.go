@@ -14,7 +14,8 @@ import (
 
 // gateNet wraps a Network; once armed, the next chunk-body upload (spotted
 // by request size) blocks until its context is cancelled, simulating a
-// commit caught mid-upload.
+// commit caught mid-upload — or, armed with hold, until the returned release
+// is called, after which the upload goes through.
 type gateNet struct {
 	inner transport.Network
 
@@ -22,6 +23,7 @@ type gateNet struct {
 	armed   bool
 	skip    int           // big calls to let through before tripping
 	blocked chan struct{} // closed when an upload is blocked on the gate
+	release chan struct{} // closed to let a held upload proceed; nil when armed to fail
 }
 
 func newGateNet() *gateNet {
@@ -40,6 +42,7 @@ func (g *gateNet) Call(ctx context.Context, addr string, req []byte) ([]byte, er
 	if len(req) >= bodyThreshold {
 		g.mu.Lock()
 		trip := false
+		release := g.release
 		if g.armed {
 			if g.skip > 0 {
 				g.skip--
@@ -51,19 +54,34 @@ func (g *gateNet) Call(ctx context.Context, addr string, req []byte) ([]byte, er
 		}
 		g.mu.Unlock()
 		if trip {
-			<-ctx.Done()
-			return nil, ctx.Err()
+			select {
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			case <-release:
+			}
 		}
 	}
 	return g.inner.Call(ctx, addr, req)
 }
 
-// arm trips the gate on the (skip+1)th chunk-body upload.
-func (g *gateNet) arm(skip int) {
+// hold trips the gate on the next chunk-body upload and keeps it there until
+// the returned function is called.
+func (g *gateNet) hold() (release func()) {
+	ch := make(chan struct{})
+	g.set(0, ch)
+	return func() { close(ch) }
+}
+
+// arm trips the gate on the (skip+1)th chunk-body upload, which then fails
+// with its context.
+func (g *gateNet) arm(skip int) { g.set(skip, nil) }
+
+func (g *gateNet) set(skip int, release chan struct{}) {
 	g.mu.Lock()
 	g.armed = true
 	g.skip = skip
 	g.blocked = make(chan struct{})
+	g.release = release
 	g.mu.Unlock()
 }
 

@@ -92,37 +92,48 @@ func BenchmarkCommitTCP(b *testing.B) {
 // TestCommitCopyBudget is the write path's copy budget as a regression gate:
 // client and providers run in this one process, and between the guest's
 // dirty chunk and the provider's log a committed byte may be allocated at
-// most 3.25 times over. It is allocated three times — the capture taken
-// under the suspend, the request frame, and the server's read of that frame
-// (transport.Network.Call takes one []byte) — and the rest is the log's
-// pooled batch buffer, fingerprints, metadata and slack. The tree this grew
-// from allocated more than four: its batch buffer grew by doubling.
+// most 2.25 times over. It is allocated twice — the request frame, and the
+// server's read of that frame (transport.Network.Call takes one []byte) —
+// and the rest is the log's pooled batch buffer, fingerprints, metadata and
+// slack; the capture hands the guest's own buffers over and allocates an
+// index. The copy the capture used to make is now the guest's: rewriting a
+// captured chunk gives it a fresh buffer. So the whole round — dirty the
+// device, then commit — has a budget too, 3.25, which keeps that copy from
+// quietly becoming two.
 func TestCommitCopyBudget(t *testing.T) {
-	const budget, imageBytes, chunk = 3.25, 32 << 20, 256 << 10
+	const commitBudget, roundBudget, imageBytes, chunk = 2.25, 3.25, 32 << 20, 256 << 10
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop buffers at random: the segment log's batch buffers are reallocated")
 	}
 	bed := newCommitBed(t, imageBytes, chunk)
 	bed.dirty(t)
 	bed.commit(t)
-	// The best of three commits: a collection that empties the log's buffer
+	// The best of three rounds: a collection that empties the log's buffer
 	// pool mid-commit costs a commit up to one fresh batch buffer per
 	// provider, which is the collector's timing, not a copy.
-	best := 0.0
+	bestCommit, bestRound := 0.0, 0.0
 	for round := 0; round < 3; round++ {
-		bed.dirty(t)
-		var before, after runtime.MemStats
+		var before, dirtied, after runtime.MemStats
 		runtime.ReadMemStats(&before)
+		bed.dirty(t)
+		runtime.ReadMemStats(&dirtied)
 		bed.commit(t)
 		runtime.ReadMemStats(&after)
-		perByte := float64(after.TotalAlloc-before.TotalAlloc) / imageBytes
-		t.Logf("chunk %d KiB: %.2f bytes allocated per dirty byte, %d mallocs per chunk",
-			chunk>>10, perByte, (after.Mallocs-before.Mallocs)/(imageBytes/chunk))
-		if round == 0 || perByte < best {
-			best = perByte
+		commit := float64(after.TotalAlloc-dirtied.TotalAlloc) / imageBytes
+		whole := float64(after.TotalAlloc-before.TotalAlloc) / imageBytes
+		t.Logf("chunk %d KiB: %.2f bytes allocated per dirty byte by the commit, %.2f by the round, %d mallocs per chunk",
+			chunk>>10, commit, whole, (after.Mallocs-dirtied.Mallocs)/(imageBytes/chunk))
+		if round == 0 || commit < bestCommit {
+			bestCommit = commit
+		}
+		if round == 0 || whole < bestRound {
+			bestRound = whole
 		}
 	}
-	if best > budget {
-		t.Errorf("chunk %d KiB: %.2f bytes allocated per dirty byte at best, budget %.2f", chunk>>10, best, budget)
+	if bestCommit > commitBudget {
+		t.Errorf("chunk %d KiB: commit allocated %.2f bytes per dirty byte at best, budget %.2f", chunk>>10, bestCommit, commitBudget)
+	}
+	if bestRound > roundBudget {
+		t.Errorf("chunk %d KiB: dirty + commit allocated %.2f bytes per dirty byte at best, budget %.2f", chunk>>10, bestRound, roundBudget)
 	}
 }

@@ -9,15 +9,28 @@
 //
 //   - Clone: create the VM's checkpoint image as a clone of the base image
 //     (first checkpoint only);
-//   - CommitAsync: capture the locally accumulated modifications (a local
-//     copy, the only part that must happen while the VM is suspended) and
-//     publish them as a new incremental snapshot in the background, through
-//     a bounded per-module pipeline. The returned PendingCommit is the
-//     checkpoint handle: Wait/Done/Err observe completion, and cancelling
-//     the commit's context runs the repository abort path so dedup
-//     refcounts never leak.
+//   - CommitAsync: capture the locally accumulated modifications (a walk
+//     over the dirty index, the only part that must happen while the VM is
+//     suspended) and publish them as a new incremental snapshot in the
+//     background, through a bounded per-module pipeline. The returned
+//     PendingCommit is the checkpoint handle: Wait/Done/Err observe
+//     completion, and cancelling the commit's context runs the repository
+//     abort path so dedup refcounts never leak.
 //
 // Commit is the synchronous convenience wrapper (CommitAsync + Wait).
+//
+// The capture copies nothing: it hands the module's own dirty buffers to the
+// PendingCommit and marks those chunks frozen. The invariant everything
+// downstream of the capture relies on — the hash workers, the local tier, the
+// partner frame, a store that keeps what it is handed — is that a buffer
+// reachable from any PendingCommit is immutable for the rest of its life. The
+// module keeps it by never writing a frozen chunk in place: the guest's next
+// write to one installs a fresh buffer first (empty for a whole-chunk
+// overwrite, a copy of the old content for a partial one) and only that
+// clears the mark. A commit's completion, failure, fold or halt never does,
+// because a later capture still queued may hold the same buffer. So the one
+// copy per chunk per interval is paid by the running guest, and only for
+// chunks it rewrites in part.
 //
 // The module also records the order in which chunks are first accessed; the
 // restart path publishes this trace so slower instances can prefetch chunks
@@ -59,7 +72,7 @@ var ErrHalted = errors.New("mirror: module halted")
 // DefaultPipelineDepth bounds how many commits may be in flight per module:
 // the capture step blocks once this many snapshots are queued or uploading,
 // which is the backpressure that keeps a slow repository from accumulating
-// unbounded dirty-set copies.
+// unbounded generations of captured buffers.
 const DefaultPipelineDepth = 4
 
 // Module is one VM's mirroring module.
@@ -84,6 +97,7 @@ type Module struct {
 
 	local   map[uint64][]byte // chunk index -> locally available content; nil is a known hole (dirty chunks never are)
 	dirty   map[uint64]bool   // modified since the last Commit
+	frozen  map[uint64]bool   // local[idx] was handed to a capture: WriteAt replaces it, never writes it
 	written map[uint64]bool   // ever locally modified: dropped on RollbackTo
 	trace   []uint64          // first-access order (for prefetch hints)
 
@@ -107,7 +121,8 @@ type Module struct {
 	sem           chan struct{}
 	queue         []*PendingCommit
 	workerRunning bool
-	inFlight      int // commits captured but not yet completed
+	inFlight      int           // commits captured but not yet completed
+	idle          chan struct{} // non-nil while inFlight > 0; closed when it returns to zero
 
 	// Local write-back tier (nil without one). With a tier attached, a
 	// capture first travels the stage queue — staged into the node-local
@@ -172,6 +187,7 @@ func Attach(ctx context.Context, c *blobseer.Client, ref blobseer.SnapshotRef) (
 		size:          snap.Size(),
 		local:         make(map[uint64][]byte),
 		dirty:         make(map[uint64]bool),
+		frozen:        make(map[uint64]bool),
 		written:       make(map[uint64]bool),
 		pipelineDepth: DefaultPipelineDepth,
 		live:          make(map[*PendingCommit]struct{}),
@@ -207,11 +223,11 @@ func (m *Module) Size() int64 {
 func (m *Module) Flush() error { return nil }
 
 // fullChunk returns body as the mirror keeps a chunk: chunkSize bytes it may
-// write in place, or nil for a hole. A whole chunk delivered by the
-// repository client is kept as it came — a window of its response frame, not
-// a copy — and a hole stays nil: it is known to read as zeros and costs no
-// memory until the guest writes to it (WriteAt). The device's short tail
-// chunk is the only allocation.
+// write in place until a capture freezes them, or nil for a hole. A whole
+// chunk delivered by the repository client is kept as it came — a window of
+// its response frame, not a copy — and a hole stays nil: it is known to read
+// as zeros and costs no memory until the guest writes to it (WriteAt). The
+// device's short tail chunk is the only allocation.
 func (m *Module) fullChunk(body []byte) []byte {
 	if body == nil || uint64(len(body)) == m.chunkSize {
 		return body
@@ -295,7 +311,8 @@ func (m *Module) ReadAt(p []byte, off int64) (int, error) {
 
 // WriteAt implements vdisk.Device. Writes are stored locally at chunk
 // granularity; partially covered chunks are first filled from the backing
-// snapshot (copy-on-write).
+// snapshot (copy-on-write). A frozen chunk is never written in place: its
+// first write after the capture moves it to a fresh buffer.
 func (m *Module) WriteAt(p []byte, off int64) (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -326,11 +343,19 @@ func (m *Module) WriteAt(p []byte, off int64) (int, error) {
 			}
 			data = m.local[idx]
 		}
-		if data == nil {
+		if data == nil || m.frozen[idx] {
 			// Never fetched and wholly overwritten, or a hole: its first write
-			// is what gives the chunk memory.
-			data = make([]byte, m.chunkSize)
+			// is what gives the chunk memory. Or frozen: the old buffer is a
+			// capture's now, and only a partial write has content to keep.
+			fresh := make([]byte, m.chunkSize)
+			if data != nil && n < m.chunkSize {
+				copy(fresh, data)
+				m.client.Registry().Counter("mirror_cow_copies_total").Inc()
+				m.client.Registry().Counter("mirror_cow_bytes_total").Add(m.chunkSize)
+			}
+			data = fresh
 			m.local[idx] = data
+			delete(m.frozen, idx)
 		}
 		copy(data[inner:inner+n], p[written:written+int(n)])
 		if !m.dirty[idx] {
@@ -344,17 +369,23 @@ func (m *Module) WriteAt(p []byte, off int64) (int, error) {
 
 // Clone creates the checkpoint image as a clone of the backing snapshot.
 // Idempotent: calling it when the checkpoint image exists does nothing.
-// This is the CLONE ioctl.
+// This is the CLONE ioctl. The proxy issues it before it suspends the VM, so
+// the module lock is not held across the round trip: the guest keeps going.
 func (m *Module) Clone(ctx context.Context) error {
+	m.captureMu.Lock() // one clone at a time, and none beside a capture
+	defer m.captureMu.Unlock()
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.hasCkpt {
+	has, src := m.hasCkpt, m.src // src cannot move before there is a checkpoint image to roll back to
+	m.mu.Unlock()
+	if has {
 		return nil
 	}
-	ckpt, err := m.client.Clone(ctx, m.src)
+	ckpt, err := m.client.Clone(ctx, src)
 	if err != nil {
 		return fmt.Errorf("mirror: clone: %w", err)
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.ckptBlob = ckpt
 	m.hasCkpt = true
 	// The clone's version 0 is the backing snapshot's content: the first
@@ -396,6 +427,7 @@ func (m *Module) RollbackTo(ctx context.Context, ref blobseer.SnapshotRef) error
 	}
 	m.written = make(map[uint64]bool)
 	m.dirty = make(map[uint64]bool)
+	m.frozen = make(map[uint64]bool) // every frozen chunk was written, so its buffer just left m.local
 	m.src = ref
 	m.snap = snap
 	m.base = ref
@@ -523,8 +555,8 @@ func (p *PendingCommit) Wait(ctx context.Context) (blobseer.SnapshotRef, error) 
 	}
 }
 
-// CommitAsync captures the dirty chunks — the local copy-on-write clone that
-// is the only work done while the VM is suspended — clears the dirty set and
+// CommitAsync captures the dirty chunks — it takes their buffers and freezes
+// them, the only work done while the VM is suspended — clears the dirty set and
 // returns a PendingCommit that publishes the capture as a new incremental
 // snapshot of the checkpoint image in the background. This is the COMMIT
 // ioctl split in two: capture now, publish later.
@@ -600,8 +632,9 @@ func (m *Module) commitAsync(admitCtx, uploadCtx context.Context) (*PendingCommi
 		localSafe:   make(chan struct{}),
 		done:        make(chan struct{}),
 	}
-	// Stage: capture — the dirty chunks are copied while the VM is
-	// suspended; this is the only pipeline stage inside the suspend window.
+	// Stage: capture — the only pipeline stage inside the suspend window. The
+	// dirty buffers change hands, uncopied: WriteAt keeps the suspended state
+	// intact by moving a frozen chunk to a fresh buffer before it writes.
 	_, capture := obs.StartSpan(uploadCtx, obs.SpanCommitCapture)
 	for idx := range m.dirty {
 		chunk := m.local[idx]
@@ -611,15 +644,16 @@ func (m *Module) commitAsync(admitCtx, uploadCtx context.Context) (*PendingCommi
 		if end > m.size {
 			chunk = chunk[:m.size-idx*m.chunkSize]
 		}
-		// Copy: the VM resumes writing to the local cache immediately, and
-		// the capture must publish the suspended state.
-		cp := make([]byte, len(chunk))
-		copy(cp, chunk)
-		pc.writes[idx] = cp
+		pc.writes[idx] = chunk
 		pc.indices = append(pc.indices, idx)
+		m.frozen[idx] = true
 	}
+	m.client.Registry().Counter("mirror_capture_chunks_total").Add(uint64(len(m.dirty)))
 	m.dirty = make(map[uint64]bool)
 	capture.End()
+	if m.inFlight == 0 {
+		m.idle = make(chan struct{})
+	}
 	m.inFlight++
 	m.live[pc] = struct{}{}
 	if m.stageCfg != nil {
@@ -673,8 +707,7 @@ func (m *Module) runStage(pc *PendingCommit) {
 		// Halted (or the caller aborted) before staging: finish the handle
 		// without touching the tier or the drain queue.
 		m.mu.Lock()
-		m.inFlight--
-		delete(m.live, pc)
+		m.retireLocked(pc)
 		m.mu.Unlock()
 		pc.localErr = err
 		close(pc.localSafe)
@@ -779,8 +812,6 @@ func (m *Module) runCommit(pc *PendingCommit) {
 	}
 
 	m.mu.Lock()
-	m.inFlight--
-	delete(m.live, pc)
 	if err != nil {
 		if pc.capture == nil {
 			// The capture is lost to the repository but not to the VM.
@@ -793,7 +824,9 @@ func (m *Module) runCommit(pc *PendingCommit) {
 			// additionally re-marking the chunks dirty) would publish — and
 			// count in CommitStats — the same write more than once. Only
 			// when nothing is queued to carry them do the chunks go back to
-			// the dirty set for a future capture.
+			// the dirty set for a future capture. Either way the buffers stay
+			// frozen: the fold shares them, and a chunk re-marked dirty may
+			// already sit in a capture still in the stage queue.
 			absorbed := false
 			for _, q := range m.queue {
 				if q.capture != nil {
@@ -840,6 +873,10 @@ func (m *Module) runCommit(pc *PendingCommit) {
 	}
 	pc.writes = nil // release the capture
 	pc.cancel()     // release the per-commit context
+	// Retired last: a DrainNow this wakes finds the tier cleared of the capture.
+	m.mu.Lock()
+	m.retireLocked(pc)
+	m.mu.Unlock()
 	close(pc.done)
 }
 
@@ -874,18 +911,27 @@ func (m *Module) Halted() bool {
 // received its notice flushes the local tier inside the grace window so no
 // locally-safe-only state is lost with the node.
 func (m *Module) DrainNow(ctx context.Context) error {
-	for {
-		m.mu.Lock()
-		n := m.inFlight
-		m.mu.Unlock()
-		if n == 0 {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(2 * time.Millisecond):
-		}
+	m.mu.Lock()
+	idle := m.idle
+	m.mu.Unlock()
+	if idle == nil {
+		return nil
+	}
+	select {
+	case <-idle:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// retireLocked takes a finished capture out of the in-flight accounting; the
+// last one out wakes DrainNow. Caller holds m.mu.
+func (m *Module) retireLocked(pc *PendingCommit) {
+	delete(m.live, pc)
+	if m.inFlight--; m.inFlight == 0 {
+		close(m.idle)
+		m.idle = nil
 	}
 }
 

@@ -388,24 +388,32 @@ func TestTailChunkTrimOnCommit(t *testing.T) {
 	}
 }
 
+// TestRandomizedShadowModel drives random writes and commits — synchronous
+// ones and asynchronous ones the writes keep racing — over a device with a
+// short tail chunk, and checks the device and every snapshot against a
+// shadow: each snapshot must be the shadow as it was at its capture.
 func TestRandomizedShadowModel(t *testing.T) {
-	_, c, m, content := setup(t, 32*cs)
+	_, c, m, content := setup(t, 32*cs+77)
 	shadow := append([]byte(nil), content...)
 	rng := rand.New(rand.NewSource(44))
 	m.Clone(ctx)
-	ckpt, _ := m.CheckpointImage()
 	type snap struct {
-		version uint64
-		state   []byte
+		pc    *PendingCommit
+		state []byte
 	}
 	var snaps []snap
-	for iter := 0; iter < 60; iter++ {
+	for iter := 0; iter < 240; iter++ {
 		if rng.Intn(8) == 0 {
-			info, err := m.Commit(ctx)
+			pc, err := m.CommitAsync(ctx)
 			if err != nil {
 				t.Fatal(err)
 			}
-			snaps = append(snaps, snap{info.Version, append([]byte(nil), shadow...)})
+			snaps = append(snaps, snap{pc, append([]byte(nil), shadow...)})
+			if rng.Intn(2) == 0 {
+				if _, err := pc.Wait(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
 			continue
 		}
 		off := rng.Intn(len(shadow) - 1)
@@ -427,7 +435,11 @@ func TestRandomizedShadowModel(t *testing.T) {
 	}
 	// Every committed snapshot matches its recorded state.
 	for i, s := range snaps {
-		got, err := c.ReadVersion(ctx, blobseer.SnapshotRef{Blob: ckpt, Version: s.version}, 0, uint64(len(s.state)))
+		ref, err := s.pc.Wait(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.ReadVersion(ctx, ref, 0, uint64(len(s.state)))
 		if err != nil {
 			t.Fatal(err)
 		}

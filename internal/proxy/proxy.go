@@ -4,11 +4,12 @@
 //
 // As in the paper, the proxy is not globally accessible — it only accepts
 // requests from instances registered as locally hosted, authenticated by a
-// per-VM token. On a checkpoint request it (1) suspends the instance,
-// (2) clones the base image into a checkpoint image if this is the first
-// checkpoint, (3) captures the locally accumulated modifications (the local
-// copy-on-write clone) and (4) resumes the instance — so VM downtime covers
-// only suspend + clone + local capture, independent of the dirty-set size.
+// per-VM token. On a checkpoint request it (1) clones the base image into a
+// checkpoint image if this is the first checkpoint — while the instance still
+// runs — (2) suspends the instance, (3) captures the locally accumulated
+// modifications (the mirror hands their buffers over; nothing is copied) and
+// (4) resumes the instance — so VM downtime covers only suspend + a walk over
+// the dirty index, independent of the dirty-set size.
 // The commit of the captured chunks to the repository proceeds in the
 // background after resume; the response carries an asynchronous checkpoint
 // handle that WAIT or POLL resolve to the published snapshot once the
@@ -345,7 +346,7 @@ func parseIndices(s string) ([]uint64, error) {
 	return out, nil
 }
 
-// checkpoint performs the suspend-clone-capture-resume sequence and returns
+// checkpoint performs the clone-suspend-capture-resume sequence and returns
 // the handle of the in-flight commit. The VM resumes before any chunk is
 // uploaded: only the local capture happens under suspend.
 func (p *Proxy) checkpoint(ctx context.Context, t *target) (handle uint64, err error) {
@@ -356,6 +357,28 @@ func (p *Proxy) checkpoint(ctx context.Context, t *target) (handle uint64, err e
 	// under this node's handler.
 	ctx, sp := obs.StartSpan(obs.HandlerContext(ctx, reg), "handler/CHECKPOINT")
 	defer sp.End()
+	defer func() {
+		if err != nil {
+			reg.Counter("proxy_checkpoint_failures_total").Inc()
+		} else {
+			reg.Counter("proxy_checkpoints_total").Inc()
+		}
+	}()
+	// The CLONE round trip and admission into the bounded pipeline are
+	// bounded by a deadline on top of the request context: if the repository
+	// or the pipeline wedges, the request fails — and a suspended VM resumes
+	// — after at most the admit timeout instead of waiting without bound.
+	// (Over TCP the handler context is the server's, so the deadline — not
+	// caller cancellation — is what guarantees the bound.) The upload itself
+	// is detached and unaffected.
+	admitCtx, cancel := context.WithTimeout(ctx, p.admitTimeout())
+	defer cancel()
+	// CLONE depends only on the immutable backing snapshot, so it runs while
+	// the VM does: a first checkpoint's window holds no round trip, and a
+	// repository that is down fails the request without suspending anything.
+	if err := t.mirror.Clone(admitCtx); err != nil {
+		return 0, err
+	}
 	sw := obs.StartTimer()
 	if err := t.inst.Suspend(); err != nil {
 		return 0, err
@@ -371,24 +394,7 @@ func (p *Proxy) checkpoint(ctx context.Context, t *target) (handle uint64, err e
 		ns := sw.ElapsedNanos()
 		reg.Histogram("proxy_suspend_ns").Observe(ns)
 		reg.Gauge("proxy_suspend_last_ns").Set(int64(ns))
-		if err != nil {
-			reg.Counter("proxy_checkpoint_failures_total").Inc()
-		} else {
-			reg.Counter("proxy_checkpoints_total").Inc()
-		}
 	}()
-	// Everything that runs while the VM is suspended — the CLONE round trip
-	// and admission into the bounded pipeline — is bounded by a deadline on
-	// top of the request context: if the repository or the pipeline wedges,
-	// the VM must resume after at most the admit timeout instead of sitting
-	// suspended behind an unbounded wait. (Over TCP the handler context is
-	// the server's, so the deadline — not caller cancellation — is what
-	// guarantees the bound.) The upload itself is detached and unaffected.
-	admitCtx, cancel := context.WithTimeout(ctx, p.admitTimeout())
-	defer cancel()
-	if err := t.mirror.Clone(admitCtx); err != nil {
-		return 0, err
-	}
 	pc, err := t.mirror.CommitAsyncDetached(admitCtx)
 	if err != nil {
 		return 0, err

@@ -9,6 +9,7 @@ import (
 
 	"blobcr/internal/blobseer"
 	"blobcr/internal/mirror"
+	"blobcr/internal/obs"
 	"blobcr/internal/transport"
 	"blobcr/internal/vm"
 )
@@ -339,5 +340,61 @@ func TestPrefetchWarmsLocalCache(t *testing.T) {
 	}
 	if !strings.HasPrefix(string(resp), "ERR") {
 		t.Errorf("malformed index list accepted: %q", resp)
+	}
+}
+
+// TestFirstCheckpointClonesBeforeSuspend: CLONE depends only on the immutable
+// backing snapshot, so a first checkpoint pays its round trip to the version
+// manager while the VM still runs — the suspend window holds none of it.
+func TestFirstCheckpointClonesBeforeSuspend(t *testing.T) {
+	const delay = 40 * time.Millisecond
+	e := setup(t)
+	reg := obs.NewRegistry()
+	e.proxy.Obs = reg
+	// The module's own repository client — the one CLONE and the background
+	// commit go through — sits behind a slow network; the guest's exchange
+	// with its co-located proxy does not.
+	e.client.Net = transport.WithLatency(e.net, delay)
+	began := time.Now()
+	handle, err := e.pc.RequestCheckpointAsync(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(began); took < delay {
+		t.Fatalf("first CHECKPOINT took %v: the clone did not cross the %v network", took, delay)
+	}
+	if _, ok := e.mod.CheckpointImage(); !ok {
+		t.Fatal("first checkpoint did not clone")
+	}
+	windows := reg.Histogram("proxy_suspend_ns")
+	if windows.Count() != 1 {
+		t.Fatalf("%d suspend windows recorded, want 1", windows.Count())
+	}
+	if window := time.Duration(windows.Sum()); window >= delay/2 {
+		t.Errorf("first checkpoint's suspend window is %v: the %v clone round trip is inside it", window, delay)
+	}
+	if _, err := e.pc.WaitCheckpoint(ctx, handle); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFailedCloneNeverSuspends: with the repository down, a first checkpoint
+// fails at CLONE — before the instance was ever suspended.
+func TestFailedCloneNeverSuspends(t *testing.T) {
+	e := setup(t)
+	reg := obs.NewRegistry()
+	e.proxy.Obs = reg
+	e.net.Partition(e.client.VMAddr)
+	if _, err := e.pc.RequestCheckpoint(ctx); err == nil {
+		t.Fatal("checkpoint with the version manager down succeeded")
+	}
+	if n := reg.Histogram("proxy_suspend_ns").Count(); n != 0 {
+		t.Errorf("%d suspend windows recorded for a checkpoint that failed at CLONE, want 0", n)
+	}
+	if n := reg.Counter("proxy_checkpoint_failures_total").Value(); n != 1 {
+		t.Errorf("proxy_checkpoint_failures_total = %d, want 1", n)
+	}
+	if e.inst.State() != vm.Running {
+		t.Errorf("instance left %v after a failed clone", e.inst.State())
 	}
 }

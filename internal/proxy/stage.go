@@ -39,6 +39,7 @@ package proxy
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"strconv"
 	"strings"
@@ -114,7 +115,18 @@ func (p *Proxy) handleStageFrame(ctx context.Context, req []byte) ([]byte, error
 
 // pushReplica ships one staged capture to the partner proxy.
 func pushReplica(ctx context.Context, n transport.Network, addr string, c *localtier.Capture, writes map[uint64][]byte) error {
-	b := wire.NewBuffer(64 + int(c.Bytes()))
+	_, err := n.Call(ctx, addr, encodeStagePut(c, writes))
+	return err
+}
+
+// encodeStagePut builds the stage-put frame of a capture and the writes it
+// was staged from, chunks in the capture's ascending index order, in a buffer
+// sized for it up front: a capture is tens of MiB, and a frame that outgrows
+// its buffer on the last chunk copies all of them again.
+func encodeStagePut(c *localtier.Capture, writes map[uint64][]byte) []byte {
+	indices := c.Indices()
+	header := 1 + binary.MaxVarintLen32 + len(c.Owner) + 5*8 + 4
+	b := wire.NewBuffer(header + len(indices)*(8+binary.MaxVarintLen32) + int(c.Bytes()))
 	b.PutU8(opStagePut)
 	b.PutString(c.Owner)
 	b.PutU64(c.Seq)
@@ -122,13 +134,12 @@ func pushReplica(ctx context.Context, n transport.Network, addr string, c *local
 	b.PutU64(c.Base.Version)
 	b.PutU64(c.Size)
 	b.PutU64(c.ChunkSize)
-	b.PutU32(uint32(len(writes)))
-	for idx, data := range writes {
+	b.PutU32(uint32(len(indices)))
+	for _, idx := range indices {
 		b.PutU64(idx)
-		b.PutBytes(data)
+		b.PutBytes(writes[idx])
 	}
-	_, err := n.Call(ctx, addr, b.Bytes())
-	return err
+	return b.Bytes()
 }
 
 // releaseReplica tells the partner the capture was published as ref.

@@ -1,6 +1,8 @@
 package proxy
 
 import (
+	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"blobcr/internal/blobseer"
@@ -91,4 +93,46 @@ func TestTCPStagePutCorruptFrames(t *testing.T) {
 	tcp := transport.NewTCP()
 	defer tcp.Close()
 	testStagePutCorruptFrames(t, tcp)
+}
+
+// TestStagePutFrameIsSizedOnce: the replica frame of a capture is built in a
+// buffer created large enough for the header, every chunk's index and length
+// prefix, and the bodies — it never regrows (which re-copies every chunk
+// encoded so far) — and in ascending index order, so equal captures make
+// equal frames.
+func TestStagePutFrameIsSizedOnce(t *testing.T) {
+	const chunks, chunk = 64, 1 << 10
+	writes := make(map[uint64][]byte, chunks)
+	for i := uint64(0); i < chunks; i++ {
+		writes[i*3] = bytes.Repeat([]byte{byte(i)}, chunk)
+	}
+	stage := localtier.New(chunkstore.NewMem(), obs.NewRegistry())
+	c, err := stage.Put("vm-9", 4, blobseer.SnapshotRef{Blob: 1, Version: 2}, 1<<20, chunk, writes, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := encodeStagePut(c, writes)
+	// Grown by append, a buffer this size gains a quarter; sized up front, its
+	// only slack is the varint prefixes' worst case.
+	if slack := cap(frame) - len(frame); slack > 16+chunks*binary.MaxVarintLen32 {
+		t.Errorf("stage-put frame: %d bytes in a buffer of %d — it outgrew the buffer it was created with", len(frame), cap(frame))
+	}
+	if again := encodeStagePut(c, writes); !bytes.Equal(frame, again) {
+		t.Error("two encodings of one capture differ: chunks are not in index order")
+	}
+
+	p := New()
+	p.Stage = localtier.New(chunkstore.NewMem(), obs.NewRegistry())
+	if _, err := p.handleStageFrame(ctx, frame); err != nil {
+		t.Fatal(err)
+	}
+	back, err := p.Stage.Writes(p.Stage.Pending("vm-9")[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for idx, want := range writes {
+		if !bytes.Equal(back[idx], want) {
+			t.Errorf("chunk %d did not survive the frame", idx)
+		}
+	}
 }
