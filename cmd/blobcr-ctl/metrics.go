@@ -204,6 +204,25 @@ func renderMetrics(w *os.File, points []obs.Point, rates map[string]float64) {
 	renderStages(w, points, "commit pipeline (per stage)", obs.CommitStages, true)
 	renderStages(w, points, "restart path (per stage)", obs.RestartStages, false)
 	covered["span_ns"], covered["span_last_ns"] = true, true
+	// The boot-set hint under it: what each attach still faulted in on
+	// demand, and how much of what the attaches replayed the guests then read.
+	if attach := obs.Find(points, "span_ns", obs.L("span", obs.SpanRestartAttach)); attach != nil && attach.Count > 0 {
+		count := func(name string) uint64 {
+			covered[name] = true
+			if p := obs.Find(points, name); p != nil {
+				return p.Value
+			}
+			return 0
+		}
+		faults, replayed, hits, publishes := count("mirror_demand_faults_total"), count("mirror_hint_replayed_chunks_total"),
+			count("mirror_hint_hits_total"), count("mirror_hint_publishes_total")
+		line := fmt.Sprintf("  demand faults: %.1f chunks per attach over %d attaches", float64(faults)/float64(attach.Count), attach.Count)
+		if replayed > 0 {
+			line += fmt.Sprintf("; hint: %d of %d replayed chunks read (%.1f%% hit), %d publishes",
+				hits, replayed, 100*float64(hits)/float64(replayed), publishes)
+		}
+		fmt.Fprintln(w, line)
+	}
 
 	// Write batching: what fingerprinting the dirty set cost a commit (the
 	// commit/hash stage above, as its own histogram), and beside it how many

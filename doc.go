@@ -141,6 +141,25 @@
 // failover. blobcr-bench -only throughput measures commit/restore MB/s
 // against provider count.
 //
+// # Adaptive prefetching on restart
+//
+// A restart is lazy (the paper's Fig. 3): the mirroring module fetches a
+// chunk when the guest first needs it. Each module keeps a demand record —
+// the chunks its guest needed from the repository, in first-need order,
+// capped at 32 MiB of chunks; whole-chunk overwrites and explicitly
+// prefetched chunks never enter it — and a publisher off the guest's I/O
+// path puts it to the version manager (hint-put) as the image's boot-set
+// hint whenever it holds a chunk the replayed hint lacked. The version
+// manager keeps one capped record per blob, on the heap: it is advisory,
+// and losing it costs one cold restart. mirror.Attach and AttachCheckpoint
+// fetch the hint (hint-get) and replay it with one Prefetch — one ranged
+// lookup, one read-engine call — before they return, in place of warming
+// the top of the metadata tree, so the next restart of the image
+// (cloud.Restart, PartialRestart, core, blobcr-proxyd) reads its boot set
+// without one demand fault per chunk and no caller passes a chunk list.
+// The hint names indices only; every byte still comes from the attached
+// snapshot through the SHA-256-verifying read engine.
+//
 // # End-to-end telemetry plane
 //
 // internal/obs gives every layer one dependency-free metrics registry —

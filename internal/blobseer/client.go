@@ -994,6 +994,32 @@ func (c *Client) Clone(ctx context.Context, src SnapshotRef) (uint64, error) {
 	return id, r.Err()
 }
 
+// PutHint publishes the blob's boot-set hint: the chunks an instance attached
+// to one of its snapshots needed from the repository, in first-need order.
+// It replaces the blob's previous hint. The version manager rejects a hint
+// naming more than 32 MiB of chunks.
+func (c *Client) PutHint(ctx context.Context, blob uint64, indices []uint64) error {
+	w := wire.NewBuffer(16 + 3*len(indices))
+	w.PutU8(opHintPut)
+	w.PutU64(blob)
+	putIndices(w, indices)
+	_, err := c.call(ctx, c.VMAddr, w)
+	return err
+}
+
+// GetHint returns the blob's latest boot-set hint, empty when none was
+// published.
+func (c *Client) GetHint(ctx context.Context, blob uint64) ([]uint64, error) {
+	w := wire.NewBuffer(16)
+	w.PutU8(opHintGet)
+	w.PutU64(blob)
+	r, err := c.call(ctx, c.VMAddr, w)
+	if err != nil {
+		return nil, err
+	}
+	return getIndices(r, ^uint64(0))
+}
+
 // ReclaimStats reports what a Retire released through the content-addressed
 // repository's reference counting.
 type ReclaimStats struct {

@@ -280,7 +280,22 @@ func batchFrames() map[string][]byte {
 	putNodeKey(w, meta.NodeKey{Blob: 9, Version: 9, Offset: 0, Span: 1})
 	frames["opNodeGetBatch"] = append([]byte(nil), w.Bytes()...)
 
+	w = wire.NewBuffer(64)
+	w.PutU8(opHintPut)
+	w.PutU64(1) // the blob handlerFor creates
+	putIndices(w, []uint64{300, 5, 1 << 40})
+	frames["opHintPut"] = append([]byte(nil), w.Bytes()...)
+
 	return frames
+}
+
+// countAt is where a batch frame's item count starts: after the op byte, and
+// for hint-put after the blob id too.
+func countAt(verb string) int {
+	if verb == "opHintPut" {
+		return 9
+	}
+	return 1
 }
 
 // handlerFor routes a frame to the right daemon handler.
@@ -289,6 +304,15 @@ func handlerFor(t *testing.T, verb string) func(context.Context, []byte) ([]byte
 	switch verb {
 	case "opNodePutBatch", "opNodeGetBatch":
 		return NewMetadataProvider().handle
+	case "opHintPut":
+		vm := NewVersionManager()
+		w := wire.NewBuffer(16)
+		w.PutU8(opCreate)
+		w.PutU64(testChunkSize)
+		if _, err := vm.handle(ctx, w.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		return vm.handle
 	default:
 		return NewDataProvider(cas.NewMem()).handle
 	}
@@ -314,9 +338,8 @@ func TestBatchFramesDecodeCleanly(t *testing.T) {
 			// An implausible item count is rejected before any allocation
 			// or application.
 			w := wire.NewBuffer(16)
-			w.PutU8(frame[0])
 			w.PutUvarint(1 << 40)
-			if _, err := h(ctx, w.Bytes()); err == nil {
+			if _, err := h(ctx, append(frame[:countAt(verb):countAt(verb)], w.Bytes()...)); err == nil {
 				t.Fatal("implausible batch count accepted")
 			}
 		})

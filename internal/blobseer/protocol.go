@@ -49,6 +49,21 @@
 //
 // A malformed batch frame (truncated mid-item, implausible count) is
 // rejected before any item is applied.
+//
+// # The boot-set hint
+//
+// The version manager keeps, per blob, the latest demand record a mirroring
+// module published for it: the chunk indices an instance attached to one of
+// the blob's snapshots had to fetch before it could run, in first-need order.
+// The next attach replays it with one prefetch (the paper's adaptive
+// prefetching). The record is advisory and heap-only — losing it costs one
+// cold restart — so it needs no journal.
+//
+//   - opHintPut: u64 blob, n x uvarint chunk index. Response: empty. Replaces
+//     the blob's record; a record whose chunks exceed maxHintBytes is
+//     rejected whole.
+//   - opHintGet: u64 blob. Response: n x uvarint chunk index (n = 0 when the
+//     blob has no record).
 package blobseer
 
 import (
@@ -81,7 +96,17 @@ const (
 	// the new provider before committing the rewrite, so Retire's releases
 	// stay exact through a re-replication.
 	opRelocate
+
+	// The boot-set hint (see the package comment): opHintPut replaces a
+	// blob's demand record, opHintGet returns it.
+	opHintPut
+	opHintGet
 )
+
+// maxHintBytes caps a stored demand record by the bytes of the chunks it
+// names: the mirror's record cap, so a hostile or corrupt hint costs a
+// restart at most this much prefetch.
+const maxHintBytes = 32 << 20
 
 // Op codes for the provider manager.
 const (
@@ -301,6 +326,32 @@ func getCount(r *wire.Reader) (uint64, error) {
 		return 0, fmt.Errorf("blobseer: implausible count %d with %d bytes left in the frame", n, r.Remaining())
 	}
 	return n, nil
+}
+
+// putIndices encodes a chunk-index list: a uvarint count, then the indices.
+func putIndices(w *wire.Buffer, indices []uint64) {
+	w.PutUvarint(uint64(len(indices)))
+	for _, idx := range indices {
+		w.PutUvarint(idx)
+	}
+}
+
+// getIndices decodes a chunk-index list of at most limit entries. A count
+// over the limit, or more than the frame can hold, fails before anything is
+// allocated from it.
+func getIndices(r *wire.Reader, limit uint64) ([]uint64, error) {
+	n, err := getCount(r)
+	if err != nil {
+		return nil, err
+	}
+	if n > limit {
+		return nil, fmt.Errorf("blobseer: %d chunk indices over the limit of %d", n, limit)
+	}
+	out := make([]uint64, n)
+	for i := range out {
+		out[i] = r.Uvarint()
+	}
+	return out, r.Err()
 }
 
 // getProviderList decodes a write event's replica provider addresses.

@@ -17,6 +17,8 @@ var opNames = map[byte]string{
 	opRetire:     "retire",
 	opListBlobs:  "list-blobs",
 	opRelocate:   "relocate",
+	opHintPut:    "hint-put",
+	opHintGet:    "hint-get",
 
 	opRegister:       "register",
 	opProviders:      "providers",

@@ -41,6 +41,8 @@ type blobState struct {
 	lastWrite  map[uint64]writeEvent      // chunk index -> latest published write
 	superseded []supersededEvent          // released (returned) by opRetire
 	pins       []uint64                   // versions cloned from; their content is shared forever
+
+	hint []uint64 // latest published demand record (opHintPut), at most maxHintBytes of chunks
 }
 
 // writeEvent is one published chunk write.
@@ -437,6 +439,27 @@ func (vm *VersionManager) handle(ctx context.Context, req []byte) ([]byte, error
 		for _, c := range counts {
 			w.PutUvarint(c)
 		}
+
+	case opHintPut, opHintGet:
+		blob := r.U64()
+		if err := reqErr(op, r); err != nil {
+			return nil, err
+		}
+		b, ok := vm.blobs[blob]
+		if !ok {
+			return nil, fmt.Errorf("%w: %d", ErrBlobNotFound, blob)
+		}
+		if op == opHintGet {
+			putIndices(w, b.hint)
+			break
+		}
+		// Decoded whole before it replaces anything: a corrupt or oversized
+		// record leaves the previous one in place.
+		hint, err := getIndices(r, maxHintBytes/b.chunkSize)
+		if err != nil {
+			return nil, fmt.Errorf("blobseer: bad request for op %d: %w", op, err)
+		}
+		b.hint = hint
 
 	case opListBlobs:
 		if err := reqErr(op, r); err != nil {

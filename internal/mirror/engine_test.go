@@ -237,11 +237,15 @@ func (n *verbNet) take() map[string]int {
 }
 
 // TestRestartRoundTripBudget pins what an attached snapshot costs on the
-// wire. The image's tree is 14 levels deep; Attach reads the top 12 ahead.
-// After that, N scattered single-chunk reads issue no version-manager call,
-// at most one chunk call each, and node calls only for the two levels below
-// the warmed ones; a Prefetch of the whole region resolves all 8192 leaves
-// with one descent — no more node calls than levels times metadata shards.
+// wire. The image's tree is 14 levels deep. A cold Attach — the image has no
+// boot-set hint yet — reads the top 12 ahead. After that, N scattered
+// single-chunk reads issue no version-manager call but the publishes of their
+// demand record, at most one chunk call each, and node calls only for the two
+// levels below the warmed ones. The next Attach replays that record: one
+// hint-get, one descent for the whole set and one chunk call per provider,
+// after which the same N reads go to the network not at all — zero demand
+// faults. A Prefetch of the whole region resolves all 8192 leaves with one
+// descent — no more node calls than levels times metadata shards.
 func TestRestartRoundTripBudget(t *testing.T) {
 	const chunk, chunks, levels, uncached = 64, 8192, 14, 2
 	net := &verbNet{Network: transport.NewInProc(), counts: make(map[string]int)}
@@ -269,30 +273,51 @@ func TestRestartRoundTripBudget(t *testing.T) {
 	ref := blobseer.SnapshotRef{Blob: blob, Version: info.Version}
 
 	// A cold client per module, as cloud.Restart hands out.
+	net.take()
 	m, err := Attach(ctx, d.Client(), ref)
 	if err != nil {
 		t.Fatal(err)
 	}
 	attach := net.take()
-	if attach["get-version"] != 1 || attach["node-get-batch"] > (levels-uncached)*len(d.MetaAddrs) {
-		t.Errorf("Attach: %v; want one get-version and at most %d node calls", attach, (levels-uncached)*len(d.MetaAddrs))
+	if attach["get-version"] != 1 || attach["hint-get"] != 1 || attach["node-get-batch"] > (levels-uncached)*len(d.MetaAddrs) ||
+		attach["get-version"]+attach["hint-get"]+attach["node-get-batch"] != total(attach) {
+		t.Errorf("cold Attach: %v; want one get-version, one hint-get and at most %d node calls", attach, (levels-uncached)*len(d.MetaAddrs))
 	}
 	const n = 50
-	buf := make([]byte, chunk)
-	for i := 0; i < n; i++ {
-		idx := (i*163 + 7) % chunks
-		if _, err := m.ReadAt(buf, int64(idx*chunk)); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf, content[idx*chunk:(idx+1)*chunk]) {
-			t.Fatalf("chunk %d read back wrong", idx)
-		}
+	boot := make([]int, n)
+	record := make([]uint64, n)
+	for i := range boot {
+		boot[i] = (i*163 + 7) % chunks
+		record[i] = uint64(boot[i])
 	}
+	readChunks(t, m, content, chunk, boot...)
+	waitHint(t, w, blob, record)
 	faults := net.take()
 	if faults["get-version"] != 0 || faults["chunk-get-batch"] > n || faults["node-get-batch"] > n*uncached ||
-		faults["chunk-get-batch"]+faults["node-get-batch"] != total(faults) {
-		t.Errorf("%d single-chunk faults: %v; want no get-version, <= %d chunk calls, <= %d node calls, nothing else",
-			n, faults, n, n*uncached)
+		faults["hint-put"] < 1 || faults["hint-put"] > n ||
+		faults["chunk-get-batch"]+faults["node-get-batch"]+faults["hint-put"]+faults["hint-get"] != total(faults) {
+		t.Errorf("%d single-chunk faults: %v; want no get-version, <= %d chunk calls, <= %d node calls, 1..%d hint-puts, nothing else",
+			n, faults, n, n*uncached, n)
+	}
+
+	hc, reg := counting(d)
+	hm, err := Attach(ctx, hc, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hinted := net.take()
+	if hinted["get-version"] != 1 || hinted["hint-get"] != 1 ||
+		hinted["node-get-batch"] > levels*len(d.MetaAddrs) || hinted["chunk-get-batch"] > len(d.DataAddrs) ||
+		hinted["get-version"]+hinted["hint-get"]+hinted["node-get-batch"]+hinted["chunk-get-batch"] != total(hinted) {
+		t.Errorf("hinted Attach: %v; want one get-version, one hint-get, <= %d node calls, <= %d chunk calls",
+			hinted, levels*len(d.MetaAddrs), len(d.DataAddrs))
+	}
+	readChunks(t, hm, content, chunk, boot...)
+	if after := net.take(); total(after) != 0 {
+		t.Errorf("reading the replayed boot set went to the network: %v", after)
+	}
+	if f := reg.Counter("mirror_demand_faults_total").Value(); f != 0 {
+		t.Errorf("hinted attach: %d demand faults, want 0", f)
 	}
 
 	pm, err := Attach(ctx, d.Client(), ref)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -204,6 +205,21 @@ func TestFailedCommitFoldSharesFrozenBuffers(t *testing.T) {
 	}
 }
 
+// failFirstPut is a stage store whose first put fails, as a full disk would.
+// It hides the wrapped store's batch interface, so a one-chunk stage is one
+// Put.
+type failFirstPut struct {
+	chunkstore.Store
+	failed atomic.Bool
+}
+
+func (s *failFirstPut) Put(k chunkstore.Key, data []byte) error {
+	if s.failed.CompareAndSwap(false, true) {
+		return errors.New("stage disk full")
+	}
+	return s.Store.Put(k, data)
+}
+
 // TestRemarkedDirtyChunkStaysFrozen: capture 1 fails to stage, falls back to
 // the remote path and fails there too, so its chunk is re-marked dirty — while
 // capture 2 of the same chunk is still being staged. The guest then writes
@@ -214,13 +230,10 @@ func TestRemarkedDirtyChunkStaysFrozen(t *testing.T) {
 	staging2 := make(chan map[uint64][]byte)
 	proceed := make(chan struct{})
 	m.AttachStage(StageConfig{
-		Stage: localtier.New(chunkstore.NewMem(), obs.NewRegistry()),
+		Stage: localtier.New(&failFirstPut{Store: chunkstore.NewMem()}, obs.NewRegistry()),
 		Owner: "vm-0",
 		Replicate: func(_ context.Context, cp *localtier.Capture, writes map[uint64][]byte) error {
-			switch cp.Seq {
-			case 1:
-				return errors.New("partner down")
-			case 2:
+			if cp.Seq == 2 {
 				staging2 <- writes
 				<-proceed
 			}

@@ -32,9 +32,12 @@
 // copy per chunk per interval is paid by the running guest, and only for
 // chunks it rewrites in part.
 //
-// The module also records the order in which chunks are first accessed; the
-// restart path publishes this trace so slower instances can prefetch chunks
-// ahead of demand (the paper's adaptive prefetching).
+// The module also keeps a bounded demand record — the chunks the guest
+// needed from the repository, in first-need order — and publishes it to the
+// version manager as the image's boot-set hint. The next Attach of the same
+// image replays that hint with one prefetch before it returns, so a restart
+// pays its boot set in one batched read instead of one demand fault at a
+// time (the paper's adaptive prefetching; see hint.go).
 package mirror
 
 import (
@@ -99,7 +102,15 @@ type Module struct {
 	dirty   map[uint64]bool   // modified since the last Commit
 	frozen  map[uint64]bool   // local[idx] was handed to a capture: WriteAt replaces it, never writes it
 	written map[uint64]bool   // ever locally modified: dropped on RollbackTo
-	trace   []uint64          // first-access order (for prefetch hints)
+
+	// The demand record (hint.go): chunks the guest needed from the
+	// repository, first-need order, at most recordCap. hinted holds the chunks
+	// the attach's hint replay installed that the guest has not touched yet.
+	record       []uint64
+	hinted       map[uint64]bool
+	recordNew    bool // the record holds a demand fault not yet published
+	publishing   bool // the publisher goroutine is running
+	recordClosed bool // Halt or RollbackTo: record and publish no more
 
 	remoteReads uint64 // chunks fetched from the repository
 	localHits   uint64
@@ -165,10 +176,12 @@ func (m *Module) AttachStage(cfg StageConfig) {
 
 // Attach opens the given published snapshot as the device's backing content.
 // For a fresh VM this is the base image; on restart it is the disk snapshot
-// chosen for rollback. The snapshot's version is pinned here and the top of
-// its metadata tree is read ahead into the client's node cache, so a demand
-// fault later costs the uncached bottom levels of the tree plus one chunk
-// round trip — and never a version-manager call.
+// chosen for rollback. The snapshot's version is pinned here, so a read never
+// costs a version-manager call. Before Attach returns, the image's boot-set
+// hint — what the last instance attached to it had to fetch — is replayed
+// with one prefetch; an image without one has the top of its metadata tree
+// read ahead into the client's node cache instead, so a demand fault later
+// costs the uncached bottom levels of the tree plus one chunk round trip.
 func Attach(ctx context.Context, c *blobseer.Client, ref blobseer.SnapshotRef) (*Module, error) {
 	ctx, span := obs.StartSpan(obs.WithRegistry(ctx, c.Obs), obs.SpanRestartAttach)
 	defer span.End()
@@ -176,10 +189,7 @@ func Attach(ctx context.Context, c *blobseer.Client, ref blobseer.SnapshotRef) (
 	if err != nil {
 		return nil, fmt.Errorf("mirror: attach %s: %w", ref, err)
 	}
-	// Best effort: a cold cache costs round trips, not correctness, and a
-	// metadata failure that matters will fail the first read.
-	_ = snap.Warm(ctx)
-	return &Module{
+	m := &Module{
 		client:        c,
 		src:           ref,
 		snap:          snap,
@@ -191,7 +201,13 @@ func Attach(ctx context.Context, c *blobseer.Client, ref blobseer.SnapshotRef) (
 		written:       make(map[uint64]bool),
 		pipelineDepth: DefaultPipelineDepth,
 		live:          make(map[*PendingCommit]struct{}),
-	}, nil
+	}
+	// Best effort: a cold cache costs round trips, not correctness, and a
+	// metadata failure that matters will fail the first read.
+	if !m.replayHint(ctx) {
+		_ = snap.Warm(ctx)
+	}
+	return m, nil
 }
 
 // AttachCheckpoint reopens an existing checkpoint image at a specific
@@ -259,7 +275,7 @@ func (m *Module) fault(indices []uint64) error {
 		m.local[idx] = fetched[idx]
 	}
 	m.remoteReads += uint64(len(indices))
-	m.trace = append(m.trace, indices...)
+	m.noteDemand(indices)
 	sw.ObserveInto(m.client.Registry().Histogram("mirror_demand_fault_ns"))
 	return nil
 }
@@ -281,6 +297,7 @@ func (m *Module) ReadAt(p []byte, off int64) (int, error) {
 		for idx := uint64(off) / m.chunkSize; idx <= (uint64(off)+uint64(total)-1)/m.chunkSize; idx++ {
 			if _, ok := m.local[idx]; ok {
 				m.localHits++
+				m.touchHinted(idx, true)
 			} else {
 				absent = append(absent, idx)
 			}
@@ -330,12 +347,12 @@ func (m *Module) WriteAt(p []byte, off int64) (int, error) {
 		}
 		data, ok := m.local[idx]
 		if n == m.chunkSize {
-			// Whole-chunk overwrite: no fill needed.
-			if !ok {
-				m.trace = append(m.trace, idx)
-			}
+			// Whole-chunk overwrite: no fill needed, so the guest needed
+			// nothing of the chunk's old content.
+			m.touchHinted(idx, false)
 		} else if ok {
 			m.localHits++ // partial write over local content
+			m.touchHinted(idx, true)
 		} else {
 			// Partial write: copy-on-write over the backing content.
 			if err := m.fault([]uint64{idx}); err != nil {
@@ -428,6 +445,7 @@ func (m *Module) RollbackTo(ctx context.Context, ref blobseer.SnapshotRef) error
 	m.written = make(map[uint64]bool)
 	m.dirty = make(map[uint64]bool)
 	m.frozen = make(map[uint64]bool) // every frozen chunk was written, so its buffer just left m.local
+	m.closeRecord()                  // what the guest needs next is another incarnation's record
 	m.src = ref
 	m.snap = snap
 	m.base = ref
@@ -727,15 +745,20 @@ func (m *Module) runStage(pc *PendingCommit) {
 	span.End()
 	m.mu.Lock()
 	if err != nil {
-		// Staging (or replication) failed: the capture is not locally safe,
-		// but it is still in memory — fall through to the direct remote
-		// path, so local-tier trouble degrades to PR-2 behavior instead of
-		// losing the checkpoint.
+		// Staging or replication failed: the capture is not locally safe, and
+		// its ack degrades to global durability.
 		pc.localErr = err
-	} else {
-		pc.capture = cap
-		pc.writes = nil // write-back: the drain re-reads from the stage
 	}
+	if cap != nil {
+		// Staged, replicated or not: the drain re-reads it from the stage and
+		// its durable publish unstages it, so a failed replication leaves
+		// nothing behind in the tier.
+		pc.capture = cap
+		pc.writes = nil
+	}
+	// Otherwise staging itself failed, but the capture is still in memory:
+	// it takes the direct remote path, so local-tier trouble degrades to
+	// untiered behavior instead of losing the checkpoint.
 	close(pc.localSafe)
 	m.queue = append(m.queue, pc)
 	if !m.workerRunning {
@@ -770,9 +793,10 @@ func (m *Module) commitWorker() {
 const drainBackoffMax = time.Second
 
 // runCommit publishes one captured dirty set. A staged capture (write-back
-// tier) is locally safe, so a remote failure is retried with capped backoff
-// until the commit's context is cancelled — the drain keeps pace with
-// whatever the remote plane sustains instead of failing the checkpoint.
+// tier) is kept by the node's stage, so a remote failure is retried with
+// capped backoff until the commit's context is cancelled — the drain keeps
+// pace with whatever the remote plane sustains instead of failing the
+// checkpoint.
 func (m *Module) runCommit(pc *PendingCommit) {
 	// Overlay the module's own chain (the last snapshot it published, or the
 	// rollback target), not the blob's latest version: after a rollback the
@@ -849,8 +873,8 @@ func (m *Module) runCommit(pc *PendingCommit) {
 				}
 			}
 		}
-		// A staged capture needs no fold: its payload stays locally safe in
-		// the tier (and on the partner), where a restart or the partner
+		// A staged capture needs no fold: its payload stays in the tier (and,
+		// once replicated, on the partner), where a restart or the partner
 		// drain picks it up.
 		pc.err = fmt.Errorf("mirror: commit: %w", err)
 		m.client.Registry().Counter("mirror_commit_failures_total").Inc()
@@ -885,10 +909,12 @@ func (m *Module) runCommit(pc *PendingCommit) {
 // preempted: in-flight uploads abort through the repository's abort path so
 // CAS refcounts never leak, while captures already staged in the local tier
 // stay there — the partner replica (or a restart in place) drains them.
-// Halt does not wait for the aborts to finish.
+// Halt does not wait for the aborts to finish. The demand record stops too:
+// nothing more is recorded or published.
 func (m *Module) Halt() {
 	m.mu.Lock()
 	m.halted = true
+	m.closeRecord()
 	cancels := make([]context.CancelFunc, 0, len(m.live))
 	for pc := range m.live {
 		cancels = append(cancels, pc.cancel)
@@ -1003,34 +1029,33 @@ func (m *Module) Stats() (remoteReads, localHits, commits uint64) {
 	return m.remoteReads, m.localHits, m.commits
 }
 
-// AccessTrace returns chunk indices in first-access order. A restarting
-// deployment publishes the trace of the fastest instance so that slower
-// instances can prefetch (the paper's adaptive prefetching).
-func (m *Module) AccessTrace() []uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]uint64(nil), m.trace...)
-}
-
 // Prefetch fetches the given chunks into the local cache ahead of demand.
 // Already-local chunks are skipped. The missing set — however scattered —
 // is resolved with one level-order metadata lookup and fetched with one
 // read-engine call, which stripes it across the providers in batched frames
 // of at most 4 MiB on Client.Parallelism streams: what is in flight is
-// bounded by that, not by the size of the trace. Each verified body is
+// bounded by that, not by the length of the list. Each verified body is
 // installed as it arrives, as the window of its response frame it was
 // delivered as (no copy), while the next frames are still moving; a hole is
 // installed as known-zero and takes no memory. The module
 // lock is not held across the network reads, so guest I/O proceeds while a
-// (possibly large) trace is warming; chunks the guest writes or pages in
+// (possibly large) list is warming; chunks the guest writes or pages in
 // meanwhile are left untouched, and a rollback mid-prefetch stops the fetch
-// and discards what it would have installed.
+// and discards what it would have installed. What Prefetch installs never
+// enters the demand record.
 func (m *Module) Prefetch(ctx context.Context, indices []uint64) error {
+	return m.prefetch(ctx, indices, false)
+}
+
+// prefetch is Prefetch, marking what it installs as hinted when it replays
+// a boot-set hint.
+func (m *Module) prefetch(ctx context.Context, indices []uint64, hint bool) error {
 	m.mu.Lock()
 	snap := m.snap
+	end := (m.size + m.chunkSize - 1) / m.chunkSize
 	need := make([]uint64, 0, len(indices))
 	for _, idx := range indices {
-		if _, ok := m.local[idx]; !ok && idx*m.chunkSize < m.size {
+		if _, ok := m.local[idx]; !ok && idx < end {
 			need = append(need, idx)
 		}
 	}
@@ -1043,6 +1068,7 @@ func (m *Module) Prefetch(ctx context.Context, indices []uint64) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	rolledBack := false
+	replayed := m.client.Registry().Counter("mirror_hint_replayed_chunks_total")
 	_, err := snap.ReadChunks(ctx, need, func(idx uint64, body []byte) {
 		chunk := m.fullChunk(body)
 		m.mu.Lock()
@@ -1058,8 +1084,14 @@ func (m *Module) Prefetch(ctx context.Context, indices []uint64) error {
 			return // written or paged in while we fetched
 		}
 		m.remoteReads++
-		m.trace = append(m.trace, idx)
 		m.local[idx] = chunk
+		if hint {
+			if m.hinted == nil {
+				m.hinted = make(map[uint64]bool, len(need))
+			}
+			m.hinted[idx] = true
+			replayed.Inc()
+		}
 	})
 	// Every delivery has returned by now, so rolledBack is settled.
 	if err != nil && !rolledBack {

@@ -282,49 +282,6 @@ func TestRestartFromSnapshot(t *testing.T) {
 	}
 }
 
-func TestAccessTraceAndPrefetch(t *testing.T) {
-	_, c, m, content := setup(t, 16*cs)
-	// Access chunks in a specific order.
-	buf := make([]byte, cs)
-	order := []int64{7, 2, 11}
-	for _, idx := range order {
-		if _, err := m.ReadAt(buf, idx*cs); err != nil {
-			t.Fatal(err)
-		}
-	}
-	trace := m.AccessTrace()
-	if len(trace) != 3 || trace[0] != 7 || trace[1] != 2 || trace[2] != 11 {
-		t.Errorf("trace = %v, want [7 2 11]", trace)
-	}
-
-	// A second instance prefetches using the first's trace.
-	info, _, err := c.Latest(ctx, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := Attach(ctx, c, blobseer.SnapshotRef{Blob: 1, Version: info.Version})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m2.Prefetch(ctx, trace); err != nil {
-		t.Fatal(err)
-	}
-	remoteBefore, _, _ := m2.Stats()
-	// Demand reads of prefetched chunks are all local now.
-	for _, idx := range order {
-		if _, err := m2.ReadAt(buf, idx*cs); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf, content[idx*cs:(idx+1)*cs]) {
-			t.Errorf("prefetched chunk %d content wrong", idx)
-		}
-	}
-	remoteAfter, _, _ := m2.Stats()
-	if remoteAfter != remoteBefore {
-		t.Errorf("demand reads after prefetch fetched %d more chunks", remoteAfter-remoteBefore)
-	}
-}
-
 func TestDirtyAccounting(t *testing.T) {
 	_, _, m, _ := setup(t, 16*cs)
 	if m.DirtyChunks() != 0 {

@@ -97,6 +97,56 @@ func BenchmarkRestoreTCP(b *testing.B) {
 	}
 }
 
+// lazyBootChunks is BenchmarkLazyRestart's boot set: as many scattered
+// chunks as the benchmark harness's lazy restart reads.
+const lazyBootChunks = 64
+
+// BenchmarkLazyRestart times what a lazy restart pays before its boot set is
+// readable — Attach through a cold client, then one ReadAt per boot-set chunk
+// — over loopback TCP and seglog, cold (the image has no hint, so every chunk
+// is a demand fault) and hinted (Attach replays the boot set the previous
+// restart published, in one prefetch).
+func BenchmarkLazyRestart(b *testing.B) {
+	for _, chunk := range []int{256 << 10, 16 << 10} {
+		bed := newRestoreBed(b, chunk)
+		var boot []uint64
+		for _, p := range rand.New(rand.NewSource(0x626f6f74)).Perm(len(bed.all))[:lazyBootChunks] {
+			boot = append(boot, bed.all[p])
+		}
+		buf := make([]byte, chunk)
+		for _, mode := range []string{"cold", "hinted"} {
+			b.Run(fmt.Sprintf("chunk=%dKiB/%s", chunk>>10, mode), func(b *testing.B) {
+				hint := boot
+				if mode == "cold" {
+					hint = nil
+				}
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					if err := bed.d.Client().PutHint(ctx, bed.ref.Blob, hint); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+					m, err := Attach(ctx, bed.d.Client(), bed.ref)
+					if err != nil {
+						b.Fatal(err)
+					}
+					for _, idx := range boot {
+						if _, err := m.ReadAt(buf, int64(idx)*int64(chunk)); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.StopTimer()
+					// A cold restart publishes its record; let it land before the
+					// next iteration resets the hint.
+					waitPublisherGone(b, m)
+					b.StartTimer()
+				}
+			})
+		}
+	}
+}
+
 // TestRestoreCopyBudget is the read path's copy budget as a regression gate:
 // provider and client run in this one process, and between the provider's
 // pread and the mirror's chunk map a restored byte may be allocated at most

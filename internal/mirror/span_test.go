@@ -161,8 +161,9 @@ func stageSpans(tr *obs.Trace) []obs.SpanRecord {
 }
 
 // TestRestartPathEmitsStageSpans: a restart is as legible as a commit. An
-// attach, a demand fault and a prefetch leave the four restart-path stage
-// spans in the client's registry — restart/attach once, the read stages once
+// attach, a demand fault and a prefetch leave the restart-path stage spans in
+// the client's registry — restart/attach and the hint fetch inside it once
+// (the image has no hint yet, so nothing is replayed), the read stages once
 // per engine call — with read/verify nested inside read/fetch in the
 // prefetch's trace, the fault in the demand-fault histogram, and the node
 // cache and metadata round trips counted.
@@ -186,6 +187,7 @@ func TestRestartPathEmitsStageSpans(t *testing.T) {
 
 	for stage, want := range map[string]uint64{
 		obs.SpanRestartAttach: 1,
+		obs.SpanRestartHint:   1,
 		obs.SpanReadLookup:    2,
 		obs.SpanReadFetch:     2,
 	} {

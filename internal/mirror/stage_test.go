@@ -163,7 +163,7 @@ func TestStageDrainConvergesAndReleasesPartner(t *testing.T) {
 
 // TestStagingFailureFallsBackToRemotePath: when the tier itself fails (here:
 // partner replication errors), the capture must not be lost — local safety
-// degrades and the commit publishes through the direct remote path.
+// degrades and the commit still publishes to the remote plane.
 func TestStagingFailureFallsBackToRemotePath(t *testing.T) {
 	_, _, c, m, stage, _ := stageSetup(t)
 	m.AttachStage(StageConfig{
@@ -195,6 +195,51 @@ func TestStagingFailureFallsBackToRemotePath(t *testing.T) {
 	got, err := c.ReadVersion(ctx, ref, 0, cs)
 	if err != nil || !bytes.Equal(got, content) {
 		t.Fatalf("fallback snapshot wrong: %v", err)
+	}
+}
+
+// TestFailedReplicationLeavesNothingStaged: a capture staged locally whose
+// partner replication fails is not locally safe, but it stays linked to its
+// staged copy, and its durable publish unstages it: once the commit is
+// durable, the stage holds no backlog and its store no chunk.
+func TestFailedReplicationLeavesNothingStaged(t *testing.T) {
+	_, _, c, m, _, _ := stageSetup(t)
+	store := chunkstore.NewMem()
+	stage := localtier.New(store, obs.NewRegistry())
+	m.AttachStage(StageConfig{
+		Stage: stage,
+		Owner: "vm-0",
+		Replicate: func(context.Context, *localtier.Capture, map[uint64][]byte) error {
+			return errors.New("partner down")
+		},
+	})
+	content := bytes.Repeat([]byte{0xD8}, cs)
+	if _, err := m.WriteAt(content, 0); err != nil {
+		t.Fatal(err)
+	}
+	pc, err := m.CommitAsync(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := pc.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pc.LocallySafe() {
+		t.Error("LocallySafe() = true although replication failed")
+	}
+	if err := m.DrainNow(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if own, partner := stage.Backlog(); own != (localtier.Backlog{}) || partner != (localtier.Backlog{}) {
+		t.Errorf("stage backlog after the durable commit = %+v / %+v, want empty", own, partner)
+	}
+	if n := store.Len(); n != 0 {
+		t.Errorf("the stage store holds %d chunks after the durable commit, want 0", n)
+	}
+	got, err := c.ReadVersion(ctx, ref, 0, cs)
+	if err != nil || !bytes.Equal(got, content) {
+		t.Fatalf("snapshot wrong: %v", err)
 	}
 }
 

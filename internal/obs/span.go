@@ -223,13 +223,16 @@ var CommitStagesLocalTier = []string{
 }
 
 // The restart-path stage names. An instance re-deployed from a snapshot
-// attaches its mirroring module (restart/attach: the version lookup and the
-// warm-up of the node cache); every read of the snapshot after that — a
-// demand fault, a prefetch, a ReadVersion — resolves its leaves
-// (read/lookup), moves the bodies (read/fetch) and, inside the fetch, checks
-// each frame's bodies against their content keys (read/verify).
+// attaches its mirroring module (restart/attach: the version lookup, then
+// either the replay of the image's boot-set hint or the warm-up of the node
+// cache); inside it, restart/hint fetches the hint and replays it with one
+// prefetch. Every read of the snapshot — a demand fault, a prefetch, a
+// ReadVersion — resolves its leaves (read/lookup), moves the bodies
+// (read/fetch) and, inside the fetch, checks each frame's bodies against
+// their content keys (read/verify).
 const (
 	SpanRestartAttach = "restart/attach"
+	SpanRestartHint   = "restart/hint"
 	SpanReadLookup    = "read/lookup"
 	SpanReadFetch     = "read/fetch"
 	SpanReadVerify    = "read/verify"
@@ -238,6 +241,7 @@ const (
 // RestartStages lists the restart-path stage span names in order.
 var RestartStages = []string{
 	SpanRestartAttach,
+	SpanRestartHint,
 	SpanReadLookup,
 	SpanReadFetch,
 	SpanReadVerify,

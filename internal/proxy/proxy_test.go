@@ -3,6 +3,7 @@ package proxy
 import (
 	"bytes"
 	"context"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -287,38 +288,68 @@ func TestPingLiveness(t *testing.T) {
 	}
 }
 
-// TestPrefetchWarmsLocalCache: the PREFETCH verb pages the requested chunks
-// into the mirroring module's local cache (adaptive prefetching on restart),
-// so subsequent device reads of those chunks hit locally.
+// TestPrefetchWarmsLocalCache: a second instance attaching the same base
+// finds what the first one's boot faulted in already local — Attach replays
+// the image's published boot-set hint (adaptive prefetching on restart) — and
+// the PREFETCH verb pages any further chunks into the mirroring module's
+// local cache, so subsequent device reads of either hit locally.
 func TestPrefetchWarmsLocalCache(t *testing.T) {
 	e := setup(t)
-	// A second instance attaches the same base cold (its own module) and is
-	// told to prefetch the chunks the first instance's boot touched.
-	mod2, err := mirror.Attach(ctx, e.client, e.mod.Source())
+	// The first instance's boot demand-faulted its chunks; its publisher
+	// puts that record as the base's hint off the guest's path.
+	base := e.mod.Source()
+	booted, _, _ := e.mod.Stats()
+	if booted == 0 {
+		t.Fatal("first instance's boot faulted nothing")
+	}
+	var hint []uint64
+	for deadline := time.Now().Add(10 * time.Second); uint64(len(hint)) != booted; time.Sleep(time.Millisecond) {
+		var err error
+		if hint, err = e.client.GetHint(ctx, base.Blob); err != nil {
+			t.Fatal(err)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("published hint holds %d chunks, want the %d the boot faulted", len(hint), booted)
+		}
+	}
+
+	// A second instance attaches the same base cold (its own module): the
+	// hint is replayed before Attach returns.
+	mod2, err := mirror.Attach(ctx, e.client, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Prefetch happens before the instance boots — warming the cache is what
-	// lets the boot's demand reads hit locally.
 	inst2 := vm.New("vm-2", mod2, vm.Config{BlockSize: 512})
 	e.proxy.Register("vm-2", "secret2", inst2, mod2)
 	pc2 := &Client{Net: e.net, Addr: e.pc.Addr, VMID: "vm-2", Token: "secret2"}
-
-	trace := e.mod.AccessTrace()
-	if len(trace) == 0 {
-		t.Fatal("first instance has no access trace")
-	}
 	remote0, _, _ := mod2.Stats()
-	if err := pc2.Prefetch(ctx, trace); err != nil {
+	if remote0 != booted {
+		t.Fatalf("hinted attach fetched %d chunks, want the %d of the hint", remote0, booted)
+	}
+	buf := make([]byte, 512)
+	if _, err := mod2.ReadAt(buf, int64(hint[0])*int64(mod2.ChunkSize())); err != nil {
+		t.Fatal(err)
+	}
+	if remote, _, _ := mod2.Stats(); remote != remote0 {
+		t.Errorf("read of a replayed chunk went remote: %d -> %d", remote0, remote)
+	}
+
+	// PREFETCH pages in chunks the hint did not name.
+	var extra []uint64
+	for idx := uint64(0); idx < uint64(mod2.Size())/mod2.ChunkSize() && len(extra) < 4; idx++ {
+		if !slices.Contains(hint, idx) {
+			extra = append(extra, idx)
+		}
+	}
+	if err := pc2.Prefetch(ctx, extra); err != nil {
 		t.Fatalf("Prefetch: %v", err)
 	}
 	remote1, hits1, _ := mod2.Stats()
-	if remote1 == remote0 {
-		t.Error("prefetch fetched nothing")
+	if remote1 != remote0+uint64(len(extra)) {
+		t.Errorf("prefetch of %d chunks fetched %d", len(extra), remote1-remote0)
 	}
 	// Re-reading the prefetched chunks is now local: remoteReads stays put.
-	buf := make([]byte, 512)
-	if _, err := mod2.ReadAt(buf, int64(trace[0])*int64(mod2.ChunkSize())); err != nil {
+	if _, err := mod2.ReadAt(buf, int64(extra[0])*int64(mod2.ChunkSize())); err != nil {
 		t.Fatal(err)
 	}
 	remote2, hits2, _ := mod2.Stats()
