@@ -202,6 +202,17 @@ func renderMetrics(w *os.File, points []obs.Point, rates map[string]float64) {
 	// the same for the attach and the read stages (not summed: read/verify
 	// runs inside read/fetch, and one restart makes many reads).
 	renderStages(w, points, "commit pipeline (per stage)", obs.CommitStages, true)
+	// What the publish stage wrote into the metadata tree, per commit.
+	publish := obs.Find(points, "span_ns", obs.L("span", obs.SpanCommitPublish))
+	if nodes := obs.Find(points, "blobseer_publish_nodes_total"); nodes != nil && publish != nil && publish.Count > 0 {
+		var size uint64
+		if p := obs.Find(points, "blobseer_publish_node_bytes_total"); p != nil {
+			size = p.Value
+		}
+		fmt.Fprintf(w, "  metadata per commit: %.1f nodes, %.0f bytes\n",
+			float64(nodes.Value)/float64(publish.Count), float64(size)/float64(publish.Count))
+		covered["blobseer_publish_nodes_total"], covered["blobseer_publish_node_bytes_total"] = true, true
+	}
 	renderStages(w, points, "restart path (per stage)", obs.RestartStages, false)
 	covered["span_ns"], covered["span_last_ns"] = true, true
 	// The boot-set hint under it: what each attach still faulted in on

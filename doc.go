@@ -132,6 +132,9 @@
 // commit issues one "have these fingerprints?" round trip per provider
 // instead of one per chunk, a Publish flushes its whole metadata-node set in one frame per shard, and a
 // restore's lookup descends the tree level by level in O(depth) round trips.
+// The tree (internal/meta) is 16 ways wide with the chunk descriptors
+// inside its bottom nodes, so depth is ⌈log₁₆ span⌉ — four levels for
+// 16 384 chunks — and a scattered 128-chunk commit writes ~175 nodes.
 // blobseer.Client.Parallelism bounds the concurrent per-provider streams
 // (default blobseer.DefaultParallelism, currently 8; deployments striping
 // wider set it to at least their provider count — cloud.Config.Parallelism
@@ -153,10 +156,10 @@
 // manager keeps one capped record per blob, on the heap: it is advisory,
 // and losing it costs one cold restart. mirror.Attach and AttachCheckpoint
 // fetch the hint (hint-get) and replay it with one Prefetch — one ranged
-// lookup, one read-engine call — before they return, in place of warming
-// the top of the metadata tree, so the next restart of the image
-// (cloud.Restart, PartialRestart, core, blobcr-proxyd) reads its boot set
-// without one demand fault per chunk and no caller passes a chunk list.
+// lookup, one read-engine call — before they return, so the next restart
+// of the image (cloud.Restart, PartialRestart, core, blobcr-proxyd) reads
+// its boot set without one demand fault per chunk and no caller passes a
+// chunk list.
 // The hint names indices only; every byte still comes from the attached
 // snapshot through the SHA-256-verifying read engine.
 //

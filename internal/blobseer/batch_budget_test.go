@@ -230,3 +230,37 @@ func TestMetadataProviderHoldsNodesWithoutHeapObjects(t *testing.T) {
 		}
 	}
 }
+
+// TestNodeGetFramesFollowResponseBytes: node-get-batch frames are split by
+// the bytes expected back, not by the keys sent: a whole-region lookup of a
+// large image asks for tens of thousands of ~400-byte bottom nodes, which
+// must come back in responses near batchBytesLimit, not in one frame several
+// times its size.
+func TestNodeGetFramesFollowResponseBytes(t *testing.T) {
+	const nodes = 20000
+	_, c := deploy(t, 1, 1)
+	c.Obs = obs.NewRegistry()
+	store := c.nodeStore(obs.WithRegistry(ctx, c.Obs))
+	puts := make([]meta.NodePut, nodes)
+	keys := make([]meta.NodeKey, nodes)
+	for i := range puts {
+		keys[i] = meta.NodeKey{Blob: 1, Version: 1, Offset: uint64(i) * meta.Fanout, Span: meta.Fanout}
+		puts[i] = meta.NodePut{Key: keys[i], Encoded: bytes.Repeat([]byte{byte(i)}, 400)}
+	}
+	if err := store.PutNodes(puts); err != nil {
+		t.Fatal(err)
+	}
+	got, err := store.GetNodes(keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range puts {
+		if !bytes.Equal(got[i], p.Encoded) {
+			t.Fatalf("node %d read back wrong", i)
+		}
+	}
+	frames := c.Obs.Counter("blobseer_batch_calls_total", obs.L("op", "node-get-batch")).Value()
+	if min := uint64(nodes * 400 / batchBytesLimit); frames <= min {
+		t.Errorf("%d nodes of 400 bytes came back in %d node-get-batch frames, want more than %d", nodes, frames, min)
+	}
+}

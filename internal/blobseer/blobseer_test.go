@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"blobcr/internal/obs"
 	"blobcr/internal/transport"
 )
 
@@ -534,8 +535,13 @@ func TestTCPDeployment(t *testing.T) {
 
 func TestMetaUsageGrowsSublinearlyForIncrementalCommits(t *testing.T) {
 	// The whole point of shadowing: metadata for an incremental commit is
-	// O(log span), not O(span).
+	// O(log span), not O(span). The publish stage's counters read what the
+	// metadata providers gained.
 	_, c := deploy(t, 2, 2)
+	c.Obs = obs.NewRegistry()
+	published := func() (uint64, uint64) {
+		return c.Obs.Counter("blobseer_publish_node_bytes_total").Value(), c.Obs.Counter("blobseer_publish_nodes_total").Value()
+	}
 	blob, _ := c.CreateBlob(ctx, testChunkSize)
 	full := make(map[uint64][]byte)
 	for i := uint64(0); i < 256; i++ {
@@ -556,8 +562,15 @@ func TestMetaUsageGrowsSublinearlyForIncrementalCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 	added := nodesIncr - nodesFull
-	if added != 9 { // path of length log2(256)+1 = 9 nodes
-		t.Errorf("incremental commit added %d metadata nodes, want 9", added)
+	if added != 2 { // the path to chunk 13: its bottom node and the root over 16 of them
+		t.Errorf("incremental commit added %d metadata nodes, want 2", added)
+	}
+	bytesIncr, _, err := c.MetaUsage(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, n := published(); n != nodesIncr || b != bytesIncr {
+		t.Errorf("publish counters read %d nodes, %d bytes; the metadata providers hold %d, %d", n, b, nodesIncr, bytesIncr)
 	}
 }
 

@@ -65,10 +65,10 @@ type Client struct {
 	nodes     *meta.NodeCache
 }
 
-// nodeCacheNodes bounds the client's tree-node cache. A node costs about
-// 150 bytes cached, so the bound is some 10 MiB: the whole tree of a
-// 32768-chunk image, or the upper levels of any larger one.
-const nodeCacheNodes = 1 << 16
+// nodeCacheBytes bounds the client's tree-node cache. One of its two
+// generations holds the whole tree of a 128 Ki-chunk image (8 192 full
+// bottom nodes of ~370 bytes), or the upper levels of any larger one.
+const nodeCacheBytes = 8 << 20
 
 // Registry returns the client's metrics registry (obs.Default when unset),
 // so layers above (mirror, proxy) record into the same scrape surface.
@@ -113,7 +113,7 @@ func (c *Client) tree(ctx context.Context) *meta.Tree {
 // round-trip count afterwards. The cache is created on first use: a Client
 // is built as a struct literal.
 func (c *Client) treeOver(store *remoteNodeStore) *meta.Tree {
-	c.nodesOnce.Do(func() { c.nodes = meta.NewNodeCache(nodeCacheNodes) })
+	c.nodesOnce.Do(func() { c.nodes = meta.NewNodeCache(nodeCacheBytes) })
 	reg := obs.RegistryFrom(store.ctx)
 	return &meta.Tree{Store: c.nodes.Store(store,
 		reg.Counter("blobseer_node_cache_hits_total"), reg.Counter("blobseer_node_cache_misses_total"))}
@@ -150,15 +150,22 @@ func (s *remoteNodeStore) shard(k meta.NodeKey) string {
 
 // PutNodes implements meta.NodeStore: the staged node set is grouped by
 // shard and flushed with one opNodePutBatch frame per metadata provider.
+// What a commit's publish stage writes is counted into
+// blobseer_publish_nodes_total and blobseer_publish_node_bytes_total.
 func (s *remoteNodeStore) PutNodes(puts []meta.NodePut) error {
 	if len(puts) == 0 {
 		return nil
 	}
 	groups := make(map[string][]meta.NodePut)
+	var size uint64
 	for _, p := range puts {
 		addr := s.shard(p.Key)
 		groups[addr] = append(groups[addr], p)
+		size += uint64(len(p.Encoded))
 	}
+	reg := obs.RegistryFrom(s.ctx)
+	reg.Counter("blobseer_publish_nodes_total").Add(uint64(len(puts)))
+	reg.Counter("blobseer_publish_node_bytes_total").Add(size)
 	return runGroups(s.ctx, s.par, groups, func(ctx context.Context, addr string, batch []meta.NodePut) error {
 		return splitByBytes(len(batch), func(i int) int { return 40 + len(batch[i].Encoded) }, func(start, end int) error {
 			size := 16
@@ -182,8 +189,9 @@ func (s *remoteNodeStore) PutNodes(puts []meta.NodePut) error {
 }
 
 // GetNodes implements meta.NodeStore: keys are grouped by shard, fetched
-// with one opNodeGetBatch frame per metadata provider, and returned aligned
-// with the input (missing nodes are nil entries).
+// with opNodeGetBatch frames per metadata provider — one, unless the nodes
+// expected back exceed batchBytesLimit — and returned aligned with the input
+// (missing nodes are nil entries).
 func (s *remoteNodeStore) GetNodes(keys []meta.NodeKey) ([][]byte, error) {
 	if len(keys) == 0 {
 		return nil, nil
@@ -195,7 +203,7 @@ func (s *remoteNodeStore) GetNodes(keys []meta.NodeKey) ([][]byte, error) {
 	}
 	out := make([][]byte, len(keys))
 	err := runGroups(s.ctx, s.par, groups, func(ctx context.Context, addr string, positions []int) error {
-		return splitByBytes(len(positions), func(int) int { return 40 }, func(start, end int) error {
+		return splitByBytes(len(positions), func(int) int { return meta.NodeSizeHint }, func(start, end int) error {
 			w := wire.NewBuffer(16 + 40*(end-start))
 			w.PutU8(opNodeGetBatch)
 			w.PutUvarint(uint64(end - start))

@@ -45,7 +45,8 @@
 //     Publish flushes its whole staged node set in one frame per shard.
 //   - opNodeGetBatch: n x node key. Response: n x (present bool, encoded
 //     node if present). Missing nodes are per-item, letting the tree layer
-//     distinguish holes from corruption.
+//     distinguish holes from corruption. The client splits its keys into
+//     frames by the bytes it expects back (meta.NodeSizeHint per node).
 //
 // A malformed batch frame (truncated mid-item, implausible count) is
 // rejected before any item is applied.

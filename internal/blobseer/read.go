@@ -67,19 +67,6 @@ func (s *Snapshot) Size() uint64 { return s.info.Size }
 // ChunkSize returns the blob's chunk size.
 func (s *Snapshot) ChunkSize() uint64 { return s.chunkSize }
 
-// warmNodes is how much of a snapshot's tree Warm reads ahead: the top
-// twelve levels of a dense tree, a few dozen KiB on the wire.
-const warmNodes = 1 << 12
-
-// Warm pulls the top of the snapshot's metadata tree into the client's node
-// cache with one level-order descent, so that a later read of any chunk pays
-// round trips only for the few levels below it.
-func (s *Snapshot) Warm(ctx context.Context) error {
-	return s.c.readTree(obs.WithRegistry(ctx, s.c.Obs), func(t *meta.Tree) error {
-		return t.Warm(s.info.Root, s.info.Span, warmNodes)
-	})
-}
-
 // readTree runs one read-side operation over the client's metadata tree and
 // counts the round trips it cost into blobseer_read_meta_calls_total.
 func (c *Client) readTree(ctx context.Context, op func(*meta.Tree) error) error {

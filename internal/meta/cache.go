@@ -22,23 +22,30 @@ import (
 // The cache is the long-lived part; Store wraps one (typically
 // request-scoped) NodeStore view with it. Safe for concurrent use.
 type NodeCache struct {
-	half int // nodes per generation
+	half int // bytes per generation
 
-	mu       sync.Mutex
-	cur, old map[NodeKey][]byte
+	mu                 sync.Mutex
+	cur, old           map[NodeKey][]byte
+	curBytes, oldBytes int
 }
 
-// NewNodeCache returns a cache holding at most max nodes (none if max < 2).
-func NewNodeCache(max int) *NodeCache {
-	return &NodeCache{half: max / 2, cur: make(map[NodeKey][]byte)}
+// entryBytes is what caching one node costs beyond its encoding: the key,
+// the slice header and the map's own slot.
+const entryBytes = 64
+
+// NewNodeCache returns a cache holding at most maxBytes of nodes, each
+// counted as its encoding plus entryBytes. A node larger than half the bound
+// is not cached.
+func NewNodeCache(maxBytes int) *NodeCache {
+	return &NodeCache{half: maxBytes / 2, cur: make(map[NodeKey][]byte)}
 }
 
-// Len returns the number of nodes held, a node present in both generations
-// counting twice: never more than the bound.
-func (c *NodeCache) Len() int {
+// Bytes returns what the cached nodes cost, a node present in both
+// generations counting twice: never more than the bound.
+func (c *NodeCache) Bytes() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.cur) + len(c.old)
+	return c.curBytes + c.oldBytes
 }
 
 // getLocked returns the node cached under k. Caller holds c.mu.
@@ -56,15 +63,20 @@ func (c *NodeCache) getLocked(k NodeKey) ([]byte, bool) {
 // addLocked caches one node in the current generation, starting a new one
 // when it is full. Caller holds c.mu.
 func (c *NodeCache) addLocked(k NodeKey, encoded []byte) {
-	if c.half < 1 {
+	size := len(encoded) + entryBytes
+	if size > c.half {
 		return
 	}
-	if len(c.cur) >= c.half {
+	if c.curBytes+size > c.half {
 		// Sized for what it will hold: a map left to grow by doubling
 		// spends as long rehashing as inserting.
-		c.old, c.cur = c.cur, make(map[NodeKey][]byte, c.half)
+		c.old, c.cur = c.cur, make(map[NodeKey][]byte, len(c.cur))
+		c.oldBytes, c.curBytes = c.curBytes, 0
 	}
-	c.cur[k] = encoded
+	if _, ok := c.cur[k]; !ok {
+		c.cur[k] = encoded
+		c.curBytes += size
+	}
 }
 
 // Store returns a NodeStore that serves reads from the cache where it can,

@@ -21,7 +21,7 @@ func (s *countingStore) GetNodes(keys []NodeKey) ([][]byte, error) {
 	return s.NodeStore.GetNodes(keys)
 }
 
-// over wraps inner with a cache of at most max nodes; the counters are the
+// over wraps inner with a cache of at most max bytes; the counters are the
 // view's hits and misses.
 func over(inner NodeStore, max int) (NodeStore, *NodeCache, *obs.Counter, *obs.Counter) {
 	cache, hits, misses := NewNodeCache(max), new(obs.Counter), new(obs.Counter)
@@ -55,7 +55,7 @@ func TestLookupSetMatchesLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if depth := 11; counted.calls > depth {
+	if depth := 3; counted.calls > depth { // 16-way levels over 4096 chunks
 		t.Errorf("LookupSet of %d scattered indices took %d GetNodes calls, want <= tree depth %d", len(indices), counted.calls, depth)
 	}
 	if len(got) != len(indices) {
@@ -76,40 +76,40 @@ func TestLookupSetMatchesLookup(t *testing.T) {
 	}
 }
 
-// TestNodeCacheServesRepeatLookups: the second lookup of a range costs no
-// GetNodes call at all, a lookup after Warm pays only for the levels below
-// the warmed ones, and PutNodes writes through — the next Publish finds the
-// paths of the version it extends in the cache.
+// TestNodeCacheServesRepeatLookups: a cold single-chunk lookup costs one
+// GetNodes call per level, a lookup of its neighbour none, the second lookup
+// of a range no call at all, and PutNodes writes through — the next Publish
+// finds the paths of the version it extends in the cache.
 func TestNodeCacheServesRepeatLookups(t *testing.T) {
 	mem := NewMemNodeStore()
-	root, span := publishAll(t, &Tree{Store: mem}, 1, 0, 256) // 9 levels, 511 nodes
+	root, span := publishAll(t, &Tree{Store: mem}, 1, 0, 4096) // 3 levels: 1 + 16 + 256 nodes
 
 	counted := &countingStore{NodeStore: mem}
-	store, cache, hits, misses := over(counted, 1<<10)
+	store, _, hits, misses := over(counted, 1<<20)
 	tr := &Tree{Store: store}
-	if err := tr.Warm(root, span, 100); err != nil { // levels 1+2+...+32 = 63 nodes fit, 127 do not
-		t.Fatal(err)
-	}
-	if counted.calls != 6 || cache.Len() != 63 {
-		t.Fatalf("Warm(budget 100): %d calls, %d nodes cached; want 6 levels, 63 nodes", counted.calls, cache.Len())
-	}
-	counted.calls = 0
 	if _, err := tr.Lookup(root, span, 77, 1); err != nil {
 		t.Fatal(err)
 	}
 	if counted.calls != 3 {
-		t.Errorf("single-chunk lookup after Warm took %d calls, want the 3 uncached levels", counted.calls)
+		t.Errorf("cold single-chunk lookup took %d calls, want one per level, 3", counted.calls)
 	}
-	if _, err := tr.Lookup(root, span, 0, 256); err != nil {
+	counted.calls = 0
+	if _, err := tr.Lookup(root, span, 78, 1); err != nil {
+		t.Fatal(err)
+	}
+	if counted.calls != 0 {
+		t.Errorf("lookup of a chunk in a cached bottom node took %d calls, want 0", counted.calls)
+	}
+	if _, err := tr.Lookup(root, span, 0, span); err != nil {
 		t.Fatal(err)
 	}
 	counted.calls, counted.keys = 0, 0
 	h0, m0 := hits.Value(), misses.Value()
-	if _, err := tr.Lookup(root, span, 0, 256); err != nil {
+	if _, err := tr.Lookup(root, span, 0, span); err != nil {
 		t.Fatal(err)
 	}
-	if counted.calls != 0 || misses.Value() != m0 || hits.Value()-h0 != 511 {
-		t.Errorf("repeat lookup: %d calls, %d misses, %d hits; want 0, 0, 511", counted.calls, misses.Value()-m0, hits.Value()-h0)
+	if counted.calls != 0 || misses.Value() != m0 || hits.Value()-h0 != 273 {
+		t.Errorf("repeat lookup: %d calls, %d misses, %d hits; want 0, 0, 273", counted.calls, misses.Value()-m0, hits.Value()-h0)
 	}
 
 	// Write-through: a publish through the cache leaves its nodes cached, so
@@ -127,16 +127,17 @@ func TestNodeCacheServesRepeatLookups(t *testing.T) {
 	}
 }
 
-// TestNodeCacheBound: inserting past the budget — by reads or by writes —
-// never exceeds it, and lookups through a thrashing cache stay correct.
+// TestNodeCacheBound: inserting past the byte budget — by reads or by
+// writes — never exceeds it, and lookups through a thrashing cache stay
+// correct.
 func TestNodeCacheBound(t *testing.T) {
 	mem := NewMemNodeStore()
-	root, span := publishAll(t, &Tree{Store: mem}, 1, 0, 512)
-	const max = 37
+	root, span := publishAll(t, &Tree{Store: mem}, 1, 0, 8192)
+	const max = 5000 // a dozen bottom nodes
 	store, cache, _, _ := over(mem, max)
 	tr := &Tree{Store: store}
-	for first := uint64(0); first < 512; first += 64 {
-		slots, err := tr.Lookup(root, span, first, 64)
+	for first := uint64(0); first < 8192; first += 512 {
+		slots, err := tr.Lookup(root, span, first, 512)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,18 +146,18 @@ func TestNodeCacheBound(t *testing.T) {
 				t.Fatalf("lookup through a full cache: slot %d of run %d = %+v", i, first, s)
 			}
 		}
-		if n := cache.Len(); n > max {
-			t.Fatalf("cache holds %d nodes, bound is %d", n, max)
+		if n := cache.Bytes(); n > max {
+			t.Fatalf("cache holds %d bytes, bound is %d", n, max)
 		}
 	}
-	if _, err := tr.Publish(1, 1, root, span, span, map[uint64]Leaf{3: leaf(9003, 256), 400: leaf(9400, 256)}); err != nil {
+	if _, err := tr.Publish(1, 1, root, span, span, map[uint64]Leaf{3: leaf(9003, 256), 4000: leaf(9400, 256)}); err != nil {
 		t.Fatal(err)
 	}
-	if n := cache.Len(); n == 0 || n > max {
-		t.Fatalf("after a write-through publish the cache holds %d nodes, want some and at most %d", n, max)
+	if n := cache.Bytes(); n == 0 || n > max {
+		t.Fatalf("after a write-through publish the cache holds %d bytes, want some and at most %d", n, max)
 	}
-	if store, zero, _, _ := over(mem, 1); store.PutNodes([]NodePut{{Key: NodeKey{Blob: 9}, Encoded: []byte{1}}}) != nil || zero.Len() != 0 {
-		t.Error("a cache too small for two generations cached something")
+	if store, tiny, _, _ := over(mem, 2*entryBytes+1); store.PutNodes([]NodePut{{Key: NodeKey{Blob: 9}, Encoded: []byte{1, 2}}}) != nil || tiny.Bytes() != 0 {
+		t.Error("a node larger than a generation was cached")
 	}
 }
 
@@ -165,16 +166,17 @@ func TestNodeCacheBound(t *testing.T) {
 // one-off nodes ten times the cache's size does not push it out.
 func TestNodeCacheKeepsWhatIsInUse(t *testing.T) {
 	mem := NewMemNodeStore()
-	hot := NodeKey{Blob: 1, Version: 1, Offset: 0, Span: 1024}
+	hot := NodeKey{Blob: 1, Version: 1, Offset: 0, Span: 4096}
 	puts := []NodePut{{Key: hot, Encoded: []byte{1, 0}}}
 	for i := uint64(0); i < 1000; i++ {
-		puts = append(puts, NodePut{Key: NodeKey{Blob: 1, Version: 1, Offset: i, Span: 1}, Encoded: []byte{2, byte(i)}})
+		puts = append(puts, NodePut{Key: NodeKey{Blob: 1, Version: 1, Offset: i * 16, Span: 16}, Encoded: []byte{2, byte(i)}})
 	}
 	if err := mem.PutNodes(puts); err != nil {
 		t.Fatal(err)
 	}
 	counted := &countingStore{NodeStore: mem}
-	store, cache, _, _ := over(counted, 100)
+	const max = 100 * (2 + entryBytes) // a hundred of these nodes
+	store, cache, _, _ := over(counted, max)
 	for _, p := range puts[1:] {
 		if _, err := store.GetNodes([]NodeKey{hot, p.Key}); err != nil {
 			t.Fatal(err)
@@ -183,8 +185,8 @@ func TestNodeCacheKeepsWhatIsInUse(t *testing.T) {
 	if counted.keys != len(puts) {
 		t.Errorf("%d keys reached the store, want %d: the hot node once, every other node once", counted.keys, len(puts))
 	}
-	if n := cache.Len(); n > 100 {
-		t.Errorf("cache holds %d nodes, bound is 100", n)
+	if n := cache.Bytes(); n > max {
+		t.Errorf("cache holds %d bytes, bound is %d", n, max)
 	}
 }
 
@@ -194,10 +196,10 @@ func TestNodeCacheKeepsWhatIsInUse(t *testing.T) {
 // here nothing — never the dead version's bytes.
 func TestNodeCacheKeyedExactly(t *testing.T) {
 	mem := NewMemNodeStore()
-	root, span := publishAll(t, &Tree{Store: mem}, 1, 4, 8)
-	store, _, _, _ := over(mem, 64)
+	root, span := publishAll(t, &Tree{Store: mem}, 1, 4, 256)
+	store, _, _, _ := over(mem, 1<<20)
 	tr := &Tree{Store: store}
-	if _, err := tr.Lookup(root, span, 0, 8); err != nil { // caches all 15 nodes of version 4
+	if _, err := tr.Lookup(root, span, 0, span); err != nil { // caches all 17 nodes of version 4
 		t.Fatal(err)
 	}
 	for _, k := range mem.Keys() {
@@ -207,7 +209,7 @@ func TestNodeCacheKeyedExactly(t *testing.T) {
 	for _, other := range []NodeKey{
 		{Blob: 1, Version: 5, Offset: 0, Span: span},
 		{Blob: 2, Version: 4, Offset: 0, Span: span},
-		{Blob: 1, Version: 4, Offset: 0, Span: span * 2},
+		{Blob: 1, Version: 4, Offset: 0, Span: span * Fanout},
 		{Blob: 1, Version: 4, Offset: span, Span: span},
 	} {
 		raws, err := store.GetNodes([]NodeKey{rootKey, other})
@@ -240,7 +242,7 @@ func BenchmarkLookupCached(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	store, _, _, _ := over(mem, 1<<16)
+	store, _, _, _ := over(mem, 8<<20)
 	tr := &Tree{Store: store}
 	if _, err := tr.Lookup(root, span, 0, span); err != nil {
 		b.Fatal(err)

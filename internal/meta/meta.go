@@ -1,14 +1,21 @@
 // Package meta implements BlobSeer's versioned metadata: a distributed
 // segment tree that maps each BLOB version to the chunks composing it.
 //
-// Every version of a BLOB is described by a binary tree over the chunk index
-// space. Leaves are chunk descriptors (which providers hold the chunk);
-// inner nodes cover power-of-two ranges. Nodes are immutable and keyed by
-// (blob, version, offset, span), so publishing a new version writes only the
-// nodes on the paths to modified chunks — unmodified subtrees are shared
-// with earlier versions by reference. This is the "shadowing" the paper
-// relies on: each snapshot looks like a standalone image while physically
-// storing only deltas.
+// Every version of a BLOB is described by a wide tree over the chunk index
+// space, Fanout ways at every level. A bottom node covers Fanout consecutive
+// chunks and holds their descriptors itself (which providers hold each
+// chunk, its content key and size), naming the providers by index into a
+// small table stored once per node; an absent slot is a hole, a chunk never
+// written, which reads as zeros. An inner node holds up to Fanout child
+// references behind a presence mask. A tree of span chunks is therefore
+// ⌈log_Fanout span⌉ levels deep — four for 16 384 chunks — the shape of
+// QCOW2's table-of-tables, whose bottom table holds the cluster descriptors.
+//
+// Nodes are immutable and keyed by (blob, version, offset, span), so
+// publishing a new version writes only the nodes on the paths to modified
+// chunks — unmodified subtrees are shared with earlier versions by
+// reference. This is the "shadowing" the paper relies on: each snapshot
+// looks like a standalone image while physically storing only deltas.
 //
 // Cloning falls out of the same representation: a clone's root simply
 // references the origin blob's tree; the clone's subsequent writes create
@@ -17,17 +24,18 @@
 //
 // Node I/O is batched: the NodeStore interface moves whole node sets per
 // call. Publish stages every node it creates and flushes them in a single
-// PutNodes call, and Publish's reads of the previous version's paths as well
-// as Lookup's descent proceed level by level, fetching each level's node set
-// in one GetNodes call — so a tree operation costs O(tree depth) round trips
-// per metadata provider instead of O(nodes touched). Because nodes are
-// immutable and their keys never reused, a NodeCache in front of the store
-// (cache.go) is valid forever: it takes the cached levels out of that count.
+// PutNodes call, and Publish's reads of the previous version's paths, Lookup
+// and Walk proceed level by level, fetching each level's node set in one
+// GetNodes call — so a tree operation costs O(tree depth) round trips per
+// metadata provider instead of O(nodes touched). Because nodes are immutable
+// and their keys never reused, a NodeCache in front of the store (cache.go)
+// is valid forever: it takes the cached levels out of that count.
 package meta
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -35,8 +43,21 @@ import (
 	"blobcr/internal/wire"
 )
 
+// Fanout is the tree's width: an inner node has up to Fanout children and a
+// bottom node holds the descriptors of Fanout consecutive chunks.
+const Fanout = 16
+
+// maxFanout bounds the width any tree may have: a node's presence mask is 64
+// bits.
+const maxFanout = 64
+
+// NodeSizeHint is what one encoded node is expected to take: a full bottom
+// node with a replica or two per chunk is ~370–450 bytes, an inner node
+// under a hundred. Callers size response frames with it.
+const NodeSizeHint = 512
+
 // NodeKey identifies an immutable tree node. Offset and Span are measured in
-// chunks; Span is a power of two.
+// chunks; Span is the range the node covers, a power of Fanout.
 type NodeKey struct {
 	Blob    uint64
 	Version uint64
@@ -68,7 +89,8 @@ type LeafSlot struct {
 	Present bool
 }
 
-// NodePut is one staged node write.
+// NodePut is one staged node write. Encoded is immutable once put: stores
+// and caches keep it without copying.
 type NodePut struct {
 	Key     NodeKey
 	Encoded []byte
@@ -94,125 +116,84 @@ var ErrNodeNotFound = errors.New("meta: node not found")
 // Tree provides segment-tree operations over a NodeStore.
 type Tree struct {
 	Store NodeStore
+
+	fanout uint64 // zero means Fanout; set only by this package's tests
 }
 
-// node is the decoded form of a stored tree node.
-type node struct {
-	isLeaf      bool
-	left, right NodeRef // inner
-	leaf        Leaf    // leaf
+func (t *Tree) width() uint64 {
+	if t.fanout == 0 {
+		return Fanout
+	}
+	return t.fanout
 }
 
-func encodeNode(n *node) []byte {
-	w := wire.NewBuffer(64)
-	if n.isLeaf {
-		w.PutU8(2)
-		w.PutUvarint(uint64(len(n.leaf.Providers)))
-		for _, p := range n.leaf.Providers {
-			w.PutString(p)
-		}
-		w.PutU64(n.leaf.Key.Blob)
-		w.PutU64(n.leaf.Key.ID)
-		w.PutU32(n.leaf.Size)
-	} else {
-		w.PutU8(1)
-		putRef := func(r NodeRef) {
-			w.PutBool(r.Valid)
-			w.PutU64(r.Blob)
-			w.PutU64(r.Version)
-		}
-		putRef(n.left)
-		putRef(n.right)
+// cover returns the range the root of a tree of the given span covers: the
+// smallest power of f that is at least span, and at least f, so the
+// smallest tree is one bottom node. It stops short of overflowing: a span
+// beyond the largest power of f a uint64 holds is not covered.
+func cover(f, span uint64) uint64 {
+	c := f
+	for c < span && c <= math.MaxUint64/f {
+		c *= f
 	}
-	return w.Bytes()
-}
-
-func decodeNode(p []byte) (*node, error) {
-	r := wire.NewReader(p)
-	kind := r.U8()
-	n := &node{}
-	switch kind {
-	case 2:
-		n.isLeaf = true
-		np := r.Uvarint()
-		if np > 1024 {
-			return nil, fmt.Errorf("meta: implausible provider count %d", np)
-		}
-		n.leaf.Providers = make([]string, np)
-		for i := range n.leaf.Providers {
-			n.leaf.Providers[i] = r.String()
-		}
-		n.leaf.Key.Blob = r.U64()
-		n.leaf.Key.ID = r.U64()
-		n.leaf.Size = r.U32()
-	case 1:
-		getRef := func() NodeRef {
-			var ref NodeRef
-			ref.Valid = r.Bool()
-			ref.Blob = r.U64()
-			ref.Version = r.U64()
-			return ref
-		}
-		n.left = getRef()
-		n.right = getRef()
-	default:
-		return nil, fmt.Errorf("meta: unknown node kind %d", kind)
-	}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("meta: decode node: %w", err)
-	}
-	return n, nil
+	return c
 }
 
 // treePos names one node position being fetched during a level-order
 // descent: the reference to follow and the range it covers — and, in a
-// lookup, which of the wanted indices lie below it: positions [lo, hi).
+// lookup or a publish, which of the wanted indices lie below it: positions
+// [lo, hi).
 type treePos struct {
 	ref          NodeRef
 	offset, span uint64
 	lo, hi       int
 }
 
+func (it treePos) key() NodeKey {
+	return NodeKey{Blob: it.ref.Blob, Version: it.ref.Version, Offset: it.offset, Span: it.span}
+}
+
 // getLevel fetches and decodes one descent level's nodes in a single
 // GetNodes call, aligned with items. A missing node is wrapped in
-// ErrNodeNotFound and a decode failure in the given verb's context, so both
-// level-order traversals (Publish's prefetch and Lookup) report errors the
-// same way.
-func (t *Tree) getLevel(verb string, items []treePos) ([]*node, error) {
+// ErrNodeNotFound and a decode failure in the given verb's context, so every
+// level-order traversal reports errors the same way.
+func (t *Tree) getLevel(verb string, items []treePos) ([]node, error) {
+	if len(items) == 0 {
+		return nil, nil
+	}
 	keys := make([]NodeKey, len(items))
 	for i, it := range items {
-		keys[i] = NodeKey{Blob: it.ref.Blob, Version: it.ref.Version, Offset: it.offset, Span: it.span}
+		keys[i] = it.key()
 	}
 	raws, err := t.Store.GetNodes(keys)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*node, len(items))
+	f := t.width()
+	out := make([]node, len(items))
 	for i, it := range items {
 		if raws[i] == nil {
 			return nil, fmt.Errorf("meta: %s (off=%d span=%d): %w: %+v", verb, it.offset, it.span, ErrNodeNotFound, keys[i])
 		}
-		n, err := decodeNode(raws[i])
-		if err != nil {
+		if out[i], err = decodeNode(raws[i], f, it.span == f); err != nil {
 			return nil, fmt.Errorf("meta: %s (off=%d span=%d): %w", verb, it.offset, it.span, err)
 		}
-		out[i] = n
 	}
 	return out, nil
 }
 
-// getNode fetches and decodes one node (single-node convenience over
-// GetNodes, used where batching has nothing to gain).
-func (t *Tree) getNode(ref NodeRef, offset, span uint64) (*node, error) {
-	key := NodeKey{Blob: ref.Blob, Version: ref.Version, Offset: offset, Span: span}
-	raws, err := t.Store.GetNodes([]NodeKey{key})
-	if err != nil {
-		return nil, err
+// split calls fn for each child slot of a node that has wanted indices below
+// it, in slot order, with the run indices[lo:hi] of those indices; the node
+// starts at offset and each child covers child chunks. indices must be
+// ascending and indices[lo:hi] inside the node.
+func split(indices []uint64, lo, hi int, offset, child uint64, fn func(slot uint64, lo, hi int)) {
+	for lo < hi {
+		slot := (indices[lo] - offset) / child
+		bound := offset + (slot+1)*child
+		end := lo + sort.Search(hi-lo, func(i int) bool { return indices[lo+i] >= bound })
+		fn(slot, lo, end)
+		lo = end
 	}
-	if len(raws) != 1 || raws[0] == nil {
-		return nil, fmt.Errorf("%w: %+v", ErrNodeNotFound, key)
-	}
-	return decodeNode(raws[0])
 }
 
 // NextPow2 returns the smallest power of two >= n (and >= 1).
@@ -232,7 +213,9 @@ func NextPow2(n uint64) uint64 {
 //
 // It returns the new root reference. If writes is empty and the span does
 // not grow, the previous root is returned unchanged (an empty commit shares
-// everything).
+// everything). When the span grows past what the old root covers, the old
+// root becomes the first child of a new one (or of its first child, and so
+// on down).
 //
 // I/O is batched: the previous version's nodes along the modified paths are
 // prefetched level by level (one GetNodes per level) and every node created
@@ -245,37 +228,41 @@ func (t *Tree) Publish(blob, version uint64, prev NodeRef, prevSpan, newSpan uin
 	if newSpan == 0 || newSpan&(newSpan-1) != 0 {
 		return NodeRef{}, fmt.Errorf("meta: span %d is not a power of two", newSpan)
 	}
+	f := t.width()
+	top := cover(f, newSpan)
+	if top < newSpan {
+		return NodeRef{}, fmt.Errorf("meta: span %d is past what a tree of fanout %d covers", newSpan, f)
+	}
 	if len(writes) == 0 && newSpan == prevSpan {
 		return prev, nil
 	}
+	indices := make([]uint64, 0, len(writes))
 	for idx := range writes {
 		if idx >= newSpan {
 			return NodeRef{}, fmt.Errorf("meta: write index %d outside span %d", idx, newSpan)
 		}
-	}
-	indices := make([]uint64, 0, len(writes))
-	for idx := range writes {
 		indices = append(indices, idx)
 	}
 	slices.Sort(indices)
 	b := &builder{
 		tree:     t,
+		f:        f,
 		blob:     blob,
 		version:  version,
 		prevRoot: prev,
-		prevSpan: prevSpan,
+		prevTop:  cover(f, prevSpan),
 		writes:   writes,
 		indices:  indices,
-		cache:    make(map[NodeKey]*node),
+		prev:     make(map[NodeKey]*node),
 	}
 	var prevHere NodeRef
-	if prev.Valid && newSpan == prevSpan {
+	if prev.Valid && top == b.prevTop {
 		prevHere = prev
 	}
-	if err := b.prefetch(prevHere, newSpan); err != nil {
+	if err := b.prefetch(treePos{ref: prevHere, span: top, hi: len(indices)}); err != nil {
 		return NodeRef{}, err
 	}
-	ref, err := b.build(prevHere, 0, newSpan)
+	ref, err := b.build(treePos{ref: prevHere, span: top, hi: len(indices)})
 	if err != nil {
 		return NodeRef{}, err
 	}
@@ -288,54 +275,55 @@ func (t *Tree) Publish(blob, version uint64, prev NodeRef, prevSpan, newSpan uin
 // builder carries the context of one Publish call.
 type builder struct {
 	tree     *Tree
+	f        uint64
 	blob     uint64
 	version  uint64
 	prevRoot NodeRef
-	prevSpan uint64
+	prevTop  uint64 // the range the previous root covers
 	writes   map[uint64]Leaf
 	indices  []uint64 // sorted write indices
 
-	cache   map[NodeKey]*node // prefetched previous-version nodes
+	prev    map[NodeKey]*node // prefetched previous-version nodes
 	pending []NodePut         // staged writes, flushed once
+	w       wire.Buffer       // encoding scratch
+	table   []string          // provider-table scratch
 }
 
-// touched reports whether any write index falls in [offset, offset+span).
-func (b *builder) touched(offset, span uint64) bool {
-	i := sort.Search(len(b.indices), func(i int) bool { return b.indices[i] >= offset })
-	return i < len(b.indices) && b.indices[i] < offset+span
+// wraps reports whether the node at pos must be materialized solely to keep
+// a grown tree connected to the old root, which sits at (0, prevTop).
+func (b *builder) wraps(pos treePos) bool {
+	return b.prevRoot.Valid && pos.span > b.prevTop && pos.offset == 0
 }
 
-// wrapsOldRoot reports whether the range must be materialized solely to keep
-// the grown tree connected to the old root at (0, prevSpan).
-func (b *builder) wrapsOldRoot(offset, span uint64) bool {
-	return b.prevRoot.Valid && span > b.prevSpan && offset == 0
+// spine returns the first child of a wrapping node: the old root itself, or
+// the next node down the leftmost spine toward it.
+func (b *builder) spine(pos treePos) treePos {
+	child := pos.span / b.f
+	hi := pos.lo + sort.Search(pos.hi-pos.lo, func(i int) bool { return b.indices[pos.lo+i] >= child })
+	next := treePos{span: child, lo: pos.lo, hi: hi}
+	if child == b.prevTop {
+		next.ref = b.prevRoot
+	}
+	return next
 }
 
 // prefetch walks the previous version's nodes that build is about to read —
-// the inner nodes covering touched ranges, plus the leftmost spine of a
-// grown tree — level by level, fetching each level's set in one GetNodes
-// call and priming the cache.
-func (b *builder) prefetch(root NodeRef, span uint64) error {
-	frontier := []treePos{{ref: root, offset: 0, span: span}}
-	for len(frontier) > 0 {
-		var next []treePos
-		var fetch []treePos
+// every node with a write below it, down to the bottom nodes whose other
+// descriptors the new ones keep — level by level, fetching each level's set
+// in one GetNodes call.
+func (b *builder) prefetch(root treePos) error {
+	for frontier := []treePos{root}; len(frontier) > 0; {
+		var fetch, next []treePos
 		for _, it := range frontier {
-			touched := b.touched(it.offset, it.span)
-			wraps := b.wrapsOldRoot(it.offset, it.span)
-			if (!touched && !wraps) || it.span == 1 {
-				continue
-			}
-			half := it.span / 2
 			switch {
+			case it.lo == it.hi && !b.wraps(it):
+				// Nothing below changes: build shares it without reading it.
 			case it.ref.Valid:
 				fetch = append(fetch, it)
-			case wraps && half == b.prevSpan:
-				// Left child is exactly the old root.
-				next = append(next, treePos{ref: b.prevRoot, offset: it.offset, span: half})
-			case wraps:
-				// Keep descending the leftmost spine toward the old root.
-				next = append(next, treePos{offset: it.offset, span: half})
+			case b.wraps(it):
+				// The old root lies down the leftmost spine; writes beside it
+				// have no previous nodes to read.
+				next = append(next, b.spine(it))
 			}
 		}
 		nodes, err := b.tree.getLevel("fetch previous node", fetch)
@@ -343,84 +331,81 @@ func (b *builder) prefetch(root NodeRef, span uint64) error {
 			return err
 		}
 		for i, it := range fetch {
-			n := nodes[i]
-			b.cache[NodeKey{Blob: it.ref.Blob, Version: it.ref.Version, Offset: it.offset, Span: it.span}] = n
-			if n.isLeaf {
-				continue // build will reject it with a proper error
+			n := &nodes[i]
+			b.prev[it.key()] = n
+			if n.bottom {
+				continue
 			}
-			half := it.span / 2
-			if n.left.Valid {
-				next = append(next, treePos{ref: n.left, offset: it.offset, span: half})
-			}
-			if n.right.Valid {
-				next = append(next, treePos{ref: n.right, offset: it.offset + half, span: half})
-			}
+			child := it.span / b.f
+			split(b.indices, it.lo, it.hi, it.offset, child, func(slot uint64, lo, hi int) {
+				if n.kids[slot].Valid {
+					next = append(next, treePos{ref: n.kids[slot], offset: it.offset + slot*child, span: child, lo: lo, hi: hi})
+				}
+			})
 		}
 		frontier = next
 	}
 	return nil
 }
 
-// getPrev returns the previous version's node for the range, from the
-// prefetch cache (with a single-fetch fallback for safety).
-func (b *builder) getPrev(ref NodeRef, offset, span uint64) (*node, error) {
-	key := NodeKey{Blob: ref.Blob, Version: ref.Version, Offset: offset, Span: span}
-	if n, ok := b.cache[key]; ok {
-		return n, nil
+// build constructs the node at pos, whose writes are indices[pos.lo:pos.hi]
+// and whose previous version is pos.ref (invalid if the range did not exist
+// or was a hole). It returns the previous node's reference when nothing
+// below it changed, achieving structural sharing.
+func (b *builder) build(pos treePos) (NodeRef, error) {
+	wraps := b.wraps(pos)
+	if pos.lo == pos.hi && !wraps {
+		return pos.ref, nil // share the previous subtree, or keep a hole
 	}
-	return b.tree.getNode(ref, offset, span)
-}
-
-// build constructs the node covering [offset, offset+span). prevHere is the
-// previous version's node for this exact range (invalid if the range did not
-// exist or was a hole). It returns the previous node's reference when the
-// range is untouched, achieving structural sharing.
-func (b *builder) build(prevHere NodeRef, offset, span uint64) (NodeRef, error) {
-	touched := b.touched(offset, span)
-	// When the tree grows, the old root sits at (0, prevSpan) inside the new
-	// tree; the subtrees above it must be materialized even if untouched so
-	// the new root reaches the old data.
-	wrapsOldRoot := b.wrapsOldRoot(offset, span)
-	if !touched && !wrapsOldRoot {
-		return prevHere, nil // share previous subtree, or keep a hole
-	}
-	if span == 1 {
-		leaf := b.writes[offset] // touched guarantees presence
-		return b.put(offset, span, &node{isLeaf: true, leaf: leaf})
-	}
-	half := span / 2
-	var prevLeft, prevRight NodeRef
-	switch {
-	case prevHere.Valid:
-		pn, err := b.getPrev(prevHere, offset, span)
-		if err != nil {
-			return NodeRef{}, fmt.Errorf("meta: fetch previous node (off=%d span=%d): %w", offset, span, err)
+	var prev *node
+	if pos.ref.Valid {
+		if prev = b.prev[pos.key()]; prev == nil { // prefetch reads every one build needs
+			return NodeRef{}, fmt.Errorf("meta: previous node %+v was not prefetched", pos.key())
 		}
-		if pn.isLeaf {
-			return NodeRef{}, fmt.Errorf("meta: unexpected leaf at span %d", span)
-		}
-		prevLeft, prevRight = pn.left, pn.right
-	case wrapsOldRoot && half == b.prevSpan:
-		// Left child is exactly the old root.
-		prevLeft = b.prevRoot
 	}
-	left, err := b.build(prevLeft, offset, half)
+	if pos.span == b.f {
+		var leaves [maxFanout]Leaf
+		var mask uint64
+		if prev != nil {
+			copy(leaves[:], prev.leaves)
+			mask = prev.mask
+		}
+		for _, idx := range b.indices[pos.lo:pos.hi] {
+			leaves[idx-pos.offset] = b.writes[idx]
+			mask |= 1 << (idx - pos.offset)
+		}
+		b.w.Reset()
+		b.table = encodeBottom(&b.w, mask, leaves[:b.f], b.table)
+		return b.put(pos), nil
+	}
+	child := pos.span / b.f
+	var kids [maxFanout]NodeRef
+	if prev != nil {
+		copy(kids[:], prev.kids)
+	}
+	var err error
+	if wraps {
+		kids[0], err = b.build(b.spine(pos))
+	}
+	split(b.indices, pos.lo, pos.hi, pos.offset, child, func(slot uint64, lo, hi int) {
+		if err == nil && !(wraps && slot == 0) {
+			kids[slot], err = b.build(treePos{ref: kids[slot], offset: pos.offset + slot*child, span: child, lo: lo, hi: hi})
+		}
+	})
 	if err != nil {
 		return NodeRef{}, err
 	}
-	right, err := b.build(prevRight, offset+half, half)
-	if err != nil {
-		return NodeRef{}, err
-	}
-	return b.put(offset, span, &node{left: left, right: right})
+	b.w.Reset()
+	encodeInner(&b.w, kids[:b.f])
+	return b.put(pos), nil
 }
 
-// put stages one node write; the whole set is flushed by Publish in one
-// PutNodes call.
-func (b *builder) put(offset, span uint64, n *node) (NodeRef, error) {
-	key := NodeKey{Blob: b.blob, Version: b.version, Offset: offset, Span: span}
-	b.pending = append(b.pending, NodePut{Key: key, Encoded: encodeNode(n)})
-	return NodeRef{Blob: b.blob, Version: b.version, Valid: true}, nil
+// put stages the node just encoded into b.w under pos's range; the whole set
+// is flushed by Publish in one PutNodes call.
+func (b *builder) put(pos treePos) NodeRef {
+	key := NodeKey{Blob: b.blob, Version: b.version, Offset: pos.offset, Span: pos.span}
+	b.pending = append(b.pending, NodePut{Key: key, Encoded: slices.Clone(b.w.Bytes())})
+	return NodeRef{Blob: b.blob, Version: b.version, Valid: true}
 }
 
 // Lookup returns the leaf slots for chunk indices [first, first+count) in
@@ -436,11 +421,12 @@ func (t *Tree) Lookup(root NodeRef, span uint64, first, count uint64) ([]LeafSlo
 
 // LookupSet returns the leaf slots for the given chunk indices, which must
 // be ascending, aligned with them. Indices beyond the span, and indices
-// under a never-written subtree, are reported as holes.
+// under a never-written subtree or in an empty slot of a bottom node, are
+// reported as holes.
 //
 // The descent is level-order over the whole set at once: each level's node
 // set — the nodes with a wanted index below them — is fetched in one
-// GetNodes call, so a lookup costs O(tree depth) round trips per metadata
+// GetNodes call, so a lookup costs one round trip per level per metadata
 // provider no matter how many chunks it covers or how they are scattered.
 // Through a NodeCache only the levels it does not hold cost a round trip.
 func (t *Tree) LookupSet(root NodeRef, span uint64, indices []uint64) ([]LeafSlot, error) {
@@ -448,117 +434,80 @@ func (t *Tree) LookupSet(root NodeRef, span uint64, indices []uint64) ([]LeafSlo
 	for i, idx := range indices {
 		out[i].Index = idx
 	}
-	// below returns the first position in [lo, hi) whose index is >= bound.
-	below := func(lo, hi int, bound uint64) int {
-		return lo + sort.Search(hi-lo, func(i int) bool { return indices[lo+i] >= bound })
+	f := t.width()
+	top := cover(f, span)
+	n := sort.Search(len(indices), func(i int) bool { return indices[i] >= min(span, top) })
+	if n == 0 || !root.Valid {
+		return out, nil
 	}
-	// The frontier holds the nodes with wanted indices below them.
-	var frontier []treePos
-	if n := below(0, len(indices), span); n > 0 && root.Valid {
-		frontier = []treePos{{ref: root, offset: 0, span: span, lo: 0, hi: n}}
-	}
-	for len(frontier) > 0 {
+	for frontier := []treePos{{ref: root, span: top, hi: n}}; len(frontier) > 0; {
 		nodes, err := t.getLevel("lookup node", frontier)
 		if err != nil {
 			return nil, err
 		}
 		var next []treePos
 		for i, it := range frontier {
-			n := nodes[i]
-			if it.span == 1 {
-				if !n.isLeaf {
-					return nil, fmt.Errorf("meta: inner node at span 1")
-				}
+			nd := &nodes[i]
+			if nd.bottom {
 				for p := it.lo; p < it.hi; p++ {
-					out[p].Leaf, out[p].Present = n.leaf, true
+					if slot := indices[p] - it.offset; nd.mask&(1<<slot) != 0 {
+						out[p].Leaf, out[p].Present = nd.leaves[slot], true
+					}
 				}
 				continue
 			}
-			if n.isLeaf {
-				return nil, fmt.Errorf("meta: leaf node at span %d", it.span)
-			}
-			half := it.span / 2
-			mid := below(it.lo, it.hi, it.offset+half)
-			if n.left.Valid && mid > it.lo {
-				next = append(next, treePos{ref: n.left, offset: it.offset, span: half, lo: it.lo, hi: mid})
-			}
-			if n.right.Valid && it.hi > mid {
-				next = append(next, treePos{ref: n.right, offset: it.offset + half, span: half, lo: mid, hi: it.hi})
-			}
+			child := it.span / f
+			split(indices, it.lo, it.hi, it.offset, child, func(slot uint64, lo, hi int) {
+				if kid := nd.kids[slot]; kid.Valid {
+					next = append(next, treePos{ref: kid, offset: it.offset + slot*child, span: child, lo: lo, hi: hi})
+				}
+			})
 		}
 		frontier = next
 	}
 	return out, nil
 }
 
-// Warm reads the top of the tree rooted at root, level by level, for as long
-// as the next level keeps the total within budget nodes. It returns nothing
-// but an error: its use is to pull those nodes through a NodeCache, so that
-// later lookups pay round trips only for the levels below them.
-func (t *Tree) Warm(root NodeRef, span uint64, budget int) error {
-	var frontier []treePos
-	if root.Valid {
-		frontier = []treePos{{ref: root, offset: 0, span: span}}
+// Walk visits every node reachable from root (covering [0, span)) level by
+// level, one GetNodes call per level. fn is called once per node with
+// isLeaf false and, for a bottom node, once more per chunk descriptor it
+// holds, with the node's key and isLeaf true. Used by mark-and-sweep garbage
+// collection. A node's key names its position, so a walk reaches each node
+// once; a subtree shared with other versions is visited by each of their
+// walks.
+func (t *Tree) Walk(root NodeRef, span uint64, fn func(k NodeKey, isLeaf bool, leaf Leaf) error) error {
+	if !root.Valid {
+		return nil
 	}
-	for fetched := 0; len(frontier) > 0 && fetched+len(frontier) <= budget; {
-		nodes, err := t.getLevel("warm node", frontier)
+	f := t.width()
+	for frontier := []treePos{{ref: root, span: cover(f, span)}}; len(frontier) > 0; {
+		nodes, err := t.getLevel("walk node", frontier)
 		if err != nil {
 			return err
 		}
-		fetched += len(frontier)
 		var next []treePos
 		for i, it := range frontier {
-			n := nodes[i]
-			if n.isLeaf {
-				continue
+			nd, key := &nodes[i], it.key()
+			if err := fn(key, false, Leaf{}); err != nil {
+				return err
 			}
-			half := it.span / 2
-			if n.left.Valid {
-				next = append(next, treePos{ref: n.left, offset: it.offset, span: half})
+			for slot := range nd.leaves {
+				if nd.mask&(1<<slot) != 0 {
+					if err := fn(key, true, nd.leaves[slot]); err != nil {
+						return err
+					}
+				}
 			}
-			if n.right.Valid {
-				next = append(next, treePos{ref: n.right, offset: it.offset + half, span: half})
+			child := it.span / f
+			for slot, kid := range nd.kids {
+				if kid.Valid {
+					next = append(next, treePos{ref: kid, offset: it.offset + uint64(slot)*child, span: child})
+				}
 			}
 		}
 		frontier = next
 	}
 	return nil
-}
-
-// Walk visits every node reachable from root (covering [0, span)), calling
-// fn with each node's key and, for leaves, the decoded descriptor. Used by
-// mark-and-sweep garbage collection. Shared subtrees reachable from multiple
-// roots are visited once per Walk call; the visited map deduplicates within
-// a call.
-func (t *Tree) Walk(root NodeRef, span uint64, fn func(k NodeKey, isLeaf bool, leaf Leaf) error) error {
-	visited := make(map[NodeKey]struct{})
-	return t.walk(root, 0, span, fn, visited)
-}
-
-func (t *Tree) walk(ref NodeRef, offset, span uint64, fn func(NodeKey, bool, Leaf) error, visited map[NodeKey]struct{}) error {
-	if !ref.Valid {
-		return nil
-	}
-	key := NodeKey{Blob: ref.Blob, Version: ref.Version, Offset: offset, Span: span}
-	if _, seen := visited[key]; seen {
-		return nil
-	}
-	visited[key] = struct{}{}
-	n, err := t.getNode(ref, offset, span)
-	if err != nil {
-		return err
-	}
-	if err := fn(key, n.isLeaf, n.leaf); err != nil {
-		return err
-	}
-	if n.isLeaf {
-		return nil
-	}
-	half := span / 2
-	if err := t.walk(n.left, offset, half, fn, visited); err != nil {
-		return err
-	}
-	return t.walk(n.right, offset+half, half, fn, visited)
 }
 
 // MemNodeStore is an in-memory NodeStore for tests and single-process use.
@@ -571,11 +520,11 @@ func NewMemNodeStore() *MemNodeStore {
 	return &MemNodeStore{m: make(map[NodeKey][]byte)}
 }
 
-// PutNodes implements NodeStore.
+// PutNodes implements NodeStore. It keeps the encoded nodes it is handed.
 func (s *MemNodeStore) PutNodes(puts []NodePut) error {
 	for _, p := range puts {
-		if err := s.PutNode(p.Key, p.Encoded); err != nil {
-			return err
+		if _, exists := s.m[p.Key]; !exists { // nodes are immutable; re-put is idempotent
+			s.m[p.Key] = p.Encoded
 		}
 	}
 	return nil
@@ -588,26 +537,6 @@ func (s *MemNodeStore) GetNodes(keys []NodeKey) ([][]byte, error) {
 		out[i] = s.m[k]
 	}
 	return out, nil
-}
-
-// PutNode stores one node (single-node convenience).
-func (s *MemNodeStore) PutNode(k NodeKey, encoded []byte) error {
-	if _, exists := s.m[k]; exists {
-		return nil // nodes are immutable; re-put is idempotent
-	}
-	cp := make([]byte, len(encoded))
-	copy(cp, encoded)
-	s.m[k] = cp
-	return nil
-}
-
-// GetNode returns one node (single-node convenience).
-func (s *MemNodeStore) GetNode(k NodeKey) ([]byte, error) {
-	v, ok := s.m[k]
-	if !ok {
-		return nil, fmt.Errorf("%w: %+v", ErrNodeNotFound, k)
-	}
-	return v, nil
 }
 
 // Len returns the number of stored nodes (for space-accounting tests).

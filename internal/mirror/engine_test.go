@@ -237,17 +237,19 @@ func (n *verbNet) take() map[string]int {
 }
 
 // TestRestartRoundTripBudget pins what an attached snapshot costs on the
-// wire. The image's tree is 14 levels deep. A cold Attach — the image has no
-// boot-set hint yet — reads the top 12 ahead. After that, N scattered
-// single-chunk reads issue no version-manager call but the publishes of their
-// demand record, at most one chunk call each, and node calls only for the two
-// levels below the warmed ones. The next Attach replays that record: one
-// hint-get, one descent for the whole set and one chunk call per provider,
-// after which the same N reads go to the network not at all — zero demand
-// faults. A Prefetch of the whole region resolves all 8192 leaves with one
-// descent — no more node calls than levels times metadata shards.
+// wire. The image's tree is 4 levels deep (16-way over 8192 chunks, which
+// the tree covers as 16^4). A cold Attach — the image has no boot-set hint
+// yet — reads no tree node at all. After that, N scattered single-chunk
+// reads issue no version-manager call but the publishes of their demand
+// record, at most one chunk call each, and one node call for each node on
+// their paths, each fetched once. The next Attach replays that record: one
+// hint-get, one descent for the whole set — one node call per level and
+// metadata shard — and one chunk call per provider, after which the same N
+// reads go to the network not at all: zero demand faults. A Prefetch of the
+// whole region resolves all 8192 leaves with one descent, no more node calls
+// than levels times metadata shards.
 func TestRestartRoundTripBudget(t *testing.T) {
-	const chunk, chunks, levels, uncached = 64, 8192, 14, 2
+	const chunk, chunks, levels = 64, 8192, 4
 	net := &verbNet{Network: transport.NewInProc(), counts: make(map[string]int)}
 	d, err := blobseer.Deploy(net, 2, 2)
 	if err != nil {
@@ -279,25 +281,28 @@ func TestRestartRoundTripBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	attach := net.take()
-	if attach["get-version"] != 1 || attach["hint-get"] != 1 || attach["node-get-batch"] > (levels-uncached)*len(d.MetaAddrs) ||
-		attach["get-version"]+attach["hint-get"]+attach["node-get-batch"] != total(attach) {
-		t.Errorf("cold Attach: %v; want one get-version, one hint-get and at most %d node calls", attach, (levels-uncached)*len(d.MetaAddrs))
+	if attach["get-version"] != 1 || attach["hint-get"] != 1 || attach["get-version"]+attach["hint-get"] != total(attach) {
+		t.Errorf("cold Attach: %v; want one get-version, one hint-get and nothing else", attach)
 	}
 	const n = 50
 	boot := make([]int, n)
 	record := make([]uint64, n)
+	paths := make(map[[2]int]bool) // (level, node) pairs on the boot set's paths
 	for i := range boot {
 		boot[i] = (i*163 + 7) % chunks
 		record[i] = uint64(boot[i])
+		for level, span := 0, 16; level < levels; level, span = level+1, span*16 {
+			paths[[2]int{level, boot[i] / span}] = true
+		}
 	}
 	readChunks(t, m, content, chunk, boot...)
 	waitHint(t, w, blob, record)
 	faults := net.take()
-	if faults["get-version"] != 0 || faults["chunk-get-batch"] > n || faults["node-get-batch"] > n*uncached ||
+	if faults["get-version"] != 0 || faults["chunk-get-batch"] > n || faults["node-get-batch"] > len(paths) ||
 		faults["hint-put"] < 1 || faults["hint-put"] > n ||
 		faults["chunk-get-batch"]+faults["node-get-batch"]+faults["hint-put"]+faults["hint-get"] != total(faults) {
 		t.Errorf("%d single-chunk faults: %v; want no get-version, <= %d chunk calls, <= %d node calls, 1..%d hint-puts, nothing else",
-			n, faults, n, n*uncached, n)
+			n, faults, n, len(paths), n)
 	}
 
 	hc, reg := counting(d)

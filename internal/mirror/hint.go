@@ -25,18 +25,17 @@ const demandRecordBytes = 32 << 20
 func (m *Module) recordCap() int { return int(demandRecordBytes / m.chunkSize) }
 
 // replayHint fetches the image's hint and replays it with one prefetch — one
-// ranged lookup, one read-engine call — and reports whether there was one.
-// It runs inside Attach, before the module is shared.
-func (m *Module) replayHint(ctx context.Context) bool {
+// ranged lookup, one read-engine call. It runs inside Attach, before the
+// module is shared. Best effort: a missing hint or a failed replay leaves
+// demand faults to do the rest.
+func (m *Module) replayHint(ctx context.Context) {
 	ctx, span := obs.StartSpan(ctx, obs.SpanRestartHint)
 	defer span.End()
 	hint, err := m.client.GetHint(ctx, m.src.Blob)
 	if err != nil || len(hint) == 0 {
-		return false
+		return
 	}
-	// A failed replay leaves demand faults to do the rest.
 	_ = m.prefetch(ctx, hint[:min(len(hint), m.recordCap())], true)
-	return true
 }
 
 // noteDemand records chunks a demand fault brought in and wakes the

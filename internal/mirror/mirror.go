@@ -179,9 +179,8 @@ func (m *Module) AttachStage(cfg StageConfig) {
 // chosen for rollback. The snapshot's version is pinned here, so a read never
 // costs a version-manager call. Before Attach returns, the image's boot-set
 // hint — what the last instance attached to it had to fetch — is replayed
-// with one prefetch; an image without one has the top of its metadata tree
-// read ahead into the client's node cache instead, so a demand fault later
-// costs the uncached bottom levels of the tree plus one chunk round trip.
+// with one prefetch. A demand fault later costs the uncached levels of the
+// metadata tree, a handful at most, plus one chunk round trip.
 func Attach(ctx context.Context, c *blobseer.Client, ref blobseer.SnapshotRef) (*Module, error) {
 	ctx, span := obs.StartSpan(obs.WithRegistry(ctx, c.Obs), obs.SpanRestartAttach)
 	defer span.End()
@@ -202,11 +201,7 @@ func Attach(ctx context.Context, c *blobseer.Client, ref blobseer.SnapshotRef) (
 		pipelineDepth: DefaultPipelineDepth,
 		live:          make(map[*PendingCommit]struct{}),
 	}
-	// Best effort: a cold cache costs round trips, not correctness, and a
-	// metadata failure that matters will fail the first read.
-	if !m.replayHint(ctx) {
-		_ = snap.Warm(ctx)
-	}
+	m.replayHint(ctx)
 	return m, nil
 }
 

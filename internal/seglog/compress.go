@@ -35,6 +35,20 @@ var flateWriters = sync.Pool{New: func() any {
 	return fw
 }}
 
+// inflater is a pooled DEFLATE decoder with the reader it decodes from:
+// flate.NewReader allocates its window and tables, and the read path decodes
+// every compressed record it serves.
+type inflater struct {
+	src bytes.Reader
+	fr  io.ReadCloser
+}
+
+var inflaters = sync.Pool{New: func() any {
+	in := new(inflater)
+	in.fr = flate.NewReader(&in.src)
+	return in
+}}
+
 // encodePayload picks the storage encoding for a chunk body: zero-page
 // elision first (flag only, no payload), then DEFLATE if it saves at least
 // 1/8th of the bytes, else raw. The returned payload may alias data (raw
@@ -97,13 +111,20 @@ func decodePayload(flags uint8, payload, dst []byte) error {
 		clear(dst)
 		return nil
 	}
-	fr := flate.NewReader(bytes.NewReader(payload))
-	defer fr.Close()
-	if _, err := io.ReadFull(fr, dst); err != nil {
+	in := inflaters.Get().(*inflater)
+	defer func() {
+		in.src.Reset(nil) // the pool holds no record's bytes
+		inflaters.Put(in)
+	}()
+	in.src.Reset(payload)
+	if err := in.fr.(flate.Resetter).Reset(&in.src, nil); err != nil {
+		return fmt.Errorf("seglog: decompress: %w", err)
+	}
+	if _, err := io.ReadFull(in.fr, dst); err != nil {
 		return fmt.Errorf("seglog: decompress: %w", err)
 	}
 	var extra [1]byte
-	if n, _ := fr.Read(extra[:]); n != 0 {
+	if n, _ := in.fr.Read(extra[:]); n != 0 {
 		return fmt.Errorf("seglog: decompress: stream longer than recorded length")
 	}
 	return nil
