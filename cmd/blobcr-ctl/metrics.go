@@ -283,6 +283,20 @@ func renderMetrics(w *os.File, points []obs.Point, rates map[string]float64) {
 		fmt.Fprintf(w, "\ndedup: %.1f%% hit-rate by bytes (%d of %d logical bytes never shipped)\n",
 			100*float64(hit)/float64(logical.Value), hit, logical.Value)
 	}
+	// Hash memo: committed chunks whose fingerprint came from a byte-equal
+	// body of the module's previous commit instead of a second SHA-256.
+	if chunks := obs.Find(points, "blobseer_commit_chunks_total"); chunks != nil && chunks.Value > 0 {
+		var memoChunks, memoBytes uint64
+		if p := obs.Find(points, "blobseer_hash_memo_chunks_total"); p != nil {
+			memoChunks = p.Value
+		}
+		if p := obs.Find(points, "blobseer_hash_memo_bytes_total"); p != nil {
+			memoBytes = p.Value
+		}
+		fmt.Fprintf(w, "hash memo: %.1f%% of committed chunks answered by the previous capture (%d bytes not hashed)\n",
+			100*float64(memoChunks)/float64(chunks.Value), memoBytes)
+		covered["blobseer_hash_memo_chunks_total"], covered["blobseer_hash_memo_bytes_total"] = true, true
+	}
 
 	// Per-provider wire latency: where the commit's time went on the network.
 	var addrRows []string

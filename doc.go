@@ -17,7 +17,9 @@
 // across VMs — reference them; a "have fingerprint?" round trip keeps
 // duplicate bodies off the network entirely. The commit path's layers meet
 // in batches: the client fingerprints the dirty set on every core (an
-// all-zero body from a memo), a provider verifies a put frame's bodies in
+// all-zero body from a memo; a body byte-equal to one the mirroring
+// module's previous commit hashed takes that fingerprint from the module's
+// cas.Memo instead of a second SHA-256), a provider verifies a put frame's bodies in
 // parallel and hands its engine the ones it lacks as one batch
 // (cas.PutContentBatch over chunkstore.PutBatch), and a retire's releases
 // reach each provider as one cas-release-batch frame. Retiring old

@@ -306,7 +306,10 @@ func (c *Client) ListBlobs(ctx context.Context) ([]BlobInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := r.Uvarint()
+	n, err := getCount(r)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]BlobInfo, 0, n)
 	for i := uint64(0); i < n; i++ {
 		out = append(out, BlobInfo{ID: r.U64(), ChunkSize: r.U64(), Versions: r.U64()})
@@ -325,6 +328,12 @@ type CommitStats struct {
 	LogicalBytes  uint64 // payload bytes, counted once per chunk
 	DedupHitBytes uint64 // payload bytes of the dedup'd chunks (counted once per chunk)
 	TransferBytes uint64 // bytes actually shipped to data providers
+
+	// Bodies the hash stage did not hash: byte-equal to one the writer's
+	// fingerprint memo kept from its previous commit (cas.Memo), which
+	// lent its fingerprint.
+	HashMemoChunks int
+	HashMemoBytes  uint64
 }
 
 // Add accumulates other into s (aggregation across commits or modules).
@@ -334,6 +343,8 @@ func (s *CommitStats) Add(o CommitStats) {
 	s.LogicalBytes += o.LogicalBytes
 	s.DedupHitBytes += o.DedupHitBytes
 	s.TransferBytes += o.TransferBytes
+	s.HashMemoChunks += o.HashMemoChunks
+	s.HashMemoBytes += o.HashMemoBytes
 }
 
 // WriteVersion publishes a new version of blob consisting of the previous
@@ -353,7 +364,7 @@ func (c *Client) WriteVersion(ctx context.Context, blob uint64, writes map[uint6
 // content-addressed reference the commit took is returned, so refcounts stay
 // balanced.
 func (c *Client) WriteVersionStats(ctx context.Context, blob uint64, writes map[uint64][]byte, newSize uint64) (VersionInfo, CommitStats, error) {
-	return c.writeVersion(ctx, blob, nil, writes, newSize)
+	return c.writeVersion(ctx, blob, nil, nil, writes, newSize)
 }
 
 // WriteVersionFrom publishes a new version of base.Blob whose unwritten
@@ -365,14 +376,19 @@ func (c *Client) WriteVersionStats(ctx context.Context, blob uint64, writes map[
 // writes the rollback undid. The mirroring module commits through this path,
 // passing the snapshot its device actually exposes.
 func (c *Client) WriteVersionFrom(ctx context.Context, base SnapshotRef, writes map[uint64][]byte, newSize uint64) (VersionInfo, error) {
-	info, _, err := c.WriteVersionStatsFrom(ctx, base, writes, newSize)
+	info, _, err := c.writeVersion(ctx, base.Blob, &base, nil, writes, newSize)
 	return info, err
 }
 
 // WriteVersionStatsFrom is WriteVersionFrom returning per-commit transfer
-// and dedup accounting.
-func (c *Client) WriteVersionStatsFrom(ctx context.Context, base SnapshotRef, writes map[uint64][]byte, newSize uint64) (VersionInfo, CommitStats, error) {
-	return c.writeVersion(ctx, base.Blob, &base, writes, newSize)
+// and dedup accounting. The hash stage fingerprints through memo (nil
+// hashes every body) and then keeps this commit's bodies in it, so a body
+// the next commit finds byte-equal to one of them is not hashed again. A
+// kept body must never be mutated afterwards: pass a memo only when writes
+// holds buffers no one writes again, as the mirroring module's frozen
+// captures are.
+func (c *Client) WriteVersionStatsFrom(ctx context.Context, base SnapshotRef, memo *cas.Memo, writes map[uint64][]byte, newSize uint64) (VersionInfo, CommitStats, error) {
+	return c.writeVersion(ctx, base.Blob, &base, memo, writes, newSize)
 }
 
 // writeVersion implements both commit flavors: with base == nil the new
@@ -381,10 +397,10 @@ func (c *Client) WriteVersionStatsFrom(ctx context.Context, base SnapshotRef, wr
 // implementation with the commit-level telemetry: per-commit counters and
 // the registry attachment the stage spans and batch counters below record
 // through.
-func (c *Client) writeVersion(ctx context.Context, blob uint64, base *SnapshotRef, writes map[uint64][]byte, newSize uint64) (VersionInfo, CommitStats, error) {
+func (c *Client) writeVersion(ctx context.Context, blob uint64, base *SnapshotRef, memo *cas.Memo, writes map[uint64][]byte, newSize uint64) (VersionInfo, CommitStats, error) {
 	ctx = obs.WithRegistry(ctx, c.Obs)
 	reg := obs.RegistryFrom(ctx)
-	info, stats, err := c.writeVersionStaged(ctx, blob, base, writes, newSize)
+	info, stats, err := c.writeVersionStaged(ctx, blob, base, memo, writes, newSize)
 	if err != nil {
 		reg.Counter("blobseer_commit_failures_total").Inc()
 		return info, stats, err
@@ -393,6 +409,8 @@ func (c *Client) writeVersion(ctx context.Context, blob uint64, base *SnapshotRe
 	reg.Counter("blobseer_commit_chunks_total").Add(uint64(stats.Chunks))
 	reg.Counter("blobseer_dedup_hit_chunks_total").Add(uint64(stats.DedupChunks))
 	reg.Counter("blobseer_dedup_hit_bytes_total").Add(stats.DedupHitBytes)
+	reg.Counter("blobseer_hash_memo_chunks_total").Add(uint64(stats.HashMemoChunks))
+	reg.Counter("blobseer_hash_memo_bytes_total").Add(stats.HashMemoBytes)
 	reg.Counter("blobseer_commit_logical_bytes_total").Add(stats.LogicalBytes)
 	reg.Counter("blobseer_commit_transfer_bytes_total").Add(stats.TransferBytes)
 	return info, stats, nil
@@ -402,7 +420,7 @@ func (c *Client) writeVersion(ctx context.Context, blob uint64, base *SnapshotRe
 // named probe → hash → upload → publish → durable stages the suspend-window
 // breakdown reports (the capture stage happens above, in internal/mirror,
 // under the VM suspend).
-func (c *Client) writeVersionStaged(ctx context.Context, blob uint64, base *SnapshotRef, writes map[uint64][]byte, newSize uint64) (VersionInfo, CommitStats, error) {
+func (c *Client) writeVersionStaged(ctx context.Context, blob uint64, base *SnapshotRef, memo *cas.Memo, writes map[uint64][]byte, newSize uint64) (VersionInfo, CommitStats, error) {
 	var stats CommitStats
 	// Cleanup must run even when ctx is already cancelled.
 	cleanupCtx := context.WithoutCancel(ctx)
@@ -462,7 +480,9 @@ func (c *Client) writeVersionStaged(ctx context.Context, blob uint64, base *Snap
 
 	// Stage: hash — every dirty chunk is fingerprinted before the first
 	// probe can leave. It is pure CPU, so it runs on every core the process
-	// has (and no more: a restart beside it keeps its share).
+	// has (and no more: a restart beside it keeps its share). A body
+	// byte-equal to one the memo kept from the writer's previous commit
+	// takes that body's fingerprint instead of a second SHA-256.
 	hashCtx, hash := obs.StartSpan(ctx, obs.SpanCommitHash)
 	defer hash.End()
 	sw := obs.StartTimer()
@@ -473,13 +493,23 @@ func (c *Client) writeVersionStaged(ctx context.Context, blob uint64, base *Snap
 	}
 	sort.Slice(indices, func(i, j int) bool { return indices[i] < indices[j] })
 	fps := make([]cas.Fingerprint, len(indices))
+	bodies := make([][]byte, len(indices))
+	memoHits := make([]bool, len(indices))
 	if err := runLimited(hashCtx, runtime.GOMAXPROCS(0), len(indices), func(_ context.Context, i int) error {
-		fps[i] = cas.Sum(writes[indices[i]])
+		bodies[i] = writes[indices[i]]
+		fps[i], memoHits[i] = memo.Sum(bodies[i])
 		return nil
 	}); err != nil {
 		c.abort(cleanupCtx, blob, version)
 		return VersionInfo{}, stats, err
 	}
+	for i, hit := range memoHits {
+		if hit {
+			stats.HashMemoChunks++
+			stats.HashMemoBytes += uint64(len(bodies[i]))
+		}
+	}
+	memo.Keep(bodies, fps)
 	sw.ObserveInto(obs.RegistryFrom(ctx).Histogram("blobseer_commit_hash_ns"))
 	hash.End()
 
@@ -1196,7 +1226,10 @@ func (c *Client) Providers(ctx context.Context) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := r.Uvarint()
+	n, err := getCount(r)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]string, 0, n)
 	for i := uint64(0); i < n; i++ {
 		out = append(out, r.String())

@@ -61,8 +61,9 @@ func TestEveryNamedOpIsServed(t *testing.T) {
 // decode on both sides of the manifest's life. On the version manager a
 // corrupt commit manifest must reject the commit (publishing without it
 // would leak every reference the commit took, since Retire releases from
-// the manifest alone); on the client an oversized release list in a Retire
-// response must come back as an error, not a panic in make.
+// the manifest alone); on the client an oversized list in a Retire,
+// ListBlobs or Providers reply must come back as an error, not a panic in
+// make.
 func TestCorruptCountsFailTheFrame(t *testing.T) {
 	commitFrame := func(blob, version uint64, manifest func(w *wire.Buffer)) []byte {
 		w := wire.NewBuffer(128)
@@ -111,29 +112,44 @@ func TestCorruptCountsFailTheFrame(t *testing.T) {
 		})
 	}
 
-	for name, resp := range map[string]func(w *wire.Buffer){
-		"release count": func(w *wire.Buffer) { w.PutUvarint(1 << 62) },
-		"provider count": func(w *wire.Buffer) {
+	retire := func(c *Client) error { _, err := c.RetireStats(ctx, 1, 1); return err }
+	for name, tc := range map[string]struct {
+		resp func(w *wire.Buffer)
+		call func(c *Client) error
+	}{
+		"retire/release count": {func(w *wire.Buffer) {
+			w.PutU64(1) // retired horizon
+			w.PutUvarint(1 << 62)
+		}, retire},
+		"retire/provider count": {func(w *wire.Buffer) {
+			w.PutU64(1)
 			w.PutUvarint(1)
 			putFingerprint(w, fp)
 			w.PutUvarint(1 << 62)
-		},
+		}, retire},
+		"list-blobs/blob count": {func(w *wire.Buffer) { w.PutUvarint(1 << 62) }, func(c *Client) error {
+			_, err := c.ListBlobs(ctx)
+			return err
+		}},
+		"providers/provider count": {func(w *wire.Buffer) { w.PutUvarint(1 << 62) }, func(c *Client) error {
+			_, err := c.Providers(ctx)
+			return err
+		}},
 	} {
-		t.Run("retire/"+name, func(t *testing.T) {
+		t.Run(name, func(t *testing.T) {
 			net := transport.NewInProc()
 			srv, err := net.Listen("", func(context.Context, []byte) ([]byte, error) {
 				w := wire.NewBuffer(64)
-				w.PutU64(1) // retired horizon
-				resp(w)
+				tc.resp(w)
 				return w.Bytes(), nil
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer srv.Close()
-			c := &Client{Net: net, VMAddr: srv.Addr()}
-			if _, err := c.RetireStats(ctx, 1, 1); err == nil {
-				t.Fatal("oversized retire response accepted")
+			c := &Client{Net: net, VMAddr: srv.Addr(), PMAddr: srv.Addr()}
+			if err := tc.call(c); err == nil {
+				t.Fatal("oversized reply accepted")
 			}
 		})
 	}

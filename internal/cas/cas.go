@@ -45,7 +45,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"blobcr/internal/chunkstore"
@@ -311,7 +310,7 @@ func (s *Store) PutContent(fp Fingerprint, data []byte) (dup bool, err error) {
 // counted. A backend failure takes no reference and leaves no body behind.
 func (s *Store) PutContentBatch(fps []Fingerprint, bodies [][]byte) (dups []bool, err error) {
 	bad := make([]bool, len(fps))
-	forEachParallel(len(fps), func(i int) { bad[i] = Sum(bodies[i]) != fps[i] })
+	chunkstore.ForEachParallel(len(fps), func(i int) { bad[i] = Sum(bodies[i]) != fps[i] })
 	for i := range fps {
 		if bad[i] {
 			return nil, fmt.Errorf("%w: %s", ErrContentMismatch, fps[i])
@@ -356,27 +355,6 @@ func (s *Store) PutContentBatch(fps []Fingerprint, bodies [][]byte) (dups []bool
 	}
 	s.mu.Unlock()
 	return dups, nil
-}
-
-// forEachParallel runs fn(i) for every i in [0, n) on at most GOMAXPROCS
-// goroutines, the caller's among them — hashing is CPU-bound, so more would
-// only queue, and a single item starts none.
-func forEachParallel(n int, fn func(i int)) {
-	workers := max(1, min(runtime.GOMAXPROCS(0), n))
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := w; i < n; i += workers {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i += workers {
-		fn(i)
-	}
-	wg.Wait()
 }
 
 // Release drops one reference on fp: ReleaseBatch of one fingerprint,

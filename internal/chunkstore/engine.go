@@ -3,6 +3,7 @@ package chunkstore
 import (
 	"encoding/binary"
 	"errors"
+	"runtime"
 	"sync"
 )
 
@@ -154,6 +155,28 @@ func DeleteBatch(s Store, keys []Key) error {
 		}
 	}
 	return errors.Join(errs...)
+}
+
+// ForEachParallel runs fn(i) for every i in [0, n) on at most GOMAXPROCS
+// goroutines, the caller's among them. It serves the CPU-bound per-item work
+// of a batch — verifying or compressing each body of a put frame — so more
+// goroutines would only queue, and a single item starts none.
+func ForEachParallel(n int, fn func(i int)) {
+	workers := max(1, min(runtime.GOMAXPROCS(0), n))
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < n; i += workers {
+				fn(i)
+			}
+		}()
+	}
+	for i := 0; i < n; i += workers {
+		fn(i)
+	}
+	wg.Wait()
 }
 
 // IsZero reports whether every byte of p is zero, eight bytes at a time. A

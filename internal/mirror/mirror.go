@@ -30,7 +30,10 @@
 // clears the mark. A commit's completion, failure, fold or halt never does,
 // because a later capture still queued may hold the same buffer. So the one
 // copy per chunk per interval is paid by the running guest, and only for
-// chunks it rewrites in part.
+// chunks it rewrites in part. The module's fingerprint memo leans on the
+// same invariant: it keeps its last commit's bodies by reference, so a
+// dirty chunk byte-equal to one of them takes that body's SHA-256 instead
+// of being hashed again.
 //
 // The module also keeps a bounded demand record — the chunks the guest
 // needed from the repository, in first-need order — and publishes it to the
@@ -50,6 +53,7 @@ import (
 	"time"
 
 	"blobcr/internal/blobseer"
+	"blobcr/internal/cas"
 	"blobcr/internal/localtier"
 	"blobcr/internal/obs"
 	"blobcr/internal/vdisk"
@@ -120,6 +124,13 @@ type Module struct {
 	// fingerprinted and bodies the repository already holds are never
 	// shipped; these counters expose the savings.
 	commitStats blobseer.CommitStats
+
+	// memo holds the bodies and fingerprints of the last commit's hash
+	// stage, so a dirty chunk byte-equal to one of them is not hashed again.
+	// It may hold captured buffers only because they are frozen for life
+	// (see the package comment). It survives RollbackTo — a content hash
+	// stays true — and Halt drops it.
+	memo cas.Memo
 
 	// Commit pipeline. sem bounds in-flight commits; queue holds captures
 	// FIFO for a lazily started worker (a slice, not a channel, so the
@@ -812,7 +823,7 @@ func (m *Module) runCommit(pc *PendingCommit) {
 	if err == nil {
 		backoff := 10 * time.Millisecond
 		for {
-			info, cs, err = m.client.WriteVersionStatsFrom(pc.ctx, base, writes, pc.size)
+			info, cs, err = m.client.WriteVersionStatsFrom(pc.ctx, base, &m.memo, writes, pc.size)
 			if err == nil || pc.capture == nil || pc.ctx.Err() != nil {
 				break
 			}
@@ -831,6 +842,9 @@ func (m *Module) runCommit(pc *PendingCommit) {
 	}
 
 	m.mu.Lock()
+	if m.halted {
+		m.memo.Drop() // this commit's hash stage may have refilled it after Halt
+	}
 	if err != nil {
 		if pc.capture == nil {
 			// The capture is lost to the repository but not to the VM.
@@ -910,6 +924,7 @@ func (m *Module) Halt() {
 	m.mu.Lock()
 	m.halted = true
 	m.closeRecord()
+	m.memo.Drop()
 	cancels := make([]context.CancelFunc, 0, len(m.live))
 	for pc := range m.live {
 		cancels = append(cancels, pc.cancel)

@@ -230,7 +230,7 @@ func (p *Proxy) drainFor(ctx context.Context, owner string, seq uint64) (blobsee
 			if err != nil {
 				return blobseer.SnapshotRef{}, err
 			}
-			info, _, err := p.Repo.WriteVersionStatsFrom(ctx, base, writes, c.Size)
+			info, _, err := p.Repo.WriteVersionStatsFrom(ctx, base, nil, writes, c.Size)
 			if err != nil {
 				return blobseer.SnapshotRef{}, fmt.Errorf("proxy: drain %s seq %d: %w", owner, c.Seq, err)
 			}

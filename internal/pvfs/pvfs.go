@@ -371,7 +371,15 @@ func (c *Client) Readdir(ctx context.Context) ([]DirEntry, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Each entry takes at least one byte, so a count the rest of the frame
+	// cannot hold is corrupt: fail before allocating from it.
 	n := r.Uvarint()
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	if n > uint64(r.Remaining()) {
+		return nil, fmt.Errorf("pvfs: implausible readdir count %d with %d bytes left in the frame", n, r.Remaining())
+	}
 	out := make([]DirEntry, 0, n)
 	for i := uint64(0); i < n; i++ {
 		out = append(out, DirEntry{Path: r.String(), Size: r.U64()})

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"blobcr/internal/transport"
+	"blobcr/internal/wire"
 )
 
 // ctx is the default context for test operations.
@@ -183,6 +184,25 @@ func TestReaddir(t *testing.T) {
 	}
 	if len(entries) != 2 || entries[0].Path != "/a" || entries[0].Size != 5 || entries[1].Path != "/b" {
 		t.Errorf("Readdir = %+v", entries)
+	}
+}
+
+// TestReaddirRejectsCorruptCount: a Readdir reply whose entry count the
+// frame cannot hold is an error, not a panic in make.
+func TestReaddirRejectsCorruptCount(t *testing.T) {
+	net := transport.NewInProc()
+	srv, err := net.Listen("", func(context.Context, []byte) ([]byte, error) {
+		w := wire.NewBuffer(16)
+		w.PutUvarint(1 << 62)
+		return w.Bytes(), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c := &Client{Net: net, MetaAddr: srv.Addr()}
+	if _, err := c.Readdir(ctx); err == nil {
+		t.Fatal("oversized readdir reply accepted")
 	}
 }
 

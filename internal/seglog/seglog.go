@@ -755,7 +755,7 @@ func (s *Store) PutBatch(keys []chunkstore.Key, bodies [][]byte) error {
 	recs := make([]*pendingRec, len(keys))
 	raws := make([]encodedRec, len(keys))
 	errs := make([]error, len(keys))
-	forEachParallel(len(keys), func(i int) {
+	chunkstore.ForEachParallel(len(keys), func(i int) {
 		recs[i], raws[i], errs[i] = s.encodePut(keys[i], bodies[i])
 	})
 	// Records already stored (or refused) drop out; the rest board together.
@@ -804,27 +804,6 @@ func (s *Store) encodePut(k chunkstore.Key, data []byte) (*pendingRec, encodedRe
 	enc := encodeRec(header{key: k, flags: flags, ulen: uint32(len(data)), plen: uint32(len(payload))}, payload)
 	rec := &pendingRec{kind: recPut, key: k, size: int64(hdrSize + len(payload)), ulen: uint32(len(data)), flags: flags}
 	return rec, enc, nil
-}
-
-// forEachParallel runs fn(i) for every i in [0, n) on at most GOMAXPROCS
-// goroutines, the caller's among them — the work is CPU-bound, so more would
-// only queue, and a single item starts none.
-func forEachParallel(n int, fn func(i int)) {
-	workers := max(1, min(runtime.GOMAXPROCS(0), n))
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := w; i < n; i += workers {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i += workers {
-		fn(i)
-	}
-	wg.Wait()
 }
 
 // Get returns the chunk body, verifying the record CRC on the way out.
