@@ -234,6 +234,21 @@ func renderMetrics(w *os.File, points []obs.Point, rates map[string]float64) {
 		}
 		fmt.Fprintln(w, line)
 	}
+	// The read engine under them: chunks whose body another index of the
+	// same read fetched, and chunks whose leaf names the all-zero body.
+	if chunks := obs.Find(points, "blobseer_read_chunks_total"); chunks != nil && chunks.Value > 0 {
+		count := func(name string) uint64 {
+			covered[name] = true
+			if p := obs.Find(points, name); p != nil {
+				return p.Value
+			}
+			return 0
+		}
+		coalesced, zero, unfetched := count("blobseer_read_coalesced_chunks_total"), count("blobseer_read_zero_chunks_total"),
+			count("blobseer_read_unfetched_bytes_total")
+		fmt.Fprintf(w, "  restart reads: %.1f%% of chunks served without a fetch (coalesced %d, zero %d; %d bytes not fetched)\n",
+			100*float64(coalesced+zero)/float64(chunks.Value), coalesced, zero, unfetched)
+	}
 
 	// Write batching: what fingerprinting the dirty set cost a commit (the
 	// commit/hash stage above, as its own histogram), and beside it how many

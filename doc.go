@@ -163,7 +163,9 @@
 // its boot set without one demand fault per chunk and no caller passes a
 // chunk list.
 // The hint names indices only; every byte still comes from the attached
-// snapshot through the SHA-256-verifying read engine.
+// snapshot through the SHA-256-verifying read engine, which fetches each
+// distinct content key of a call once (the other indices naming it receive
+// copies) and serves a leaf naming the all-zero body as a hole, unfetched.
 //
 // # End-to-end telemetry plane
 //

@@ -145,9 +145,17 @@ func (c *Client) getChunkBatch(ctx context.Context, addr string, keys []chunksto
 	if err != nil {
 		return nil, fmt.Errorf("blobseer: get %d chunks from %s: %w", len(keys), addr, err)
 	}
+	return decodeChunkBatchReply(resp, len(keys))
+}
+
+// decodeChunkBatchReply decodes a chunk-get-batch response for n keys: n
+// items of (present bool, body if present), nothing after them. A body is a
+// window of resp with its capacity cut to its length; an absent chunk is a
+// nil entry. A reply that ends early or runs past its n items is an error.
+func decodeChunkBatchReply(resp []byte, n int) ([][]byte, error) {
 	r := wire.NewReader(resp)
-	out := make([][]byte, len(keys))
-	for i := range keys {
+	out := make([][]byte, n)
+	for i := range out {
 		if r.Bool() {
 			body := r.Bytes()
 			out[i] = body[:len(body):len(body)]
@@ -155,6 +163,9 @@ func (c *Client) getChunkBatch(ctx context.Context, addr string, keys []chunksto
 	}
 	if err := r.Err(); err != nil {
 		return nil, err
+	}
+	if r.Remaining() != 0 {
+		return nil, fmt.Errorf("blobseer: chunk batch reply: %d bytes past its %d items", r.Remaining(), n)
 	}
 	return out, nil
 }

@@ -19,17 +19,25 @@ import (
 // detected (a body that no longer hashes to its content key) and skipped,
 // and chunks that exhausted their leaf-recorded replicas and were served
 // through the rendezvous-ranked fallback over the current membership (a
-// replica re-homed by the repair plane).
+// replica re-homed by the repair plane). It also reports the chunks served
+// without a fetch of their own: those whose body another index of the same
+// read fetched, and those whose leaf names the all-zero body.
 type ReadStats struct {
-	Chunks          int // chunks read (holes excluded)
-	FailedOver      int // replica attempts that moved to the next replica
-	CorruptReplicas int // replicas skipped because their content hash mismatched
-	RankedFallbacks int // chunks served from ranked-membership fallback providers
+	Chunks          int    // chunks read (holes excluded)
+	Coalesced       int    // chunks served as a copy of a body fetched for another index
+	ZeroBodies      int    // chunks whose leaf names the all-zero body: delivered nil, not fetched
+	UnfetchedBytes  uint64 // bytes of the coalesced and zero chunks, which no provider sent
+	FailedOver      int    // replica attempts that moved to the next replica
+	CorruptReplicas int    // replicas skipped because their content hash mismatched
+	RankedFallbacks int    // chunks served from ranked-membership fallback providers
 }
 
 // Add accumulates other into s (aggregation across reads).
 func (s *ReadStats) Add(o ReadStats) {
 	s.Chunks += o.Chunks
+	s.Coalesced += o.Coalesced
+	s.ZeroBodies += o.ZeroBodies
+	s.UnfetchedBytes += o.UnfetchedBytes
 	s.FailedOver += o.FailedOver
 	s.CorruptReplicas += o.CorruptReplicas
 	s.RankedFallbacks += o.RankedFallbacks
@@ -77,30 +85,38 @@ func (c *Client) readTree(ctx context.Context, op func(*meta.Tree) error) error 
 }
 
 // ReadChunks fetches the chunks at the given ascending indices and hands
-// each one to deliver exactly once: nil for a hole (a never-written range,
-// which reads as zeros, or an index past the end), else the chunk's stored
-// bytes — the whole chunk, or less for the blob's tail chunk.
+// each one to deliver exactly once: nil for a chunk known to read as zeros —
+// a hole (a never-written range, or an index past the end) or a leaf that
+// names the all-zero body of its length — else the chunk's stored bytes:
+// the whole chunk, or less for the blob's tail chunk.
 //
-// A body reaches deliver only after it hashed to the leaf's content-derived
-// key (the first 128 bits of its SHA-256): a mismatch is treated exactly
-// like a missing replica — the read fails over to the next replica and the
-// corruption is counted — so a rotted or tampered replica can never reach
-// the caller. A chunk whose leaf-recorded replicas are all gone falls back
-// to the rendezvous ranking over the current membership, which is where the
-// repair plane re-homes lost replicas.
+// Each distinct body moves once per call. Indices whose leaves name the same
+// content key share one fetch; the first of them receives the fetched body
+// and every other one a fresh copy of it. A zero leaf is not fetched at all:
+// its key already commits to its content.
 //
-// A delivered body is not a copy: it is a window of the response frame it
-// arrived in, with its capacity cut to its length, and it belongs to the
-// receiver from then on. Neighbouring chunks share the frame, which is safe
-// because the windows are disjoint and an append to one reallocates instead
-// of running into the next.
+// A fetched body reaches deliver only after it hashed to the leaf's
+// content-derived key (the first 128 bits of its SHA-256): a mismatch is
+// treated exactly like a missing replica — the read fails over to the next
+// replica and the corruption is counted — so a rotted or tampered replica
+// can never reach the caller. A chunk whose leaf-recorded replicas are all
+// gone falls back to the rendezvous ranking over the current membership,
+// which is where the repair plane re-homes lost replicas.
+//
+// A delivered body belongs to the receiver from then on, and no two
+// delivered bodies share memory. A fetched body is not a copy: it is a
+// window of the response frame it arrived in, with its capacity cut to its
+// length. Neighbouring chunks share the frame, which is safe because the
+// windows are disjoint and an append to one reallocates instead of running
+// into the next.
 //
 // The transfer is striped: chunks are grouped by the replica provider chosen
 // for each (see replicaOrder) and every provider's set moves in batched
 // frames over bounded concurrent streams (Client.Parallelism). deliver is
 // called from those streams — concurrently, so it must synchronize whatever
-// it shares — except for holes, which are delivered before any fetch starts.
-// When ReadChunks fails, some chunks may have been delivered already.
+// it shares — except for holes and zero leaves, which are delivered before
+// any fetch starts. When ReadChunks fails, some chunks may have been
+// delivered already.
 func (s *Snapshot) ReadChunks(ctx context.Context, indices []uint64, deliver func(idx uint64, body []byte)) (ReadStats, error) {
 	c := s.c
 	ctx = obs.WithRegistry(ctx, c.Obs)
@@ -108,6 +124,9 @@ func (s *Snapshot) ReadChunks(ctx context.Context, indices []uint64, deliver fun
 	var stats ReadStats
 	defer func() {
 		reg.Counter("blobseer_read_chunks_total").Add(uint64(stats.Chunks))
+		reg.Counter("blobseer_read_coalesced_chunks_total").Add(uint64(stats.Coalesced))
+		reg.Counter("blobseer_read_zero_chunks_total").Add(uint64(stats.ZeroBodies))
+		reg.Counter("blobseer_read_unfetched_bytes_total").Add(stats.UnfetchedBytes)
 		reg.Counter("blobseer_read_failovers_total").Add(uint64(stats.FailedOver))
 		reg.Counter("blobseer_read_corrupt_replicas_total").Add(uint64(stats.CorruptReplicas))
 		reg.Counter("blobseer_read_ranked_fallbacks_total").Add(uint64(stats.RankedFallbacks))
@@ -124,24 +143,46 @@ func (s *Snapshot) ReadChunks(ctx context.Context, indices []uint64, deliver fun
 		return stats, err
 	}
 
+	// One readChunk per distinct body: the first index naming a key carries
+	// it, and the other indices naming the same key ride along in dups.
 	type readChunk struct {
 		slot     meta.LeafSlot
+		dups     []uint64 // further indices whose leaves name the same key
 		order    []string // replica attempt order (rotated)
 		next     int
 		extended bool // order already widened with the ranked fallback
 		lastErr  error
 	}
-	var work []*readChunk
+	chunks := make([]readChunk, 0, len(slots))
+	byKey := make(map[chunkstore.Key]int, len(slots))
+	zero := zeroKeys{chunkSize: s.chunkSize}
 	for _, slot := range slots {
 		if !slot.Present {
 			deliver(slot.Index, nil)
 			continue
 		}
-		work = append(work, &readChunk{slot: slot, order: replicaOrder(slot.Leaf)})
+		stats.Chunks++
+		if zero.names(slot.Leaf) {
+			stats.ZeroBodies++
+			stats.UnfetchedBytes += uint64(slot.Leaf.Size)
+			deliver(slot.Index, nil)
+			continue
+		}
+		if i, ok := byKey[slot.Leaf.Key]; ok {
+			chunks[i].dups = append(chunks[i].dups, slot.Index)
+			stats.Coalesced++
+			stats.UnfetchedBytes += uint64(slot.Leaf.Size)
+			continue
+		}
+		byKey[slot.Leaf.Key] = len(chunks)
+		chunks = append(chunks, readChunk{slot: slot, order: replicaOrder(slot.Leaf)})
 	}
-	stats.Chunks = len(work)
-	if len(work) == 0 {
+	if len(chunks) == 0 {
 		return stats, nil
+	}
+	work := make([]*readChunk, len(chunks))
+	for i := range chunks {
+		work[i] = &chunks[i]
 	}
 
 	ctx, fetch := obs.StartSpan(ctx, obs.SpanReadFetch)
@@ -235,9 +276,18 @@ func (s *Snapshot) ReadChunks(ctx context.Context, indices []uint64, deliver fun
 				}
 				verify.End()
 				for i, rc := range frame {
-					if bodies[i] != nil {
-						deliver(rc.slot.Index, bodies[i])
+					body := bodies[i]
+					if body == nil {
+						continue
 					}
+					// The copies are taken before the body itself is handed
+					// over: from then on its receiver may write into it.
+					for _, idx := range rc.dups {
+						dup := make([]byte, len(body))
+						copy(dup, body)
+						deliver(idx, dup)
+					}
+					deliver(rc.slot.Index, body)
 				}
 				return nil
 			})
@@ -275,7 +325,7 @@ func (c *Client) ReadVersionStats(ctx context.Context, ref SnapshotRef, offset, 
 	if offset >= snap.info.Size {
 		return nil, ReadStats{}, nil
 	}
-	if offset+size > snap.info.Size {
+	if size > snap.info.Size-offset {
 		size = snap.info.Size - offset
 	}
 	buf := make([]byte, size)
@@ -303,6 +353,31 @@ func (c *Client) ReadVersionStats(ctx context.Context, ref SnapshotRef, offset, 
 		return nil, stats, err
 	}
 	return buf, stats, nil
+}
+
+// zeroKeys tells, for one read, whether a leaf names the all-zero body of its
+// length: its key is the key of that many zero bytes (cas.ZeroSum). The key
+// of a whole zero chunk is looked up once; other lengths — the blob's tail
+// chunk — each time they occur. A leaf longer than the blob's chunks names
+// no body the blob can hold and is never taken for zeros.
+type zeroKeys struct {
+	chunkSize uint64
+	full      chunkstore.Key
+	known     bool
+}
+
+func (z *zeroKeys) names(l meta.Leaf) bool {
+	size := uint64(l.Size)
+	switch {
+	case size == z.chunkSize:
+		if !z.known {
+			z.full, z.known = cas.ZeroSum(int(size)).Key(), true
+		}
+		return l.Key == z.full
+	case size < z.chunkSize:
+		return l.Key == cas.ZeroSum(int(size)).Key()
+	}
+	return false
 }
 
 // replicaOrder returns the order in which a reader tries a leaf's replicas:

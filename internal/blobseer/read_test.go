@@ -2,6 +2,7 @@ package blobseer
 
 import (
 	"bytes"
+	"math"
 	"sync"
 	"testing"
 )
@@ -65,6 +66,32 @@ func TestReadChunksDeliversEachIndexOnce(t *testing.T) {
 	for _, idx := range []uint64{1, 2, 5, 9} {
 		if !bytes.Equal(got[idx], writes[idx]) {
 			t.Errorf("appending to chunk 0 wrote into chunk %d", idx)
+		}
+	}
+}
+
+// TestReadVersionClampsHugeSize: a size so large that offset+size wraps
+// past 2^64 still reads the blob's remaining bytes, as any size past the end
+// does, instead of asking for a buffer of that size.
+func TestReadVersionClampsHugeSize(t *testing.T) {
+	_, c := deploy(t, 1, 1)
+	blob, err := c.CreateBlob(ctx, testChunkSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := bytes.Repeat([]byte("blobcr"), testChunkSize)
+	info, err := c.WriteAt(ctx, blob, 0, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := SnapshotRef{Blob: blob, Version: info.Version}
+	for _, offset := range []uint64{0, 1, uint64(len(data)) - 1} {
+		got, err := c.ReadVersion(ctx, ref, offset, math.MaxUint64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, data[offset:]) {
+			t.Errorf("offset %d: read %d bytes, want the %d remaining", offset, len(got), len(data)-int(offset))
 		}
 	}
 }

@@ -62,17 +62,32 @@ func Sum(data []byte) Fingerprint {
 	if len(data) == 0 || !chunkstore.IsZero(data) {
 		return sha256.Sum256(data)
 	}
+	return ZeroSum(len(data))
+}
+
+// ZeroSum returns the fingerprint of n zero bytes, from the same per-length
+// memo Sum answers zero bodies from. A reader compares a leaf's key with it
+// to know a chunk is all zeros without fetching it: the key commits to the
+// content. Computing a length the memo lacks streams a fixed zero block
+// through the hash, so it allocates nothing of size n.
+func ZeroSum(n int) Fingerprint {
 	zeroSums.RLock()
-	fp, ok := zeroSums.byLen[len(data)]
+	fp, ok := zeroSums.byLen[n]
 	zeroSums.RUnlock()
-	if !ok {
-		fp = sha256.Sum256(data)
-		zeroSums.Lock()
-		if len(zeroSums.byLen) < maxZeroSums {
-			zeroSums.byLen[len(data)] = fp
-		}
-		zeroSums.Unlock()
+	if ok {
+		return fp
 	}
+	var block [4096]byte
+	h := sha256.New()
+	for left := n; left > 0; left -= len(block) {
+		h.Write(block[:min(left, len(block))])
+	}
+	h.Sum(fp[:0])
+	zeroSums.Lock()
+	if len(zeroSums.byLen) < maxZeroSums {
+		zeroSums.byLen[n] = fp
+	}
+	zeroSums.Unlock()
 	return fp
 }
 

@@ -2,6 +2,7 @@ package cas
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"sync"
 	"testing"
@@ -23,6 +24,23 @@ func TestFingerprintKeyDeterministic(t *testing.T) {
 	}
 	if len(a.String()) != 64 {
 		t.Errorf("hex fingerprint length = %d, want 64", len(a.String()))
+	}
+}
+
+// TestZeroSumIsTheHashOfZeros: ZeroSum(n) is the SHA-256 of n zero bytes
+// at lengths around its streaming block and at chunk sizes, first computed
+// and then answered from the memo, and Sum of a zero body agrees with it.
+func TestZeroSumIsTheHashOfZeros(t *testing.T) {
+	for _, n := range []int{0, 1, 4095, 4096, 4097, 3*4096 + 5, 16 << 10, 256 << 10} {
+		want := Fingerprint(sha256.Sum256(make([]byte, n)))
+		for pass := range 2 {
+			if got := ZeroSum(n); got != want {
+				t.Fatalf("ZeroSum(%d) pass %d = %v, want %v", n, pass, got, want)
+			}
+		}
+		if got := Sum(make([]byte, n)); got != want {
+			t.Fatalf("Sum of %d zero bytes = %v, want %v", n, got, want)
+		}
 	}
 }
 

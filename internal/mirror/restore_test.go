@@ -17,14 +17,52 @@ const restoreImageBytes = 64 << 20
 
 // restoreBed is a repository on real sockets and a real directory — four
 // data providers on seglog, two metadata providers, loopback TCP — holding
-// one dense image of incompressible bytes.
+// one dense image: incompressible bytes, or a dedup image's mix.
 type restoreBed struct {
 	d   *blobseer.Deployment
 	ref blobseer.SnapshotRef
 	all []uint64 // every chunk index of the image
 }
 
+// newRestoreBed holds an image whose every chunk is a unique body.
 func newRestoreBed(tb testing.TB, chunk int) *restoreBed {
+	return newRestoreBedOf(tb, chunk, func(rng *rand.Rand) []byte { return uniqueBody(rng, chunk) })
+}
+
+// dedupPoolBodies is the number of distinct recurring bodies in a dedup
+// image.
+const dedupPoolBodies = 64
+
+// newDedupRestoreBed holds an image shaped like a rewritten application
+// state: 75 % of its chunks drawn from a pool of dedupPoolBodies recurring
+// bodies, 15 % all zeros and 10 % unique.
+func newDedupRestoreBed(tb testing.TB, chunk int) *restoreBed {
+	var pool [][]byte
+	zero := make([]byte, chunk)
+	return newRestoreBedOf(tb, chunk, func(rng *rand.Rand) []byte {
+		for len(pool) < dedupPoolBodies {
+			pool = append(pool, uniqueBody(rng, chunk))
+		}
+		switch p := rng.Intn(100); {
+		case p < 15:
+			return zero
+		case p < 25:
+			return uniqueBody(rng, chunk)
+		default:
+			return pool[rng.Intn(len(pool))]
+		}
+	})
+}
+
+func uniqueBody(rng *rand.Rand, chunk int) []byte {
+	body := make([]byte, chunk)
+	rng.Read(body)
+	return body
+}
+
+// newRestoreBedOf commits an image of restoreImageBytes whose chunks body
+// draws in index order.
+func newRestoreBedOf(tb testing.TB, chunk int, body func(*rand.Rand) []byte) *restoreBed {
 	tb.Helper()
 	tcp := transport.NewTCP()
 	tb.Cleanup(func() { tcp.Close() })
@@ -46,9 +84,7 @@ func newRestoreBed(tb testing.TB, chunk int) *restoreBed {
 	for off := 0; off < restoreImageBytes; off += batch {
 		writes := make(map[uint64][]byte)
 		for o := off; o < off+batch; o += chunk {
-			body := make([]byte, chunk)
-			rng.Read(body)
-			writes[uint64(o/chunk)] = body
+			writes[uint64(o/chunk)] = body(rng)
 			bed.all = append(bed.all, uint64(o/chunk))
 		}
 		info, err := c.WriteVersion(ctx, blob, writes, restoreImageBytes)
@@ -81,11 +117,22 @@ func (bed *restoreBed) restore(tb testing.TB) *Module {
 
 // BenchmarkRestoreTCP restores a 64 MiB image over loopback TCP from seglog
 // on a real directory, at the paper's 256 KiB stripe and at the 16 KiB chunks
-// of a metadata-heavy image.
+// of a metadata-heavy image, and a dedup image at 256 KiB: there the read
+// engine moves each distinct body once and fetches no zero chunk, so about
+// a third of the image crosses the wire.
 func BenchmarkRestoreTCP(b *testing.B) {
-	for _, chunk := range []int{256 << 10, 16 << 10} {
-		b.Run(fmt.Sprintf("chunk=%dKiB", chunk>>10), func(b *testing.B) {
-			bed := newRestoreBed(b, chunk)
+	cases := []struct {
+		name  string
+		chunk int
+		bed   func(testing.TB, int) *restoreBed
+	}{
+		{"chunk=256KiB", 256 << 10, newRestoreBed},
+		{"chunk=16KiB", 16 << 10, newRestoreBed},
+		{"chunk=256KiB/dedup", 256 << 10, newDedupRestoreBed},
+	}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			bed := tc.bed(b, tc.chunk)
 			bed.restore(b) // connections dialled, page cache warm
 			b.SetBytes(restoreImageBytes)
 			b.ReportAllocs()
