@@ -312,16 +312,12 @@ func storeQuery(addr string, timeout time.Duration, args []string) {
 	}
 	client := &blobseer.Client{Net: transport.NewTCP()}
 	if len(args) > 2 && args[2] == "compact" {
-		res, supported, err := client.CompactChunkStore(ctx, addr)
+		res, err := client.CompactChunkStore(ctx, addr)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if !supported {
-			fmt.Println("engine does not support compaction")
-		} else {
-			fmt.Printf("compacted %d segments: %d records relocated, %d bytes reclaimed\n",
-				res.Segments, res.Relocated, res.ReclaimedBytes)
-		}
+		fmt.Printf("compacted %d segments: %d records relocated, %d bytes reclaimed\n",
+			res.Segments, res.Relocated, res.ReclaimedBytes)
 	}
 	es, err := client.StoreEngineStats(ctx, addr)
 	if err != nil {

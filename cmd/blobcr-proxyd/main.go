@@ -9,8 +9,8 @@
 // Tokens for the hosted instances are printed at startup; guests use them
 // with the proxy protocol (CHECKPOINT <vm-id> <token>).
 //
-// -stage-backend enables multilevel checkpointing: captures are staged in a
-// node-local write-back tier (mem, disk or seglog under -stage-dir) and
+// -stage-dir enables multilevel checkpointing: captures are staged in a
+// node-local write-back tier (a segment log under that directory) and
 // acknowledged locally safe as soon as they are staged — and replicated to
 // the -partner proxy, when one is named — while a background drain publishes
 // them to the BlobSeer plane. The WAITLOCAL, BACKLOG, DRAIN-NOW and DRAINFOR
@@ -41,7 +41,6 @@ import (
 	"time"
 
 	"blobcr/internal/blobseer"
-	"blobcr/internal/chunkstore"
 	"blobcr/internal/localtier"
 	"blobcr/internal/mirror"
 	"blobcr/internal/obs"
@@ -62,9 +61,8 @@ func main() {
 	node := flag.String("node", "node-0", "node name used in VM ids")
 	parallel := flag.Int("parallel", 0, "concurrent per-provider streams for commits and restores (0 = client default)")
 	debugAddr := flag.String("debug-addr", "", "HTTP debug listener: /metrics, /debug/pprof/*, /debug/vars (empty = off)")
-	stageBackend := flag.String("stage-backend", "", "node-local checkpoint tier backend: mem, disk or seglog (empty = no local tier)")
-	stageDir := flag.String("stage-dir", "", "directory backing the local tier (required for -stage-backend disk/seglog)")
-	partnerAddr := flag.String("partner", "", "partner proxy address replicating this node's staged captures (requires -stage-backend)")
+	stageDir := flag.String("stage-dir", "", "directory of the node-local checkpoint tier's segment log (empty = no local tier)")
+	partnerAddr := flag.String("partner", "", "partner proxy address replicating this node's staged captures (requires -stage-dir)")
 	history := flag.Duration("history", time.Second, "metric history ring sample period backing the HISTORY verb (0 = no ring)")
 	flag.Parse()
 
@@ -96,8 +94,8 @@ func main() {
 	}
 
 	p := proxy.New()
-	if *stageBackend != "" {
-		store, err := newStageStore(*stageBackend, *stageDir)
+	if *stageDir != "" {
+		store, err := seglog.Open(*stageDir, seglog.Options{})
 		if err != nil {
 			log.Fatalf("open local tier: %v", err)
 		}
@@ -106,12 +104,12 @@ func main() {
 		p.Repo = client
 		p.PartnerAddr = *partnerAddr
 		if *partnerAddr != "" {
-			log.Printf("local tier (%s) with partner replica at %s", *stageBackend, *partnerAddr)
+			log.Printf("local tier (%s) with partner replica at %s", *stageDir, *partnerAddr)
 		} else {
-			log.Printf("local tier (%s), no partner — staged captures are not node-loss safe", *stageBackend)
+			log.Printf("local tier (%s), no partner — staged captures are not node-loss safe", *stageDir)
 		}
 	} else if *partnerAddr != "" {
-		fmt.Fprintln(os.Stderr, "blobcr-proxyd: -partner requires -stage-backend")
+		fmt.Fprintln(os.Stderr, "blobcr-proxyd: -partner requires -stage-dir")
 		os.Exit(2)
 	}
 	srv, err := p.Serve(net, *listen)
@@ -141,26 +139,6 @@ func main() {
 	<-sig
 	log.Printf("shutting down")
 	srv.Close()
-}
-
-// newStageStore opens the chunk store backing the node-local tier.
-func newStageStore(backend, dir string) (chunkstore.Store, error) {
-	switch backend {
-	case "mem":
-		return chunkstore.NewMem(), nil
-	case "disk":
-		if dir == "" {
-			return nil, fmt.Errorf("-stage-backend disk requires -stage-dir")
-		}
-		return chunkstore.NewDisk(dir)
-	case "seglog":
-		if dir == "" {
-			return nil, fmt.Errorf("-stage-backend seglog requires -stage-dir")
-		}
-		return seglog.Open(dir, seglog.Options{})
-	default:
-		return nil, fmt.Errorf("unknown stage backend %q (mem, disk, seglog)", backend)
-	}
 }
 
 func newToken() string {

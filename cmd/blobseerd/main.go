@@ -8,12 +8,10 @@
 //	blobseerd -role data     -listen :7720 -pmanager host:7701 -dir /var/blobseer
 //
 // Data providers register themselves with the provider manager and store
-// chunks through a storage engine selected by -store: the durable
-// log-structured segment engine (seglog — group commit, per-chunk
-// compression, crash recovery; the default whenever -dir is set), one
-// fsync-per-chunk file-per-chunk store (files), or memory (mem). The
-// content-addressed dedup index (internal/cas) is layered on top; an
-// existing data directory is re-indexed on startup.
+// chunks in the durable log-structured segment engine under -dir (seglog —
+// group commit, per-chunk compression, crash recovery), or in memory when
+// -dir is empty. The content-addressed dedup index (internal/cas) is
+// layered on top; an existing data directory is re-indexed on startup.
 //
 // Every role answers the binary TRACE/FLIGHT introspection ops on its
 // service port — the spans it holds for one distributed trace, and its
@@ -46,8 +44,7 @@ func main() {
 	role := flag.String("role", "", "service role: vmanager | pmanager | meta | data")
 	listen := flag.String("listen", "127.0.0.1:0", "listen address")
 	pmanager := flag.String("pmanager", "", "provider manager address (data role)")
-	dir := flag.String("dir", "", "data directory (data role; empty = in-memory)")
-	storeKind := flag.String("store", "auto", "chunk store engine (data role): seglog | files | mem (auto = seglog with -dir, mem without)")
+	dir := flag.String("dir", "", "data directory of the segment-log chunk store (data role; empty = in-memory)")
 	advertise := flag.String("advertise", "", "address to register with the provider manager (default: the bound address)")
 	debugAddr := flag.String("debug-addr", "", "HTTP debug listener: /metrics, /debug/pprof/*, /debug/vars (empty = off)")
 	history := flag.Duration("history", time.Second, "metric history ring sample period backing the binary HISTORY op (0 = no ring)")
@@ -79,7 +76,7 @@ func main() {
 	case "meta":
 		srv, err = blobseer.NewMetadataProvider().Serve(net, *listen)
 	case "data":
-		backend, berr := blobseer.OpenStoreBackend(*storeKind, *dir)
+		backend, berr := blobseer.OpenStore(*dir)
 		if berr != nil {
 			log.Fatalf("open chunk store: %v", berr)
 		}

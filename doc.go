@@ -83,23 +83,21 @@
 // DeleteBatch, the optional chunkstore.BatchPutter): records encoded on
 // parallel workers, then one append and one fdatasync for all of them;
 // concurrent callers ride a shared group commit, so the fsync count is at
-// most the number of frames (the file-per-chunk store pays two fsyncs per
-// chunk). The
-// engine elides all-zero chunks (sparse VM images) to a header flag and
+// most the number of frames. The engine elides all-zero chunks (sparse VM images) to a header flag and
 // DEFLATE-compresses payloads when an entropy probe says it will pay,
 // rebuilds its in-memory index on open by scanning the segments —
 // truncating a torn tail from a crash mid-append at the first bad CRC —
 // and compacts segments whose live ratio decays as snapshots retire,
-// folded into the repair scrubber's cadence. Select engines with
-// blobseerd -store seglog|files|mem; blobcr-ctl store <addr> prints any
-// engine's counters over the wire, and blobcr-bench -only disklog
-// measures both disk engines through the full striped commit path.
+// folded into the repair scrubber's cadence. blobseerd -dir puts a data
+// provider on it (without -dir the provider keeps chunks in memory);
+// blobcr-ctl store <addr> prints the engine's counters over the wire, and
+// the benchmark/ harness measures it on a real disk (probe.seglog.*).
 //
 // # Multilevel checkpointing: node-local fast tier
 //
 // internal/localtier adds the write-back tier in front of the striped
 // remote commit. With cloud.Config.LocalTier (or blobcr-proxyd
-// -stage-backend mem|disk|seglog -partner <addr>), each proxy stages every
+// -stage-dir <dir> -partner <addr>), each proxy stages every
 // capture into a node-local chunkstore-backed staging store — one batch,
 // one sync, written outside the stage's lock — and pushes a
 // replica to one partner proxy over binary stage frames, then acks the
@@ -143,8 +141,8 @@
 // and the -parallel flags of blobcr-ctl and blobcr-proxyd thread it
 // through). Replica reads rotate their starting replica by chunk key,
 // spreading restore load across the replica set while keeping in-order
-// failover. blobcr-bench -only throughput measures commit/restore MB/s
-// against provider count.
+// failover. TestStripedStreamsRunConcurrently holds every provider's
+// stream in flight at once; the benchmark/ harness measures the MB/s.
 //
 // # Adaptive prefetching on restart
 //
@@ -188,9 +186,8 @@
 // blobcr-ctl metrics renders the operator view (per-stage suspend-window
 // breakdown, per-provider latency, dedup hit-rate; -watch redraws live),
 // and blobcr-proxyd/blobseerd -debug-addr serve HTTP /metrics,
-// /debug/pprof and /debug/vars. blobcr-bench -only stages decomposes a
-// traced commit per provider count, and the downtime experiment scrapes
-// METRICS itself, failing when stage telemetry goes missing.
+// /debug/pprof and /debug/vars. internal/proxy's tests scrape METRICS
+// after an async checkpoint and fail when stage telemetry goes missing.
 //
 // Tracing crosses process boundaries: under an active trace
 // (obs.BeginTrace) the transport injects a trace-context header into every
@@ -203,8 +200,8 @@
 // anchors remote clocks inside their parent RPC windows, and prints one
 // cross-process tree plus its critical path — at every instant, the span
 // actually bounding completion (obs.AssembleTrace, obs.CriticalPath;
-// blobcr-bench -only tracepath asserts the path attributes >= 90% of a
-// 16 MiB commit's wall time at 8 providers). Independently of traces,
+// internal/blobseer's TestCriticalPathExplainsCommit asserts the path
+// attributes >= 90% of a 16 MiB commit's wall time at 8 providers). Independently of traces,
 // every process keeps an always-on flight recorder — a fixed-capacity
 // overwrite-oldest ring of its most recent spans — dumped by a FLIGHT
 // verb and blobcr-ctl flight; the supervisor mirrors each node's ring

@@ -290,12 +290,10 @@ func Fig6CM1Checkpoint(p simcloud.Params, c simcloud.CM1Params) Series {
 }
 
 // All returns every paper experiment in order, plus the functional
-// downtime, availability, throughput and disk-log experiments that ride the
-// real stack. dir roots the disk-backed experiments (disklog, and the
-// throughput bench's durable variant); empty keeps throughput in-memory and
-// skips disklog.
-func All(p simcloud.Params, c simcloud.CM1Params, dir string) []Series {
-	out := []Series{
+// availability, repair, preemption and cluster-health experiments that ride
+// the real stack.
+func All(p simcloud.Params, c simcloud.CM1Params) []Series {
+	return []Series{
 		Fig2aCheckpoint50MB(p),
 		Fig2bCheckpoint200MB(p),
 		Fig3aRestart50MB(p),
@@ -306,18 +304,9 @@ func All(p simcloud.Params, c simcloud.CM1Params, dir string) []Series {
 		Fig5cSuccessiveDedup(p),
 		Table1CM1SnapshotSize(p, c),
 		Fig6CM1Checkpoint(p, c),
-		FigDowntime(),
-		FigStages(),
-		FigTracePath(),
 		FigAvailability(),
-		FigThroughput(dir),
 		FigRepair(),
-		FigLocalTier(),
 		FigPreemption(),
 		FigHealth(),
 	}
-	if dir != "" {
-		out = append(out, FigDiskLog(dir))
-	}
-	return out
 }

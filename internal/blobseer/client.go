@@ -904,8 +904,8 @@ func (c *Client) CasStats(ctx context.Context, dataProviders []string) (cas.Stat
 }
 
 // StoreEngineStats reports one data provider's storage-engine view: the
-// backend name ("seglog", "files", "mem", with a "cas+" prefix under the
-// dedup layer) and its engine-specific counters.
+// backend name ("seglog" or "mem", with a "cas+" prefix under the dedup
+// layer) and its engine-specific counters.
 func (c *Client) StoreEngineStats(ctx context.Context, addr string) (chunkstore.EngineStats, error) {
 	w := wire.NewBuffer(8)
 	w.PutU8(opStoreStats)
@@ -921,25 +921,24 @@ func (c *Client) StoreEngineStats(ctx context.Context, addr string) (chunkstore.
 }
 
 // CompactChunkStore asks one data provider's storage engine to run a
-// compaction pass now. supported is false for engines with nothing to
-// compact (file-per-chunk, in-memory), which is not an error.
-func (c *Client) CompactChunkStore(ctx context.Context, addr string) (res chunkstore.CompactResult, supported bool, err error) {
+// compaction pass now. An engine with nothing to compact (in-memory)
+// answers a zero result.
+func (c *Client) CompactChunkStore(ctx context.Context, addr string) (chunkstore.CompactResult, error) {
 	w := wire.NewBuffer(8)
 	w.PutU8(opStoreCompact)
 	r, err := c.call(ctx, addr, w)
 	if err != nil {
-		return res, false, err
+		return chunkstore.CompactResult{}, err
 	}
-	supported = r.Bool()
-	if supported {
-		res.Segments = int(r.Uvarint())
-		res.Relocated = int(r.Uvarint())
-		res.ReclaimedBytes = r.U64()
+	res := chunkstore.CompactResult{
+		Segments:       int(r.Uvarint()),
+		Relocated:      int(r.Uvarint()),
+		ReclaimedBytes: r.U64(),
 	}
 	if err := r.Err(); err != nil {
-		return chunkstore.CompactResult{}, false, err
+		return chunkstore.CompactResult{}, err
 	}
-	return res, supported, nil
+	return res, nil
 }
 
 func (c *Client) abort(ctx context.Context, blob, version uint64) {
@@ -1164,7 +1163,10 @@ func (c *Client) GC(ctx context.Context, dataProviders []string) (GCStats, error
 		if err != nil {
 			return stats, err
 		}
-		n := r.Uvarint()
+		n, err := getCount(r)
+		if err != nil {
+			return stats, err
+		}
 		var dead []meta.NodeKey
 		for i := uint64(0); i < n; i++ {
 			k := getNodeKey(r)
@@ -1194,7 +1196,10 @@ func (c *Client) GC(ctx context.Context, dataProviders []string) (GCStats, error
 		if err != nil {
 			return stats, err
 		}
-		n := r.Uvarint()
+		n, err := getCount(r)
+		if err != nil {
+			return stats, err
+		}
 		var dead []chunkstore.Key
 		for i := uint64(0); i < n; i++ {
 			k := getChunkKey(r)

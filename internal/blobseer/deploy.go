@@ -24,18 +24,10 @@ type StoreFactory func(i int) (chunkstore.Store, error)
 func MemStores(int) (chunkstore.Store, error) { return chunkstore.NewMem(), nil }
 
 // SeglogStores returns a StoreFactory that roots one segment log per
-// provider under dir (the disklog bench and disk-backed deployments).
+// provider under dir (disk-backed deployments and the benchmark harness).
 func SeglogStores(dir string, opts seglog.Options) StoreFactory {
 	return func(i int) (chunkstore.Store, error) {
 		return seglog.Open(filepath.Join(dir, fmt.Sprintf("provider-%d", i)), opts)
-	}
-}
-
-// DiskStores returns a StoreFactory that roots one file-per-chunk store per
-// provider under dir.
-func DiskStores(dir string) StoreFactory {
-	return func(i int) (chunkstore.Store, error) {
-		return chunkstore.NewDisk(filepath.Join(dir, fmt.Sprintf("provider-%d", i)))
 	}
 }
 

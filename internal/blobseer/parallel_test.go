@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"blobcr/internal/cas"
 	"blobcr/internal/chunkstore"
@@ -59,6 +60,97 @@ func TestDedupCommitProbesPerProviderNotPerChunk(t *testing.T) {
 	dedupCalls := lat.Calls() - calls0
 	if dedupCalls > 20 {
 		t.Errorf("dedup re-commit issued %d round trips, want O(providers + log span) (<= 20)", dedupCalls)
+	}
+}
+
+// overlapNet holds every call to a watched address open for hold and
+// records the most watched addresses that had a call in flight at once.
+type overlapNet struct {
+	transport.Network
+	hold time.Duration
+
+	mu      sync.Mutex
+	watched map[string]bool
+	open    map[string]int
+	peak    int
+}
+
+func (n *overlapNet) Call(ctx context.Context, addr string, req []byte) ([]byte, error) {
+	n.mu.Lock()
+	watched := n.watched[addr]
+	if watched {
+		n.open[addr]++
+		n.peak = max(n.peak, len(n.open))
+	}
+	n.mu.Unlock()
+	if !watched {
+		return n.Network.Call(ctx, addr, req)
+	}
+	defer func() {
+		n.mu.Lock()
+		if n.open[addr]--; n.open[addr] == 0 {
+			delete(n.open, addr)
+		}
+		n.mu.Unlock()
+	}()
+	time.Sleep(n.hold)
+	return n.Network.Call(ctx, addr, req)
+}
+
+// takePeak returns the peak overlap since the last call and resets it.
+func (n *overlapNet) takePeak() int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	p := n.peak
+	n.peak = 0
+	return p
+}
+
+// TestStripedStreamsRunConcurrently: a commit and a restore move their
+// chunks over one stream per data provider, and the streams run at the
+// same time — the striping that lets bandwidth add up across providers
+// (stdchk's model). Each call to a provider is held open for 20 ms, so
+// streams that ran one after another would never overlap.
+func TestStripedStreamsRunConcurrently(t *testing.T) {
+	const (
+		providers = 4
+		chunks    = 64
+		chunk     = 1024
+	)
+	net := &overlapNet{Network: transport.NewInProc(), hold: 20 * time.Millisecond, open: make(map[string]int)}
+	d, err := Deploy(net, 1, providers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Close)
+	net.watched = make(map[string]bool)
+	for _, a := range d.DataAddrs {
+		net.watched[a] = true
+	}
+	c := d.Client()
+	c.Parallelism = providers
+	blob, err := c.CreateBlob(ctx, chunk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writes := make(map[uint64][]byte, chunks)
+	for i := uint64(0); i < chunks; i++ {
+		writes[i] = bytes.Repeat([]byte{byte(i), byte(i >> 8), 0x5A}, chunk/3+1)[:chunk]
+	}
+	info, err := c.WriteVersion(ctx, blob, writes, chunks*chunk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := net.takePeak(); p != providers {
+		t.Errorf("commit had calls in flight to at most %d providers at once, want all %d", p, providers)
+	}
+	reader := d.Client() // a cold node cache, as a restarting node has
+	reader.Parallelism = providers
+	if _, err := reader.ReadVersion(ctx, SnapshotRef{Blob: blob, Version: info.Version}, 0, chunks*chunk); err != nil {
+		t.Fatal(err)
+	}
+	if p := net.takePeak(); p != providers {
+		t.Errorf("restore had calls in flight to at most %d providers at once, want all %d", p, providers)
 	}
 }
 

@@ -153,10 +153,10 @@ const (
 
 	// Storage-engine ops (internal/chunkstore engine extensions).
 	// opStoreStats reports the provider's backend name and its
-	// engine-specific counters (blobcr-ctl store, the disklog bench).
+	// engine-specific counters (blobcr-ctl store, the benchmark harness).
 	// opStoreCompact asks a log-structured backend to run a compaction pass
 	// now (the repair scrubber's cadence, blobcr-ctl); engines with nothing
-	// to compact report supported=false.
+	// to compact report a zero result.
 	opStoreStats
 	opStoreCompact
 )

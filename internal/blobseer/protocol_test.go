@@ -57,6 +57,16 @@ func TestEveryNamedOpIsServed(t *testing.T) {
 	}
 }
 
+// gcListReply answers GC's live-set call with no versions and its node or
+// chunk list call with a count of 2^62 and no keys.
+func gcListReply(w *wire.Buffer, op uint8) {
+	if op == opListLive {
+		w.PutUvarint(0)
+		return
+	}
+	w.PutUvarint(1 << 62)
+}
+
 // TestCorruptCountsFailTheFrame: a wire count the frame cannot hold fails the
 // decode on both sides of the manifest's life. On the version manager a
 // corrupt commit manifest must reject the commit (publishing without it
@@ -114,33 +124,44 @@ func TestCorruptCountsFailTheFrame(t *testing.T) {
 
 	retire := func(c *Client) error { _, err := c.RetireStats(ctx, 1, 1); return err }
 	for name, tc := range map[string]struct {
-		resp func(w *wire.Buffer)
+		resp func(w *wire.Buffer, op uint8)
 		call func(c *Client) error
 	}{
-		"retire/release count": {func(w *wire.Buffer) {
+		"retire/release count": {func(w *wire.Buffer, _ uint8) {
 			w.PutU64(1) // retired horizon
 			w.PutUvarint(1 << 62)
 		}, retire},
-		"retire/provider count": {func(w *wire.Buffer) {
+		"retire/provider count": {func(w *wire.Buffer, _ uint8) {
 			w.PutU64(1)
 			w.PutUvarint(1)
 			putFingerprint(w, fp)
 			w.PutUvarint(1 << 62)
 		}, retire},
-		"list-blobs/blob count": {func(w *wire.Buffer) { w.PutUvarint(1 << 62) }, func(c *Client) error {
+		"list-blobs/blob count": {func(w *wire.Buffer, _ uint8) { w.PutUvarint(1 << 62) }, func(c *Client) error {
 			_, err := c.ListBlobs(ctx)
 			return err
 		}},
-		"providers/provider count": {func(w *wire.Buffer) { w.PutUvarint(1 << 62) }, func(c *Client) error {
+		"providers/provider count": {func(w *wire.Buffer, _ uint8) { w.PutUvarint(1 << 62) }, func(c *Client) error {
 			_, err := c.Providers(ctx)
+			return err
+		}},
+		// GC's sweep: an empty live set, then a list reply claiming more
+		// keys than the frame holds.
+		"gc/node count": {gcListReply, func(c *Client) error {
+			c.MetaAddrs = []string{c.VMAddr}
+			_, err := c.GC(ctx, nil)
+			return err
+		}},
+		"gc/chunk count": {gcListReply, func(c *Client) error {
+			_, err := c.GC(ctx, []string{c.VMAddr})
 			return err
 		}},
 	} {
 		t.Run(name, func(t *testing.T) {
 			net := transport.NewInProc()
-			srv, err := net.Listen("", func(context.Context, []byte) ([]byte, error) {
+			srv, err := net.Listen("", func(_ context.Context, req []byte) ([]byte, error) {
 				w := wire.NewBuffer(64)
-				tc.resp(w)
+				tc.resp(w, req[0])
 				return w.Bytes(), nil
 			})
 			if err != nil {

@@ -429,9 +429,6 @@ func (dp *DataProvider) handle(ctx context.Context, req []byte) ([]byte, error) 
 		if err != nil {
 			return nil, err
 		}
-		// supported: the CAS layer always answers, with a zero result over
-		// an engine that has nothing to compact.
-		w.PutBool(true)
 		w.PutUvarint(uint64(res.Segments))
 		w.PutUvarint(uint64(res.Relocated))
 		w.PutU64(res.ReclaimedBytes)

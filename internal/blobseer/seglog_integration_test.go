@@ -80,8 +80,8 @@ func TestSeglogBackedDeployment(t *testing.T) {
 		t.Fatalf("GC: %v", err)
 	}
 	for _, addr := range d.DataAddrs {
-		if _, supported, err := c.CompactChunkStore(ctx, addr); err != nil || !supported {
-			t.Fatalf("CompactChunkStore(%s): supported=%v err=%v", addr, supported, err)
+		if _, err := c.CompactChunkStore(ctx, addr); err != nil {
+			t.Fatalf("CompactChunkStore(%s): %v", addr, err)
 		}
 	}
 	got, err := c.ReadVersion(ctx, SnapshotRef{Blob: blob, Version: last}, 0, 8*testChunkSize)
@@ -94,8 +94,8 @@ func TestSeglogBackedDeployment(t *testing.T) {
 }
 
 // TestStoreStatsBackends: the wire stats verb reports each backend
-// truthfully, and compaction on a non-compactable backend is a supported=
-// false no-op, not an error.
+// truthfully, and compaction on a backend with nothing to compact is a
+// zero-result no-op, not an error.
 func TestStoreStatsBackends(t *testing.T) {
 	d, c := deploy(t, 1, 1) // mem-backed
 	es, err := c.StoreEngineStats(ctx, d.DataAddrs[0])
@@ -105,46 +105,30 @@ func TestStoreStatsBackends(t *testing.T) {
 	if !strings.HasPrefix(es.Backend, "cas+") {
 		t.Fatalf("backend = %q, want cas+ prefix", es.Backend)
 	}
-	res, supported, err := c.CompactChunkStore(ctx, d.DataAddrs[0])
+	res, err := c.CompactChunkStore(ctx, d.DataAddrs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The CAS layer implements Compactor by delegation; over a mem backend
-	// the pass is a zero-result no-op either way.
-	if supported && (res.Segments != 0 || res.ReclaimedBytes != 0) {
+	// the pass is a zero-result no-op.
+	if res != (chunkstore.CompactResult{}) {
 		t.Fatalf("mem backend reported compaction work: %+v", res)
 	}
 }
 
-// TestOpenStoreBackend covers the daemons' backend selector.
-func TestOpenStoreBackend(t *testing.T) {
-	dir := t.TempDir()
-	cases := []struct {
-		kind, dir, want string
-		wantErr         bool
-	}{
-		{"", "", "mem", false},
-		{"auto", dir + "/a", "seglog", false},
-		{"mem", "", "mem", false},
-		{"files", dir + "/f", "files", false},
-		{"seglog", dir + "/s", "seglog", false},
-		{"files", "", "", true},
-		{"seglog", "", "", true},
-		{"bogus", dir, "", true},
-	}
-	for _, tc := range cases {
-		s, err := OpenStoreBackend(tc.kind, tc.dir)
-		if tc.wantErr {
-			if err == nil {
-				t.Fatalf("OpenStoreBackend(%q, %q) succeeded, want error", tc.kind, tc.dir)
-			}
-			continue
-		}
+// TestOpenStore covers the daemons' backend choice: the directory alone
+// decides between the segment log and memory.
+func TestOpenStore(t *testing.T) {
+	for _, tc := range []struct{ dir, want string }{
+		{"", "mem"},
+		{t.TempDir() + "/s", "seglog"},
+	} {
+		s, err := OpenStore(tc.dir)
 		if err != nil {
-			t.Fatalf("OpenStoreBackend(%q, %q): %v", tc.kind, tc.dir, err)
+			t.Fatalf("OpenStore(%q): %v", tc.dir, err)
 		}
 		if got := chunkstore.StatsOf(s).Backend; got != tc.want {
-			t.Fatalf("OpenStoreBackend(%q, %q) = %q, want %q", tc.kind, tc.dir, got, tc.want)
+			t.Fatalf("OpenStore(%q) = %q, want %q", tc.dir, got, tc.want)
 		}
 		closeStore(s)
 	}

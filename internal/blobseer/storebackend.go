@@ -1,42 +1,18 @@
 package blobseer
 
 import (
-	"fmt"
-
 	"blobcr/internal/chunkstore"
 	"blobcr/internal/seglog"
 )
 
-// OpenStoreBackend opens the chunk store backend the daemons put behind a
-// data provider, selected by name:
-//
-//	"seglog" — the durable log-structured engine (group commit, compression,
-//	           crash recovery); requires dir.
-//	"files"  — one file per chunk with fsync-on-put durability; requires dir.
-//	"mem"    — in-memory, nothing survives a restart.
-//	"" / "auto" — seglog when dir is set, mem otherwise.
-//
-// The caller wraps the result in cas.NewStore for dedup capability.
-func OpenStoreBackend(kind, dir string) (chunkstore.Store, error) {
-	switch kind {
-	case "", "auto":
-		if dir == "" {
-			return chunkstore.NewMem(), nil
-		}
-		return seglog.Open(dir, seglog.Options{})
-	case "mem":
+// OpenStore opens the chunk store backend the daemons put behind a data
+// provider: the durable log-structured engine (group commit, compression,
+// crash recovery) rooted at dir, or an in-memory store when dir is empty,
+// which keeps nothing across a restart. The caller wraps the result in
+// cas.NewStore for dedup capability.
+func OpenStore(dir string) (chunkstore.Store, error) {
+	if dir == "" {
 		return chunkstore.NewMem(), nil
-	case "files":
-		if dir == "" {
-			return nil, fmt.Errorf("blobseer: store backend %q requires a data directory", kind)
-		}
-		return chunkstore.NewDisk(dir)
-	case "seglog":
-		if dir == "" {
-			return nil, fmt.Errorf("blobseer: store backend %q requires a data directory", kind)
-		}
-		return seglog.Open(dir, seglog.Options{})
-	default:
-		return nil, fmt.Errorf("blobseer: unknown store backend %q (want seglog, files or mem)", kind)
 	}
+	return seglog.Open(dir, seglog.Options{})
 }

@@ -140,9 +140,12 @@ type VersionManager struct {
 	// introspection ops; nil means obs.Default. Set before Serve.
 	Obs *obs.Registry
 
-	mu       sync.Mutex
-	blobs    map[uint64]*blobState
-	nextBlob uint64
+	mu sync.Mutex
+	// published is broadcast whenever a blob's published horizon advances;
+	// a commit that arrived ahead of its predecessors waits on it.
+	published *sync.Cond
+	blobs     map[uint64]*blobState
+	nextBlob  uint64
 }
 
 func (vm *VersionManager) registry() *obs.Registry {
@@ -154,7 +157,47 @@ func (vm *VersionManager) registry() *obs.Registry {
 
 // NewVersionManager returns an empty version manager.
 func NewVersionManager() *VersionManager {
-	return &VersionManager{blobs: make(map[uint64]*blobState), nextBlob: 1}
+	vm := &VersionManager{blobs: make(map[uint64]*blobState), nextBlob: 1}
+	vm.published = sync.NewCond(&vm.mu)
+	return vm
+}
+
+// publishLocked publishes b's pending versions in ticket order, stopping at
+// the first gap, and wakes the commits waiting for their version to appear.
+func (vm *VersionManager) publishLocked(b *blobState) {
+	for {
+		next, ok := b.pending[uint64(len(b.versions))]
+		if !ok {
+			break
+		}
+		delete(b.pending, next.Version)
+		b.versions = append(b.versions, *next)
+		b.applyManifestLocked(next.Version)
+	}
+	vm.published.Broadcast()
+}
+
+// awaitPublishedLocked blocks, with vm.mu released, until b has published
+// version v or ctx ends.
+func (vm *VersionManager) awaitPublishedLocked(ctx context.Context, b *blobState, v uint64) error {
+	if v < uint64(len(b.versions)) {
+		return nil
+	}
+	// Wake the waiter when ctx ends; taking vm.mu orders the broadcast
+	// after the waiter's ctx check, so the wake-up cannot be missed.
+	stop := context.AfterFunc(ctx, func() {
+		vm.mu.Lock()
+		defer vm.mu.Unlock()
+		vm.published.Broadcast()
+	})
+	defer stop()
+	for v >= uint64(len(b.versions)) {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		vm.published.Wait()
+	}
+	return nil
 }
 
 func newBlobState(id, chunkSize uint64) *blobState {
@@ -237,16 +280,12 @@ func (vm *VersionManager) handle(ctx context.Context, req []byte) ([]byte, error
 		if len(manifest) > 0 {
 			b.manifests[info.Version] = manifest
 		}
-		// Publish in order: drain the pending queue while the next expected
-		// version is present. Commits arriving out of ticket order wait.
-		for {
-			next, ok := b.pending[uint64(len(b.versions))]
-			if !ok {
-				break
-			}
-			delete(b.pending, next.Version)
-			b.versions = append(b.versions, *next)
-			b.applyManifestLocked(next.Version)
+		// Publish in ticket order. A commit that arrived ahead of an open
+		// predecessor answers only once the predecessor commits or aborts:
+		// the version it returns must be readable.
+		vm.publishLocked(b)
+		if err := vm.awaitPublishedLocked(ctx, b, info.Version); err != nil {
+			return nil, err
 		}
 		w.PutU64(uint64(len(b.versions))) // published horizon
 
@@ -270,15 +309,7 @@ func (vm *VersionManager) handle(ctx context.Context, req []byte) ([]byte, error
 			prev.Version = version
 			cp := prev
 			b.pending[version] = &cp
-			for {
-				next, ok := b.pending[uint64(len(b.versions))]
-				if !ok {
-					break
-				}
-				delete(b.pending, next.Version)
-				b.versions = append(b.versions, *next)
-				b.applyManifestLocked(next.Version)
-			}
+			vm.publishLocked(b)
 		}
 
 	case opGetVersion:

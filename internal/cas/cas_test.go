@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"blobcr/internal/chunkstore"
+	"blobcr/internal/obs"
+	"blobcr/internal/seglog"
 )
 
 func TestFingerprintKeyDeterministic(t *testing.T) {
@@ -179,9 +181,11 @@ func TestChunkstorePassthroughAndSweepDelete(t *testing.T) {
 	}
 }
 
+// TestDiskRecoveryRebuildsIndex: reopening a segment log re-indexes the
+// content-addressed bodies it holds, pinned against refcount release.
 func TestDiskRecoveryRebuildsIndex(t *testing.T) {
 	dir := t.TempDir()
-	disk, err := chunkstore.NewDisk(dir)
+	disk, err := seglog.Open(dir, seglog.Options{Registry: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +203,11 @@ func TestDiskRecoveryRebuildsIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reopened, err := chunkstore.NewDisk(dir)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reopened, err := seglog.Open(dir, seglog.Options{Registry: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,6 +215,7 @@ func TestDiskRecoveryRebuildsIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s2.Close()
 	if !s2.HasContent(fp) {
 		t.Fatal("recovered store lost the CAS body")
 	}

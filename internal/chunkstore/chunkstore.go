@@ -2,18 +2,17 @@
 // data providers.
 //
 // Chunks are immutable, fixed-size pieces of striped BLOB data, identified by
-// a (blob, id) key. Two backends are provided: an in-memory store (tests,
-// examples, simulation) and an on-disk store (the blobseerd daemon). Both are
-// safe for concurrent use.
+// a (blob, id) key. This package holds the Store contract, its optional
+// engine extensions and the in-memory engine (tests, examples, simulation);
+// the durable engine is the segment log in internal/seglog. Both are safe
+// for concurrent use.
 package chunkstore
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
-	"sync/atomic"
 )
 
 // Key identifies a chunk. Blob is the BLOB identifier; ID is unique within
@@ -24,7 +23,7 @@ type Key struct {
 	ID   uint64
 }
 
-// String renders the key as blob/id, used for file names in DiskStore.
+// String renders the key as blob-id in fixed-width hex.
 func (k Key) String() string { return fmt.Sprintf("%016x-%016x", k.Blob, k.ID) }
 
 // ErrNotFound is returned by Get and Delete for missing chunks.
@@ -70,7 +69,7 @@ func (s *Mem) Put(k Key, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if old, ok := s.m[k]; ok {
-		if bytesEqual(old, data) {
+		if bytes.Equal(old, data) {
 			return nil // idempotent replica re-delivery
 		}
 		return fmt.Errorf("%w: %v", ErrExists, k)
@@ -139,239 +138,6 @@ func (s *Mem) Keys() []Key {
 	return out
 }
 
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// --- On-disk store ---
-
-// diskStripes is the per-key lock table width of Disk: wide enough that 16
-// concurrent streams rarely collide, small enough to embed in the struct.
-const diskStripes = 64
-
-// Disk is a Store backed by one file per chunk under a directory. It keeps
-// an index of sizes in memory; the contents live on disk.
-//
-// mu guards only the in-memory index and is never held across file I/O;
-// per-key operations serialize on a striped lock instead, so parallel
-// striped uploads from concurrent committers proceed independently. Put is
-// crash-durable: the temp file is fsynced before the rename and the
-// directory after it, so an acked chunk survives power loss.
-type Disk struct {
-	dir  string
-	dirf *os.File
-
-	mu    sync.RWMutex
-	sizes map[Key]int64
-	bytes int64
-
-	stripes [diskStripes]sync.Mutex
-
-	puts, gets, deletes, fsyncs atomic.Uint64
-}
-
-// NewDisk opens (creating if needed) an on-disk store rooted at dir and
-// indexes any chunks already present.
-func NewDisk(dir string) (*Disk, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("chunkstore: create dir: %w", err)
-	}
-	dirf, err := os.Open(dir)
-	if err != nil {
-		return nil, fmt.Errorf("chunkstore: open dir: %w", err)
-	}
-	s := &Disk{dir: dir, dirf: dirf, sizes: make(map[Key]int64)}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		dirf.Close()
-		return nil, fmt.Errorf("chunkstore: scan dir: %w", err)
-	}
-	for _, ent := range entries {
-		if ent.IsDir() {
-			continue
-		}
-		var k Key
-		if _, err := fmt.Sscanf(ent.Name(), "%016x-%016x", &k.Blob, &k.ID); err != nil {
-			continue // not a chunk file
-		}
-		info, err := ent.Info()
-		if err != nil {
-			continue
-		}
-		s.sizes[k] = info.Size()
-		s.bytes += info.Size()
-	}
-	return s, nil
-}
-
-func (s *Disk) path(k Key) string { return filepath.Join(s.dir, k.String()) }
-
-// stripe returns the per-key I/O lock for k.
-func (s *Disk) stripe(k Key) *sync.Mutex {
-	h := (k.Blob ^ k.ID) * 0x9e3779b97f4a7c15 // Fibonacci mixing
-	return &s.stripes[(h>>32)%diskStripes]
-}
-
-// Put implements Store. The chunk is written to a temp file, fsynced, and
-// renamed, with a directory fsync sealing the rename: a crash never leaves
-// a partial chunk under its final name, and a chunk acked to the committer
-// is on disk. Only same-key puts serialize; the store-wide lock protects
-// just the index.
-func (s *Disk) Put(k Key, data []byte) error {
-	s.puts.Add(1)
-	st := s.stripe(k)
-	st.Lock()
-	defer st.Unlock()
-	s.mu.RLock()
-	sz, ok := s.sizes[k]
-	s.mu.RUnlock()
-	if ok {
-		if sz == int64(len(data)) {
-			existing, err := os.ReadFile(s.path(k))
-			if err == nil && bytesEqual(existing, data) {
-				return nil
-			}
-		}
-		return fmt.Errorf("%w: %v", ErrExists, k)
-	}
-	tmp, err := os.CreateTemp(s.dir, "put-*")
-	if err != nil {
-		return fmt.Errorf("chunkstore: temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("chunkstore: write chunk: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("chunkstore: sync chunk: %w", err)
-	}
-	s.fsyncs.Add(1)
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("chunkstore: close chunk: %w", err)
-	}
-	if err := os.Rename(tmpName, s.path(k)); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("chunkstore: commit chunk: %w", err)
-	}
-	if err := s.dirf.Sync(); err != nil {
-		return fmt.Errorf("chunkstore: sync dir: %w", err)
-	}
-	s.fsyncs.Add(1)
-	s.mu.Lock()
-	s.sizes[k] = int64(len(data))
-	s.bytes += int64(len(data))
-	s.mu.Unlock()
-	return nil
-}
-
-// Get implements Store.
-func (s *Disk) Get(k Key) ([]byte, error) {
-	s.gets.Add(1)
-	s.mu.RLock()
-	_, ok := s.sizes[k]
-	s.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %v", ErrNotFound, k)
-	}
-	data, err := os.ReadFile(s.path(k))
-	if err != nil {
-		if os.IsNotExist(err) {
-			// Deleted between the index check and the read.
-			return nil, fmt.Errorf("%w: %v", ErrNotFound, k)
-		}
-		return nil, fmt.Errorf("chunkstore: read chunk %v: %w", k, err)
-	}
-	return data, nil
-}
-
-// Has implements Store.
-func (s *Disk) Has(k Key) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.sizes[k]
-	return ok
-}
-
-// Delete implements Store.
-func (s *Disk) Delete(k Key) error {
-	s.deletes.Add(1)
-	st := s.stripe(k)
-	st.Lock()
-	defer st.Unlock()
-	s.mu.RLock()
-	sz, ok := s.sizes[k]
-	s.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("%w: %v", ErrNotFound, k)
-	}
-	if err := os.Remove(s.path(k)); err != nil {
-		return fmt.Errorf("chunkstore: delete chunk %v: %w", k, err)
-	}
-	s.mu.Lock()
-	delete(s.sizes, k)
-	s.bytes -= sz
-	s.mu.Unlock()
-	return nil
-}
-
-// Len implements Store.
-func (s *Disk) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.sizes)
-}
-
-// UsedBytes implements Store.
-func (s *Disk) UsedBytes() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.bytes
-}
-
-// Keys returns all stored chunk keys (used by garbage collection sweeps).
-func (s *Disk) Keys() []Key {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]Key, 0, len(s.sizes))
-	for k := range s.sizes {
-		out = append(out, k)
-	}
-	return out
-}
-
-// Close releases the directory handle used for rename durability.
-func (s *Disk) Close() error { return s.dirf.Close() }
-
-// EngineStats implements EngineStatser.
-func (s *Disk) EngineStats() EngineStats {
-	s.mu.RLock()
-	chunks := len(s.sizes)
-	bytes := s.bytes
-	s.mu.RUnlock()
-	return EngineStats{Backend: "files", Fields: []EngineField{
-		{Name: "chunks", Value: uint64(chunks)},
-		{Name: "logical_bytes", Value: uint64(bytes)},
-		{Name: "disk_bytes", Value: uint64(bytes)},
-		{Name: "puts", Value: s.puts.Load()},
-		{Name: "gets", Value: s.gets.Load()},
-		{Name: "deletes", Value: s.deletes.Load()},
-		{Name: "fsyncs", Value: s.fsyncs.Load()},
-	}}
-}
-
 // EngineStats implements EngineStatser.
 func (s *Mem) EngineStats() EngineStats {
 	s.mu.RLock()
@@ -387,7 +153,5 @@ func (s *Mem) EngineStats() EngineStats {
 // Interface conformance checks.
 var (
 	_ Store         = (*Mem)(nil)
-	_ Store         = (*Disk)(nil)
 	_ EngineStatser = (*Mem)(nil)
-	_ EngineStatser = (*Disk)(nil)
 )

@@ -17,7 +17,7 @@ type EngineField struct {
 // it is and its engine-specific counters (segment counts, fsyncs, dead
 // bytes, ...). The field set is engine-defined; consumers render it as an
 // ordered name/value list (blobcr-ctl store) or pick fields by name (the
-// disklog bench reads "fsyncs" and "puts" to show group commit working).
+// benchmark harness reads "fsyncs" and "puts" to show group commit working).
 type EngineStats struct {
 	Backend string
 	Fields  []EngineField

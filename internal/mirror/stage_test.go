@@ -117,9 +117,12 @@ func TestStagedCommitLocallySafeWhileRemoteWedged(t *testing.T) {
 // TestStageDrainConvergesAndReleasesPartner drives full rounds through the
 // write-back pipeline and checks the drain end state: snapshots published in
 // capture order, both tiers empty, partner replicas released, drain memo at
-// the last published ref.
+// the last published ref, and every stage of the tiered pipeline —
+// commit/stage-local included — recorded once per round.
 func TestStageDrainConvergesAndReleasesPartner(t *testing.T) {
 	_, _, c, m, stage, partner := stageSetup(t)
+	reg := obs.NewRegistry()
+	c.Obs = reg
 	var refs []blobseer.SnapshotRef
 	for round := 0; round < 3; round++ {
 		if _, err := m.WriteAt(bytes.Repeat([]byte{byte(0xC0 + round)}, cs), int64(round)*cs); err != nil {
@@ -158,6 +161,11 @@ func TestStageDrainConvergesAndReleasesPartner(t *testing.T) {
 	seq, ref, ok := stage.LastDrained("vm-0")
 	if !ok || seq != 3 || ref != refs[2] {
 		t.Errorf("LastDrained = %d %v %v, want 3 %v true", seq, ref, ok, refs[2])
+	}
+	for _, name := range obs.CommitStagesLocalTier {
+		if n := reg.Histogram("span_ns", obs.L("span", name)).Count(); n != uint64(len(refs)) {
+			t.Errorf("%q spans recorded: %d, want one per round (%d)", name, n, len(refs))
+		}
 	}
 }
 

@@ -96,7 +96,7 @@ func TestCompactionRacingRetireAndScrub(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 5; i++ {
 			for _, addr := range d.DataAddrs {
-				if _, _, err := c.CompactChunkStore(ctx, addr); err != nil {
+				if _, err := c.CompactChunkStore(ctx, addr); err != nil {
 					t.Errorf("CompactChunkStore(%s): %v", addr, err)
 					return
 				}

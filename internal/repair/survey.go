@@ -270,15 +270,15 @@ func (r *Repairer) Scrub(ctx context.Context) (ScrubReport, error) {
 }
 
 // compactStores asks every member provider's storage engine for a compaction
-// pass, on the same bounded fan-out as the data path. Engines with nothing
-// to compact and providers that are unreachable are skipped silently — the
-// scrub's health findings already cover reachability.
+// pass, on the same bounded fan-out as the data path. Unreachable providers
+// are skipped silently — the scrub's health findings already cover
+// reachability.
 func (r *Repairer) compactStores(ctx context.Context, addrs []string) {
 	var mu sync.Mutex
 	var total chunkstore.CompactResult
 	r.forEachAddr(addrs, func(addr string) {
-		res, supported, err := r.client.CompactChunkStore(ctx, addr)
-		if err != nil || !supported {
+		res, err := r.client.CompactChunkStore(ctx, addr)
+		if err != nil {
 			return
 		}
 		mu.Lock()

@@ -267,8 +267,8 @@ func (n *InProc) Heal(addr string) {
 
 // Latency wraps a Network, sleeping PerCall before every Call and counting
 // calls, so network cost shows up in wall time and deterministically in the
-// call counter. The downtime and availability experiments use it to make
-// round trips cost something on an in-process network; tests use the counter
+// call counter. The availability, preemption and health experiments use it
+// to make round trips cost something on an in-process network; tests use the counter
 // to assert how many round trips land inside a measured window.
 type Latency struct {
 	Inner   Network
@@ -319,8 +319,7 @@ func (l *Latency) Heal(addr string) {
 // bandwidth: calls to one address are serialized and charged
 // (len(request)+len(response))/BytesPerSec of wall time while holding the
 // pipe. Independent addresses proceed in parallel, so striping a transfer
-// across N providers divides its wall time by up to N — which is what the
-// throughput experiments measure. Stack it over Latency to model both
+// across N providers divides its wall time by up to N. Stack it over Latency to model both
 // per-round-trip and per-byte cost.
 type Bandwidth struct {
 	Inner       Network
