@@ -257,7 +257,11 @@
 // WAIT or POLL resolve. Every operation takes a context.Context —
 // cancelling an in-flight commit runs the abort path and returns every
 // content-addressed reference it took — and snapshot identity is the one
-// blobseer.SnapshotRef value type at every layer.
+// blobseer.SnapshotRef value type at every layer. A commit's dirty set is
+// one []blobseer.Chunk, strictly ascending by index, from the mirror's
+// capture through the local tier and the partner link to
+// blobseer.Client.WriteChunks; the pipeline worker sorts the capture after
+// the VM resumes, never inside the suspend window.
 //
 // Migration from the old synchronous API:
 //
@@ -267,6 +271,7 @@
 //	blobseer GetVersion(blob, ver)              GetVersion(ctx, SnapshotRef{blob, ver})
 //	blobseer ReadVersion(blob, ver, off, n)     ReadVersion(ctx, ref, off, n)
 //	blobseer Clone(blob, ver)                   Clone(ctx, ref)
+//	blobseer WriteVersionStats(From)(map)       WriteChunks(ctx, blob, base, memo, []Chunk, size)
 //	mirror.Attach(c, blob, ver)                 Attach(ctx, c, ref)
 //	mirror Commit()                             Commit(ctx), or CommitAsync(ctx) -> *PendingCommit
 //	proxy RequestCheckpoint() (blob, ver)       RequestCheckpoint(ctx) (SnapshotRef) — or

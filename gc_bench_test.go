@@ -72,17 +72,17 @@ func successiveCommits(b *testing.B, c *blobseer.Client, rounds, chunks, chunk i
 	var total blobseer.CommitStats
 	repeated := int(float64(chunks) * overlap)
 	for v := 0; v < rounds; v++ {
-		writes := make(map[uint64][]byte, chunks)
-		for idx := 0; idx < chunks; idx++ {
+		writes := make([]blobseer.Chunk, chunks)
+		for idx := range writes {
 			var fill byte
 			if idx < repeated {
 				fill = byte(idx) // identical content every round
 			} else {
 				fill = byte(64 + v*chunks + idx) // fresh content each round
 			}
-			writes[uint64(idx)] = bytes.Repeat([]byte{fill}, chunk)
+			writes[idx] = blobseer.Chunk{Index: uint64(idx), Body: bytes.Repeat([]byte{fill}, chunk)}
 		}
-		_, cs, err := c.WriteVersionStats(gctx, blob, writes, uint64(chunks*chunk))
+		_, cs, err := c.WriteChunks(gctx, blob, nil, nil, writes, uint64(chunks*chunk))
 		if err != nil {
 			b.Fatal(err)
 		}

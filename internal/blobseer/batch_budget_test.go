@@ -36,10 +36,10 @@ func TestCommitSyncBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(21))
-	writes := make(map[uint64][]byte, chunks)
-	for i := uint64(0); i < chunks; i++ {
-		writes[i] = make([]byte, chunk)
-		rng.Read(writes[i])
+	writes := make([]Chunk, chunks)
+	for i := range writes {
+		writes[i] = Chunk{Index: uint64(i), Body: make([]byte, chunk)}
+		rng.Read(writes[i].Body)
 	}
 	engine := func(field string) (total uint64) {
 		for _, addr := range d.DataAddrs {
@@ -53,7 +53,7 @@ func TestCommitSyncBudget(t *testing.T) {
 	}
 	frames := c.Obs.Counter("blobseer_batch_calls_total", obs.L("op", "cas-put-batch"))
 	fsyncs0, puts0 := engine("fsyncs"), engine("puts")
-	if _, stats, err := c.WriteVersionStats(ctx, blob, writes, chunks*chunk); err != nil || stats.TransferBytes != chunks*chunk {
+	if _, stats, err := c.WriteChunks(ctx, blob, nil, nil, writes, chunks*chunk); err != nil || stats.TransferBytes != chunks*chunk {
 		t.Fatalf("commit: %+v, %v", stats, err)
 	}
 	fsyncs, puts := engine("fsyncs")-fsyncs0, engine("puts")-puts0

@@ -1,12 +1,13 @@
 package blobseer
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -317,7 +318,7 @@ func (c *Client) ListBlobs(ctx context.Context) ([]BlobInfo, error) {
 	return out, r.Err()
 }
 
-// CommitStats reports what one WriteVersion moved and what deduplication
+// CommitStats reports what one commit moved and what deduplication
 // saved. LogicalBytes is the commit's payload — each written chunk counted
 // once, independent of replication — so dedup hit-rate math is not skewed by
 // the replica count; TransferBytes is what actually crossed the network,
@@ -347,60 +348,56 @@ func (s *CommitStats) Add(o CommitStats) {
 	s.HashMemoBytes += o.HashMemoBytes
 }
 
-// WriteVersion publishes a new version of blob consisting of the previous
-// version's content overlaid with the given whole-chunk writes, and resizes
-// the blob to newSize bytes (pass the previous size to keep it). The chunk
-// data slices must each be at most chunkSize long. This is the COMMIT
-// primitive of the paper: only the written chunks move; everything else is
-// shared with the previous version.
+// Chunk is one whole-chunk write of a commit: Body, at most the blob's chunk
+// size long, replaces the chunk at Index. A commit's dirty set is a list of
+// them, strictly ascending by Index, from the mirror's capture to WriteChunks.
+type Chunk struct {
+	Index uint64
+	Body  []byte
+}
+
+// SortChunks puts a chunk list in ascending Index order.
+func SortChunks(chunks []Chunk) {
+	slices.SortFunc(chunks, func(a, b Chunk) int { return cmp.Compare(a.Index, b.Index) })
+}
+
+// WriteVersion publishes a new version of blob overlaying its latest
+// version with the given whole-chunk writes, keyed by chunk index: the map
+// form of WriteChunks for callers that build a dirty set by index.
 func (c *Client) WriteVersion(ctx context.Context, blob uint64, writes map[uint64][]byte, newSize uint64) (VersionInfo, error) {
-	info, _, err := c.WriteVersionStats(ctx, blob, writes, newSize)
+	chunks := make([]Chunk, 0, len(writes))
+	for idx, body := range writes {
+		chunks = append(chunks, Chunk{Index: idx, Body: body})
+	}
+	SortChunks(chunks)
+	info, _, err := c.WriteChunks(ctx, blob, nil, nil, chunks, newSize)
 	return info, err
 }
 
-// WriteVersionStats is WriteVersion returning per-commit transfer and dedup
-// accounting. If ctx is cancelled mid-commit, the abort path runs under a
-// detached context: the version ticket is released and every
-// content-addressed reference the commit took is returned, so refcounts stay
-// balanced.
-func (c *Client) WriteVersionStats(ctx context.Context, blob uint64, writes map[uint64][]byte, newSize uint64) (VersionInfo, CommitStats, error) {
-	return c.writeVersion(ctx, blob, nil, nil, writes, newSize)
-}
-
-// WriteVersionFrom publishes a new version of base.Blob whose unwritten
-// content comes from the given published base snapshot rather than from the
-// blob's latest version. This is the rollback-safe COMMIT: after a
-// deployment rolls back to an older snapshot, a newer orphaned version (a
-// commit that was publishing when the failure hit) may still be the blob's
-// latest — basing the next commit on it would silently resurrect the very
-// writes the rollback undid. The mirroring module commits through this path,
-// passing the snapshot its device actually exposes.
-func (c *Client) WriteVersionFrom(ctx context.Context, base SnapshotRef, writes map[uint64][]byte, newSize uint64) (VersionInfo, error) {
-	info, _, err := c.writeVersion(ctx, base.Blob, &base, nil, writes, newSize)
-	return info, err
-}
-
-// WriteVersionStatsFrom is WriteVersionFrom returning per-commit transfer
-// and dedup accounting. The hash stage fingerprints through memo (nil
-// hashes every body) and then keeps this commit's bodies in it, so a body
-// the next commit finds byte-equal to one of them is not hashed again. A
-// kept body must never be mutated afterwards: pass a memo only when writes
-// holds buffers no one writes again, as the mirroring module's frozen
-// captures are.
-func (c *Client) WriteVersionStatsFrom(ctx context.Context, base SnapshotRef, memo *cas.Memo, writes map[uint64][]byte, newSize uint64) (VersionInfo, CommitStats, error) {
-	return c.writeVersion(ctx, base.Blob, &base, memo, writes, newSize)
-}
-
-// writeVersion implements both commit flavors: with base == nil the new
-// version overlays the blob's latest published version; otherwise it
-// overlays the explicitly named base snapshot. It wraps the staged
-// implementation with the commit-level telemetry: per-commit counters and
-// the registry attachment the stage spans and batch counters below record
-// through.
-func (c *Client) writeVersion(ctx context.Context, blob uint64, base *SnapshotRef, memo *cas.Memo, writes map[uint64][]byte, newSize uint64) (VersionInfo, CommitStats, error) {
+// WriteChunks publishes a new version of blob, a base snapshot overlaid with
+// chunks and resized to newSize bytes (pass the previous size to keep it),
+// and returns the commit's transfer and dedup accounting. This is the
+// paper's COMMIT: only the written chunks move; everything else is shared
+// with the base. A list that is not strictly ascending by Index, or holds a
+// Body longer than the chunk size, is rejected before a version is ticketed.
+//
+// A nil base overlays the blob's latest version. Otherwise base names a
+// published snapshot of blob: the rollback-safe COMMIT. After a rollback, a
+// newer orphaned version (a commit that was publishing when the failure hit)
+// may still be the latest, and overlaying it would resurrect the writes the
+// rollback undid; the mirroring module passes the snapshot its device exposes.
+//
+// The hash stage fingerprints through memo (nil hashes every body) and keeps
+// this commit's bodies in it, so a body the next commit finds byte-equal to
+// one of them is not hashed again. A kept body must never be mutated: pass a
+// memo only for buffers no one writes again, as the mirroring module's frozen
+// captures are. If ctx is cancelled mid-commit, the abort path runs under a
+// detached context and returns the ticket and every reference taken, so
+// refcounts stay balanced.
+func (c *Client) WriteChunks(ctx context.Context, blob uint64, base *SnapshotRef, memo *cas.Memo, chunks []Chunk, newSize uint64) (VersionInfo, CommitStats, error) {
 	ctx = obs.WithRegistry(ctx, c.Obs)
 	reg := obs.RegistryFrom(ctx)
-	info, stats, err := c.writeVersionStaged(ctx, blob, base, memo, writes, newSize)
+	info, stats, err := c.writeChunksStaged(ctx, blob, base, memo, chunks, newSize)
 	if err != nil {
 		reg.Counter("blobseer_commit_failures_total").Inc()
 		return info, stats, err
@@ -416,11 +413,11 @@ func (c *Client) writeVersion(ctx context.Context, blob uint64, base *SnapshotRe
 	return info, stats, nil
 }
 
-// writeVersionStaged is the commit pipeline proper, decomposed into the
+// writeChunksStaged is the commit pipeline proper, decomposed into the
 // named probe → hash → upload → publish → durable stages the suspend-window
 // breakdown reports (the capture stage happens above, in internal/mirror,
 // under the VM suspend).
-func (c *Client) writeVersionStaged(ctx context.Context, blob uint64, base *SnapshotRef, memo *cas.Memo, writes map[uint64][]byte, newSize uint64) (VersionInfo, CommitStats, error) {
+func (c *Client) writeChunksStaged(ctx context.Context, blob uint64, base *SnapshotRef, memo *cas.Memo, chunks []Chunk, newSize uint64) (VersionInfo, CommitStats, error) {
 	var stats CommitStats
 	// Cleanup must run even when ctx is already cancelled.
 	cleanupCtx := context.WithoutCancel(ctx)
@@ -436,31 +433,20 @@ func (c *Client) writeVersionStaged(ctx context.Context, blob uint64, base *Snap
 	// Previous version (absent for the first write).
 	var prev VersionInfo
 	var chunkSize uint64
+	var err error
 	if base != nil {
-		prevInfo, cs, err := c.GetVersion(probeCtx, *base)
-		if err != nil {
+		if prev, chunkSize, err = c.GetVersion(probeCtx, *base); err != nil {
 			return VersionInfo{}, stats, fmt.Errorf("blobseer: commit base %s: %w", *base, err)
 		}
-		prev = prevInfo
-		chunkSize = cs
-	} else {
-		prevInfo, cs, err := c.Latest(probeCtx, blob)
-		switch {
-		case err == nil:
-			prev = prevInfo
-			chunkSize = cs
-		case IsNotFound(err):
-			chunkSize, err = c.ChunkSize(probeCtx, blob)
-			if err != nil {
-				return VersionInfo{}, stats, err
-			}
-		default:
-			return VersionInfo{}, stats, err
-		}
+	} else if prev, chunkSize, err = c.latest(probeCtx, blob); err != nil {
+		return VersionInfo{}, stats, err
 	}
-	for idx, data := range writes {
-		if uint64(len(data)) > chunkSize {
-			return VersionInfo{}, stats, fmt.Errorf("blobseer: chunk %d: %d bytes exceeds chunk size %d", idx, len(data), chunkSize)
+	for i, ch := range chunks {
+		if uint64(len(ch.Body)) > chunkSize {
+			return VersionInfo{}, stats, fmt.Errorf("blobseer: chunk %d: %d bytes exceeds chunk size %d", ch.Index, len(ch.Body), chunkSize)
+		}
+		if i > 0 && ch.Index <= chunks[i-1].Index {
+			return VersionInfo{}, stats, fmt.Errorf("blobseer: chunk list not strictly ascending: index %d follows %d", ch.Index, chunks[i-1].Index)
 		}
 	}
 
@@ -486,17 +472,11 @@ func (c *Client) writeVersionStaged(ctx context.Context, blob uint64, base *Snap
 	hashCtx, hash := obs.StartSpan(ctx, obs.SpanCommitHash)
 	defer hash.End()
 	sw := obs.StartTimer()
-	// Deterministic order of chunk uploads.
-	indices := make([]uint64, 0, len(writes))
-	for idx := range writes {
-		indices = append(indices, idx)
-	}
-	sort.Slice(indices, func(i, j int) bool { return indices[i] < indices[j] })
-	fps := make([]cas.Fingerprint, len(indices))
-	bodies := make([][]byte, len(indices))
-	memoHits := make([]bool, len(indices))
-	if err := runLimited(hashCtx, runtime.GOMAXPROCS(0), len(indices), func(_ context.Context, i int) error {
-		bodies[i] = writes[indices[i]]
+	fps := make([]cas.Fingerprint, len(chunks))
+	bodies := make([][]byte, len(chunks))
+	memoHits := make([]bool, len(chunks))
+	if err := runLimited(hashCtx, runtime.GOMAXPROCS(0), len(chunks), func(_ context.Context, i int) error {
+		bodies[i] = chunks[i].Body
 		fps[i], memoHits[i] = memo.Sum(bodies[i])
 		return nil
 	}); err != nil {
@@ -517,7 +497,7 @@ func (c *Client) writeVersionStaged(ctx context.Context, blob uint64, base *Snap
 	uploadCtx, upload := obs.StartSpan(ctx, obs.SpanCommitUpload)
 	defer upload.End()
 
-	leaves, manifest, err := c.uploadDedup(uploadCtx, indices, fps, writes, &stats)
+	leaves, manifest, err := c.uploadDedup(uploadCtx, chunks, fps, &stats)
 	if err != nil {
 		c.abort(cleanupCtx, blob, version)
 		return VersionInfo{}, stats, err
@@ -533,10 +513,8 @@ func (c *Client) writeVersionStaged(ctx context.Context, blob uint64, base *Snap
 	if newSize > 0 {
 		maxIdx = (newSize + chunkSize - 1) / chunkSize
 	}
-	for _, idx := range indices {
-		if idx+1 > maxIdx {
-			maxIdx = idx + 1
-		}
+	if n := len(chunks); n > 0 && chunks[n-1].Index+1 > maxIdx {
+		maxIdx = chunks[n-1].Index + 1
 	}
 	newSpan := meta.NextPow2(maxIdx)
 	if newSpan < prev.Span {
@@ -574,7 +552,7 @@ func (c *Client) writeVersionStaged(ctx context.Context, blob uint64, base *Snap
 }
 
 // uploadDedup is the commit's upload stage: each chunk — fps[i] is the
-// fingerprint of writes[indices[i]], from the hash stage — is placed on the
+// fingerprint of chunks[i].Body, from the hash stage — is placed on the
 // providers that rendezvous-hashing assigns to its content (so identical
 // content always lands on the same providers, cluster-wide), and shipped
 // only if the provider does not already hold the fingerprint. Returns
@@ -591,10 +569,10 @@ func (c *Client) writeVersionStaged(ctx context.Context, blob uint64, base *Snap
 // provider in the following round (write-path failover); the leaf and
 // manifest record where replicas actually landed, so reads and refcount
 // releases find them.
-func (c *Client) uploadDedup(ctx context.Context, indices []uint64, fps []cas.Fingerprint, writes map[uint64][]byte, stats *CommitStats) (map[uint64]meta.Leaf, []manifestEntry, error) {
-	leaves := make(map[uint64]meta.Leaf, len(writes))
-	manifest := make([]manifestEntry, 0, len(writes))
-	if len(writes) == 0 {
+func (c *Client) uploadDedup(ctx context.Context, chunks []Chunk, fps []cas.Fingerprint, stats *CommitStats) (map[uint64]meta.Leaf, []manifestEntry, error) {
+	leaves := make(map[uint64]meta.Leaf, len(chunks))
+	manifest := make([]manifestEntry, 0, len(chunks))
+	if len(chunks) == 0 {
 		return leaves, nil, nil
 	}
 	providers, err := c.Providers(ctx)
@@ -606,8 +584,7 @@ func (c *Client) uploadDedup(ctx context.Context, indices []uint64, fps []cas.Fi
 	}
 
 	type casChunk struct {
-		idx     uint64
-		data    []byte
+		Chunk
 		fp      cas.Fingerprint
 		ranked  []string
 		next    int      // next rank to try
@@ -616,22 +593,21 @@ func (c *Client) uploadDedup(ctx context.Context, indices []uint64, fps []cas.Fi
 		shipped int      // replica bodies that crossed the network
 		lastErr error
 	}
-	chunks := make([]*casChunk, len(indices))
-	for i, idx := range indices {
-		data, fp := writes[idx], fps[i]
-		ranked := casPlacementRanked(fp, providers)
+	work := make([]*casChunk, len(chunks))
+	for i, ch := range chunks {
+		ranked := casPlacementRanked(fps[i], providers)
 		want := c.replication()
 		if want > len(ranked) {
 			want = len(ranked)
 		}
-		chunks[i] = &casChunk{idx: idx, data: data, fp: fp, ranked: ranked, want: want}
+		work[i] = &casChunk{Chunk: ch, fp: fps[i], ranked: ranked, want: want}
 	}
 
 	// abort releases every reference taken so far under a detached context,
 	// so refcounts stay exactly balanced even on cancellation.
 	abort := func() {
-		rel := make([]manifestEntry, 0, len(chunks))
-		for _, ch := range chunks {
+		rel := make([]manifestEntry, 0, len(work))
+		for _, ch := range work {
 			if len(ch.taken) > 0 {
 				rel = append(rel, manifestEntry{fp: ch.fp, providers: ch.taken})
 			}
@@ -645,7 +621,7 @@ func (c *Client) uploadDedup(ctx context.Context, indices []uint64, fps []cas.Fi
 	for {
 		// Assign every unsatisfied chunk to its next-ranked live provider.
 		assign := make(map[string][]*casChunk)
-		for _, ch := range chunks {
+		for _, ch := range work {
 			if len(ch.taken) >= ch.want {
 				continue
 			}
@@ -661,7 +637,7 @@ func (c *Client) uploadDedup(ctx context.Context, indices []uint64, fps []cas.Fi
 					// other chunks, so this one never recorded an error.
 					lastErr = fmt.Errorf("%w: every remaining ranked provider failed earlier in this commit", transport.ErrUnreachable)
 				}
-				return nil, nil, fmt.Errorf("blobseer: chunk %d: placed %d of %d replicas: %w", ch.idx, len(ch.taken), ch.want, lastErr)
+				return nil, nil, fmt.Errorf("blobseer: chunk %d: placed %d of %d replicas: %w", ch.Index, len(ch.taken), ch.want, lastErr)
 			}
 			addr := ch.ranked[ch.next]
 			ch.next++
@@ -722,12 +698,12 @@ func (c *Client) uploadDedup(ctx context.Context, indices []uint64, fps []cas.Fi
 			// batchBytesLimit. The body crosses the network even if a
 			// concurrent writer wins the race and the provider reports a
 			// duplicate, so it always counts as transferred.
-			err = splitByBytes(len(missing), func(i int) int { return len(missing[i].data) }, func(start, end int) error {
+			err = splitByBytes(len(missing), func(i int) int { return len(missing[i].Body) }, func(start, end int) error {
 				bfps := make([]cas.Fingerprint, 0, end-start)
 				bodies := make([][]byte, 0, end-start)
 				for _, ch := range missing[start:end] {
 					bfps = append(bfps, ch.fp)
-					bodies = append(bodies, ch.data)
+					bodies = append(bodies, ch.Body)
 				}
 				if err := c.casPutBatch(ctx, addr, bfps, bodies); err != nil {
 					if cerr := ctx.Err(); cerr != nil {
@@ -798,16 +774,16 @@ func (c *Client) uploadDedup(ctx context.Context, indices []uint64, fps []cas.Fi
 		}
 	}
 
-	for _, ch := range chunks {
+	for _, ch := range work {
 		stats.Chunks++
-		stats.LogicalBytes += uint64(len(ch.data))
-		stats.TransferBytes += uint64(ch.shipped) * uint64(len(ch.data))
+		stats.LogicalBytes += uint64(len(ch.Body))
+		stats.TransferBytes += uint64(ch.shipped) * uint64(len(ch.Body))
 		if ch.shipped == 0 {
 			stats.DedupChunks++
-			stats.DedupHitBytes += uint64(len(ch.data))
+			stats.DedupHitBytes += uint64(len(ch.Body))
 		}
-		leaves[ch.idx] = meta.Leaf{Providers: ch.taken, Key: ch.fp.Key(), Size: uint32(len(ch.data))}
-		manifest = append(manifest, manifestEntry{index: ch.idx, fp: ch.fp, providers: ch.taken})
+		leaves[ch.Index] = meta.Leaf{Providers: ch.taken, Key: ch.fp.Key(), Size: uint32(len(ch.Body))}
+		manifest = append(manifest, manifestEntry{index: ch.Index, fp: ch.fp, providers: ch.taken})
 	}
 	return leaves, manifest, nil
 }
@@ -949,6 +925,17 @@ func (c *Client) abort(ctx context.Context, blob, version uint64) {
 	c.call(ctx, c.VMAddr, w) // best effort; the version slot is released
 }
 
+// latest returns the blob's latest published version and its chunk size,
+// and a zero VersionInfo when the blob has no version yet.
+func (c *Client) latest(ctx context.Context, blob uint64) (VersionInfo, uint64, error) {
+	prev, chunkSize, err := c.Latest(ctx, blob)
+	if IsNotFound(err) {
+		chunkSize, err = c.ChunkSize(ctx, blob)
+		return VersionInfo{}, chunkSize, err
+	}
+	return prev, chunkSize, err
+}
+
 // WriteAt publishes a new version with data written at offset, performing
 // read-modify-write for partially covered boundary chunks.
 func (c *Client) WriteAt(ctx context.Context, blob uint64, offset uint64, data []byte) (VersionInfo, error) {
@@ -959,31 +946,19 @@ func (c *Client) WriteAt(ctx context.Context, blob uint64, offset uint64, data [
 		}
 		return prev, nil
 	}
-	var chunkSize uint64
-	var prevSize uint64
-	var prevVersion uint64
-	var havePrev bool
-	prev, cs, err := c.Latest(ctx, blob)
-	switch {
-	case err == nil:
-		chunkSize, prevSize, prevVersion, havePrev = cs, prev.Size, prev.Version, true
-	case IsNotFound(err):
-		chunkSize, err = c.ChunkSize(ctx, blob)
-		if err != nil {
-			return VersionInfo{}, err
-		}
-	default:
+	prev, chunkSize, err := c.latest(ctx, blob)
+	if err != nil {
 		return VersionInfo{}, err
 	}
 
 	end := offset + uint64(len(data))
-	newSize := prevSize
+	newSize := prev.Size
 	if end > newSize {
 		newSize = end
 	}
 	firstChunk := offset / chunkSize
 	lastChunk := (end - 1) / chunkSize
-	writes := make(map[uint64][]byte)
+	chunks := make([]Chunk, 0, lastChunk-firstChunk+1)
 	for idx := firstChunk; idx <= lastChunk; idx++ {
 		chunkStart := idx * chunkSize
 		chunkEnd := chunkStart + chunkSize
@@ -1002,8 +977,8 @@ func (c *Client) WriteAt(ctx context.Context, blob uint64, offset uint64, data [
 				chunkLen = newSize - chunkStart
 			}
 			chunk = make([]byte, chunkLen)
-			if havePrev && chunkStart < prevSize {
-				old, err := c.ReadVersion(ctx, SnapshotRef{Blob: blob, Version: prevVersion}, chunkStart, chunkSize)
+			if chunkStart < prev.Size {
+				old, err := c.ReadVersion(ctx, SnapshotRef{Blob: blob, Version: prev.Version}, chunkStart, chunkSize)
 				if err != nil {
 					return VersionInfo{}, err
 				}
@@ -1011,9 +986,10 @@ func (c *Client) WriteAt(ctx context.Context, blob uint64, offset uint64, data [
 			}
 			copy(chunk[lo-chunkStart:], data[lo-offset:hi-offset])
 		}
-		writes[idx] = chunk
+		chunks = append(chunks, Chunk{Index: idx, Body: chunk})
 	}
-	return c.WriteVersion(ctx, blob, writes, newSize)
+	info, _, err := c.WriteChunks(ctx, blob, nil, nil, chunks, newSize)
+	return info, err
 }
 
 // Clone creates a new blob whose version 0 is the referenced snapshot of the

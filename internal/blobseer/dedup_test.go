@@ -23,7 +23,7 @@ func TestDefaultClientIsContentAddressed(t *testing.T) {
 		t.Fatal(err)
 	}
 	body := chunkOf('d', chunk)
-	info, cs, err := c.WriteVersionStats(ctx, blob, map[uint64][]byte{0: body, 1: body}, 2*chunk)
+	info, cs, err := c.WriteChunks(ctx, blob, nil, nil, []Chunk{{Index: 0, Body: body}, {Index: 1, Body: body}}, 2*chunk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestDedupSecondCommitShipsNothing(t *testing.T) {
 	}
 	content := chunkOf('x', chunk)
 
-	_, cs1, err := c.WriteVersionStats(ctx, blob, map[uint64][]byte{0: content}, chunk)
+	_, cs1, err := c.WriteChunks(ctx, blob, nil, nil, []Chunk{{Index: 0, Body: content}}, chunk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestDedupSecondCommitShipsNothing(t *testing.T) {
 	}
 
 	// Same content again, at a different chunk index, in a new snapshot.
-	_, cs2, err := c.WriteVersionStats(ctx, blob, map[uint64][]byte{1: content}, 2*chunk)
+	_, cs2, err := c.WriteChunks(ctx, blob, nil, nil, []Chunk{{Index: 1, Body: content}}, 2*chunk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +135,11 @@ func TestDedupAcrossBlobs(t *testing.T) {
 		}
 		blobs = append(blobs, blob)
 	}
-	_, cs, err := c.WriteVersionStats(ctx, blobs[0], map[uint64][]byte{0: content}, chunk)
+	_, cs, err := c.WriteChunks(ctx, blobs[0], nil, nil, []Chunk{{Index: 0, Body: content}}, chunk)
 	if err != nil || cs.TransferBytes != chunk {
 		t.Fatalf("blob A commit: %+v err=%v", cs, err)
 	}
-	_, cs, err = c.WriteVersionStats(ctx, blobs[1], map[uint64][]byte{0: content}, chunk)
+	_, cs, err = c.WriteChunks(ctx, blobs[1], nil, nil, []Chunk{{Index: 0, Body: content}}, chunk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestDedupReplicationPlacesPerContent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cs, err := c.WriteVersionStats(ctx, blob, map[uint64][]byte{0: content}, chunk)
+	_, cs, err := c.WriteChunks(ctx, blob, nil, nil, []Chunk{{Index: 0, Body: content}}, chunk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestDedupReplicationPlacesPerContent(t *testing.T) {
 	if cs.TransferBytes != 2*chunk || cs.LogicalBytes != chunk {
 		t.Fatalf("first replicated commit: %+v", cs)
 	}
-	_, cs, err = c.WriteVersionStats(ctx, blob, map[uint64][]byte{1: content}, 2*chunk)
+	_, cs, err = c.WriteChunks(ctx, blob, nil, nil, []Chunk{{Index: 1, Body: content}}, 2*chunk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +382,7 @@ func TestMarkSweepGCComposesWithDedup(t *testing.T) {
 	}
 	// The sweep dropped the dedup index entry too: re-committing the swept
 	// content stores a fresh body rather than resurrecting a stale count.
-	_, cs, err := c.WriteVersionStats(ctx, blob, map[uint64][]byte{0: chunkOf('c', chunk)}, chunk)
+	_, cs, err := c.WriteChunks(ctx, blob, nil, nil, []Chunk{{Index: 0, Body: chunkOf('c', chunk)}}, chunk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,14 +425,14 @@ func TestDedupCommitRetireRaceStress(t *testing.T) {
 				return
 			}
 			for r := 0; r < rounds; r++ {
-				writes := make(map[uint64][]byte, stripes)
+				writes := make([]Chunk, stripes)
 				want := make([]byte, 0, stripes*chunk)
 				for s := 0; s < stripes; s++ {
 					body := contents[(w+r+s)%pool]
-					writes[uint64(s)] = body
+					writes[s] = Chunk{Index: uint64(s), Body: body}
 					want = append(want, body...)
 				}
-				info, _, err := c.WriteVersionStats(ctx, blob, writes, stripes*chunk)
+				info, _, err := c.WriteChunks(ctx, blob, nil, nil, writes, stripes*chunk)
 				if err != nil {
 					errs <- fmt.Errorf("writer %d round %d: commit: %w", w, r, err)
 					return
@@ -469,5 +469,51 @@ func TestDedupCommitRetireRaceStress(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestWriteChunksRejectsUnsortedList: a chunk list that is not strictly
+// ascending by index is rejected before a version is ticketed and before
+// any content-addressed reference is taken. A repeated index would
+// otherwise put two manifest entries on one chunk, and retiring the version
+// would release a reference it never held.
+func TestWriteChunksRejectsUnsortedList(t *testing.T) {
+	const chunk = 4096
+	d, c := deploy(t, 2, 2)
+	blob, err := c.CreateBlob(ctx, chunk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, _, err := c.WriteChunks(ctx, blob, nil, nil, []Chunk{{Index: 0, Body: chunkOf('a', chunk)}}, 4*chunk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := c.CasStats(ctx, d.DataAddrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, chunks := range map[string][]Chunk{
+		"duplicate index":  {{Index: 1, Body: chunkOf('b', chunk)}, {Index: 1, Body: chunkOf('c', chunk)}},
+		"descending index": {{Index: 2, Body: chunkOf('b', chunk)}, {Index: 1, Body: chunkOf('c', chunk)}},
+	} {
+		if _, _, err := c.WriteChunks(ctx, blob, nil, nil, chunks, 4*chunk); err == nil {
+			t.Errorf("%s: commit accepted", name)
+		}
+	}
+	after, err := c.CasStats(ctx, d.DataAddrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Refs != before.Refs || after.Chunks != before.Chunks {
+		t.Errorf("CAS refs/chunks = %d/%d after the rejected commits, want %d/%d", after.Refs, after.Chunks, before.Refs, before.Chunks)
+	}
+	// An aborted ticket publishes its number, so the next commit would skip
+	// one per rejected list that reached the version manager.
+	next, _, err := c.WriteChunks(ctx, blob, nil, nil, []Chunk{{Index: 1, Body: chunkOf('d', chunk)}}, 4*chunk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.Version != first.Version+1 {
+		t.Errorf("next commit published version %d after %d: a rejected list was ticketed", next.Version, first.Version)
 	}
 }

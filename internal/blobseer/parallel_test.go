@@ -36,12 +36,12 @@ func TestDedupCommitProbesPerProviderNotPerChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	writes := make(map[uint64][]byte)
-	for i := uint64(0); i < chunks; i++ {
-		writes[i] = bytes.Repeat([]byte{byte(i), byte(i + 1)}, 512)
+	writes := make([]Chunk, chunks)
+	for i := range writes {
+		writes[i] = Chunk{Index: uint64(i), Body: bytes.Repeat([]byte{byte(i), byte(i + 1)}, 512)}
 	}
 	calls0 := lat.Calls()
-	if _, _, err := c.WriteVersionStats(ctx, blob, writes, chunks*1024); err != nil {
+	if _, _, err := c.WriteChunks(ctx, blob, nil, nil, writes, chunks*1024); err != nil {
 		t.Fatal(err)
 	}
 	commitCalls := lat.Calls() - calls0
@@ -54,7 +54,7 @@ func TestDedupCommitProbesPerProviderNotPerChunk(t *testing.T) {
 	// previous version's paths — O(providers + log span), still nowhere
 	// near O(chunks).
 	calls0 = lat.Calls()
-	if _, _, err := c.WriteVersionStats(ctx, blob, writes, chunks*1024); err != nil {
+	if _, _, err := c.WriteChunks(ctx, blob, nil, nil, writes, chunks*1024); err != nil {
 		t.Fatal(err)
 	}
 	dedupCalls := lat.Calls() - calls0
@@ -281,14 +281,14 @@ func TestParallelCommitRetireRaceStress(t *testing.T) {
 				return
 			}
 			for r := 0; r < rounds; r++ {
-				writes := make(map[uint64][]byte, stripes)
+				writes := make([]Chunk, stripes)
 				want := make([]byte, 0, stripes*chunk)
 				for s := 0; s < stripes; s++ {
 					body := contents[(w+r+s)%pool]
-					writes[uint64(s)] = body
+					writes[s] = Chunk{Index: uint64(s), Body: body}
 					want = append(want, body...)
 				}
-				info, _, err := c.WriteVersionStats(ctx, blob, writes, stripes*chunk)
+				info, _, err := c.WriteChunks(ctx, blob, nil, nil, writes, stripes*chunk)
 				if err != nil {
 					errs <- fmt.Errorf("writer %d round %d: commit: %w", w, r, err)
 					return

@@ -53,10 +53,6 @@ type Capture struct {
 	bytes     uint64
 }
 
-// Indices returns the chunk indices the capture covers, in staging order:
-// ascending.
-func (c *Capture) Indices() []uint64 { return append([]uint64(nil), c.indices...) }
-
 // Bytes returns the capture's staged payload size.
 func (c *Capture) Bytes() uint64 { return c.bytes }
 
@@ -120,14 +116,15 @@ func New(store chunkstore.Store, reg *obs.Registry) *Stage {
 	}
 }
 
-// Put stages one capture: its chunks reach the store as one batch — one
+// Put stages one capture, whose chunk list is strictly ascending by index
+// as WriteChunks takes it. Its chunks reach the store as one batch — one
 // sync in the segment log, so a locally-safe ack costs one, not one per
 // chunk. Staging the same (owner, seq) again replaces the previous copy (a
 // partner push retried after a wire error is idempotent). The store is
 // written outside s.mu — only the chunk namespace is reserved, and the
 // finished capture published, under it — so Backlog, OwnerBacklog and
 // Pending never wait for a stage's disk I/O.
-func (s *Stage) Put(owner string, seq uint64, base blobseer.SnapshotRef, size, chunkSize uint64, writes map[uint64][]byte, replica bool) (*Capture, error) {
+func (s *Stage) Put(owner string, seq uint64, base blobseer.SnapshotRef, size, chunkSize uint64, chunks []blobseer.Chunk, replica bool) (*Capture, error) {
 	sw := obs.StartTimer()
 	c := &Capture{
 		Owner:     owner,
@@ -136,23 +133,20 @@ func (s *Stage) Put(owner string, seq uint64, base blobseer.SnapshotRef, size, c
 		Size:      size,
 		ChunkSize: chunkSize,
 		Replica:   replica,
-		indices:   make([]uint64, 0, len(writes)),
+		indices:   make([]uint64, len(chunks)),
 	}
-	for idx, data := range writes {
-		c.indices = append(c.indices, idx)
-		c.bytes += uint64(len(data))
+	bodies := make([][]byte, len(chunks))
+	for i, ch := range chunks {
+		c.indices[i] = ch.Index
+		bodies[i] = ch.Body
+		c.bytes += uint64(len(ch.Body))
 	}
-	sort.Slice(c.indices, func(i, j int) bool { return c.indices[i] < c.indices[j] })
 	s.mu.Lock()
 	c.stageBlob = s.nextBlob
 	s.nextBlob++
 	s.mu.Unlock()
 
 	keys := c.keys()
-	bodies := make([][]byte, len(keys))
-	for i, idx := range c.indices {
-		bodies[i] = writes[idx]
-	}
 	if err := chunkstore.PutBatch(s.store, keys, bodies); err != nil {
 		// Roll back the partial stage so the store holds no orphans.
 		chunkstore.DeleteBatch(s.store, keys) //nolint:errcheck // best effort
@@ -195,17 +189,18 @@ func (s *Stage) gauges(c *Capture) rolePair {
 	return rolePair{s.gCkptOwn, s.gByteOwn}
 }
 
-// Writes reads a staged capture's chunks back from the store.
-func (s *Stage) Writes(c *Capture) (map[uint64][]byte, error) {
-	writes := make(map[uint64][]byte, len(c.indices))
-	for _, idx := range c.indices {
+// Chunks reads a staged capture's chunk list back from the store, in
+// ascending index order.
+func (s *Stage) Chunks(c *Capture) ([]blobseer.Chunk, error) {
+	chunks := make([]blobseer.Chunk, len(c.indices))
+	for i, idx := range c.indices {
 		data, err := s.store.Get(chunkstore.Key{Blob: c.stageBlob, ID: idx})
 		if err != nil {
 			return nil, fmt.Errorf("%w: %s seq %d chunk %d: %v", ErrNotStaged, c.Owner, c.Seq, idx, err)
 		}
-		writes[idx] = data
+		chunks[i] = blobseer.Chunk{Index: idx, Body: data}
 	}
-	return writes, nil
+	return chunks, nil
 }
 
 // Pending returns the owner's staged-but-undrained captures in Seq order.

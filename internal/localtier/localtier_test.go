@@ -16,13 +16,13 @@ func newTestStage(t *testing.T) *Stage {
 
 func TestPutWritesRoundtrip(t *testing.T) {
 	s := newTestStage(t)
-	writes := map[uint64][]byte{
-		3: []byte("chunk-three"),
-		0: []byte("chunk-zero"),
-		7: []byte("chunk-seven"),
+	chunks := []blobseer.Chunk{
+		{Index: 0, Body: []byte("chunk-zero")},
+		{Index: 3, Body: []byte("chunk-three")},
+		{Index: 7, Body: []byte("chunk-seven")},
 	}
 	base := blobseer.SnapshotRef{Blob: 4, Version: 9}
-	c, err := s.Put("vm-0", 1, base, 512, 64, writes, false)
+	c, err := s.Put("vm-0", 1, base, 512, 64, chunks, false)
 	if err != nil {
 		t.Fatalf("Put: %v", err)
 	}
@@ -32,30 +32,26 @@ func TestPutWritesRoundtrip(t *testing.T) {
 	if got, want := c.Bytes(), uint64(len("chunk-three")+len("chunk-zero")+len("chunk-seven")); got != want {
 		t.Fatalf("Bytes() = %d, want %d", got, want)
 	}
-	idx := c.Indices()
-	if len(idx) != 3 || idx[0] != 0 || idx[1] != 3 || idx[2] != 7 {
-		t.Fatalf("Indices() = %v, want sorted [0 3 7]", idx)
-	}
-	back, err := s.Writes(c)
+	back, err := s.Chunks(c)
 	if err != nil {
-		t.Fatalf("Writes: %v", err)
+		t.Fatalf("Chunks: %v", err)
 	}
-	if len(back) != len(writes) {
-		t.Fatalf("Writes returned %d chunks, want %d", len(back), len(writes))
+	if len(back) != len(chunks) {
+		t.Fatalf("Chunks returned %d chunks, want %d", len(back), len(chunks))
 	}
-	for i, data := range writes {
-		if string(back[i]) != string(data) {
-			t.Errorf("chunk %d = %q, want %q", i, back[i], data)
+	for i, ch := range chunks {
+		if back[i].Index != ch.Index || string(back[i].Body) != string(ch.Body) {
+			t.Errorf("chunk %d = %d:%q, want %d:%q", i, back[i].Index, back[i].Body, ch.Index, ch.Body)
 		}
 	}
 }
 
 func TestPutReplacesDuplicateSeq(t *testing.T) {
 	s := newTestStage(t)
-	if _, err := s.Put("vm-0", 5, blobseer.SnapshotRef{}, 128, 64, map[uint64][]byte{0: []byte("old")}, true); err != nil {
+	if _, err := s.Put("vm-0", 5, blobseer.SnapshotRef{}, 128, 64, []blobseer.Chunk{{Index: 0, Body: []byte("old")}}, true); err != nil {
 		t.Fatalf("first Put: %v", err)
 	}
-	c2, err := s.Put("vm-0", 5, blobseer.SnapshotRef{}, 128, 64, map[uint64][]byte{1: []byte("newer")}, true)
+	c2, err := s.Put("vm-0", 5, blobseer.SnapshotRef{}, 128, 64, []blobseer.Chunk{{Index: 1, Body: []byte("newer")}}, true)
 	if err != nil {
 		t.Fatalf("second Put: %v", err)
 	}
@@ -74,10 +70,10 @@ func TestPutReplacesDuplicateSeq(t *testing.T) {
 
 func TestBacklogSplitsRoles(t *testing.T) {
 	s := newTestStage(t)
-	if _, err := s.Put("vm-0", 1, blobseer.SnapshotRef{}, 128, 64, map[uint64][]byte{0: make([]byte, 10), 1: make([]byte, 20)}, false); err != nil {
+	if _, err := s.Put("vm-0", 1, blobseer.SnapshotRef{}, 128, 64, []blobseer.Chunk{{Index: 0, Body: make([]byte, 10)}, {Index: 1, Body: make([]byte, 20)}}, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Put("vm-1", 1, blobseer.SnapshotRef{}, 128, 64, map[uint64][]byte{2: make([]byte, 40)}, true); err != nil {
+	if _, err := s.Put("vm-1", 1, blobseer.SnapshotRef{}, 128, 64, []blobseer.Chunk{{Index: 2, Body: make([]byte, 40)}}, true); err != nil {
 		t.Fatal(err)
 	}
 	own, partner := s.Backlog()
@@ -98,11 +94,11 @@ func TestBacklogSplitsRoles(t *testing.T) {
 
 func TestMarkDrainedAdvancesMemoAndFreesChunks(t *testing.T) {
 	s := newTestStage(t)
-	c1, err := s.Put("vm-0", 1, blobseer.SnapshotRef{}, 128, 64, map[uint64][]byte{0: []byte("a")}, false)
+	c1, err := s.Put("vm-0", 1, blobseer.SnapshotRef{}, 128, 64, []blobseer.Chunk{{Index: 0, Body: []byte("a")}}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Put("vm-0", 2, blobseer.SnapshotRef{}, 128, 64, map[uint64][]byte{1: []byte("b")}, false); err != nil {
+	if _, err := s.Put("vm-0", 2, blobseer.SnapshotRef{}, 128, 64, []blobseer.Chunk{{Index: 1, Body: []byte("b")}}, false); err != nil {
 		t.Fatal(err)
 	}
 	ref1 := blobseer.SnapshotRef{Blob: 1, Version: 3}
@@ -110,8 +106,8 @@ func TestMarkDrainedAdvancesMemoAndFreesChunks(t *testing.T) {
 	if seq, ref, ok := s.LastDrained("vm-0"); !ok || seq != 1 || ref != ref1 {
 		t.Fatalf("LastDrained = %d %v %v, want 1 %v true", seq, ref, ok, ref1)
 	}
-	if _, err := s.Writes(c1); !errors.Is(err, ErrNotStaged) {
-		t.Fatalf("Writes after drain: err = %v, want ErrNotStaged", err)
+	if _, err := s.Chunks(c1); !errors.Is(err, ErrNotStaged) {
+		t.Fatalf("Chunks after drain: err = %v, want ErrNotStaged", err)
 	}
 	if pending := s.Pending("vm-0"); len(pending) != 1 || pending[0].Seq != 2 {
 		t.Fatalf("Pending after drain = %v, want only seq 2", pending)
@@ -131,10 +127,10 @@ func TestMarkDrainedAdvancesMemoAndFreesChunks(t *testing.T) {
 
 func TestDropDiscardsOwner(t *testing.T) {
 	s := newTestStage(t)
-	if _, err := s.Put("vm-0", 1, blobseer.SnapshotRef{}, 128, 64, map[uint64][]byte{0: []byte("a")}, false); err != nil {
+	if _, err := s.Put("vm-0", 1, blobseer.SnapshotRef{}, 128, 64, []blobseer.Chunk{{Index: 0, Body: []byte("a")}}, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Put("vm-0", 2, blobseer.SnapshotRef{}, 128, 64, map[uint64][]byte{1: []byte("b")}, true); err != nil {
+	if _, err := s.Put("vm-0", 2, blobseer.SnapshotRef{}, 128, 64, []blobseer.Chunk{{Index: 1, Body: []byte("b")}}, true); err != nil {
 		t.Fatal(err)
 	}
 	s.MarkDrained("vm-0", 1, blobseer.SnapshotRef{Blob: 1, Version: 1})
@@ -156,10 +152,10 @@ func TestDropDiscardsOwner(t *testing.T) {
 func TestGaugeAccounting(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := New(chunkstore.NewMem(), reg)
-	if _, err := s.Put("vm-0", 1, blobseer.SnapshotRef{}, 128, 64, map[uint64][]byte{0: make([]byte, 100)}, false); err != nil {
+	if _, err := s.Put("vm-0", 1, blobseer.SnapshotRef{}, 128, 64, []blobseer.Chunk{{Index: 0, Body: make([]byte, 100)}}, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Put("vm-0", 2, blobseer.SnapshotRef{}, 128, 64, map[uint64][]byte{0: make([]byte, 50)}, false); err != nil {
+	if _, err := s.Put("vm-0", 2, blobseer.SnapshotRef{}, 128, 64, []blobseer.Chunk{{Index: 0, Body: make([]byte, 50)}}, false); err != nil {
 		t.Fatal(err)
 	}
 	ck := reg.Gauge("localtier_staged_checkpoints", obs.L("role", "own"))
@@ -227,11 +223,11 @@ func (g *gatedStore) DeleteBatch(keys []chunkstore.Key) error {
 func TestPutHoldsNoLockAcrossStoreIO(t *testing.T) {
 	store := &gatedStore{Mem: chunkstore.NewMem(), entered: make(chan struct{}), release: make(chan error)}
 	s := New(store, obs.NewRegistry())
-	writes := map[uint64][]byte{0: []byte("a"), 1: []byte("bb"), 2: []byte("ccc"), 3: []byte("dddd")}
+	chunks := []blobseer.Chunk{{Index: 0, Body: []byte("a")}, {Index: 1, Body: []byte("bb")}, {Index: 2, Body: []byte("ccc")}, {Index: 3, Body: []byte("dddd")}}
 	put := func(seq uint64) chan error {
 		done := make(chan error, 1)
 		go func() {
-			_, err := s.Put("vm-0", seq, blobseer.SnapshotRef{}, 256, 64, writes, false)
+			_, err := s.Put("vm-0", seq, blobseer.SnapshotRef{}, 256, 64, chunks, false)
 			done <- err
 		}()
 		<-store.entered // the batch is inside the store, blocked
@@ -273,7 +269,7 @@ func TestPutHoldsNoLockAcrossStoreIO(t *testing.T) {
 	if own, _ := s.Backlog(); own.Checkpoints != 1 || own.Chunks != 4 || store.Len() != 4 {
 		t.Fatalf("after a re-put: backlog %+v, %d chunks stored", own, store.Len())
 	}
-	back, err := s.Writes(s.Pending("vm-0")[0])
+	back, err := s.Chunks(s.Pending("vm-0")[0])
 	if err != nil || len(back) != 4 {
 		t.Fatalf("replaced capture unreadable: %v", err)
 	}

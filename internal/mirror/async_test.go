@@ -480,3 +480,59 @@ func TestFailedCommitFoldsIntoQueuedCaptures(t *testing.T) {
 		t.Fatalf("snapshot B lost its own write: %v", err)
 	}
 }
+
+// TestFailedCommitFoldMergesOverlappingCaptures: the fold merges two chunk
+// lists that interleave and share an index. Capture A holds chunks 0, 2 and
+// 4 and fails; capture B, queued behind it, holds 1, 2 and 5. B's snapshot
+// holds A's 0 and 4 and B's own 1, 2 and 5 — chunk 2 is B's newer body —
+// and nothing goes back to the dirty set.
+func TestFailedCommitFoldMergesOverlappingCaptures(t *testing.T) {
+	g, _, c, m := asyncSetup(t)
+	want := make(map[int64][]byte)
+	put := func(idx int64, fill byte) {
+		t.Helper()
+		body := bytes.Repeat([]byte{fill}, cs)
+		if _, err := m.WriteAt(body, idx*cs); err != nil {
+			t.Fatal(err)
+		}
+		want[idx] = body
+	}
+
+	for _, idx := range []int64{0, 2, 4} {
+		put(idx, 0xA0+byte(idx))
+	}
+	g.arm(0)
+	actx, cancelA := context.WithCancel(context.Background())
+	pcA, err := m.CommitAsync(actx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-g.blocked
+
+	for _, idx := range []int64{1, 2, 5} {
+		put(idx, 0xB0+byte(idx))
+	}
+	pcB, err := m.CommitAsync(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cancelA()
+	<-pcA.Done()
+	if pcA.Err() == nil {
+		t.Fatal("wedged commit A did not fail")
+	}
+	refB, err := pcB.Wait(ctx)
+	if err != nil {
+		t.Fatalf("commit B failed: %v", err)
+	}
+	for idx, body := range want {
+		got, err := c.ReadVersion(ctx, refB, uint64(idx)*cs, cs)
+		if err != nil || !bytes.Equal(got, body) {
+			t.Errorf("chunk %d of snapshot B does not hold its last write (fill %#x): %v", idx, body[0], err)
+		}
+	}
+	if n := m.DirtyChunks(); n != 0 {
+		t.Errorf("DirtyChunks = %d after fold, want 0", n)
+	}
+}

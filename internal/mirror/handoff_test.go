@@ -227,14 +227,14 @@ func (s *failFirstPut) Put(k chunkstore.Key, data []byte) error {
 // stages is what it captured.
 func TestRemarkedDirtyChunkStaysFrozen(t *testing.T) {
 	g, c, m, shadow := handoffSetup(t)
-	staging2 := make(chan map[uint64][]byte)
+	staging2 := make(chan []blobseer.Chunk)
 	proceed := make(chan struct{})
 	m.AttachStage(StageConfig{
 		Stage: localtier.New(&failFirstPut{Store: chunkstore.NewMem()}, obs.NewRegistry()),
 		Owner: "vm-0",
-		Replicate: func(_ context.Context, cp *localtier.Capture, writes map[uint64][]byte) error {
+		Replicate: func(_ context.Context, cp *localtier.Capture, chunks []blobseer.Chunk) error {
 			if cp.Seq == 2 {
-				staging2 <- writes
+				staging2 <- chunks
 				<-proceed
 			}
 			return nil
@@ -268,7 +268,7 @@ func TestRemarkedDirtyChunkStaysFrozen(t *testing.T) {
 		t.Fatalf("DirtyChunks = %d after capture 1 failed, want 1", n)
 	}
 	write(t, m, shadow, bytes.Repeat([]byte{0xC1}, 10), 40)
-	if !bytes.Equal(held[0], at2[:cs]) {
+	if held[0].Index != 0 || !bytes.Equal(held[0].Body, at2[:cs]) {
 		t.Fatal("the guest's write reached a buffer capture 2 is still staging")
 	}
 	close(proceed)

@@ -44,6 +44,7 @@
 package mirror
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -170,7 +171,7 @@ type StageConfig struct {
 	// Replicate pushes one staged capture to the partner proxy so a single
 	// node loss cannot lose a locally-safe checkpoint. Nil disables partner
 	// replication (single-node deployments).
-	Replicate func(ctx context.Context, c *localtier.Capture, writes map[uint64][]byte) error
+	Replicate func(ctx context.Context, c *localtier.Capture, chunks []blobseer.Chunk) error
 	// Release tells the partner (and the local stage's bookkeeping) that the
 	// capture was published as ref, so the replica can be dropped. Nil is
 	// allowed; best-effort.
@@ -470,9 +471,11 @@ type PendingCommit struct {
 	ctx    context.Context // the commit's context; cancelling aborts the upload
 	cancel context.CancelFunc
 
-	writes  map[uint64][]byte
-	indices []uint64
-	size    uint64
+	// chunks is the captured dirty set, in dirty-map order until the
+	// pipeline worker that dequeues the capture sorts it: sorting inside
+	// CommitAsync would lengthen the suspend window.
+	chunks []blobseer.Chunk
+	size   uint64
 
 	// Two-watermark state. seq orders this module's captures; captureBase is
 	// the published chain head at capture time (the partner drain's fallback
@@ -648,8 +651,7 @@ func (m *Module) commitAsync(admitCtx, uploadCtx context.Context) (*PendingCommi
 	pc := &PendingCommit{
 		ctx:         uploadCtx,
 		cancel:      cancel,
-		writes:      make(map[uint64][]byte, len(m.dirty)),
-		indices:     make([]uint64, 0, len(m.dirty)),
+		chunks:      make([]blobseer.Chunk, 0, len(m.dirty)),
 		size:        m.size,
 		seq:         m.seq,
 		captureBase: m.base,
@@ -668,8 +670,7 @@ func (m *Module) commitAsync(admitCtx, uploadCtx context.Context) (*PendingCommi
 		if end > m.size {
 			chunk = chunk[:m.size-idx*m.chunkSize]
 		}
-		pc.writes[idx] = chunk
-		pc.indices = append(pc.indices, idx)
+		pc.chunks = append(pc.chunks, blobseer.Chunk{Index: idx, Body: chunk})
 		m.frozen[idx] = true
 	}
 	m.client.Registry().Counter("mirror_capture_chunks_total").Add(uint64(len(m.dirty)))
@@ -717,6 +718,7 @@ func (m *Module) stageWorker() {
 		pc := m.stageQueue[0]
 		m.stageQueue = m.stageQueue[1:]
 		m.mu.Unlock()
+		blobseer.SortChunks(pc.chunks)
 		m.runStage(pc)
 		<-m.sem
 	}
@@ -736,15 +738,15 @@ func (m *Module) runStage(pc *PendingCommit) {
 		pc.localErr = err
 		close(pc.localSafe)
 		pc.err = fmt.Errorf("mirror: commit: %w", err)
-		pc.writes = nil
+		pc.chunks = nil
 		pc.cancel()
 		close(pc.done)
 		return
 	}
 	_, span := obs.StartSpan(pc.ctx, obs.SpanCommitStageLocal)
-	cap, err := cfg.Stage.Put(cfg.Owner, pc.seq, pc.captureBase, pc.size, m.chunkSize, pc.writes, false)
+	cap, err := cfg.Stage.Put(cfg.Owner, pc.seq, pc.captureBase, pc.size, m.chunkSize, pc.chunks, false)
 	if err == nil && cfg.Replicate != nil {
-		if rerr := cfg.Replicate(pc.ctx, cap, pc.writes); rerr != nil {
+		if rerr := cfg.Replicate(pc.ctx, cap, pc.chunks); rerr != nil {
 			err = fmt.Errorf("mirror: replicate capture %d to partner: %w", pc.seq, rerr)
 		}
 	}
@@ -760,7 +762,7 @@ func (m *Module) runStage(pc *PendingCommit) {
 		// its durable publish unstages it, so a failed replication leaves
 		// nothing behind in the tier.
 		pc.capture = cap
-		pc.writes = nil
+		pc.chunks = nil
 	}
 	// Otherwise staging itself failed, but the capture is still in memory:
 	// it takes the direct remote path, so local-tier trouble degrades to
@@ -788,6 +790,9 @@ func (m *Module) commitWorker() {
 		m.queue = m.queue[1:]
 		stageMode := m.stageCfg != nil
 		m.mu.Unlock()
+		if !stageMode {
+			blobseer.SortChunks(pc.chunks) // stageWorker sorted a write-back capture
+		}
 		m.runCommit(pc)
 		if !stageMode {
 			<-m.sem // write-back slots were already freed by stageWorker
@@ -813,17 +818,17 @@ func (m *Module) runCommit(pc *PendingCommit) {
 	cfg := m.stageCfg
 	m.mu.Unlock()
 
-	writes := pc.writes
+	chunks := pc.chunks
 	var info blobseer.VersionInfo
 	var cs blobseer.CommitStats
 	var err error
 	if pc.capture != nil {
-		writes, err = cfg.Stage.Writes(pc.capture)
+		chunks, err = cfg.Stage.Chunks(pc.capture)
 	}
 	if err == nil {
 		backoff := 10 * time.Millisecond
 		for {
-			info, cs, err = m.client.WriteVersionStatsFrom(pc.ctx, base, &m.memo, writes, pc.size)
+			info, cs, err = m.client.WriteChunks(pc.ctx, base.Blob, &base, &m.memo, chunks, pc.size)
 			if err == nil || pc.capture == nil || pc.ctx.Err() != nil {
 				break
 			}
@@ -865,19 +870,14 @@ func (m *Module) runCommit(pc *PendingCommit) {
 				if q.capture != nil {
 					continue // staged capture: its writes live in the tier
 				}
-				for idx, data := range pc.writes {
-					if _, ok := q.writes[idx]; !ok {
-						q.writes[idx] = data
-						q.indices = append(q.indices, idx)
-					}
-				}
+				q.chunks = foldChunks(q.chunks, pc.chunks)
 				absorbed = true
 				break
 			}
 			if !absorbed {
-				for _, idx := range pc.indices {
-					if m.local[idx] != nil {
-						m.dirty[idx] = true
+				for _, ch := range pc.chunks {
+					if m.local[ch.Index] != nil {
+						m.dirty[ch.Index] = true
 					}
 				}
 			}
@@ -904,13 +904,22 @@ func (m *Module) runCommit(pc *PendingCommit) {
 			cfg.Release(cfg.Owner, pc.seq, pc.ref)
 		}
 	}
-	pc.writes = nil // release the capture
+	pc.chunks = nil // release the capture
 	pc.cancel()     // release the per-commit context
 	// Retired last: a DrainNow this wakes finds the tier cleared of the capture.
 	m.mu.Lock()
 	m.retireLocked(pc)
 	m.mu.Unlock()
 	close(pc.done)
+}
+
+// foldChunks merges a failed capture's chunks into a newer capture's and
+// returns the newer capture's list, sorted; where both hold an index, the
+// newer body wins.
+func foldChunks(newer, failed []blobseer.Chunk) []blobseer.Chunk {
+	all := append(newer, failed...)
+	slices.SortStableFunc(all, func(a, b blobseer.Chunk) int { return cmp.Compare(a.Index, b.Index) })
+	return slices.CompactFunc(all, func(a, b blobseer.Chunk) bool { return a.Index == b.Index })
 }
 
 // Halt cancels every live commit (queued, staging or publishing) and

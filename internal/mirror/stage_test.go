@@ -44,8 +44,8 @@ func stageSetup(t *testing.T) (*gateNet, *blobseer.Deployment, *blobseer.Client,
 	m.AttachStage(StageConfig{
 		Stage: stage,
 		Owner: "vm-0",
-		Replicate: func(_ context.Context, cp *localtier.Capture, writes map[uint64][]byte) error {
-			_, err := partner.Put(cp.Owner, cp.Seq, cp.Base, cp.Size, cp.ChunkSize, writes, true)
+		Replicate: func(_ context.Context, cp *localtier.Capture, chunks []blobseer.Chunk) error {
+			_, err := partner.Put(cp.Owner, cp.Seq, cp.Base, cp.Size, cp.ChunkSize, chunks, true)
 			return err
 		},
 		Release: func(owner string, seq uint64, ref blobseer.SnapshotRef) {
@@ -177,7 +177,7 @@ func TestStagingFailureFallsBackToRemotePath(t *testing.T) {
 	m.AttachStage(StageConfig{
 		Stage: stage,
 		Owner: "vm-0",
-		Replicate: func(context.Context, *localtier.Capture, map[uint64][]byte) error {
+		Replicate: func(context.Context, *localtier.Capture, []blobseer.Chunk) error {
 			return errors.New("partner down")
 		},
 	})
@@ -217,7 +217,7 @@ func TestFailedReplicationLeavesNothingStaged(t *testing.T) {
 	m.AttachStage(StageConfig{
 		Stage: stage,
 		Owner: "vm-0",
-		Replicate: func(context.Context, *localtier.Capture, map[uint64][]byte) error {
+		Replicate: func(context.Context, *localtier.Capture, []blobseer.Chunk) error {
 			return errors.New("partner down")
 		},
 	})

@@ -69,33 +69,14 @@ func (p *Proxy) handleStageFrame(ctx context.Context, req []byte) ([]byte, error
 	r := wire.NewReader(req)
 	switch op := r.U8(); op {
 	case opStagePut:
-		owner := r.String()
-		seq := r.U64()
-		base := blobseer.SnapshotRef{Blob: r.U64(), Version: r.U64()}
-		size := r.U64()
-		chunkSize := r.U64()
-		n := int(r.U32())
-		if err := r.Err(); err != nil {
-			return nil, fmt.Errorf("proxy: stage-put: %w", err)
+		c, chunks, err := decodeStagePut(req)
+		if err != nil {
+			return nil, err
 		}
-		// Every chunk occupies at least its index and a length prefix: a
-		// count the rest of the frame cannot hold is corrupt, and nothing is
-		// allocated from it.
-		if n > r.Remaining()/minStagedChunkBytes {
-			return nil, fmt.Errorf("proxy: stage-put: implausible count %d with %d bytes left in the frame", n, r.Remaining())
-		}
-		// The bodies stay windows of the request frame, which is this
-		// handler's until it returns: Stage.Put has them in its store —
-		// copied, or on disk — by then.
-		writes := make(map[uint64][]byte, n)
-		for i := 0; i < n; i++ {
-			idx := r.U64()
-			writes[idx] = r.Bytes()
-		}
-		if err := r.Err(); err != nil {
-			return nil, fmt.Errorf("proxy: stage-put: %w", err)
-		}
-		if _, err := p.Stage.Put(owner, seq, base, size, chunkSize, writes, true); err != nil {
+		// The bodies are windows of req, which is this handler's until it
+		// returns: Stage.Put has them in its store — copied, or on disk — by
+		// then.
+		if _, err := p.Stage.Put(c.Owner, c.Seq, c.Base, c.Size, c.ChunkSize, chunks, true); err != nil {
 			return nil, err
 		}
 		return []byte("OK"), nil
@@ -113,20 +94,13 @@ func (p *Proxy) handleStageFrame(ctx context.Context, req []byte) ([]byte, error
 	}
 }
 
-// pushReplica ships one staged capture to the partner proxy.
-func pushReplica(ctx context.Context, n transport.Network, addr string, c *localtier.Capture, writes map[uint64][]byte) error {
-	_, err := n.Call(ctx, addr, encodeStagePut(c, writes))
-	return err
-}
-
-// encodeStagePut builds the stage-put frame of a capture and the writes it
-// was staged from, chunks in the capture's ascending index order, in a buffer
-// sized for it up front: a capture is tens of MiB, and a frame that outgrows
-// its buffer on the last chunk copies all of them again.
-func encodeStagePut(c *localtier.Capture, writes map[uint64][]byte) []byte {
-	indices := c.Indices()
+// encodeStagePut builds the stage-put frame of a capture and the chunk list
+// it was staged from, in a buffer sized for it up front: a capture is tens
+// of MiB, and a frame that outgrows its buffer on the last chunk copies all
+// of them again.
+func encodeStagePut(c *localtier.Capture, chunks []blobseer.Chunk) []byte {
 	header := 1 + binary.MaxVarintLen32 + len(c.Owner) + 5*8 + 4
-	b := wire.NewBuffer(header + len(indices)*(8+binary.MaxVarintLen32) + int(c.Bytes()))
+	b := wire.NewBuffer(header + len(chunks)*(8+binary.MaxVarintLen32) + int(c.Bytes()))
 	b.PutU8(opStagePut)
 	b.PutString(c.Owner)
 	b.PutU64(c.Seq)
@@ -134,12 +108,54 @@ func encodeStagePut(c *localtier.Capture, writes map[uint64][]byte) []byte {
 	b.PutU64(c.Base.Version)
 	b.PutU64(c.Size)
 	b.PutU64(c.ChunkSize)
-	b.PutU32(uint32(len(indices)))
-	for _, idx := range indices {
-		b.PutU64(idx)
-		b.PutBytes(writes[idx])
+	b.PutU32(uint32(len(chunks)))
+	for _, ch := range chunks {
+		b.PutU64(ch.Index)
+		b.PutBytes(ch.Body)
 	}
 	return b.Bytes()
+}
+
+// decodeStagePut parses a stage-put frame into the header fields of the
+// capture it was encoded from and its chunk list. The frame comes off the
+// network, so it is rejected unless it is exactly n chunks, strictly
+// ascending by index, with no byte after the last. The bodies are windows
+// of frame: the caller keeps frame unmodified while it uses them.
+func decodeStagePut(frame []byte) (localtier.Capture, []blobseer.Chunk, error) {
+	var c localtier.Capture
+	r := wire.NewReader(frame)
+	if op := r.U8(); op != opStagePut {
+		return c, nil, fmt.Errorf("proxy: stage-put: op 0x%02X", op)
+	}
+	c.Owner = r.String()
+	c.Seq = r.U64()
+	c.Base = blobseer.SnapshotRef{Blob: r.U64(), Version: r.U64()}
+	c.Size = r.U64()
+	c.ChunkSize = r.U64()
+	n := int(r.U32())
+	if err := r.Err(); err != nil {
+		return c, nil, fmt.Errorf("proxy: stage-put: %w", err)
+	}
+	// Every chunk occupies at least its index and a length prefix: a count
+	// the rest of the frame cannot hold is corrupt, and nothing is allocated
+	// from it.
+	if n > r.Remaining()/minStagedChunkBytes {
+		return c, nil, fmt.Errorf("proxy: stage-put: implausible count %d with %d bytes left in the frame", n, r.Remaining())
+	}
+	chunks := make([]blobseer.Chunk, n)
+	for i := range chunks {
+		chunks[i] = blobseer.Chunk{Index: r.U64(), Body: r.Bytes()}
+		if err := r.Err(); err != nil {
+			return c, nil, fmt.Errorf("proxy: stage-put: chunk %d of %d: %w", i, n, err)
+		}
+		if i > 0 && chunks[i].Index <= chunks[i-1].Index {
+			return c, nil, fmt.Errorf("proxy: stage-put: chunk index %d follows %d: not strictly ascending", chunks[i].Index, chunks[i-1].Index)
+		}
+	}
+	if r.Remaining() != 0 {
+		return c, nil, fmt.Errorf("proxy: stage-put: %d bytes after chunk %d of %d", r.Remaining(), n, n)
+	}
+	return c, chunks, nil
 }
 
 // releaseReplica tells the partner the capture was published as ref.
@@ -160,8 +176,9 @@ func (p *Proxy) stageConfigFor(vmID string) mirror.StageConfig {
 	cfg := mirror.StageConfig{Stage: p.Stage, Owner: vmID}
 	if p.PartnerAddr != "" && p.Net != nil {
 		net, partner := p.Net, p.PartnerAddr
-		cfg.Replicate = func(ctx context.Context, c *localtier.Capture, writes map[uint64][]byte) error {
-			return pushReplica(ctx, net, partner, c, writes)
+		cfg.Replicate = func(ctx context.Context, c *localtier.Capture, chunks []blobseer.Chunk) error {
+			_, err := net.Call(ctx, partner, encodeStagePut(c, chunks))
+			return err
 		}
 		cfg.Release = func(owner string, seq uint64, ref blobseer.SnapshotRef) {
 			// Best-effort: a lost release only leaves a replica the partner
@@ -226,11 +243,11 @@ func (p *Proxy) drainFor(ctx context.Context, owner string, seq uint64) (blobsee
 				// rather than the possibly stale base recorded at capture time.
 				base = mref
 			}
-			writes, err := p.Stage.Writes(c)
+			chunks, err := p.Stage.Chunks(c)
 			if err != nil {
 				return blobseer.SnapshotRef{}, err
 			}
-			info, _, err := p.Repo.WriteVersionStatsFrom(ctx, base, nil, writes, c.Size)
+			info, _, err := p.Repo.WriteChunks(ctx, base.Blob, &base, nil, chunks, c.Size)
 			if err != nil {
 				return blobseer.SnapshotRef{}, fmt.Errorf("proxy: drain %s seq %d: %w", owner, c.Seq, err)
 			}

@@ -3,6 +3,7 @@ package proxy
 import (
 	"bytes"
 	"encoding/binary"
+	"reflect"
 	"testing"
 
 	"blobcr/internal/blobseer"
@@ -15,7 +16,7 @@ import (
 
 // stagePutFrame builds a stage-put frame announcing count chunks and
 // carrying the given ones.
-func stagePutFrame(count uint32, chunks map[uint64][]byte) []byte {
+func stagePutFrame(count uint32, chunks []blobseer.Chunk) []byte {
 	b := wire.NewBuffer(128)
 	b.PutU8(opStagePut)
 	b.PutString("vm-9")
@@ -25,9 +26,9 @@ func stagePutFrame(count uint32, chunks map[uint64][]byte) []byte {
 	b.PutU64(1024)
 	b.PutU64(64)
 	b.PutU32(count)
-	for idx, data := range chunks {
-		b.PutU64(idx)
-		b.PutBytes(data)
+	for _, ch := range chunks {
+		b.PutU64(ch.Index)
+		b.PutBytes(ch.Body)
 	}
 	return b.Bytes()
 }
@@ -44,7 +45,7 @@ func testStagePutCorruptFrames(t *testing.T, n transport.Network) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	chunks := map[uint64][]byte{0: []byte("zero"), 5: []byte("five!"), 6: {}}
+	chunks := []blobseer.Chunk{{Index: 0, Body: []byte("zero")}, {Index: 5, Body: []byte("five!")}, {Index: 6, Body: []byte{}}}
 	good := stagePutFrame(uint32(len(chunks)), chunks)
 
 	for _, tc := range []struct {
@@ -75,15 +76,27 @@ func testStagePutCorruptFrames(t *testing.T, n transport.Network) {
 	if len(pending) != 1 || !pending[0].Replica || pending[0].Seq != 4 || pending[0].Base != (blobseer.SnapshotRef{Blob: 1, Version: 2}) {
 		t.Fatalf("staged replica = %+v", pending)
 	}
-	back, err := p.Stage.Writes(pending[0])
+	back, err := p.Stage.Chunks(pending[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	for idx, want := range chunks {
-		if string(back[idx]) != string(want) {
-			t.Errorf("chunk %d = %q, want %q", idx, back[idx], want)
+	if !sameChunks(back, chunks) {
+		t.Errorf("staged chunks = %q, want %q", back, chunks)
+	}
+}
+
+// sameChunks reports whether two chunk lists hold the same indices and
+// bodies in the same order.
+func sameChunks(a, b []blobseer.Chunk) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Index != b[i].Index || !bytes.Equal(a[i].Body, b[i].Body) {
+			return false
 		}
 	}
+	return true
 }
 
 func TestInProcStagePutCorruptFrames(t *testing.T) {
@@ -102,23 +115,23 @@ func TestTCPStagePutCorruptFrames(t *testing.T) {
 // equal frames.
 func TestStagePutFrameIsSizedOnce(t *testing.T) {
 	const chunks, chunk = 64, 1 << 10
-	writes := make(map[uint64][]byte, chunks)
-	for i := uint64(0); i < chunks; i++ {
-		writes[i*3] = bytes.Repeat([]byte{byte(i)}, chunk)
+	list := make([]blobseer.Chunk, chunks)
+	for i := range list {
+		list[i] = blobseer.Chunk{Index: uint64(i) * 3, Body: bytes.Repeat([]byte{byte(i)}, chunk)}
 	}
 	stage := localtier.New(chunkstore.NewMem(), obs.NewRegistry())
-	c, err := stage.Put("vm-9", 4, blobseer.SnapshotRef{Blob: 1, Version: 2}, 1<<20, chunk, writes, false)
+	c, err := stage.Put("vm-9", 4, blobseer.SnapshotRef{Blob: 1, Version: 2}, 1<<20, chunk, list, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame := encodeStagePut(c, writes)
+	frame := encodeStagePut(c, list)
 	// Grown by append, a buffer this size gains a quarter; sized up front, its
 	// only slack is the varint prefixes' worst case.
 	if slack := cap(frame) - len(frame); slack > 16+chunks*binary.MaxVarintLen32 {
 		t.Errorf("stage-put frame: %d bytes in a buffer of %d — it outgrew the buffer it was created with", len(frame), cap(frame))
 	}
-	if again := encodeStagePut(c, writes); !bytes.Equal(frame, again) {
-		t.Error("two encodings of one capture differ: chunks are not in index order")
+	if again := encodeStagePut(c, list); !bytes.Equal(frame, again) {
+		t.Error("two encodings of one capture differ")
 	}
 
 	p := New()
@@ -126,13 +139,93 @@ func TestStagePutFrameIsSizedOnce(t *testing.T) {
 	if _, err := p.handleStageFrame(ctx, frame); err != nil {
 		t.Fatal(err)
 	}
-	back, err := p.Stage.Writes(p.Stage.Pending("vm-9")[0])
+	back, err := p.Stage.Chunks(p.Stage.Pending("vm-9")[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	for idx, want := range writes {
-		if !bytes.Equal(back[idx], want) {
-			t.Errorf("chunk %d did not survive the frame", idx)
+	if !sameChunks(back, list) {
+		t.Error("the chunk list did not survive the frame")
+	}
+}
+
+// TestDecodeStagePutRejectsCorruptFrames: a stage-put frame comes off the
+// partner link, so the decoder accepts exactly n chunks strictly ascending
+// by index and nothing after them. A repeated index would let a later body
+// silently replace an earlier one, and trailing bytes mean the sender and
+// the receiver disagree on the frame's layout.
+func TestDecodeStagePutRejectsCorruptFrames(t *testing.T) {
+	chunks := []blobseer.Chunk{{Index: 0, Body: []byte("zero")}, {Index: 5, Body: []byte("five!")}, {Index: 6, Body: []byte{}}}
+	good := stagePutFrame(uint32(len(chunks)), chunks)
+	c, back, err := decodeStagePut(good)
+	if err != nil {
+		t.Fatalf("well-formed frame rejected: %v", err)
+	}
+	if c.Owner != "vm-9" || c.Seq != 4 || c.Base != (blobseer.SnapshotRef{Blob: 1, Version: 2}) || c.Size != 1024 || c.ChunkSize != 64 || !sameChunks(back, chunks) {
+		t.Fatalf("decoded %+v %q", c, back)
+	}
+
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+	}{
+		{"trailing byte", append(bytes.Clone(good), 0)},
+		{"one chunk past the count", stagePutFrame(uint32(len(chunks))-1, chunks)},
+		{"duplicate index", stagePutFrame(3, []blobseer.Chunk{{Index: 0, Body: []byte("a")}, {Index: 5, Body: []byte("b")}, {Index: 5, Body: []byte("c")}})},
+		{"descending index", stagePutFrame(2, []blobseer.Chunk{{Index: 5, Body: []byte("b")}, {Index: 0, Body: []byte("a")}})},
+		{"count 0xFFFFFFFF", stagePutFrame(0xFFFFFFFF, chunks)},
+		{"truncated body", good[:len(good)-1]},
+		{"stage-release op", append([]byte{opStageRelease}, good[1:]...)},
+		{"empty", nil},
+	} {
+		if _, _, err := decodeStagePut(tc.frame); err == nil {
+			t.Errorf("%s: corrupt stage-put frame decoded", tc.name)
 		}
 	}
+}
+
+// FuzzStagePut holds the partner link's stage-put frame to its decoder. Any
+// input decodes or fails without a panic, and a frame it decodes re-encodes
+// to one that decodes alike. A chunk list built from the input round-trips
+// through encodeStagePut, and its frame one byte short, one byte long, or
+// with its first two chunks swapped is rejected.
+func FuzzStagePut(f *testing.F) {
+	f.Add([]byte{}, uint8(0))
+	f.Add([]byte("\x03abc\x00\x05hello"), uint8(2))
+	f.Add(stagePutFrame(2, []blobseer.Chunk{{Index: 0, Body: []byte("zero")}, {Index: 5, Body: []byte("five!")}}), uint8(255))
+	f.Fuzz(func(t *testing.T, data []byte, step uint8) {
+		if c, chunks, err := decodeStagePut(data); err == nil {
+			c2, chunks2, err := decodeStagePut(encodeStagePut(&c, chunks))
+			if err != nil || !reflect.DeepEqual(c, c2) || !sameChunks(chunks, chunks2) {
+				t.Fatalf("accepted frame re-encodes to %+v %q (%v), want %+v %q", c2, chunks2, err, c, chunks)
+			}
+		}
+
+		// An ascending list: each chunk takes a body of up to 15 bytes of
+		// data, the length from the byte before it; indices advance by step+1.
+		var chunks []blobseer.Chunk
+		idx := uint64(step)
+		for rest := data; len(rest) > 0; idx += uint64(step) + 1 {
+			n := min(int(rest[0]%16), len(rest)-1)
+			chunks = append(chunks, blobseer.Chunk{Index: idx, Body: rest[1 : 1+n]})
+			rest = rest[1+n:]
+		}
+		want := localtier.Capture{Owner: string(data[:min(len(data), 8)]), Seq: uint64(len(data)), Size: idx, ChunkSize: 16}
+		frame := encodeStagePut(&want, chunks)
+		c, back, err := decodeStagePut(frame)
+		if err != nil || !reflect.DeepEqual(c, want) || !sameChunks(back, chunks) {
+			t.Fatalf("round trip of %d chunks = %+v %q (%v)", len(chunks), c, back, err)
+		}
+		if _, _, err := decodeStagePut(frame[:len(frame)-1]); err == nil {
+			t.Fatal("frame one byte short decoded")
+		}
+		if _, _, err := decodeStagePut(append(frame, 0)); err == nil {
+			t.Fatal("frame one byte long decoded")
+		}
+		if len(chunks) >= 2 {
+			chunks[0], chunks[1] = chunks[1], chunks[0]
+			if _, _, err := decodeStagePut(encodeStagePut(&want, chunks)); err == nil {
+				t.Fatal("frame with its chunks out of order decoded")
+			}
+		}
+	})
 }
