@@ -1,7 +1,7 @@
 package blobcr_test
 
-// Functional end-to-end tests of the paper's BASELINE configurations — the
-// flows the simulator models are shown to work for real here:
+// Functional end-to-end tests of the paper's BASELINE configurations, the
+// flows internal/bench measures for Figures 2-6:
 //
 //   - qcow2-disk: the VM's disk is a local qcow2 image backed by a base
 //     image; a checkpoint copies the whole qcow2 file into PVFS as a new
@@ -16,9 +16,9 @@ package blobcr_test
 import (
 	"bytes"
 	"context"
-	"io"
 	"testing"
 
+	"blobcr/internal/bench"
 	"blobcr/internal/blcr"
 	"blobcr/internal/pvfs"
 	"blobcr/internal/qcow2"
@@ -35,52 +35,23 @@ const (
 // bctx is the default context for baseline test operations.
 var bctx = context.Background()
 
-// copyToPVFS stores a qcow2 image file in PVFS as path (the qcow2-disk
-// checkpoint operation: "the checkpointing proxy simply copies the locally
-// stored qcow2 image to PVFS as a new file").
+// copyToPVFS is the qcow2-disk checkpoint operation (bench.CopyToPVFS).
 func copyToPVFS(t *testing.T, c *pvfs.Client, backend *vdisk.Buffer, path string) int64 {
 	t.Helper()
-	f, err := c.Create(bctx, path, 0)
+	n, err := bench.CopyToPVFS(bctx, c, backend, path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	size := backend.Size()
-	buf := make([]byte, 256*1024)
-	for off := int64(0); off < size; off += int64(len(buf)) {
-		n := int64(len(buf))
-		if off+n > size {
-			n = size - off
-		}
-		if err := vdisk.ReadFull(backend, buf[:n], off); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.WriteAt(buf[:n], off); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return size
+	return n
 }
 
-// fetchFromPVFS loads a PVFS file back into a fresh image backend.
+// fetchFromPVFS loads a PVFS file back into a fresh image backend
+// (bench.FetchFromPVFS).
 func fetchFromPVFS(t *testing.T, c *pvfs.Client, path string) *vdisk.Buffer {
 	t.Helper()
-	f, err := c.Open(bctx, path)
+	out, err := bench.FetchFromPVFS(bctx, c, path)
 	if err != nil {
 		t.Fatal(err)
-	}
-	out := vdisk.NewBuffer()
-	buf := make([]byte, 256*1024)
-	for off := int64(0); off < f.Size(); off += int64(len(buf)) {
-		n, err := f.ReadAt(buf, off)
-		if n == 0 && err != nil {
-			break
-		}
-		if _, werr := out.WriteAt(buf[:n], off); werr != nil {
-			t.Fatal(werr)
-		}
-		if err == io.EOF {
-			break
-		}
 	}
 	return out
 }

@@ -6,9 +6,10 @@
 // the mirroring module, the qcow2 and PVFS baselines, the guest file
 // system, the MPI runtime with coordinated checkpointing, the IaaS
 // middleware, the BlobCR framework itself (internal/core), and the
-// experiment-scale performance model (internal/simcloud). Executables are
-// under cmd/ and runnable examples under examples/. See README.md for a
-// tour and EXPERIMENTS.md for the reproduced evaluation.
+// evaluation harness (internal/bench), which measures the paper's figures
+// on that stack. Executables are under cmd/ and runnable examples under
+// examples/. See README.md for a tour and EXPERIMENTS.md for the
+// reproduced evaluation.
 //
 // Beyond the paper, the repository is a content-addressed deduplicated
 // chunk store (internal/cas) — the one write path: committed chunks are

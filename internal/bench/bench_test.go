@@ -3,19 +3,56 @@ package bench
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
-
-	"blobcr/internal/simcloud"
 )
 
-func TestAllSeriesWellFormed(t *testing.T) {
-	p := simcloud.Default()
-	c := simcloud.DefaultCM1()
-	series := All(p, c)
-	if len(series) != 14 {
-		t.Fatalf("All returned %d series, want 14 (every table and figure, the CAS dedup extension, and the availability, repair, preemption and cluster-health experiments)", len(series))
+// testScale is the sweep the tests measure: two instance counts, one buffer.
+var testScale = Scale{Instances: []int{1, 4}, Buffers: []int{1 << 20}}
+
+// allSeries runs every experiment once at testScale; the tests below share it.
+var allSeries = sync.OnceValue(func() []Series { return All(testScale) })
+
+// series returns the test run's series whose title starts with prefix.
+func series(t *testing.T, prefix string) Series {
+	t.Helper()
+	for _, s := range allSeries() {
+		if strings.HasPrefix(s.Title, prefix) {
+			return s
+		}
 	}
-	for _, s := range series {
+	t.Fatalf("no series titled %q...", prefix)
+	return Series{}
+}
+
+// column returns the values of one column of s, in row order.
+func column(t *testing.T, s Series, name string) []float64 {
+	t.Helper()
+	for i, c := range s.Columns {
+		if c == name {
+			var out []float64
+			for _, r := range s.Rows {
+				out = append(out, r.Values[i])
+			}
+			return out
+		}
+	}
+	t.Fatalf("%s: no column %q", s.Title, name)
+	return nil
+}
+
+// TestAllSeriesWellFormed: every experiment produces a complete table, and
+// no paper figure's run failed or restored a state that differs from its
+// SHA-256 shadow (either titles the series FAILED).
+func TestAllSeriesWellFormed(t *testing.T) {
+	all := allSeries()
+	if len(all) != 14 {
+		t.Fatalf("All returned %d series, want 14 (every table and figure, the CAS dedup extension, and the availability, repair, preemption and cluster-health experiments)", len(all))
+	}
+	for _, s := range all {
+		if strings.Contains(s.Title, "FAILED") {
+			t.Errorf("%s: %v", s.Title, s.Notes)
+		}
 		if s.Title == "" || len(s.Columns) == 0 || len(s.Rows) == 0 {
 			t.Errorf("series %q malformed", s.Title)
 		}
@@ -32,9 +69,46 @@ func TestAllSeriesWellFormed(t *testing.T) {
 	}
 }
 
+// TestSnapshotSizeOrdering is Figure 4's shape: BlobCR stores less per
+// instance than copying the qcow2 image, and the image copy stores less
+// than the image with a savevm snapshot in it.
+func TestSnapshotSizeOrdering(t *testing.T) {
+	s := series(t, "Figure 4")
+	blob, disk, full := column(t, s, "BlobCR-app")[0], column(t, s, "qcow2-disk-app")[0], column(t, s, "qcow2-full")[0]
+	if !(0 < blob && blob < disk && disk < full) {
+		t.Errorf("per-instance MiB: BlobCR-app %.2f, qcow2-disk-app %.2f, qcow2-full %.2f; want 0 < BlobCR < qcow2-disk < qcow2-full", blob, disk, full)
+	}
+}
+
+// TestSuccessiveStorage is Figure 5's shape: every qcow2-disk checkpoint is
+// a new full image copy, so its storage grows every round, while a BlobCR
+// round adds no more than twice the bytes the application dirtied.
+func TestSuccessiveStorage(t *testing.T) {
+	s := series(t, "Figure 5(b)")
+	dirty := float64(testScale.Buffers[0]) / mib
+	for _, c := range []string{"qcow2-disk-app", "qcow2-disk-blcr"} {
+		v := column(t, s, c)
+		for i := 1; i < len(v); i++ {
+			if v[i] <= v[i-1] {
+				t.Errorf("%s: storage %.2f MiB after round %d, %.2f after round %d; want growth", c, v[i], i+1, v[i-1], i)
+			}
+		}
+	}
+	for _, c := range []string{"BlobCR-app", "BlobCR-blcr"} {
+		v := column(t, s, c)
+		prev := 0.0
+		for i, held := range v {
+			if inc := held - prev; inc <= 0 || inc > 2*dirty {
+				t.Errorf("%s: round %d added %.2f MiB for %.2f MiB dirtied", c, i+1, inc, dirty)
+			}
+			prev = held
+		}
+	}
+}
+
 func TestRenderProducesTable(t *testing.T) {
-	p := simcloud.Default()
-	s := Fig4SnapshotSize(p)
+	s := Series{Title: "Figure 4: snapshot size per VM instance", XLabel: "buffer MiB", YLabel: "MiB",
+		Columns: approachNames, Rows: []Row{{X: 1, Values: []float64{1, 2, 3, 4, 5}}}}
 	var buf bytes.Buffer
 	s.Render(&buf)
 	out := buf.String()
@@ -44,82 +118,8 @@ func TestRenderProducesTable(t *testing.T) {
 	if !strings.Contains(out, "BlobCR-app") || !strings.Contains(out, "qcow2-full") {
 		t.Error("render missing approach columns")
 	}
-	if len(strings.Split(out, "\n")) < 5 {
+	if len(strings.Split(out, "\n")) < 4 {
 		t.Error("render too short")
-	}
-}
-
-func TestAblationsWellFormed(t *testing.T) {
-	p := simcloud.Default()
-	abl := Ablations(p)
-	if len(abl) != 5 {
-		t.Fatalf("Ablations returned %d series, want 5", len(abl))
-	}
-	for _, s := range abl {
-		for _, r := range s.Rows {
-			if len(r.Values) != len(s.Columns) {
-				t.Errorf("%s: ragged row", s.Title)
-			}
-		}
-	}
-}
-
-func TestAblationStripeSizeTradeoff(t *testing.T) {
-	p := simcloud.Default()
-	s := AblationStripeSize(p)
-	// Larger stripes -> larger snapshots (coarser rounding).
-	first := s.Rows[0].Values[1]
-	last := s.Rows[len(s.Rows)-1].Values[1]
-	if last <= first {
-		t.Errorf("snapshot size did not grow with stripe size: %f -> %f", first, last)
-	}
-}
-
-func TestAblationReplicationCost(t *testing.T) {
-	p := simcloud.Default()
-	s := AblationReplication(p)
-	if s.Rows[2].Values[0] <= s.Rows[0].Values[0] {
-		t.Error("3x replication not slower than 1x")
-	}
-	if s.Rows[1].Values[1] != 2*s.Rows[0].Values[1] {
-		t.Error("2x replication does not double stored bytes")
-	}
-}
-
-func TestAblationLazyBeatsFullBroadcast(t *testing.T) {
-	p := simcloud.Default()
-	s := AblationRestartTransfer(p)
-	for _, r := range s.Rows {
-		if r.Values[0] >= r.Values[1] {
-			t.Errorf("hosts=%v: lazy (%f) not faster than full broadcast (%f)", r.X, r.Values[0], r.Values[1])
-		}
-	}
-}
-
-func TestAblationMetadataProvidersHelp(t *testing.T) {
-	p := simcloud.Default()
-	s := AblationMetadataProviders(p)
-	if s.Rows[0].Values[0] <= s.Rows[4].Values[0] {
-		t.Error("1 metadata provider not slower than 20 under 120-writer concurrency")
-	}
-}
-
-func TestAblationGranularityTaxSmallAndShrinking(t *testing.T) {
-	p := simcloud.Default()
-	s := AblationGranularity(p)
-	// The paper: <5% at 200 MB, and the absolute overhead stays constant
-	// (so the percentage shrinks with size).
-	var at200 float64
-	for _, r := range s.Rows {
-		if r.X == 200 {
-			at200 = r.Values[2]
-		}
-	}
-	if at200 <= 0 || at200 > 5 {
-		t.Errorf("granularity tax at 200MB = %.2f%%, want (0, 5]", at200)
-	}
-	if s.Rows[0].Values[2] <= s.Rows[len(s.Rows)-1].Values[2] {
-		t.Error("relative overhead should shrink as buffers grow")
 	}
 }
 

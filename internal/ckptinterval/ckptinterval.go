@@ -1,6 +1,5 @@
-// Package ckptinterval computes the Young/Daly optimal checkpoint interval.
-// It is a leaf package so the live supervisor and the simulator
-// (internal/simcloud) price the same formula without linking each other.
+// Package ckptinterval computes the Young/Daly optimal checkpoint interval
+// the supervisor's checkpoint cadence follows.
 package ckptinterval
 
 import "math"
@@ -13,9 +12,7 @@ import "math"
 //	T = M                                                            otherwise
 //
 // The supervisor computes its live checkpoint cadence from this function
-// with the cost it actually observes, and the simulator prices the same
-// formula with modelled costs — the sim and the live system agree by
-// construction.
+// with the cost it actually observes.
 func Optimal(ckptCost, mtbf float64) float64 {
 	if ckptCost <= 0 || mtbf <= 0 {
 		return 0

@@ -456,6 +456,11 @@ func (m *Module) RollbackTo(ctx context.Context, ref blobseer.SnapshotRef) error
 	m.src = ref
 	m.snap = snap
 	m.base = ref
+	if m.hasCkpt && ref.Blob != m.ckptBlob {
+		// Back to the source after Clone: the next commit must still land on
+		// the checkpoint image, whose version 0 is the source's content.
+		m.base = blobseer.SnapshotRef{Blob: m.ckptBlob, Version: 0}
+	}
 	m.size = snap.Size()
 	if m.stageCfg != nil {
 		// Staged captures overlay the pre-rollback chain; they are stale now.

@@ -166,3 +166,41 @@ func TestRollbackToRefusesForeignSnapshots(t *testing.T) {
 		t.Fatalf("rollback to foreign blob: %v, want ErrBadRollback", err)
 	}
 }
+
+// TestCommitAfterRollbackToSourceStaysOnCheckpointImage: once Clone has made
+// the checkpoint image, rolling back to the backing source and committing
+// again must publish onto the checkpoint image, and the published ref must
+// read as the source plus the new write.
+func TestCommitAfterRollbackToSourceStaysOnCheckpointImage(t *testing.T) {
+	c, m, ckptRef := rollbackSetup(t)
+	src := m.src
+	if err := m.RollbackTo(ctx, src); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.WriteAt(bytes.Repeat([]byte{0x55}, cs), 4*cs); err != nil {
+		t.Fatal(err)
+	}
+	pc, err := m.CommitAsync(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := pc.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.Blob != ckptRef.Blob {
+		t.Fatalf("commit after rollback published onto blob %d, want the checkpoint image %d", ref.Blob, ckptRef.Blob)
+	}
+	want, err := c.ReadVersion(ctx, src, 0, 16*cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(want[4*cs:], bytes.Repeat([]byte{0x55}, cs))
+	got, err := c.ReadVersion(ctx, ref, 0, 16*cs)
+	if err != nil {
+		t.Fatalf("read the committed ref %s: %v", ref, err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("snapshot committed after rollback to the source is not the source plus the write")
+	}
+}

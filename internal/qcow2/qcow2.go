@@ -165,11 +165,18 @@ func Open(b Backend, backing vdisk.Device) (*Image, error) {
 		return nil, fmt.Errorf("%w: backing name length %d", ErrBadImage, nameLen)
 	}
 	img.backingName = string(hdr[58 : 58+nameLen])
-	if img.clusterSize < headerSize || img.clusterSize&(img.clusterSize-1) != 0 {
+	// Every table, record and extent the header names must lie inside the
+	// file: an image read back from elsewhere may be damaged, and nothing is
+	// allocated on the strength of a size the file cannot back.
+	size := uint64(b.Size())
+	if img.clusterSize < headerSize || img.clusterSize&(img.clusterSize-1) != 0 || img.clusterSize > size {
 		return nil, fmt.Errorf("%w: cluster size %d", ErrBadImage, img.clusterSize)
 	}
-	if l1Entries > 1<<32 {
-		return nil, fmt.Errorf("%w: implausible L1 size %d", ErrBadImage, l1Entries)
+	if !fits(img.l1Offset, l1Entries, 8, size) {
+		return nil, fmt.Errorf("%w: L1 table of %d entries at %d does not fit in %d bytes", ErrBadImage, l1Entries, img.l1Offset, size)
+	}
+	if img.nextFree > size {
+		return nil, fmt.Errorf("%w: allocation end %d past the %d-byte file", ErrBadImage, img.nextFree, size)
 	}
 	img.l1 = make([]uint64, l1Entries)
 	l1Bytes := make([]byte, l1Entries*8)
@@ -189,6 +196,12 @@ func Open(b Backend, backing vdisk.Device) (*Image, error) {
 }
 
 func (img *Image) entriesPerL2() uint64 { return img.clusterSize / 8 }
+
+// fits reports whether n items of width bytes starting at off end within
+// size bytes, without overflow.
+func fits(off, n, width, size uint64) bool {
+	return off <= size && n <= (size-off)/width
+}
 
 func ceilDiv(a, b uint64) uint64 { return (a + b - 1) / b }
 
@@ -249,8 +262,17 @@ func (img *Image) writeSnapshotRecord(s *snapshot) error {
 
 func (img *Image) loadSnapshots() error {
 	img.snaps = nil
+	size := uint64(img.b.Size())
+	seen := make(map[uint64]bool)
 	off := img.snapHead
 	for off != 0 {
+		if seen[off] {
+			return fmt.Errorf("%w: snapshot chain revisits offset %d", ErrBadImage, off)
+		}
+		seen[off] = true
+		if !fits(off, 2+32, 1, size) {
+			return fmt.Errorf("%w: snapshot record at %d past the %d-byte file", ErrBadImage, off, size)
+		}
 		head := make([]byte, 2)
 		if err := vdisk.ReadFull(img.b, head, int64(off)); err != nil {
 			return fmt.Errorf("%w: snapshot record: %v", ErrBadImage, err)
@@ -271,6 +293,9 @@ func (img *Image) loadSnapshots() error {
 			vmstateLen: le.Uint64(rest[nameLen+16:]),
 			next:       le.Uint64(rest[nameLen+24:]),
 			recOffset:  off,
+		}
+		if !fits(s.l1Offset, uint64(len(img.l1)), 8, size) || !fits(s.vmstateOff, s.vmstateLen, 1, size) {
+			return fmt.Errorf("%w: snapshot %q names an extent past the %d-byte file", ErrBadImage, s.name, size)
 		}
 		img.snaps = append(img.snaps, s)
 		off = s.next
@@ -430,6 +455,16 @@ func (img *Image) readL2(off uint64) ([]uint64, error) {
 	return table, nil
 }
 
+// readL2Entry reads one entry of an L2 table: a guest access needs one
+// mapping, not the whole table.
+func (img *Image) readL2Entry(l2off uint64, idx uint64) (uint64, error) {
+	var buf [8]byte
+	if err := vdisk.ReadFull(img.b, buf[:], int64(l2off+idx*8)); err != nil {
+		return 0, fmt.Errorf("qcow2: read L2 entry: %w", err)
+	}
+	return binary.LittleEndian.Uint64(buf[:]), nil
+}
+
 func (img *Image) writeL2Entry(l2off uint64, idx uint64, val uint64) error {
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], val)
@@ -561,11 +596,10 @@ func (img *Image) readCluster(vc, inOff uint64, p []byte) error {
 	if l2off == 0 {
 		return img.readBacking(vc, inOff, p)
 	}
-	l2, err := img.readL2(l2off)
+	dataOff, err := img.readL2Entry(l2off, l2Idx)
 	if err != nil {
 		return err
 	}
-	dataOff := l2[l2Idx]
 	if dataOff == 0 {
 		return img.readBacking(vc, inOff, p)
 	}
@@ -633,11 +667,10 @@ func (img *Image) writeCluster(vc, inOff uint64, p []byte) error {
 	if err != nil {
 		return err
 	}
-	l2, err := img.readL2(l2off)
+	dataOff, err := img.readL2Entry(l2off, l2Idx)
 	if err != nil {
 		return err
 	}
-	dataOff := l2[l2Idx]
 	switch {
 	case dataOff == 0:
 		// Fresh allocation: fill with backing content, then overlay.

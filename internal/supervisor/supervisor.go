@@ -9,9 +9,8 @@
 //     checkpointing proxy (the lightweight PING verb); a node missing
 //     SuspectAfter consecutive pings is confirmed fail-stopped.
 //   - Checkpoint cadence: periodic global checkpoints on the Young/Daly
-//     interval sqrt(2*C*MTBF)-C (ckptinterval.Optimal, so the simulator
-//     and the live system price the same formula), where C is an EWMA of
-//     the observed checkpoint cost and MTBF is configured. On a multilevel
+//     interval sqrt(2*C*MTBF)-C (ckptinterval.Optimal), where C is an EWMA
+//     of the observed checkpoint cost and MTBF is configured. On a multilevel
 //     deployment (cloud.Config.LocalTier) C is the time to *locally safe* —
 //     staged in the node-local fast tier and replicated to the partner — not
 //     the time to durable: the local tier is what the job actually waits

@@ -106,14 +106,17 @@ func (b *Buffer) WriteAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, ErrOutOfRange
 	}
-	end := off + int64(len(p))
-	if end > int64(len(b.data)) {
-		grown := make([]byte, end)
-		copy(grown, b.data)
-		b.data = grown
+	if grow := off + int64(len(p)) - int64(len(b.data)); grow > 0 {
+		b.grow(grow)
 	}
 	copy(b.data[off:], p)
 	return len(p), nil
+}
+
+// grow appends n zero bytes. append's amortized capacity keeps a file that
+// grows a cluster at a time from being copied whole at every step.
+func (b *Buffer) grow(n int64) {
+	b.data = append(b.data, make([]byte, n)...)
 }
 
 // Truncate resizes the buffer.
@@ -127,9 +130,7 @@ func (b *Buffer) Truncate(size int64) error {
 		b.data = b.data[:size]
 		return nil
 	}
-	grown := make([]byte, size)
-	copy(grown, b.data)
-	b.data = grown
+	b.grow(size - int64(len(b.data)))
 	return nil
 }
 

@@ -184,3 +184,24 @@ func TestQuickBufferMatchesMap(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestBufferRegrowReadsZeros: bytes a Truncate cut off do not come back when
+// the buffer grows over them again.
+func TestBufferRegrowReadsZeros(t *testing.T) {
+	b := NewBuffer()
+	b.WriteAt([]byte{1, 2, 3, 4, 5, 6, 7, 8}, 0) //nolint:errcheck // memory
+	if err := b.Truncate(2); err != nil {
+		t.Fatal(err)
+	}
+	b.WriteAt([]byte{9}, 5) //nolint:errcheck // memory
+	if err := b.Truncate(8); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, 8)
+	if err := ReadFull(b, got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if want := []byte{1, 2, 0, 0, 0, 9, 0, 0}; string(got) != string(want) {
+		t.Errorf("buffer reads %v, want %v", got, want)
+	}
+}
