@@ -300,6 +300,15 @@ func main() {
 	}
 }
 
+// withTimeout returns the context an introspection command runs under:
+// bounded by the -timeout flag when it is positive.
+func withTimeout(timeout time.Duration) (context.Context, context.CancelFunc) {
+	if timeout > 0 {
+		return context.WithTimeout(context.Background(), timeout)
+	}
+	return context.WithCancel(context.Background())
+}
+
 // storeQuery renders one data provider's storage-engine counters, and with
 // the `compact` subcommand first runs a compaction pass on it. Only the
 // provider address is needed — the verb goes straight to that daemon.
@@ -542,11 +551,12 @@ commands:
                                       elsewhere), then retire it from membership
   events [since]                      stream a supervisor's event log (-supervisor)
   status                              supervisor recovery summary (-supervisor)
-  metrics <addr>                      scrape a METRICS endpoint (proxy, supervisor
-                                      or repair): commit stage timings, suspend
-                                      window, per-provider latency, dedup hit-rate
+  metrics <addr>                      scrape any endpoint (proxy, supervisor,
+                                      repair or BlobSeer service): commit stage
+                                      timings, suspend window, per-provider
+                                      latency, dedup hit-rate
                                       (-watch redraws every two seconds with
-                                      per-second rates: server-side HISTORY
+                                      per-second rates: server-side history
                                       windowed rates when the endpoint keeps a
                                       history ring, scrape deltas otherwise)
   top <supervisor-addr>               live cluster dashboard off a federating

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"log"
 	"os"
@@ -17,13 +16,13 @@ import (
 // several ring samples rather than jittering scrape-to-scrape.
 const watchWindow = 10 * time.Second
 
-// metricsQuery scrapes a METRICS endpoint (checkpointing proxy, supervisor
-// or repair daemon — they all speak the same verb) and renders the telemetry
-// an operator reaches for first: the last commit's suspend window decomposed
-// into the pipeline stages, per-provider wire latency, and the dedup
-// hit-rate. With watch, it re-scrapes every two seconds and annotates every
+// metricsQuery scrapes any endpoint (checkpointing proxy, supervisor, repair
+// daemon or BlobSeer service — they all answer metrics-get) and renders the
+// telemetry an operator reaches for first: the last commit's suspend window
+// decomposed into the pipeline stages, per-provider wire latency, and the
+// dedup hit-rate. With watch, it re-scrapes every two seconds and annotates every
 // counter with its per-second rate. Rates come from the endpoint's own
-// history ring when it keeps one (the HISTORY verb: delta-exact, computed
+// history ring when it keeps one (history-get: delta-exact, computed
 // over the ring's sample timestamps); endpoints without a ring fall back to
 // client-side scrape deltas. Gauges and histograms stay absolute: a gauge
 // already is the current value.
@@ -61,38 +60,26 @@ func metricsQuery(addr string, timeout time.Duration, watch bool) {
 	}
 }
 
-// scrapeMetrics collects the full (possibly chunked) exposition from addr
-// and parses it.
+// scrapeMetrics collects the full (possibly chunked) exposition from addr,
+// parsed.
 func scrapeMetrics(net transport.Network, addr string, timeout time.Duration) []obs.Point {
-	ctx := context.Background()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	body, err := transport.ScrapeExposition(ctx, net, addr)
+	ctx, cancel := withTimeout(timeout)
+	defer cancel()
+	points, err := transport.Metrics(ctx, net, addr)
 	if err != nil {
 		log.Fatalf("metrics: %v", err)
-	}
-	points, err := obs.ParseProm(body)
-	if err != nil {
-		log.Fatalf("metrics: parse exposition: %v", err)
 	}
 	return points
 }
 
 // historyRates asks the endpoint's history ring for windowed counter rates.
-// ok is false when the endpoint has no ring (HISTORY answers ERR) or the
-// ring holds fewer than two samples — the callers fall back to scrape
+// ok is false when the endpoint has no ring (history-get answers an error)
+// or the ring holds fewer than two samples — the callers fall back to scrape
 // deltas rather than rendering no rates at all.
 func historyRates(net transport.Network, addr string, timeout time.Duration) (map[string]float64, bool) {
-	ctx := context.Background()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	rep, err := transport.HistoryWindow(ctx, net, addr, watchWindow)
+	ctx, cancel := withTimeout(timeout)
+	defer cancel()
+	rep, err := transport.History(ctx, net, addr, watchWindow)
 	if err != nil || rep.Samples < 2 {
 		return nil, false
 	}

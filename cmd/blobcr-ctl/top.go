@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"log"
 	"os"
@@ -18,16 +17,16 @@ import (
 const topRefresh = 2 * time.Second
 
 // topWindow is the trailing window every rate and quantile on the dashboard
-// is computed over, via the supervisor's HISTORY verb.
+// is computed over, via the supervisor's history-get op.
 const topWindow = time.Minute
 
 // topQuery renders the live cluster dashboard off a federating supervisor's
 // introspection endpoint. Everything on screen comes from that one endpoint:
-// the METRICS exposition of the cluster registry (per-node backlog gauges,
-// liveness, active alerts), the HISTORY verb's windowed view of the same
+// the metrics exposition of the cluster registry (per-node backlog gauges,
+// liveness, active alerts), the history ring's windowed view of the same
 // registry (per-node suspend p99 and commit throughput over the last
-// minute), and the HEALTH verb's one-word verdict. No per-node connections
-// are opened — federation already moved the fleet's series here.
+// minute), and the health verdict. No per-node connections are opened —
+// federation already moved the fleet's series here.
 func topQuery(addr string, timeout time.Duration, once bool) {
 	net := transport.NewTCP()
 	for {
@@ -45,48 +44,29 @@ func topQuery(addr string, timeout time.Duration, once bool) {
 
 // renderTopFrame collects one dashboard frame's data and renders it.
 func renderTopFrame(net transport.Network, addr string, timeout time.Duration) string {
-	ctx := context.Background()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	body, err := transport.ScrapeExposition(ctx, net, addr)
+	ctx, cancel := withTimeout(timeout)
+	defer cancel()
+	points, err := transport.Metrics(ctx, net, addr)
 	if err != nil {
 		log.Fatalf("top: %v", err)
-	}
-	points, err := obs.ParseProm(body)
-	if err != nil {
-		log.Fatalf("top: parse exposition: %v", err)
 	}
 	// The windowed view and the health verdict are best-effort: a supervisor
 	// running without Config.Health still renders the liveness table.
 	var rep obs.WindowReport
-	if r, err := transport.HistoryWindow(ctx, net, addr, topWindow); err == nil {
+	if r, err := transport.History(ctx, net, addr, topWindow); err == nil {
 		rep = r
 	}
-	verdict := topHealthVerdict(ctx, net, addr)
+	verdict := ""
+	if ok, firing, err := transport.Health(ctx, net, addr); err == nil {
+		verdict = "OK"
+		if !ok {
+			verdict = strings.Join(append([]string{"DEGRADED"}, firing...), " ")
+		}
+	}
 
 	var b strings.Builder
 	renderTop(&b, addr, points, rep, verdict)
 	return b.String()
-}
-
-// topHealthVerdict asks the HEALTH verb for the one-line cluster verdict
-// ("OK" or "DEGRADED <alerts>"); empty when the endpoint has no health plane.
-func topHealthVerdict(ctx context.Context, net transport.Network, addr string) string {
-	resp, err := net.Call(ctx, addr, []byte("HEALTH"))
-	if err != nil {
-		return ""
-	}
-	s := string(resp)
-	if !strings.HasPrefix(s, "OK") {
-		return ""
-	}
-	if _, body, found := strings.Cut(s, "\n"); found {
-		return strings.TrimSpace(body)
-	}
-	return ""
 }
 
 // topRow is one node's line of the dashboard table.

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"log"
 	"os"
@@ -9,43 +8,33 @@ import (
 	"strings"
 	"time"
 
-	"blobcr/internal/blobseer"
 	"blobcr/internal/obs"
 	"blobcr/internal/transport"
 )
 
 // traceQuery collects one distributed trace's spans from a set of endpoints
-// and renders the assembled cross-process tree plus its critical path. Each
-// address is tried over the text TRACE verb first (proxies, supervisors,
-// repair daemons) and falls back to the binary sibling (blobseer services,
-// whose protocol is length-prefixed binary). Endpoints that hold no spans
-// for the trace simply contribute nothing — a trace rarely touches every
-// service.
+// and renders the assembled cross-process tree plus its critical path. Every
+// endpoint — proxy, supervisor, repair daemon or BlobSeer service — answers
+// the same trace-get op. Endpoints that hold no spans for the trace simply
+// contribute nothing — a trace rarely touches every service.
 func traceQuery(addrList, traceHex string, timeout time.Duration) {
 	trace, err := strconv.ParseUint(strings.TrimPrefix(traceHex, "0x"), 16, 64)
 	if err != nil || trace == 0 {
 		log.Fatalf("trace: bad trace id %q (expect the hex id BeginTrace issued)", traceHex)
 	}
-	ctx := context.Background()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
+	ctx, cancel := withTimeout(timeout)
+	defer cancel()
 	net := transport.NewTCP()
-	cl := &blobseer.Client{Net: net}
 	sets := make(map[string][]obs.SpanRecord)
 	for _, addr := range strings.Split(addrList, ",") {
 		addr = strings.TrimSpace(addr)
 		if addr == "" {
 			continue
 		}
-		spans, err := transport.TraceSpansText(ctx, net, addr, trace)
+		spans, err := transport.Trace(ctx, net, addr, trace)
 		if err != nil {
-			if spans, err = cl.RemoteTrace(ctx, addr, trace); err != nil {
-				fmt.Fprintf(os.Stderr, "trace: %s unreachable over both TRACE verbs: %v\n", addr, err)
-				continue
-			}
+			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
+			continue
 		}
 		sets[addr] = spans
 	}
@@ -81,27 +70,19 @@ func printSpanTree(n *obs.SpanNode, origin time.Time, depth int) {
 	}
 }
 
-// flightQuery dumps a flight-recorder ring: the endpoint's own (bare
-// FLIGHT — any proxy, supervisor, repair daemon or, over the binary
-// sibling, blobseer service) or, with a node argument against a supervisor,
-// the mirrored post-mortem dump of that node (FLIGHT <node>).
+// flightQuery dumps a flight-recorder ring: the endpoint's own (flight-get,
+// which every endpoint answers) or, with a node argument against a
+// supervisor, the mirrored post-mortem dump of that node (FLIGHT <node>).
 func flightQuery(addr, node string, timeout time.Duration) {
-	ctx := context.Background()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
+	ctx, cancel := withTimeout(timeout)
+	defer cancel()
 	net := transport.NewTCP()
 	var spans []obs.SpanRecord
 	var err error
 	final := false
 	if node == "" {
-		if spans, err = transport.FlightSpansText(ctx, net, addr); err != nil {
-			cl := &blobseer.Client{Net: net}
-			if spans, err = cl.RemoteFlight(ctx, addr); err != nil {
-				log.Fatalf("flight: %s unreachable over both FLIGHT verbs: %v", addr, err)
-			}
+		if spans, err = transport.Flight(ctx, net, addr); err != nil {
+			log.Fatalf("flight: %v", err)
 		}
 	} else {
 		resp, cerr := net.Call(ctx, addr, []byte("FLIGHT "+node))

@@ -16,12 +16,12 @@
 // them to the BlobSeer plane. The WAITLOCAL, BACKLOG, DRAIN-NOW and DRAINFOR
 // verbs (and blobcr-ctl preempt) control the tier.
 //
-// The proxy answers METRICS on its own port (scrape it with blobcr-ctl
-// metrics; oversized expositions continue under MORE chunks), plus the
-// tokenless TRACE <trace-hex> and FLIGHT introspection verbs — its span
-// store for one distributed trace, and its always-on flight-recorder ring
-// (blobcr-ctl trace / flight). -history keeps a ring of metric snapshots so
-// the HISTORY verb can answer windowed rates and quantiles (blobcr-ctl
+// The proxy answers the introspection ops every endpoint shares
+// (transport.Introspect) on its own port: metrics (blobcr-ctl metrics;
+// oversized expositions continue in chunks), its span store for one
+// distributed trace and its always-on flight-recorder ring (blobcr-ctl
+// trace / flight), and health. -history keeps a ring of metric snapshots
+// so history-get can answer windowed rates and quantiles (blobcr-ctl
 // metrics -watch and the supervisor's federation use it). -debug-addr
 // additionally binds an HTTP listener serving /metrics, /healthz,
 // /debug/pprof/* and /debug/vars for Prometheus and pprof.
@@ -63,16 +63,17 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "HTTP debug listener: /metrics, /debug/pprof/*, /debug/vars (empty = off)")
 	stageDir := flag.String("stage-dir", "", "directory of the node-local checkpoint tier's segment log (empty = no local tier)")
 	partnerAddr := flag.String("partner", "", "partner proxy address replicating this node's staged captures (requires -stage-dir)")
-	history := flag.Duration("history", time.Second, "metric history ring sample period backing the HISTORY verb (0 = no ring)")
+	history := flag.Duration("history", time.Second, "metric history ring sample period backing the history-get op (0 = no ring)")
 	flag.Parse()
 
 	if *vmAddr == "" || *pmAddr == "" || *meta == "" || *base == 0 {
 		fmt.Fprintln(os.Stderr, "blobcr-proxyd: -vmanager, -pmanager, -meta and -base are required")
 		os.Exit(2)
 	}
-	// Meter every wire call into the default registry: the proxy's METRICS
-	// verb and the -debug-addr /metrics page both scrape it. The history ring
-	// lets the same registry answer windowed HISTORY queries server-side.
+	// Meter every wire call into the default registry: the proxy's
+	// metrics-get op and the -debug-addr /metrics page both scrape it. The
+	// history ring lets the same registry answer windowed history queries
+	// server-side.
 	net := transport.WithMeter(transport.NewTCP(), nil, blobseer.VerbName)
 	if *history > 0 {
 		obs.Default.StartHistory(*history, 256)

@@ -13,12 +13,12 @@
 // -dir is empty. The content-addressed dedup index (internal/cas) is
 // layered on top; an existing data directory is re-indexed on startup.
 //
-// Every role answers the binary TRACE/FLIGHT introspection ops on its
-// service port — the spans it holds for one distributed trace, and its
-// always-on flight-recorder ring (blobcr-ctl trace / flight fall back to
-// them automatically) — plus the HISTORY/METRICS sibling ops backed by the
-// -history metric ring, so a federating supervisor can scrape windowed
-// rates without Prometheus. With -debug-addr, the daemon binds an HTTP
+// Every role answers the introspection ops every endpoint shares
+// (transport.Introspect) on its service port — metrics (blobcr-ctl metrics
+// and top), the spans it holds for one distributed trace and its always-on
+// flight-recorder ring (blobcr-ctl trace / flight), health, and windowed
+// history backed by the -history metric ring, so a federating supervisor
+// can scrape windowed rates without Prometheus. With -debug-addr, the daemon binds an HTTP
 // debug listener serving /metrics (Prometheus text for every wire call
 // handled), /healthz, /debug/pprof/* and /debug/vars.
 package main
@@ -47,12 +47,12 @@ func main() {
 	dir := flag.String("dir", "", "data directory of the segment-log chunk store (data role; empty = in-memory)")
 	advertise := flag.String("advertise", "", "address to register with the provider manager (default: the bound address)")
 	debugAddr := flag.String("debug-addr", "", "HTTP debug listener: /metrics, /debug/pprof/*, /debug/vars (empty = off)")
-	history := flag.Duration("history", time.Second, "metric history ring sample period backing the binary HISTORY op (0 = no ring)")
+	history := flag.Duration("history", time.Second, "metric history ring sample period backing the history-get op (0 = no ring)")
 	flag.Parse()
 
 	// Meter outbound wire calls (a data provider calls the provider manager
 	// to register) into the default registry, scraped by -debug-addr. The
-	// history ring lets the same registry answer windowed HISTORY queries.
+	// history ring lets the same registry answer windowed history queries.
 	net := transport.WithMeter(transport.NewTCP(), nil, blobseer.VerbName)
 	if *history > 0 {
 		obs.Default.StartHistory(*history, 256)

@@ -182,12 +182,13 @@
 // frames and failovers; the proxy records the suspend window; the
 // supervisor its heartbeat RTTs, MTTR and dropped events (its event log is
 // a fixed-capacity ring); the repair plane its scrub findings and restored
-// bytes. The proxy, supervisor and repair wire endpoints answer a METRICS
-// verb with versioned Prometheus text that obs.ParseProm reads back;
+// bytes. Every wire endpoint — the proxy, supervisor and repairer and the
+// four BlobSeer services — answers the metrics-get op with versioned
+// Prometheus text that obs.ParseProm reads back;
 // blobcr-ctl metrics renders the operator view (per-stage suspend-window
 // breakdown, per-provider latency, dedup hit-rate; -watch redraws live),
 // and blobcr-proxyd/blobseerd -debug-addr serve HTTP /metrics,
-// /debug/pprof and /debug/vars. internal/proxy's tests scrape METRICS
+// /debug/pprof and /debug/vars. internal/proxy's tests scrape the proxy
 // after an async checkpoint and fail when stage telemetry goes missing.
 //
 // Tracing crosses process boundaries: under an active trace
@@ -195,24 +196,26 @@
 // frame — batch verbs and the detached context.WithoutCancel commit path
 // included — and re-establishes the span context server-side, so handler
 // spans parent under the caller's RPC spans across the wire. Each service
-// holds its spans in a bounded per-trace store behind a tokenless TRACE
-// <id> verb (text on proxy/supervisor/repair endpoints, a binary sibling
-// on the blobseer services); blobcr-ctl trace collects the fragments,
+// holds its spans in a bounded per-trace store behind the tokenless
+// trace-get op; blobcr-ctl trace collects the fragments,
 // anchors remote clocks inside their parent RPC windows, and prints one
 // cross-process tree plus its critical path — at every instant, the span
 // actually bounding completion (obs.AssembleTrace, obs.CriticalPath;
 // internal/blobseer's TestCriticalPathExplainsCommit asserts the path
 // attributes >= 90% of a 16 MiB commit's wall time at 8 providers). Independently of traces,
 // every process keeps an always-on flight recorder — a fixed-capacity
-// overwrite-oldest ring of its most recent spans — dumped by a FLIGHT
-// verb and blobcr-ctl flight; the supervisor mirrors each node's ring
-// during heartbeat rounds and archives the last mirror as a FINAL
-// post-mortem when its failure detector confirms a death (FLIGHT <node>),
-// so a dead provider's final group commits remain readable after the
-// process is gone. Oversized METRICS expositions continue under OK v1
-// MORE <offset> chunks, reassembled by transport.ScrapeExposition, and
-// blobcr-ctl metrics -watch derives per-second counter rates from
-// successive scrapes.
+// overwrite-oldest ring of its most recent spans — dumped by the
+// flight-get op and blobcr-ctl flight; the supervisor mirrors each node's
+// ring during heartbeat rounds and archives the last mirror as a FINAL
+// post-mortem when its failure detector confirms a death (the supervisor's
+// FLIGHT <node> control verb), so a dead provider's final group commits
+// remain readable after the process is gone. The five introspection ops
+// (trace-get, flight-get, history-get, metrics-get, health-get, bytes
+// 0xE0–0xE4, above every text verb and BlobSeer op) are mounted once per
+// endpoint by transport.Introspect and fetched by one client
+// (transport.Metrics, Trace, Flight, History, Health); oversized
+// expositions continue in chunks that transport.Metrics reassembles,
+// refusing a continuation that does not advance.
 //
 // # Cluster health plane
 //
@@ -222,9 +225,8 @@
 // whose evicted samples fold into their successor, so a windowed
 // reduction (obs.History.Window — counter deltas and rates, gauge
 // first/last/min/max, histogram count/mean/p50/p99) stays exact across
-// wrap. Rings answer a HISTORY [seconds] verb beside METRICS (text on the
-// proxy/supervisor/repair endpoints, binary siblings on the blobseer
-// services; blobcr-proxyd/blobseerd -history set the sample period), and
+// wrap. Rings answer the history-get op beside metrics-get on every
+// endpoint (blobcr-proxyd/blobseerd -history set the sample period), and
 // blobcr-ctl metrics -watch reads the server's ring for exact windowed
 // rates. Each supervisor health round federates the fleet
 // (health.Federator): it scrapes every node's proxy and co-located data
@@ -239,7 +241,7 @@
 // fire/resolve hysteresis; health.DefaultRules covers suspend-window p99,
 // drain-backlog growth, heartbeat miss rate, storage MTTR, dedup
 // hit-rate collapse and seglog live ratio. Firings become supervisor
-// events, health_alert_active gauges, and the HEALTH verb's cluster
+// events, health_alert_active gauges, and the health-get op's cluster
 // verdict (the debug listener's /healthz answers 200/503 from the same
 // source). blobcr-ctl top draws the live cluster dashboard from the
 // supervisor's federated endpoint alone, and blobcr-bench -only health

@@ -18,7 +18,7 @@
 // unit the promise is made in — "fires within 2 scrape periods" — and it is
 // immune to scheduler jitter stretching the rounds themselves. After the
 // throttle lifts the drains catch up, the growth leaves the window, and the
-// run waits for the resolution event. Finally one METRICS scrape of the
+// run waits for the resolution event. Finally one metrics scrape of the
 // supervisor endpoint — over the wire, like blobcr-ctl top — must answer
 // with every node's series (node= label coverage), proving a single
 // federated endpoint carries the fleet.
@@ -253,16 +253,12 @@ func RunHealth() (HealthResult, error) {
 		return res, fmt.Errorf("bench: tiers never drained after the throttle lifted: %w", err)
 	}
 
-	// The acceptance scrape: one wire METRICS exchange with the supervisor —
+	// The acceptance scrape: one metrics-get scrape of the supervisor —
 	// exactly what blobcr-ctl top issues — must answer with every node's
 	// liveness AND its proxy-side series.
-	body, err := transport.ScrapeExposition(ctx, net, srv.Addr())
+	points, err := transport.Metrics(ctx, net, srv.Addr())
 	if err != nil {
 		return res, fmt.Errorf("bench: scrape federated endpoint: %w", err)
-	}
-	points, err := obs.ParseProm(body)
-	if err != nil {
-		return res, fmt.Errorf("bench: parse federated exposition: %w", err)
 	}
 	for _, node := range cl.Nodes() {
 		nl := obs.L(health.NodeLabel, node.Name)

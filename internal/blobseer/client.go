@@ -87,6 +87,16 @@ func (c *Client) replication() int {
 	return c.Replication
 }
 
+// rpc issues one wire call under an RPC child span, threading the derived
+// context into the transport so the header it injects names this span as
+// the parent — the far side's handler span then nests under it in an
+// assembled trace.
+func (c *Client) rpc(ctx context.Context, addr, verb string, req []byte) ([]byte, error) {
+	ctx, sp := obs.StartSpan(ctx, "rpc/"+verb)
+	defer sp.End()
+	return c.Net.Call(ctx, addr, req)
+}
+
 // call issues one request under an RPC span named by the op byte and
 // decodes errors.
 func (c *Client) call(ctx context.Context, addr string, w *wire.Buffer) (*wire.Reader, error) {

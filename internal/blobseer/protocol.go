@@ -170,16 +170,10 @@ const (
 	opNodeGetBatch
 )
 
-// Introspection ops every blobseer service answers — the binary siblings of
-// the text endpoints' TRACE and FLIGHT verbs. They sit at the top of the op
-// space, below 0xF0 (values from 0xF0 up are reserved for transport-level
-// markers such as the trace-context header).
-const (
-	opTraceGet   = 0xE0 // request: u64 trace id; response: obs.MarshalSpans
-	opFlightGet  = 0xE1 // request: op only; response: obs.MarshalSpans of the flight ring
-	opHistoryGet = 0xE2 // request: u32 window seconds; response: obs.MarshalWindow
-	opMetricsGet = 0xE3 // request: u32 chunk offset; response: i64 next offset + exposition chunk
-)
+// Op bytes from 0xE0 up are not BlobSeer's: 0xE0–0xE4 are the introspection
+// ops every endpoint answers (transport.Introspect, which each Serve mounts
+// ahead of the service's own handler), and 0xF0 up are transport markers
+// such as the trace-context header.
 
 // maxBatchItems bounds the item count of one batch frame: far above any
 // legitimate batch (the client splits its frames by batchBytesLimit and

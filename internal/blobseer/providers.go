@@ -106,7 +106,7 @@ func NewProviderManager() *ProviderManager {
 
 // Serve binds the provider manager to addr on n.
 func (pm *ProviderManager) Serve(n transport.Network, addr string) (transport.Server, error) {
-	return n.Listen(addr, pm.handle)
+	return n.Listen(addr, transport.Introspect(pm.registry, pm.handle))
 }
 
 func (pm *ProviderManager) handle(ctx context.Context, req []byte) ([]byte, error) {
@@ -114,9 +114,6 @@ func (pm *ProviderManager) handle(ctx context.Context, req []byte) ([]byte, erro
 	op := int(r.U8())
 	if err := r.Err(); err != nil {
 		return nil, err
-	}
-	if resp, handled, err := introspectionReply(pm.registry(), op, r); handled {
-		return resp, err
 	}
 	_, sp := handlerSpan(ctx, pm.registry(), op)
 	defer sp.End()
@@ -248,7 +245,7 @@ func (dp *DataProvider) Store() chunkstore.Store { return dp.store }
 
 // Serve binds the data provider to addr on n.
 func (dp *DataProvider) Serve(n transport.Network, addr string) (transport.Server, error) {
-	return n.Listen(addr, dp.handle)
+	return n.Listen(addr, transport.Introspect(dp.registry, dp.handle))
 }
 
 func (dp *DataProvider) handle(ctx context.Context, req []byte) ([]byte, error) {
@@ -256,9 +253,6 @@ func (dp *DataProvider) handle(ctx context.Context, req []byte) ([]byte, error) 
 	op := int(r.U8())
 	if err := r.Err(); err != nil {
 		return nil, err
-	}
-	if resp, handled, err := introspectionReply(dp.registry(), op, r); handled {
-		return resp, err
 	}
 	_, sp := handlerSpan(ctx, dp.registry(), op)
 	defer sp.End()
@@ -535,7 +529,7 @@ func NewMetadataProvider() *MetadataProvider {
 
 // Serve binds the metadata provider to addr on n.
 func (mp *MetadataProvider) Serve(n transport.Network, addr string) (transport.Server, error) {
-	return n.Listen(addr, mp.handle)
+	return n.Listen(addr, transport.Introspect(mp.registry, mp.handle))
 }
 
 func (mp *MetadataProvider) handle(ctx context.Context, req []byte) ([]byte, error) {
@@ -543,9 +537,6 @@ func (mp *MetadataProvider) handle(ctx context.Context, req []byte) ([]byte, err
 	op := int(r.U8())
 	if err := r.Err(); err != nil {
 		return nil, err
-	}
-	if resp, handled, err := introspectionReply(mp.registry(), op, r); handled {
-		return resp, err
 	}
 	_, sp := handlerSpan(ctx, mp.registry(), op)
 	defer sp.End()

@@ -95,10 +95,11 @@ func TestTracePropagationEveryBatchVerb(t *testing.T) {
 	}
 }
 
-// TestRemoteTraceAndFlightVerbs exercises the binary TRACE/FLIGHT siblings
-// against a live data provider: the spans its handler recorded come back
-// over the wire, and the flight ring answers without a trace id.
-func TestRemoteTraceAndFlightVerbs(t *testing.T) {
+// TestDataProviderServesHandlerSpans: a live data provider's introspection
+// ops answer from the registry its handlers record into — the spans of one
+// traced commit come back over trace-get, and flight-get dumps a ring that
+// handling requests filled.
+func TestDataProviderServesHandlerSpans(t *testing.T) {
 	net := transport.NewInProc()
 	repo, err := DeployTraced(net, 1, 1)
 	if err != nil {
@@ -121,7 +122,7 @@ func TestRemoteTraceAndFlightVerbs(t *testing.T) {
 	root.End()
 
 	dataAddr := repo.DataAddrs[0]
-	spans, err := cl.RemoteTrace(ctx, dataAddr, trace)
+	spans, err := transport.Trace(ctx, net, dataAddr, trace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,13 +133,13 @@ func TestRemoteTraceAndFlightVerbs(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Errorf("provider's TRACE reply lacks the cas-put-batch handler span: %+v", spans)
+		t.Errorf("provider's trace-get reply lacks the cas-put-batch handler span: %+v", spans)
 	}
-	flight, err := cl.RemoteFlight(ctx, dataAddr)
+	flight, err := transport.Flight(ctx, net, dataAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(flight) == 0 {
-		t.Error("provider's FLIGHT reply empty after handling requests")
+		t.Error("provider's flight-get reply empty after handling requests")
 	}
 }

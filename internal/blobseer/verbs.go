@@ -1,6 +1,12 @@
 package blobseer
 
-import "blobcr/internal/transport"
+import (
+	"context"
+	"fmt"
+
+	"blobcr/internal/obs"
+	"blobcr/internal/transport"
+)
 
 // opNames maps every BlobSeer wire op code to a stable metric-friendly
 // verb name. The ranges mirror protocol.go: version manager (1..), provider
@@ -44,11 +50,19 @@ var opNames = map[byte]string{
 	opNodeUsage:    "node-usage",
 	opNodePutBatch: "node-put-batch",
 	opNodeGetBatch: "node-get-batch",
+}
 
-	opTraceGet:   "trace-get",
-	opFlightGet:  "flight-get",
-	opHistoryGet: "history-get",
-	opMetricsGet: "metrics-get",
+// handlerSpan prepares the server-side context for one decoded request —
+// spans below record into the server's own registry, detached from any
+// in-process caller's flat Trace — and opens the handler span, which
+// parents under the caller's RPC span via the wire's trace-context header.
+func handlerSpan(ctx context.Context, reg *obs.Registry, op int) (context.Context, *obs.Span) {
+	name := opNames[byte(op)]
+	if name == "" {
+		name = fmt.Sprintf("op-%d", op)
+	}
+	ctx = obs.HandlerContext(ctx, reg)
+	return obs.StartSpan(ctx, "handler/"+name)
 }
 
 // OpName returns the verb name of a BlobSeer op code, or "" when the byte
@@ -57,11 +71,12 @@ func OpName(op byte) string { return opNames[op] }
 
 // VerbName maps a request frame to its operation name for the transport
 // Meter: the REST-ful text protocols (proxy, supervisor, repair) are named
-// by their first command word, BlobSeer binary frames by their leading op
-// byte. Text is tried first because the data-provider op range (64..)
-// collides with ASCII capitals — "CHECKPOINT..." leads with 'C' (67, also
-// opChunkList); a genuine command word (≥ 3 capitals then a separator)
-// cannot be confused with an op byte followed by wire-encoded lengths.
+// by their first command word, BlobSeer binary frames and the introspection
+// ops every endpoint answers by their leading op byte. Text is tried first
+// because the data-provider op range (64..) collides with ASCII capitals —
+// "CHECKPOINT..." leads with 'C' (67, also opChunkList); a genuine command
+// word (≥ 3 capitals then a separator) cannot be confused with an op byte
+// followed by wire-encoded lengths.
 // Use with transport.WithMeter.
 func VerbName(req []byte) string {
 	if len(req) == 0 {
@@ -70,5 +85,8 @@ func VerbName(req []byte) string {
 	if word := transport.TextVerb(req); len(word) >= 3 {
 		return word
 	}
-	return opNames[req[0]]
+	if name := opNames[req[0]]; name != "" {
+		return name
+	}
+	return transport.IntrospectOpName(req[0])
 }

@@ -136,8 +136,8 @@ func (vm *VersionManager) relocateLocked(apply bool, relocs []Relocation) []uint
 // descriptors. It is the only sequential point of the system, and it handles
 // only small metadata records, exactly as in BlobSeer's design.
 type VersionManager struct {
-	// Obs receives the manager's handler spans and serves its TRACE/FLIGHT
-	// introspection ops; nil means obs.Default. Set before Serve.
+	// Obs receives the manager's handler spans and serves its introspection
+	// ops; nil means obs.Default. Set before Serve.
 	Obs *obs.Registry
 
 	mu sync.Mutex
@@ -212,7 +212,7 @@ func newBlobState(id, chunkSize uint64) *blobState {
 
 // Serve binds the version manager to addr on n.
 func (vm *VersionManager) Serve(n transport.Network, addr string) (transport.Server, error) {
-	return n.Listen(addr, vm.handle)
+	return n.Listen(addr, transport.Introspect(vm.registry, vm.handle))
 }
 
 func (vm *VersionManager) handle(ctx context.Context, req []byte) ([]byte, error) {
@@ -220,9 +220,6 @@ func (vm *VersionManager) handle(ctx context.Context, req []byte) ([]byte, error
 	op := int(r.U8())
 	if err := r.Err(); err != nil {
 		return nil, err
-	}
-	if resp, handled, err := introspectionReply(vm.registry(), op, r); handled {
-		return resp, err
 	}
 	_, sp := handlerSpan(ctx, vm.registry(), op)
 	defer sp.End()

@@ -150,7 +150,7 @@ type Config struct {
 	// Obs is the metrics registry the whole deployment records into: every
 	// wire call (through a transport.Meter wrapped around Net), every
 	// repository client the cloud hands out, and the per-node proxies all
-	// share it, so one METRICS scrape sees the full picture. Nil means
+	// share it, so one metrics scrape sees the full picture. Nil means
 	// obs.Default.
 	Obs *obs.Registry
 	// Stores picks the chunk-store backend of each node's co-located data
@@ -172,7 +172,7 @@ type Config struct {
 	// Health switches the deployment to per-node observability, the shape a
 	// federating supervisor (supervisor.Config.Health) expects: each node's
 	// proxy — and its local tier and drain client — records into the node's
-	// own registry with a metric history ring attached (HISTORY answers
+	// own registry with a metric history ring attached (history-get answers
 	// per-node windowed rates), and every repository service deploys with its
 	// own ringed registry too (blobseer.DeployObserved). Without it all nodes
 	// share Obs, and a federated scrape would file identical copies of the
@@ -292,7 +292,7 @@ func (c *Cloud) Client() *blobseer.Client {
 }
 
 // Registry returns the metrics registry the deployment records into — the
-// one surface the METRICS endpoints and -debug-addr listeners scrape.
+// one surface the metrics-get endpoints and -debug-addr listeners scrape.
 func (c *Cloud) Registry() *obs.Registry { return c.obs }
 
 // nodeRegistry returns the registry a node's own components (local tier,

@@ -2,7 +2,7 @@
 // and a declarative SLO rule engine over metric history rings.
 //
 // The telemetry PRs left every signal point-in-time and per-process: a
-// METRICS scrape answers for one registry, now. This package adds the two
+// metrics scrape answers for one registry, now. This package adds the two
 // missing dimensions. obs.History (the metric history ring) adds time —
 // windowed rates, quantiles and gauge extrema over the last N seconds. The
 // Federator adds space — the supervisor pulls every proxy's, data
@@ -12,7 +12,7 @@
 // threshold and multi-window burn-rate rules evaluated over the federated
 // ring turn "the drain backlog has grown for two windows straight" into a
 // firing alert — a supervisor event, a health_alert_active gauge, and a
-// DEGRADED answer on the HEALTH verb and /healthz.
+// DEGRADED answer on the health-get op and /healthz.
 package health
 
 import (
@@ -20,7 +20,6 @@ import (
 	"sync"
 	"time"
 
-	"blobcr/internal/blobseer"
 	"blobcr/internal/obs"
 	"blobcr/internal/transport"
 )
@@ -32,10 +31,6 @@ const NodeLabel = "node"
 type Target struct {
 	Node string // node= label value its series are filed under
 	Addr string
-	// Binary selects the blobseer binary introspection ops (opMetricsGet)
-	// instead of the METRICS text verb — data providers and the managers
-	// speak no text protocol.
-	Binary bool
 }
 
 // Config tunes the supervisor's health plane (supervisor.Config.Health).
@@ -51,8 +46,6 @@ type Config struct {
 	// RepairAddr optionally names a served repair endpoint to scrape (its
 	// series are filed under node="repair").
 	RepairAddr string
-	// NoProviders skips the co-located data providers (text proxies only).
-	NoProviders bool
 }
 
 // Options tunes per-node observability in cloud.Config.Health: each node's
@@ -137,18 +130,7 @@ func (f *Federator) Scrape(ctx context.Context, targets []Target) {
 }
 
 func (f *Federator) scrapeOne(ctx context.Context, t Target) error {
-	var points []obs.Point
-	var err error
-	if t.Binary {
-		cl := &blobseer.Client{Net: f.Net}
-		points, err = cl.RemoteMetrics(ctx, t.Addr)
-	} else {
-		var text string
-		text, err = transport.ScrapeExposition(ctx, f.Net, t.Addr)
-		if err == nil {
-			points, err = obs.ParseProm(text)
-		}
-	}
+	points, err := transport.Metrics(ctx, f.Net, t.Addr)
 	if err != nil {
 		return err
 	}

@@ -2,7 +2,7 @@ package health
 
 import (
 	"context"
-	"strings"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -166,7 +166,15 @@ func TestEngineUnevaluableNeverBreaches(t *testing.T) {
 	}
 }
 
-// TestFederatorMergeAndNodeDeath runs federation sweeps over two text
+// introspectOnly is an endpoint that answers the introspection ops from reg
+// and nothing else.
+func introspectOnly(reg *obs.Registry) transport.Handler {
+	return transport.Introspect(func() *obs.Registry { return reg }, func(context.Context, []byte) ([]byte, error) {
+		return nil, errors.New("not an introspection op")
+	})
+}
+
+// TestFederatorMergeAndNodeDeath runs federation sweeps over two
 // endpoints while one node's registry is concurrently updated, then
 // partitions a node away mid-fleet: the survivor's fresh values keep
 // arriving, the dead node keeps its last imported values with
@@ -175,13 +183,7 @@ func TestEngineUnevaluableNeverBreaches(t *testing.T) {
 func TestFederatorMergeAndNodeDeath(t *testing.T) {
 	net := transport.NewInProc()
 	serve := func(reg *obs.Registry) transport.Server {
-		srv, err := net.Listen("", func(_ context.Context, req []byte) ([]byte, error) {
-			resp, handled := reg.TextReply(strings.Fields(string(req)))
-			if !handled {
-				return []byte("ERR unknown verb"), nil
-			}
-			return resp, nil
-		})
+		srv, err := net.Listen("", introspectOnly(reg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,13 +277,7 @@ func TestFederatedRingDrivesEngine(t *testing.T) {
 	var targets []Target
 	for node, reg := range regs {
 		reg := reg
-		srv, err := net.Listen("", func(_ context.Context, req []byte) ([]byte, error) {
-			resp, handled := reg.TextReply(strings.Fields(string(req)))
-			if !handled {
-				return []byte("ERR unknown verb"), nil
-			}
-			return resp, nil
-		})
+		srv, err := net.Listen("", introspectOnly(reg))
 		if err != nil {
 			t.Fatal(err)
 		}

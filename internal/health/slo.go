@@ -143,7 +143,7 @@ func DefaultRules() []Rule {
 // fire/resolve hysteresis. Firings and resolutions surface three ways: the
 // OnFire/OnResolve callbacks (the supervisor turns them into events),
 // health_alert_active{alert=,node=} gauges in Reg, and Status (wired into
-// the HEALTH verb and /healthz via obs.Registry.SetHealth).
+// the health-get op and /healthz via obs.Registry.SetHealth).
 type Engine struct {
 	Reg       *obs.Registry
 	Rules     []Rule

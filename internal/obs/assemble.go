@@ -1,6 +1,6 @@
 // Cross-process trace assembly and critical-path analysis. A client
 // collects one trace's spans from every process that took part (its own
-// registry plus each endpoint's TRACE reply), hands the per-process sets to
+// registry plus each endpoint's trace-get reply), hands the per-process sets to
 // AssembleTrace, and gets back one tree; CriticalPath then walks the tree
 // backward from the root's end to explain where the wall time went through
 // the concurrent per-provider streams.

@@ -10,7 +10,7 @@ import (
 	"strings"
 )
 
-// ExpositionVersion marks the snapshot wire format. The METRICS verb and
+// ExpositionVersion marks the snapshot wire format. The metrics-get op and
 // the /metrics HTTP handler both emit it as the first line so scrapers can
 // detect incompatible changes.
 const ExpositionVersion = "v1"
@@ -67,10 +67,10 @@ func (r *Registry) PromText() string {
 	return b.String()
 }
 
-// ExpositionChunkBytes caps one METRICS reply body. High label cardinality
+// ExpositionChunkBytes caps one metrics-get reply body. High label cardinality
 // (per-address latency histograms × providers) can push a full exposition
 // past the 4 MiB frame budget the batched data path also works to, so
-// METRICS speakers serve the exposition in chunks of at most this many
+// endpoints serve the exposition in chunks of at most this many
 // bytes and scrapers follow the continuation offset.
 const ExpositionChunkBytes = 3 << 20
 

@@ -3,6 +3,7 @@ package obs
 import (
 	"bufio"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -11,7 +12,7 @@ import (
 )
 
 // History is a fixed-capacity overwrite-oldest ring of periodic registry
-// snapshots, the time dimension the point-in-time METRICS scrape lacks.
+// snapshots, the time dimension the point-in-time metrics scrape lacks.
 // Entries are delta-encoded: each holds only the points that changed since
 // the previous sample, so an idle registry costs near-nothing to retain.
 // When the ring wraps, the evicted oldest entry is folded into its successor
@@ -20,9 +21,9 @@ import (
 //
 // Window answers the questions the health plane asks of a ring: counter
 // rates over the last N seconds, histogram quantiles restricted to the
-// window's observations, and gauge first/last/min/max. The HISTORY text verb
-// (textverbs.go) and the blobseer opHistoryGet binary sibling both serve
-// MarshalWindow of a Window call.
+// window's observations, and gauge first/last/min/max. Every endpoint's
+// history-get op (transport.Introspect) serves MarshalWindow of a Window
+// call.
 type History struct {
 	reg  *Registry
 	capN int
@@ -43,7 +44,7 @@ type histEntry struct {
 	pts []Point // points changed since the previous retained entry
 }
 
-// DefaultHistoryWindow is the window a bare HISTORY request queries.
+// DefaultHistoryWindow is the window Window reports over when given none.
 const DefaultHistoryWindow = time.Minute
 
 // StartHistory attaches a history ring of capN samples to the registry and
@@ -71,7 +72,7 @@ func (r *Registry) StartHistory(every time.Duration, capN int) *History {
 // History returns the registry's history ring, or nil if none was started.
 func (r *Registry) History() *History { return r.hist.Load() }
 
-// SetHealth installs the readiness callback behind the HEALTH verb and the
+// SetHealth installs the readiness callback behind the health-get op and the
 // /healthz debug endpoint: ok=false marks the process DEGRADED and firing
 // lists the active alert names. Nil-callback registries always answer OK.
 func (r *Registry) SetHealth(fn func() (ok bool, firing []string)) {
@@ -368,7 +369,7 @@ func diffHist(base, p Point) Point {
 	return d
 }
 
-// MarshalWindow renders a window report in the HISTORY wire format: one
+// MarshalWindow renders a window report in the history-get wire format: one
 // metadata line, then one line per series —
 //
 //	window <sec> span <sec> samples <n>
@@ -403,7 +404,7 @@ func MarshalWindow(rep WindowReport) []byte {
 
 // ParseWindow parses MarshalWindow output. Unlike the tolerant ParseProm,
 // this is strict: any malformed, truncated or unknown line is an error, so a
-// corrupt HISTORY frame is rejected rather than silently half-applied.
+// corrupt history-get reply is rejected rather than silently half-applied.
 func ParseWindow(b []byte) (WindowReport, error) {
 	var rep WindowReport
 	sc := bufio.NewScanner(strings.NewReader(string(b)))
@@ -415,15 +416,13 @@ func ParseWindow(b []byte) (WindowReport, error) {
 	if len(head) != 6 || head[0] != "window" || head[2] != "span" || head[4] != "samples" {
 		return rep, fmt.Errorf("obs: bad history header %q", sc.Text())
 	}
-	wsec, err1 := strconv.ParseFloat(head[1], 64)
-	ssec, err2 := strconv.ParseFloat(head[3], 64)
-	n, err3 := strconv.Atoi(head[5])
-	if err1 != nil || err2 != nil || err3 != nil || wsec < 0 || ssec < 0 || n < 0 {
+	window, ok1 := parseSeconds(head[1])
+	span, ok2 := parseSeconds(head[3])
+	n, err := strconv.Atoi(head[5])
+	if !ok1 || !ok2 || err != nil || n < 0 {
 		return rep, fmt.Errorf("obs: bad history header %q", sc.Text())
 	}
-	rep.Window = time.Duration(wsec * float64(time.Second))
-	rep.Span = time.Duration(ssec * float64(time.Second))
-	rep.Samples = n
+	rep.Window, rep.Span, rep.Samples = window, span, n
 	for sc.Scan() {
 		line := sc.Text()
 		if strings.TrimSpace(line) == "" {
@@ -465,6 +464,18 @@ func ParseWindow(b []byte) (WindowReport, error) {
 		return rep, err
 	}
 	return rep, nil
+}
+
+// parseSeconds reads a header duration in seconds, rejecting what a
+// time.Duration cannot hold (negative, NaN, past about 292 years) and
+// rounding to the nanosecond so a marshalled duration reads back exactly.
+func parseSeconds(s string) (time.Duration, bool) {
+	sec, err := strconv.ParseFloat(s, 64)
+	ns := math.Round(sec * float64(time.Second))
+	if err != nil || !(ns >= 0 && ns < math.MaxInt64) {
+		return 0, false
+	}
+	return time.Duration(ns), true
 }
 
 // cutSeries splits `name{k="v",...} k=v ...` into the series identity and

@@ -4,7 +4,6 @@ import (
 	"io"
 	"net/http"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 )
@@ -225,68 +224,6 @@ func TestImportFederation(t *testing.T) {
 	dst.Import([]Point{{Name: "c_total", Kind: KindCounter, Value: 2}}, L("node", "n-0"))
 	if p := Find(dst.Snapshot(), "c_total", L("node", "n-0")); p == nil || p.Value != 2 {
 		t.Errorf("counter regression not overwritten: %+v", p)
-	}
-}
-
-// TestTextReplyHistoryAndHealthVerbs covers the two verbs this plane added
-// to the shared text endpoint: HISTORY serving MarshalWindow frames (with
-// strict argument validation) and HEALTH serving the readiness verdict.
-func TestTextReplyHistoryAndHealthVerbs(t *testing.T) {
-	reg := NewRegistry()
-	call := func(req string) string {
-		resp, handled := reg.TextReply(strings.Fields(req))
-		if !handled {
-			t.Fatalf("%q not handled", req)
-		}
-		return string(resp)
-	}
-
-	if got := call("HISTORY"); got != "ERR no history ring" {
-		t.Errorf("HISTORY without a ring: %q", got)
-	}
-	h := reg.StartHistory(0, 8)
-	reg.Counter("c_total").Add(4)
-	h.Sample()
-	reg.Counter("c_total").Add(6)
-	h.Sample()
-
-	parseOK := func(resp string) WindowReport {
-		t.Helper()
-		body, ok := strings.CutPrefix(resp, "OK "+ExpositionVersion+"\n")
-		if !ok {
-			t.Fatalf("bad reply header: %q", resp)
-		}
-		rep, err := ParseWindow([]byte(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	rep := parseOK(call("HISTORY"))
-	if rep.Window != DefaultHistoryWindow {
-		t.Errorf("bare HISTORY window = %v, want %v", rep.Window, DefaultHistoryWindow)
-	}
-	if st := rep.Find("c_total"); st == nil || st.Delta != 6 {
-		t.Errorf("HISTORY reply delta = %+v, want 6", st)
-	}
-	if rep := parseOK(call("HISTORY 10")); rep.Window != 10*time.Second {
-		t.Errorf("HISTORY 10 window = %v", rep.Window)
-	}
-	for _, bad := range []string{"HISTORY x", "HISTORY 0", "HISTORY -1", "HISTORY 1 2"} {
-		if got := call(bad); !strings.HasPrefix(got, "ERR") {
-			t.Errorf("%q accepted: %q", bad, got)
-		}
-	}
-
-	if got := call("HEALTH"); got != "OK "+ExpositionVersion+"\nOK" {
-		t.Errorf("HEALTH before any callback: %q", got)
-	}
-	reg.SetHealth(func() (bool, []string) { return false, []string{"a(n-1)", "b"} })
-	if got := call("HEALTH"); got != "OK "+ExpositionVersion+"\nDEGRADED a(n-1) b" {
-		t.Errorf("degraded HEALTH: %q", got)
-	}
-	if got := call("HEALTH now"); !strings.HasPrefix(got, "ERR") {
-		t.Errorf("HEALTH with arguments accepted: %q", got)
 	}
 }
 

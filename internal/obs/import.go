@@ -16,7 +16,7 @@ func bucketIndex(bound uint64) int {
 
 // Import force-sets scraped points into the registry, rewriting each series
 // under the extra labels — the federation merge: the supervisor imports
-// every node's scrape under node=<name>, and one METRICS reply then answers
+// every node's scrape under node=<name>, and one metrics scrape then answers
 // for the whole fleet. Points already carrying any of the extra label keys
 // are skipped: re-importing an already-federated series (the supervisor
 // scraping a registry it shares in-process, or a scrape of another

@@ -2,7 +2,7 @@
 // registry (counters, gauges, log-scaled histograms) plus lightweight span
 // tracing, threaded through the repo's existing context plumbing. Every hot
 // layer — transport, blobseer, mirror, proxy, supervisor, repair — records
-// into a Registry; the METRICS wire verb and the -debug-addr HTTP listener
+// into a Registry; the metrics-get wire op and the -debug-addr HTTP listener
 // expose snapshots in Prometheus text exposition format, and blobcr-ctl
 // metrics renders them.
 //
@@ -138,8 +138,8 @@ type metric struct {
 // Registry holds named instruments. Lookups take a read lock; the returned
 // handles are updated with atomics only, so hot paths should cache them.
 // It also owns the process's span stores (trace.go): the bounded per-trace
-// collection served over TRACE and the always-on flight-recorder ring
-// served over FLIGHT.
+// collection served over trace-get and the always-on flight-recorder ring
+// served over flight-get.
 type Registry struct {
 	mu      sync.RWMutex
 	metrics map[string]*metric
@@ -147,7 +147,7 @@ type Registry struct {
 
 	// hist is the registry's metric history ring (history.go), attached by
 	// StartHistory; nil until then. health is the readiness callback
-	// (SetHealth) behind the HEALTH verb and the /healthz endpoint.
+	// (SetHealth) behind the health-get op and the /healthz endpoint.
 	hist   atomic.Pointer[History]
 	health atomic.Pointer[func() (ok bool, firing []string)]
 }

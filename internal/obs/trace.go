@@ -1,8 +1,8 @@
 // Distributed-trace identity and the per-process span stores: a bounded
 // per-trace store (so a client can collect a commit's remote spans over the
-// TRACE wire verb and assemble one cross-process tree) and an always-on
+// trace-get wire op and assemble one cross-process tree) and an always-on
 // flight recorder (a fixed-capacity overwrite-oldest ring of recent spans,
-// dumped over FLIGHT for black-box post-mortems after a process dies).
+// dumped over flight-get for black-box post-mortems after a process dies).
 
 package obs
 
@@ -43,7 +43,7 @@ func SpanContextFrom(ctx context.Context) (SpanContext, bool) {
 
 // BeginTrace starts a new distributed trace: the returned context carries a
 // fresh trace ID with no active span, so the next StartSpan under it becomes
-// the trace's root. The ID is what TRACE endpoints are queried with.
+// the trace's root. The ID is what trace-get is queried with.
 func BeginTrace(ctx context.Context) (context.Context, uint64) {
 	id := nextSpanID()
 	return WithSpanContext(ctx, SpanContext{Trace: id}), id
@@ -53,7 +53,7 @@ func BeginTrace(ctx context.Context) (context.Context, uint64) {
 // spans below record into the handler's own registry, and any in-memory
 // *Trace attached by an in-process caller is detached (a flat Trace collects
 // one process's stage decomposition; server spans reach the caller through
-// the per-trace store and the TRACE verb instead, exactly as over TCP). The
+// the per-trace store and the trace-get op instead, exactly as over TCP). The
 // distributed span context re-established by the transport is kept.
 func HandlerContext(ctx context.Context, reg *Registry) context.Context {
 	ctx = WithRegistry(ctx, reg)
@@ -81,7 +81,7 @@ func nextSpanID() uint64 {
 
 // Capacities of the per-process span stores. They bound memory, not
 // correctness: a trace evicted FIFO or a span past the per-trace cap is
-// simply absent from that endpoint's TRACE reply.
+// simply absent from that endpoint's trace-get reply.
 const (
 	TraceStoreCap = 64  // traces retained per registry
 	TraceSpanCap  = 512 // spans retained per trace
@@ -153,8 +153,8 @@ func (r *Registry) FlightSpans() []SpanRecord {
 	return out
 }
 
-// MarshalSpans renders spans in the line format the TRACE and FLIGHT wire
-// verbs reply with: one span per line,
+// MarshalSpans renders spans in the line format the trace-get and
+// flight-get wire ops reply with: one span per line,
 //
 //	span <trace> <id> <parent> <start-unixnano> <end-unixnano> <name>
 //

@@ -3,7 +3,6 @@ package obs
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -283,8 +282,8 @@ func TestConcurrentTraceCollection(t *testing.T) {
 					t.Errorf("collected spans unparseable: %v", err)
 					return
 				}
-				if resp, handled := reg.TextReply([]string{"FLIGHT"}); !handled || !strings.HasPrefix(string(resp), "OK ") {
-					t.Error("FLIGHT reply malformed under concurrency")
+				if _, err := ParseSpans(MarshalSpans(reg.FlightSpans())); err != nil {
+					t.Errorf("flight ring unparseable under concurrency: %v", err)
 					return
 				}
 			}
@@ -293,45 +292,4 @@ func TestConcurrentTraceCollection(t *testing.T) {
 	time.Sleep(100 * time.Millisecond)
 	close(stop)
 	wg.Wait()
-}
-
-// TestTextReplyVerbs drives the shared introspection verbs through their
-// table of shapes: chunked metrics, trace lookup, bare flight, and the
-// malformed requests every endpoint must reject identically.
-func TestTextReplyVerbs(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("x_total").Inc()
-	ctx := WithRegistry(context.Background(), reg)
-	tctx, trace := BeginTrace(ctx)
-	_, sp := StartSpan(tctx, "op")
-	sp.End()
-
-	for _, tc := range []struct {
-		req     string
-		handled bool
-		prefix  string
-	}{
-		{"METRICS", true, "OK v1\n"},
-		{"METRICS 0", true, "OK v1\n"},
-		{"METRICS -1", true, "ERR bad metrics offset"},
-		{"METRICS x", true, "ERR bad metrics offset"},
-		{"METRICS 0 0", true, "ERR malformed metrics request"},
-		{fmt.Sprintf("TRACE %x", trace), true, "OK v1\nspan "},
-		{"TRACE", true, "ERR malformed trace request"},
-		{"TRACE zz", true, "ERR bad trace id"},
-		{"TRACE 0", true, "ERR bad trace id"},
-		{"FLIGHT", true, "OK v1\nspan "},
-		{"FLIGHT node-001", false, ""}, // endpoint-specific (supervisor)
-		{"STATUS", false, ""},
-		{"", false, ""},
-	} {
-		resp, handled := reg.TextReply(strings.Fields(tc.req))
-		if handled != tc.handled {
-			t.Errorf("TextReply(%q) handled=%v, want %v", tc.req, handled, tc.handled)
-			continue
-		}
-		if handled && !strings.HasPrefix(string(resp), tc.prefix) {
-			t.Errorf("TextReply(%q) = %q, want prefix %q", tc.req, resp, tc.prefix)
-		}
-	}
 }

@@ -38,15 +38,6 @@
 //	request:  PING
 //	response: OK PONG <registered-instances>
 //
-//	request:  METRICS [<offset>]
-//	response: OK v1\n<exposition chunk> | OK v1 MORE <next-offset>\n<exposition chunk>
-//
-//	request:  TRACE <trace-hex>
-//	response: OK v1\n<span lines>
-//
-//	request:  FLIGHT
-//	response: OK v1\n<span lines of the flight-recorder ring>
-//
 // PREFETCH pages the listed chunks into the instance's local mirror cache
 // ahead of demand (the paper's adaptive prefetching on restart): the module
 // groups them into contiguous runs and the repository client stripes each
@@ -56,11 +47,9 @@
 // it needs no VM id or token — the round trip itself is the health signal —
 // and it touches no instance, so probing never perturbs a checkpoint.
 //
-// METRICS, TRACE and FLIGHT are tokenless introspection verbs shared by
-// every text endpoint (see obs.Registry.TextReply): an exposition larger
-// than one frame is chunked via MORE continuations, TRACE returns the spans
-// this process recorded for one trace id, and FLIGHT dumps the always-on
-// flight-recorder ring of recent spans.
+// The proxy also answers the binary introspection ops every endpoint shares
+// (transport.Introspect): metrics, trace, flight, history and health, all
+// tokenless — they expose aggregate telemetry, not any VM's data.
 package proxy
 
 import (
@@ -113,8 +102,8 @@ type Proxy struct {
 	// AdmitTimeout overrides DefaultAdmitTimeout when positive.
 	AdmitTimeout time.Duration
 
-	// Obs is the metrics registry the proxy records into and the METRICS
-	// verb exposes. Nil means obs.Default.
+	// Obs is the metrics registry the proxy records into and its
+	// introspection ops expose. Nil means obs.Default.
 	Obs *obs.Registry
 
 	// Multilevel checkpointing (all optional; see stage.go). Stage is the
@@ -174,7 +163,7 @@ func (p *Proxy) Unregister(vmID string) {
 
 // Serve binds the proxy to addr on n.
 func (p *Proxy) Serve(n transport.Network, addr string) (transport.Server, error) {
-	return n.Listen(addr, p.handle)
+	return n.Listen(addr, transport.Introspect(p.registry, p.handle))
 }
 
 func (p *Proxy) lookup(vmID, token string) (*target, error) {
@@ -191,8 +180,9 @@ func (p *Proxy) lookup(vmID, token string) (*target, error) {
 }
 
 func (p *Proxy) handle(ctx context.Context, req []byte) ([]byte, error) {
-	// Binary frames (first byte ≥ 0x80) are the partner-replication ops of
-	// the local tier; text verbs start with ASCII letters.
+	// Binary frames (first byte ≥ 0x80) past the introspection wrapper are
+	// the partner-replication ops of the local tier; text verbs start with
+	// ASCII letters.
 	if len(req) > 0 && req[0] >= 0x80 {
 		return p.handleStageFrame(ctx, req)
 	}
@@ -202,12 +192,6 @@ func (p *Proxy) handle(ctx context.Context, req []byte) ([]byte, error) {
 		n := len(p.targets)
 		p.mu.Unlock()
 		return []byte(fmt.Sprintf("OK PONG %d", n)), nil
-	}
-	// METRICS, TRACE and FLIGHT are tokenless like PING: they expose
-	// aggregate telemetry, not any VM's data, and dashboards and trace
-	// collectors must work without per-VM credentials.
-	if resp, handled := p.registry().TextReply(fields); handled {
-		return resp, nil
 	}
 	if len(fields) == 0 {
 		return []byte("ERR malformed request"), nil

@@ -107,8 +107,8 @@ func TestCheckpointHappyPath(t *testing.T) {
 // TestCheckpointResumesBeforeUpload is the headline property of the async
 // redesign: the CHECKPOINT verb brings the VM back to Running even though
 // the commit is still in flight behind the returned handle. Once it is
-// done, the proxy's METRICS verb shows every commit stage and the suspend
-// window it went through.
+// done, the proxy's metrics show every commit stage and the suspend window
+// it went through.
 func TestCheckpointResumesBeforeUpload(t *testing.T) {
 	e := setup(t)
 	e.proxy.Obs = obs.NewRegistry()
@@ -156,25 +156,17 @@ func TestCheckpointResumesBeforeUpload(t *testing.T) {
 
 	// Scrape the proxy over the wire as an operator would: a silent
 	// instrumentation regression must fail here, not only on a dashboard.
-	resp, err := e.net.Call(ctx, e.pc.Addr, []byte("METRICS"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	header, body, _ := strings.Cut(string(resp), "\n")
-	if header != "OK "+obs.ExpositionVersion {
-		t.Fatalf("METRICS answered %q, want OK %s", header, obs.ExpositionVersion)
-	}
-	points, err := obs.ParseProm(body)
+	points, err := transport.Metrics(ctx, e.net, e.pc.Addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, stage := range obs.CommitStages {
 		if p := obs.Find(points, "span_ns", obs.L("span", stage)); p == nil || p.Count == 0 {
-			t.Errorf("METRICS shows no %q spans", stage)
+			t.Errorf("metrics show no %q spans", stage)
 		}
 	}
 	if p := obs.Find(points, "proxy_suspend_ns"); p == nil || p.Count == 0 {
-		t.Error("METRICS shows no suspend window")
+		t.Error("metrics show no suspend window")
 	}
 }
 

@@ -5,11 +5,15 @@ import (
 	"fmt"
 	"strings"
 
+	"blobcr/internal/obs"
 	"blobcr/internal/transport"
 )
 
-// Serve binds the repairer's control endpoint on the network, in the same
-// REST-ful text style as the checkpointing proxy and the supervisor:
+// Serve binds the repairer's control endpoint on the network. Like every
+// endpoint it answers the binary introspection ops (transport.Introspect) —
+// metrics, trace, flight, history and health — from the repairer's
+// registry; its control verbs are the same REST-ful text style as the
+// checkpointing proxy and the supervisor:
 //
 //	request:  STATUS
 //	response: OK scrubs=<n> repairs=<n> drains=<n> restored=<n>
@@ -28,25 +32,17 @@ import (
 //	request:  DRAIN <addr>
 //	response: OK <repair report line> | ERR <message>
 //
-//	request:  METRICS [<offset>] | TRACE <trace-hex> | FLIGHT
-//	response: the shared tokenless introspection verbs (obs.TextReply):
-//	          chunked Prometheus exposition, per-trace spans, and the
-//	          flight-recorder ring of the repairer's registry.
-//
 // SCRUB, REPAIR and DRAIN run the pass synchronously and return its report;
 // passes are serialized by the repairer, so concurrent requests queue rather
 // than interleave.
 func (r *Repairer) Serve(n transport.Network, addr string) (transport.Server, error) {
-	return n.Listen(addr, r.handle)
+	return n.Listen(addr, transport.Introspect(func() *obs.Registry { return r.reg }, r.handle))
 }
 
 func (r *Repairer) handle(ctx context.Context, req []byte) ([]byte, error) {
 	fields := strings.Fields(string(req))
 	if len(fields) == 0 {
 		return []byte("ERR malformed request"), nil
-	}
-	if resp, handled := r.reg.TextReply(fields); handled {
-		return resp, nil
 	}
 	switch fields[0] {
 	case "STATUS":

@@ -5,18 +5,17 @@ import (
 	"fmt"
 	"time"
 
-	"blobcr/internal/blobseer"
 	"blobcr/internal/cloud"
 	"blobcr/internal/obs"
 	"blobcr/internal/transport"
 )
 
 // FlightDump is one node's flight-recorder snapshot: the most recent spans
-// its proxy and co-located data provider completed, mirrored off the node's
-// introspection endpoints (the text FLIGHT verb and its binary sibling)
-// during heartbeat rounds. A dump that survives the node's confirmed death
-// is marked Final — the post-mortem record of what the node was doing in
-// its last instants, available after the node itself can no longer answer.
+// its proxy and co-located data provider completed, mirrored off both
+// endpoints' flight-get op during heartbeat rounds. A dump that survives the
+// node's confirmed death is marked Final — the post-mortem record of what
+// the node was doing in its last instants, available after the node itself
+// can no longer answer.
 type FlightDump struct {
 	Node  string
 	Taken time.Time
@@ -33,17 +32,17 @@ type FlightDump struct {
 func (s *Supervisor) mirrorFlights(ctx context.Context, nodes []*cloud.Node, errs []error) {
 	fctx, cancel := context.WithTimeout(ctx, s.cfg.PingTimeout)
 	defer cancel()
-	cl := &blobseer.Client{Net: s.cl.Network()}
+	net := s.cl.Network()
 	for i, node := range nodes {
 		if errs[i] != nil {
 			continue // unreachable this round; keep the last good dump
 		}
-		spans, err := transport.FlightSpansText(fctx, s.cl.Network(), node.ProxyAddr)
+		spans, err := transport.Flight(fctx, net, node.ProxyAddr)
 		if err != nil {
 			continue
 		}
 		if node.DataAddr != "" {
-			if ds, err := cl.RemoteFlight(fctx, node.DataAddr); err == nil {
+			if ds, err := transport.Flight(fctx, net, node.DataAddr); err == nil {
 				spans = mergeSpans(spans, ds)
 			}
 		}
@@ -90,7 +89,7 @@ func (s *Supervisor) Flight(name string) (FlightDump, bool) {
 
 // mergeSpans concatenates two span sets, dropping duplicates by span id.
 // In-process deployments may route a node's proxy and data provider to the
-// same registry, so the two FLIGHT endpoints can answer overlapping rings;
+// same registry, so the two endpoints can answer overlapping rings;
 // span ids are unique per process, which makes the id a safe dedup key.
 func mergeSpans(a, b []obs.SpanRecord) []obs.SpanRecord {
 	seen := make(map[uint64]bool, len(a))

@@ -12,7 +12,7 @@ import (
 // startHealth wires the cluster health plane at construction: the federation
 // scraper and SLO engine over the supervisor's own registry, whose history
 // ring is sampled manually once per federation round so every window query
-// aligns with scrape rounds. The engine's status backs the HEALTH verb and
+// aligns with scrape rounds. The engine's status backs the health-get op and
 // any /healthz listener sharing the registry.
 func (s *Supervisor) startHealth(cfg *health.Config) {
 	capN := cfg.HistoryCap
@@ -61,8 +61,8 @@ func (s *Supervisor) healthRound(ctx context.Context, nodes []*cloud.Node) {
 	var targets []health.Target
 	for _, node := range nodes {
 		targets = append(targets, health.Target{Node: node.Name, Addr: node.ProxyAddr})
-		if !hcfg.NoProviders && node.DataAddr != "" {
-			targets = append(targets, health.Target{Node: node.Name, Addr: node.DataAddr, Binary: true})
+		if node.DataAddr != "" {
+			targets = append(targets, health.Target{Node: node.Name, Addr: node.DataAddr})
 		}
 	}
 	if hcfg.RepairAddr != "" {

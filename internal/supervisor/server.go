@@ -12,8 +12,11 @@ import (
 )
 
 // Serve binds the supervisor's introspection endpoint on the network, for
-// blobcr-ctl events and external dashboards. The protocol is the same
-// REST-ful text style as the checkpointing proxy:
+// blobcr-ctl events, status and top, and for external dashboards. Like every
+// endpoint it answers the binary introspection ops (transport.Introspect) —
+// metrics, trace, flight, history and health — from its registry, which
+// under Config.Health is the federated cluster registry. Its control verbs
+// are the same REST-ful text style as the checkpointing proxy:
 //
 //	request:  EVENTS <since-seq>
 //	response: OK <n>\n<one event line per event> | ERR <message>
@@ -31,26 +34,19 @@ import (
 // backlog fields — one per local-tier node, own captures and held partner
 // replicas combined — are what the drain still owes the remote plane.
 //
-//	request:  METRICS [<offset>]
-//	response: OK v1\n<exposition chunk> | OK v1 MORE <next-offset>\n<chunk>
-//
-//	request:  TRACE <trace-hex> | FLIGHT | FLIGHT <node>
-//	response: OK v1\n<span lines> — the supervisor's own span stores for the
-//	          first two; FLIGHT <node> serves the named node's retained
-//	          flight-recorder dump (the archived post-mortem once the node's
-//	          death is confirmed), with FINAL appended to the header of an
-//	          archived dump: OK v1 FINAL\n<span lines>.
+//	request:  FLIGHT <node>
+//	response: OK v1\n<span lines> | OK v1 FINAL\n<span lines> — the named
+//	          node's retained flight-recorder dump, served from the
+//	          supervisor's own archive; FINAL marks the post-mortem archived
+//	          once the node's death is confirmed.
 func (s *Supervisor) Serve(n transport.Network, addr string) (transport.Server, error) {
-	return n.Listen(addr, s.handle)
+	return n.Listen(addr, transport.Introspect(func() *obs.Registry { return s.reg }, s.handle))
 }
 
 func (s *Supervisor) handle(_ context.Context, req []byte) ([]byte, error) {
 	fields := strings.Fields(string(req))
 	if len(fields) == 0 {
 		return []byte("ERR malformed request"), nil
-	}
-	if resp, handled := s.reg.TextReply(fields); handled {
-		return resp, nil
 	}
 	switch fields[0] {
 	case "EVENTS":
@@ -74,8 +70,6 @@ func (s *Supervisor) handle(_ context.Context, req []byte) ([]byte, error) {
 		}
 		return []byte(b.String()), nil
 	case "FLIGHT":
-		// Bare FLIGHT (the supervisor's own ring) is answered by TextReply
-		// above; with an argument it serves a node's mirrored dump.
 		if len(fields) != 2 {
 			return []byte("ERR malformed flight request"), nil
 		}

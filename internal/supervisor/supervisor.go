@@ -109,7 +109,7 @@ type Config struct {
 
 	// FlightEvery throttles flight-recorder mirroring: every FlightEvery-th
 	// heartbeat round, the supervisor dumps each live node's flight ring (the
-	// proxy's FLIGHT verb plus the co-located data provider's binary sibling)
+	// proxy's and the co-located data provider's flight-get op)
 	// and retains the snapshot. When the failure detector confirms a death,
 	// the node's last snapshot is archived — the post-mortem of its final
 	// spans, served under FLIGHT <node>. Default 1 (every round); 0 uses the
@@ -123,11 +123,11 @@ type Config struct {
 
 	// Health, when set, turns the supervisor into the cluster health plane
 	// (internal/health): every Health.Every-th heartbeat round it federates
-	// each live node's metrics (proxy text verb + data provider binary op,
+	// each live node's metrics (proxy and data provider, both over metrics-get,
 	// plus Health.RepairAddr) into Obs under node= labels, samples Obs's
 	// history ring, and evaluates the SLO rules — firings and resolutions
 	// become events and health_alert_active gauges, and the supervisor's own
-	// METRICS/HISTORY/HEALTH endpoint then answers for the whole fleet.
+	// metrics, history and health ops then answer for the whole fleet.
 	Health *health.Config
 }
 

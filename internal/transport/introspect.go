@@ -2,103 +2,234 @@ package transport
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"strconv"
-	"strings"
+	"math"
 	"time"
 
 	"blobcr/internal/obs"
+	"blobcr/internal/wire"
 )
 
-// splitTextReply separates an introspection reply's header line from its
-// body and validates the "OK v1" prefix.
-func splitTextReply(resp []byte) (header []string, body string, err error) {
-	s := string(resp)
-	head, rest, found := strings.Cut(s, "\n")
-	if !found {
-		head = s
+// Introspection ops. Every endpoint — the four BlobSeer services, the
+// checkpointing proxy, the supervisor and the repairer — answers them from
+// its own registry (Introspect), and the functions below are their one
+// client. The op byte sits above both other dialects: BlobSeer ops stay
+// below 0x80 and text verbs start with ASCII letters, while values from
+// 0xF0 up are reserved for transport markers such as the trace-context
+// header.
+const (
+	OpTraceGet   = 0xE0 // request: u64 trace id (non-zero); response: obs.MarshalSpans
+	OpFlightGet  = 0xE1 // request: op only; response: obs.MarshalSpans of the flight ring
+	OpHistoryGet = 0xE2 // request: u32 window seconds (non-zero); response: obs.MarshalWindow
+	OpMetricsGet = 0xE3 // request: u32 chunk offset; response: i64 next offset (-1 = last) + exposition chunk
+	OpHealthGet  = 0xE4 // request: op only; response: bool ok + uvarint n + n x firing alert name
+)
+
+var introspectNames = [...]string{"trace-get", "flight-get", "history-get", "metrics-get", "health-get"}
+
+// IntrospectOpName returns the verb name of an introspection op, or "" when
+// op is not one.
+func IntrospectOpName(op byte) string {
+	if op < OpTraceGet || op > OpHealthGet {
+		return ""
 	}
-	fields := strings.Fields(head)
-	if len(fields) < 2 || fields[0] != "OK" || fields[1] != obs.ExpositionVersion {
-		if strings.HasPrefix(s, "ERR ") {
-			return nil, "", fmt.Errorf("transport: introspection request failed: %s", strings.TrimSpace(s[4:]))
-		}
-		return nil, "", fmt.Errorf("transport: unexpected introspection reply %q", head)
-	}
-	return fields, rest, nil
+	return introspectNames[op-OpTraceGet]
 }
 
-// ScrapeExposition collects the full metrics exposition of the text endpoint
-// at addr, following the chunked MORE continuations a large exposition is
-// split into (see obs.Registry.TextReply): each reply either completes the
-// scrape (OK v1) or names the offset to request next (OK v1 MORE <offset>).
-func ScrapeExposition(ctx context.Context, n Network, addr string) (string, error) {
-	var b strings.Builder
-	req := "METRICS"
+// Introspect wraps an endpoint's handler so the endpoint answers the
+// introspection ops from the registry reg returns at each request; every
+// other request reaches h untouched. Each endpoint mounts it once, where it
+// listens.
+func Introspect(reg func() *obs.Registry, h Handler) Handler {
+	return func(ctx context.Context, req []byte) ([]byte, error) {
+		if len(req) == 0 || IntrospectOpName(req[0]) == "" {
+			return h(ctx, req)
+		}
+		op, arg, err := decodeIntrospectRequest(req)
+		if err != nil {
+			return nil, err
+		}
+		return introspectReply(reg(), op, arg)
+	}
+}
+
+// decodeIntrospectRequest decodes an introspection request: its op and the
+// op's one argument (trace id, window seconds or chunk offset; 0 for the
+// argument-less ops).
+func decodeIntrospectRequest(req []byte) (op byte, arg uint64, err error) {
+	r := wire.NewReader(req)
+	op = r.U8()
+	switch op {
+	case OpTraceGet:
+		arg = r.U64()
+	case OpHistoryGet, OpMetricsGet:
+		arg = uint64(r.U32())
+	}
+	name := IntrospectOpName(op)
+	switch {
+	case r.Err() != nil:
+		return 0, 0, fmt.Errorf("transport: bad %s request: %w", name, r.Err())
+	case r.Remaining() != 0:
+		return 0, 0, fmt.Errorf("transport: bad %s request: %d trailing bytes", name, r.Remaining())
+	case arg == 0 && (op == OpTraceGet || op == OpHistoryGet):
+		return 0, 0, fmt.Errorf("transport: bad %s request: zero argument", name)
+	}
+	return op, arg, nil
+}
+
+func introspectReply(reg *obs.Registry, op byte, arg uint64) ([]byte, error) {
+	switch op {
+	case OpTraceGet:
+		return obs.MarshalSpans(reg.TraceSpans(arg)), nil
+	case OpFlightGet:
+		return obs.MarshalSpans(reg.FlightSpans()), nil
+	case OpHistoryGet:
+		h := reg.History()
+		if h == nil {
+			return nil, errors.New("transport: no history ring")
+		}
+		return obs.MarshalWindow(h.Window(time.Duration(arg) * time.Second)), nil
+	case OpMetricsGet:
+		chunk, next := reg.ExpositionAt(int(arg))
+		w := wire.NewBuffer(16 + len(chunk))
+		w.PutI64(int64(next))
+		w.PutString(chunk)
+		return w.Bytes(), nil
+	default: // OpHealthGet
+		ok, firing := reg.Health()
+		w := wire.NewBuffer(16)
+		w.PutBool(ok)
+		w.PutUvarint(uint64(len(firing)))
+		for _, name := range firing {
+			w.PutString(name)
+		}
+		return w.Bytes(), nil
+	}
+}
+
+// fetch issues one introspection request, with arg encoded the way
+// decodeIntrospectRequest reads it, and names the endpoint in its error.
+func fetch(ctx context.Context, n Network, addr string, op byte, arg uint64) ([]byte, error) {
+	w := wire.NewBuffer(9)
+	w.PutU8(op)
+	switch op {
+	case OpTraceGet:
+		w.PutU64(arg)
+	case OpHistoryGet, OpMetricsGet:
+		w.PutU32(uint32(arg))
+	}
+	resp, err := n.Call(ctx, addr, w.Bytes())
+	if err != nil {
+		return nil, fmt.Errorf("transport: %s from %s: %w", IntrospectOpName(op), addr, err)
+	}
+	return resp, nil
+}
+
+// Metrics scrapes the full metrics exposition of the endpoint at addr,
+// following the chunk continuations a large exposition is split into, and
+// parses it. A continuation offset that does not advance is an error, so a
+// faulty endpoint cannot keep the scrape looping.
+func Metrics(ctx context.Context, n Network, addr string) ([]obs.Point, error) {
+	var text []byte
+	var off int64
 	for {
-		resp, err := n.Call(ctx, addr, []byte(req))
+		resp, err := fetch(ctx, n, addr, OpMetricsGet, uint64(off))
 		if err != nil {
-			return "", err
+			return nil, err
 		}
-		fields, body, err := splitTextReply(resp)
+		next, chunk, err := decodeMetricsChunk(resp)
 		if err != nil {
-			return "", err
+			return nil, fmt.Errorf("transport: metrics from %s: %w", addr, err)
 		}
-		b.WriteString(body)
-		if len(fields) == 2 {
-			return b.String(), nil
+		text = append(text, chunk...)
+		if next < 0 {
+			return obs.ParseProm(string(text))
 		}
-		if len(fields) != 4 || fields[2] != "MORE" {
-			return "", fmt.Errorf("transport: unexpected metrics header %q", strings.Join(fields, " "))
+		if next <= off || next > math.MaxUint32 {
+			return nil, fmt.Errorf("transport: metrics from %s: bad continuation offset %d after %d", addr, next, off)
 		}
-		next, err := strconv.Atoi(fields[3])
-		if err != nil || next < 0 {
-			return "", fmt.Errorf("transport: bad metrics continuation offset %q", fields[3])
-		}
-		req = "METRICS " + fields[3]
+		off = next
 	}
 }
 
-// TraceSpansText collects the spans the text endpoint at addr holds for one
-// trace.
-func TraceSpansText(ctx context.Context, n Network, addr string, trace uint64) ([]obs.SpanRecord, error) {
-	return textSpans(ctx, n, addr, fmt.Sprintf("TRACE %x", trace))
+func decodeMetricsChunk(resp []byte) (next int64, chunk string, err error) {
+	r := wire.NewReader(resp)
+	next = r.I64()
+	chunk = r.String()
+	if err := r.Err(); err != nil {
+		return 0, "", err
+	}
+	if r.Remaining() != 0 {
+		return 0, "", fmt.Errorf("%d trailing bytes", r.Remaining())
+	}
+	return next, chunk, nil
 }
 
-// FlightSpansText dumps the flight-recorder ring of the text endpoint at
-// addr.
-func FlightSpansText(ctx context.Context, n Network, addr string) ([]obs.SpanRecord, error) {
-	return textSpans(ctx, n, addr, "FLIGHT")
+// Trace collects the spans the endpoint at addr holds for one trace.
+func Trace(ctx context.Context, n Network, addr string, trace uint64) ([]obs.SpanRecord, error) {
+	if trace == 0 {
+		return nil, errors.New("transport: zero trace id")
+	}
+	resp, err := fetch(ctx, n, addr, OpTraceGet, trace)
+	if err != nil {
+		return nil, err
+	}
+	return obs.ParseSpans(resp)
 }
 
-// HistoryWindow queries the history ring of the text endpoint at addr over
-// the trailing window (the HISTORY verb, see obs.History). The reply is
-// parsed strictly: a corrupt or truncated frame is an error, never a
-// half-applied report.
-func HistoryWindow(ctx context.Context, n Network, addr string, window time.Duration) (obs.WindowReport, error) {
+// Flight dumps the flight-recorder ring of the endpoint at addr.
+func Flight(ctx context.Context, n Network, addr string) ([]obs.SpanRecord, error) {
+	resp, err := fetch(ctx, n, addr, OpFlightGet, 0)
+	if err != nil {
+		return nil, err
+	}
+	return obs.ParseSpans(resp)
+}
+
+// History queries the history ring of the endpoint at addr over the
+// trailing window, in whole seconds. The reply is parsed strictly: a corrupt
+// or truncated frame is an error, never a half-applied report; an endpoint
+// without a ring answers with an error.
+func History(ctx context.Context, n Network, addr string, window time.Duration) (obs.WindowReport, error) {
 	secs := int64(window / time.Second)
-	if secs <= 0 {
+	if secs <= 0 || secs > math.MaxUint32 {
 		return obs.WindowReport{}, fmt.Errorf("transport: bad history window %v", window)
 	}
-	resp, err := n.Call(ctx, addr, fmt.Appendf(nil, "HISTORY %d", secs))
+	resp, err := fetch(ctx, n, addr, OpHistoryGet, uint64(secs))
 	if err != nil {
 		return obs.WindowReport{}, err
 	}
-	_, body, err := splitTextReply(resp)
-	if err != nil {
-		return obs.WindowReport{}, err
-	}
-	return obs.ParseWindow([]byte(body))
+	return obs.ParseWindow(resp)
 }
 
-func textSpans(ctx context.Context, n Network, addr, req string) ([]obs.SpanRecord, error) {
-	resp, err := n.Call(ctx, addr, []byte(req))
+// Health asks the endpoint at addr for its readiness verdict: ok, or the
+// names of the alerts firing (obs.Registry.Health).
+func Health(ctx context.Context, n Network, addr string) (ok bool, firing []string, err error) {
+	resp, err := fetch(ctx, n, addr, OpHealthGet, 0)
 	if err != nil {
-		return nil, err
+		return false, nil, err
 	}
-	_, body, err := splitTextReply(resp)
-	if err != nil {
-		return nil, err
+	return decodeHealth(resp)
+}
+
+func decodeHealth(resp []byte) (ok bool, firing []string, err error) {
+	r := wire.NewReader(resp)
+	ok = r.Bool()
+	count := r.Uvarint()
+	// Each name costs at least its length prefix: a count past the bytes
+	// left is corrupt, and is rejected before allocating.
+	if count > uint64(r.Remaining()) {
+		return false, nil, fmt.Errorf("transport: health reply claims %d alerts in %d bytes", count, r.Remaining())
 	}
-	return obs.ParseSpans([]byte(body))
+	for i := uint64(0); i < count; i++ {
+		firing = append(firing, r.String())
+	}
+	if err := r.Err(); err != nil {
+		return false, nil, fmt.Errorf("transport: bad health reply: %w", err)
+	}
+	if r.Remaining() != 0 {
+		return false, nil, fmt.Errorf("transport: bad health reply: %d trailing bytes", r.Remaining())
+	}
+	return ok, firing, nil
 }

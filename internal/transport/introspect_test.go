@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"blobcr/internal/obs"
+	"blobcr/internal/wire"
 )
 
 // traceTestHeader builds a wire trace header by hand, for corruption tests.
@@ -126,107 +128,94 @@ func testTraceHeaderRejection(t *testing.T, n Network) {
 func TestInProcTraceHeaderRejection(t *testing.T) { testTraceHeaderRejection(t, NewInProc()) }
 func TestTCPTraceHeaderRejection(t *testing.T)    { testTraceHeaderRejection(t, NewTCP()) }
 
-// TestScrapeExpositionChunked is the regression for METRICS chunking: an
-// exposition well past 4 MiB — beyond any single-frame expectation — arrives
-// complete by following the MORE continuations, byte-identical to the
-// registry's own rendering.
+// TestScrapeExpositionChunked is the regression for metrics chunking at the
+// frame level: an exposition past one chunk is served as continuations, each
+// reply within the chunk bound, and the scrape reassembles every series.
 func TestScrapeExpositionChunked(t *testing.T) {
 	reg := obs.NewRegistry()
-	// Wide label values blow the exposition past 4 MiB with a modest series
-	// count (each line is ~260 bytes).
-	pad := strings.Repeat("x", 200)
-	for i := 0; i < 20000; i++ {
-		reg.Counter("wide_series_total", obs.L("instance", fmt.Sprintf("%s-%06d", pad, i))).Inc()
-	}
-	want := reg.PromText()
-	if len(want) <= 4<<20 {
-		t.Fatalf("test exposition only %d bytes, need > 4 MiB to exercise chunking", len(want))
-	}
-
-	n := NewInProc()
-	srv, err := n.Listen("", func(_ context.Context, req []byte) ([]byte, error) {
-		resp, handled := reg.TextReply(strings.Fields(string(req)))
-		if !handled {
-			return []byte("ERR unknown verb"), nil
+	pad := strings.Repeat("x", 100)
+	for i := 0; i < 480; i++ {
+		h := reg.Histogram("wide_ns", obs.L("instance", fmt.Sprintf("%s-%04d", pad, i)))
+		for b := 0; b < 64; b++ {
+			h.Observe(1 << b)
 		}
-		return resp, nil
-	})
+	}
+	want, err := obs.ParseProm(reg.PromText())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := NewInProc()
+	srv, err := n.Listen("", Introspect(func() *obs.Registry { return reg }, func(context.Context, []byte) ([]byte, error) {
+		return nil, errors.New("not an introspection op")
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 
-	got, err := ScrapeExposition(context.Background(), n, srv.Addr())
+	resp, err := n.Call(context.Background(), srv.Addr(), []byte{OpMetricsGet, 0, 0, 0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want {
-		t.Fatalf("chunked scrape differs from the registry exposition: %d vs %d bytes", len(got), len(want))
+	next, chunk, err := decodeMetricsChunk(resp)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// The first frame really was a continuation, not one oversized reply.
-	resp, _ := n.Call(context.Background(), srv.Addr(), []byte("METRICS"))
-	head, _, _ := bytes.Cut(resp, []byte("\n"))
-	if !strings.Contains(string(head), "MORE") {
-		t.Errorf("first METRICS reply not chunked: header %q", head)
+	if next <= 0 || len(chunk) > obs.ExpositionChunkBytes {
+		t.Errorf("first metrics-get reply: next %d, chunk %d bytes; want a continuation within %d bytes",
+			next, len(chunk), obs.ExpositionChunkBytes)
 	}
-	if len(resp) > obs.ExpositionChunkBytes+64 {
-		t.Errorf("first chunk %d bytes exceeds the chunk bound %d", len(resp), obs.ExpositionChunkBytes)
+	got, err := Metrics(context.Background(), n, srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("chunked scrape parsed %d series, want %d", len(got), len(want))
 	}
 }
 
-// TestTraceAndFlightTextCollection: the client-side helpers round-trip spans
-// through a TextReply endpoint.
-func TestTraceAndFlightTextCollection(t *testing.T) {
-	reg := obs.NewRegistry()
-	ctx := obs.WithRegistry(context.Background(), reg)
-	tctx, trace := obs.BeginTrace(ctx)
-	_, sp := obs.StartSpan(tctx, "op/one")
-	sp.End()
-
+// TestMetricsContinuationMustAdvance: an endpoint whose continuation offset
+// does not move past the one requested fails the scrape instead of keeping
+// the client looping.
+func TestMetricsContinuationMustAdvance(t *testing.T) {
 	n := NewInProc()
-	srv, err := n.Listen("", func(_ context.Context, req []byte) ([]byte, error) {
-		resp, handled := reg.TextReply(strings.Fields(string(req)))
-		if !handled {
-			return []byte("ERR unknown verb"), nil
+	for _, stuck := range []int64{0, 7} {
+		calls := 0
+		srv, err := n.Listen("", func(_ context.Context, req []byte) ([]byte, error) {
+			calls++
+			w := wire.NewBuffer(16)
+			w.PutI64(stuck)
+			w.PutString("x_total 1\n")
+			return w.Bytes(), nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return resp, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	spans, err := TraceSpansText(context.Background(), n, srv.Addr(), trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(spans) != 1 || spans[0].Name != "op/one" || spans[0].Trace != trace {
-		t.Errorf("TRACE collection returned %+v", spans)
-	}
-	flight, err := FlightSpansText(context.Background(), n, srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(flight) != 1 || flight[0].Name != "op/one" {
-		t.Errorf("FLIGHT collection returned %+v", flight)
-	}
-	if _, err := TraceSpansText(context.Background(), n, srv.Addr(), 0); err == nil {
-		t.Error("zero trace id not rejected")
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		_, err = Metrics(ctx, n, srv.Addr())
+		cancel()
+		srv.Close()
+		if err == nil || !strings.Contains(err.Error(), "continuation") {
+			t.Errorf("offset stuck at %d: err = %v after %d calls, want a continuation error", stuck, err, calls)
+		}
+		if calls > 2 {
+			t.Errorf("offset stuck at %d: %d calls before giving up, want at most 2", stuck, calls)
+		}
 	}
 }
 
-// testHistoryWindowCorruptFrames: HistoryWindow's strict parsing rejects
-// garbage, half-cut and wrong-shape HISTORY replies outright — on both
-// terminal networks — while a well-formed frame still round-trips.
+// testHistoryWindowCorruptFrames: History's strict parsing rejects garbage,
+// half-cut and wrong-shape history-get replies outright — on both terminal
+// networks — while a well-formed frame still round-trips.
 func testHistoryWindowCorruptFrames(t *testing.T, n Network) {
 	t.Helper()
 	var reply []byte
+	var replyErr error
 	srv, err := n.Listen("", func(_ context.Context, req []byte) ([]byte, error) {
-		if !strings.HasPrefix(string(req), "HISTORY") {
-			return []byte("ERR unknown verb"), nil
+		if len(req) != 5 || req[0] != OpHistoryGet {
+			return nil, errors.New("unexpected request")
 		}
-		return reply, nil
+		return reply, replyErr
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -237,23 +226,23 @@ func testHistoryWindowCorruptFrames(t *testing.T, n Network) {
 	for _, tc := range []struct {
 		name  string
 		frame string
+		err   error
 	}{
-		{"no reply header", "garbage"},
-		{"endpoint error", "ERR no history ring"},
-		{"version skew", "OK v9\nwindow 60 span 5 samples 2\n"},
-		{"junk body", "OK v1\nnot a window header\n"},
-		{"truncated series line", "OK v1\nwindow 60 span 5 samples 2\ncounter foo delta=1"},
-		{"unknown series kind", "OK v1\nwindow 60 span 5 samples 2\nwidget foo delta=1 rate=2\n"},
-		{"empty body", "OK v1\n"},
+		{"garbage", "garbage", nil},
+		{"endpoint error", "", errors.New("no history ring")},
+		{"junk body", "not a window header\n", nil},
+		{"truncated series line", "window 60 span 5 samples 2\ncounter foo delta=1", nil},
+		{"unknown series kind", "window 60 span 5 samples 2\nwidget foo delta=1 rate=2\n", nil},
+		{"empty body", "", nil},
 	} {
-		reply = []byte(tc.frame)
-		if _, err := HistoryWindow(ctx, n, srv.Addr(), time.Minute); err == nil {
-			t.Errorf("%s: corrupt HISTORY frame accepted", tc.name)
+		reply, replyErr = []byte(tc.frame), tc.err
+		if _, err := History(ctx, n, srv.Addr(), time.Minute); err == nil {
+			t.Errorf("%s: corrupt history-get reply accepted", tc.name)
 		}
 	}
 
-	reply = []byte("OK v1\nwindow 60 span 5 samples 2\ncounter foo delta=4 rate=0.8\n")
-	rep, err := HistoryWindow(ctx, n, srv.Addr(), time.Minute)
+	reply, replyErr = []byte("window 60 span 5 samples 2\ncounter foo delta=4 rate=0.8\n"), nil
+	rep, err := History(ctx, n, srv.Addr(), time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +252,7 @@ func testHistoryWindowCorruptFrames(t *testing.T, n Network) {
 
 	// Sub-second windows truncate to zero seconds on the wire: rejected
 	// client-side before any call.
-	if _, err := HistoryWindow(ctx, n, srv.Addr(), 500*time.Millisecond); err == nil {
+	if _, err := History(ctx, n, srv.Addr(), 500*time.Millisecond); err == nil {
 		t.Error("sub-second window accepted")
 	}
 }
@@ -273,4 +262,89 @@ func TestInProcHistoryWindowCorruptFrames(t *testing.T) {
 }
 func TestTCPHistoryWindowCorruptFrames(t *testing.T) {
 	testHistoryWindowCorruptFrames(t, NewTCP())
+}
+
+// FuzzIntrospectReply feeds arbitrary bytes to every introspection decoder,
+// client and server side. None may panic; a spans or window reply that
+// decodes re-marshals to a frame that decodes to the same bytes again; a
+// health reply that decodes re-encodes to one that decodes alike; and an
+// introspection request, accepted or refused, never reaches the handler the
+// server wraps.
+func FuzzIntrospectReply(f *testing.F) {
+	reg := obs.NewRegistry()
+	tctx, trace := obs.BeginTrace(obs.WithRegistry(context.Background(), reg))
+	_, sp := obs.StartSpan(tctx, "op/seed")
+	sp.End()
+	reg.Counter("c_total", obs.L("node", "n-0")).Add(3)
+	reg.Histogram("h_ns").Observe(1500)
+	h := reg.StartHistory(0, 4)
+	h.Sample()
+	reg.Gauge("g").Set(-2)
+	h.Sample()
+	reg.SetHealth(func() (bool, []string) { return false, []string{"a(n-1)", "b"} })
+	reached := false
+	srv := Introspect(func() *obs.Registry { return reg }, func(context.Context, []byte) ([]byte, error) {
+		reached = true
+		return nil, nil
+	})
+	for _, req := range [][]byte{
+		binary.LittleEndian.AppendUint64([]byte{OpTraceGet}, trace),
+		{OpFlightGet},
+		{OpHistoryGet, 60, 0, 0, 0},
+		{OpMetricsGet, 0, 0, 0, 0},
+		{OpHealthGet},
+	} {
+		resp, err := srv(context.Background(), req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(req)
+		f.Add(resp)
+	}
+	// A window past time.Duration's range once decoded into a negative one,
+	// which its own re-marshalled frame then failed.
+	f.Add([]byte("window 1e300 span 0 samples 0\n"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if spans, err := obs.ParseSpans(data); err == nil {
+			once := obs.MarshalSpans(spans)
+			again, err := obs.ParseSpans(once)
+			if err != nil {
+				t.Fatalf("re-marshalled spans rejected: %v\n%q", err, once)
+			}
+			if twice := obs.MarshalSpans(again); !bytes.Equal(once, twice) {
+				t.Fatalf("spans re-marshal differently:\n%q\n%q", once, twice)
+			}
+		}
+		if rep, err := obs.ParseWindow(data); err == nil {
+			once := obs.MarshalWindow(rep)
+			again, err := obs.ParseWindow(once)
+			if err != nil {
+				t.Fatalf("re-marshalled window rejected: %v\n%q", err, once)
+			}
+			if twice := obs.MarshalWindow(again); !bytes.Equal(once, twice) {
+				t.Fatalf("window re-marshals differently:\n%q\n%q", once, twice)
+			}
+		}
+		if _, chunk, err := decodeMetricsChunk(data); err == nil {
+			obs.ParseProm(chunk) //nolint:errcheck // only must not panic
+		}
+		if ok, firing, err := decodeHealth(data); err == nil {
+			w := wire.NewBuffer(len(data))
+			w.PutBool(ok)
+			w.PutUvarint(uint64(len(firing)))
+			for _, name := range firing {
+				w.PutString(name)
+			}
+			ok2, firing2, err := decodeHealth(w.Bytes())
+			if err != nil || ok2 != ok || strings.Join(firing2, "\x00") != strings.Join(firing, "\x00") || len(firing2) != len(firing) {
+				t.Fatalf("health reply re-encodes differently: %v %q -> %v %q (%v)", ok, firing, ok2, firing2, err)
+			}
+		}
+		reached = false
+		srv(context.Background(), data) //nolint:errcheck // only routing is checked
+		if len(data) > 0 && IntrospectOpName(data[0]) != "" && reached {
+			t.Fatalf("introspection request % x reached the wrapped handler", data)
+		}
+	})
 }
