@@ -3,6 +3,7 @@ package transport_test
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -113,8 +114,8 @@ func testIntrospectEndpoint(t *testing.T, n transport.Network, srv transport.Ser
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != len(want) {
-		t.Errorf("metrics: %d series, want %d", len(points), len(want))
+	if !reflect.DeepEqual(points, want) {
+		t.Errorf("metrics: scraped %d points that differ from the exposition's %d", len(points), len(want))
 	}
 	if p := obs.Find(points, "marker_total"); p == nil || p.Value != 7 {
 		t.Errorf("metrics: marker_total = %+v, want 7", p)

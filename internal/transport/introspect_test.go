@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -130,7 +131,9 @@ func TestTCPTraceHeaderRejection(t *testing.T)    { testTraceHeaderRejection(t, 
 
 // TestScrapeExpositionChunked is the regression for metrics chunking at the
 // frame level: an exposition past one chunk is served as continuations, each
-// reply within the chunk bound, and the scrape reassembles every series.
+// reply within the chunk bound, the chunks reassemble byte for byte into the
+// registry's exposition (a cut may fall mid-line), and Metrics parses
+// exactly the points of that exposition.
 func TestScrapeExpositionChunked(t *testing.T) {
 	reg := obs.NewRegistry()
 	pad := strings.Repeat("x", 100)
@@ -140,7 +143,11 @@ func TestScrapeExpositionChunked(t *testing.T) {
 			h.Observe(1 << b)
 		}
 	}
-	want, err := obs.ParseProm(reg.PromText())
+	text := reg.PromText()
+	if len(text) <= 4<<20 {
+		t.Fatalf("test exposition only %d bytes, need > 4 MiB to exercise chunking", len(text))
+	}
+	want, err := obs.ParseProm(text)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,24 +160,39 @@ func TestScrapeExpositionChunked(t *testing.T) {
 	}
 	defer srv.Close()
 
-	resp, err := n.Call(context.Background(), srv.Addr(), []byte{OpMetricsGet, 0, 0, 0, 0})
+	var got strings.Builder
+	chunks := 0
+	for off := int64(0); off >= 0; chunks++ {
+		resp, err := fetch(context.Background(), n, srv.Addr(), OpMetricsGet, uint64(off))
+		if err != nil {
+			t.Fatal(err)
+		}
+		next, chunk, err := decodeMetricsChunk(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(chunk) > obs.ExpositionChunkBytes {
+			t.Fatalf("chunk at %d: %d bytes exceeds the chunk bound %d", off, len(chunk), obs.ExpositionChunkBytes)
+		}
+		if next >= 0 && next != off+int64(len(chunk)) {
+			t.Fatalf("chunk at %d: %d bytes but next offset %d", off, len(chunk), next)
+		}
+		got.WriteString(chunk)
+		off = next
+	}
+	if chunks < 2 {
+		t.Errorf("exposition of %d bytes served in %d chunk, want continuations", len(text), chunks)
+	}
+	if got.String() != text {
+		t.Fatalf("reassembled chunks differ from the registry exposition: %d vs %d bytes", got.Len(), len(text))
+	}
+
+	points, err := Metrics(context.Background(), n, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	next, chunk, err := decodeMetricsChunk(resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if next <= 0 || len(chunk) > obs.ExpositionChunkBytes {
-		t.Errorf("first metrics-get reply: next %d, chunk %d bytes; want a continuation within %d bytes",
-			next, len(chunk), obs.ExpositionChunkBytes)
-	}
-	got, err := Metrics(context.Background(), n, srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("chunked scrape parsed %d series, want %d", len(got), len(want))
+	if !reflect.DeepEqual(points, want) {
+		t.Fatalf("chunked scrape parsed %d points that differ from the exposition's %d", len(points), len(want))
 	}
 }
 
