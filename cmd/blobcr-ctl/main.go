@@ -311,7 +311,7 @@ func withTimeout(timeout time.Duration) (context.Context, context.CancelFunc) {
 
 // storeQuery renders one data provider's storage-engine counters, and with
 // the `compact` subcommand first runs a compaction pass on it. Only the
-// provider address is needed — the verb goes straight to that daemon.
+// provider address is needed — the op goes straight to that daemon.
 func storeQuery(addr string, timeout time.Duration, args []string) {
 	ctx := context.Background()
 	if timeout > 0 {
@@ -377,34 +377,27 @@ func preemptQuery(addr string, timeout time.Duration) {
 // supervisorQuery fetches a running supervisor's event stream or status
 // summary from its introspection endpoint over TCP.
 func supervisorQuery(addr string, timeout time.Duration, args []string) {
-	ctx := context.Background()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	req := "STATUS"
-	if args[0] == "events" {
-		since := 0
-		if len(args) > 1 {
-			since = int(parseU64(args[1]))
+	ctx, cancel := withTimeout(timeout)
+	defer cancel()
+	net := transport.NewTCP()
+	if args[0] == "status" {
+		line, err := supervisor.Status(ctx, net, addr)
+		if err != nil {
+			log.Fatal(err)
 		}
-		req = fmt.Sprintf("EVENTS %d", since)
+		fmt.Println(line)
+		return
 	}
-	resp, err := transport.NewTCP().Call(ctx, addr, []byte(req))
+	var since uint64
+	if len(args) > 1 {
+		since = parseU64(args[1])
+	}
+	lines, err := supervisor.Events(ctx, net, addr, since)
 	if err != nil {
 		log.Fatal(err)
 	}
-	s := string(resp)
-	if !strings.HasPrefix(s, "OK") {
-		log.Fatalf("supervisor: %s", s)
-	}
-	if args[0] == "status" {
-		fmt.Println(strings.TrimPrefix(strings.TrimPrefix(s, "OK"), " "))
-		return
-	}
-	if _, body, found := strings.Cut(s, "\n"); found {
-		fmt.Println(body)
+	for _, l := range lines {
+		fmt.Println(l)
 	}
 }
 

@@ -9,12 +9,13 @@ import (
 	"time"
 
 	"blobcr/internal/obs"
+	"blobcr/internal/supervisor"
 	"blobcr/internal/transport"
 )
 
 // traceQuery collects one distributed trace's spans from a set of endpoints
 // and renders the assembled cross-process tree plus its critical path. Every
-// endpoint — proxy, supervisor, repair daemon or BlobSeer service — answers
+// endpoint — proxy, supervisor or BlobSeer service — answers
 // the same trace-get op. Endpoints that hold no spans for the trace simply
 // contribute nothing — a trace rarely touches every service.
 func traceQuery(addrList, traceHex string, timeout time.Duration) {
@@ -72,7 +73,7 @@ func printSpanTree(n *obs.SpanNode, origin time.Time, depth int) {
 
 // flightQuery dumps a flight-recorder ring: the endpoint's own (flight-get,
 // which every endpoint answers) or, with a node argument against a
-// supervisor, the mirrored post-mortem dump of that node (FLIGHT <node>).
+// supervisor, the mirrored post-mortem dump of that node (its FLIGHT op).
 func flightQuery(addr, node string, timeout time.Duration) {
 	ctx, cancel := withTimeout(timeout)
 	defer cancel()
@@ -81,23 +82,12 @@ func flightQuery(addr, node string, timeout time.Duration) {
 	var err error
 	final := false
 	if node == "" {
-		if spans, err = transport.Flight(ctx, net, addr); err != nil {
-			log.Fatalf("flight: %v", err)
-		}
+		spans, err = transport.Flight(ctx, net, addr)
 	} else {
-		resp, cerr := net.Call(ctx, addr, []byte("FLIGHT "+node))
-		if cerr != nil {
-			log.Fatalf("flight: %v", cerr)
-		}
-		head, body, _ := strings.Cut(string(resp), "\n")
-		fields := strings.Fields(head)
-		if len(fields) < 2 || fields[0] != "OK" {
-			log.Fatalf("flight: %s", strings.TrimSpace(head))
-		}
-		final = len(fields) > 2 && fields[2] == "FINAL"
-		if spans, err = obs.ParseSpans([]byte(body)); err != nil {
-			log.Fatalf("flight: %v", err)
-		}
+		spans, final, err = supervisor.Flight(ctx, net, addr, node)
+	}
+	if err != nil {
+		log.Fatalf("flight: %v", err)
 	}
 	what := addr
 	if node != "" {

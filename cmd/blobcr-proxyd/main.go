@@ -6,15 +6,15 @@
 //	blobcr-proxyd -vmanager host:7700 -pmanager host:7701 \
 //	    -meta host:7710,host:7711 -base 1 -instances 2 -listen 127.0.0.1:7800
 //
-// Tokens for the hosted instances are printed at startup; guests use them
-// with the proxy protocol (CHECKPOINT <vm-id> <token>).
+// Tokens for the hosted instances are printed at startup; guests pass them
+// with the VM id in every instance op (proxy.Client).
 //
 // -stage-dir enables multilevel checkpointing: captures are staged in a
 // node-local write-back tier (a segment log under that directory) and
 // acknowledged locally safe as soon as they are staged — and replicated to
 // the -partner proxy, when one is named — while a background drain publishes
 // them to the BlobSeer plane. The WAITLOCAL, BACKLOG, DRAIN-NOW and DRAINFOR
-// verbs (and blobcr-ctl preempt) control the tier.
+// ops (and blobcr-ctl preempt) control the tier.
 //
 // The proxy answers the introspection ops every endpoint shares
 // (transport.Introspect) on its own port: metrics (blobcr-ctl metrics;
@@ -74,7 +74,7 @@ func main() {
 	// metrics-get op and the -debug-addr /metrics page both scrape it. The
 	// history ring lets the same registry answer windowed history queries
 	// server-side.
-	net := transport.WithMeter(transport.NewTCP(), nil, blobseer.VerbName)
+	net := transport.WithMeter(transport.NewTCP(), nil)
 	if *history > 0 {
 		obs.Default.StartHistory(*history, 256)
 	}

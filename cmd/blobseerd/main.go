@@ -53,7 +53,7 @@ func main() {
 	// Meter outbound wire calls (a data provider calls the provider manager
 	// to register) into the default registry, scraped by -debug-addr. The
 	// history ring lets the same registry answer windowed history queries.
-	net := transport.WithMeter(transport.NewTCP(), nil, blobseer.VerbName)
+	net := transport.WithMeter(transport.NewTCP(), nil)
 	if *history > 0 {
 		obs.Default.StartHistory(*history, 256)
 	}

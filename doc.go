@@ -182,8 +182,8 @@
 // frames and failovers; the proxy records the suspend window; the
 // supervisor its heartbeat RTTs, MTTR and dropped events (its event log is
 // a fixed-capacity ring); the repair plane its scrub findings and restored
-// bytes. Every wire endpoint — the proxy, supervisor and repairer and the
-// four BlobSeer services — answers the metrics-get op with versioned
+// bytes. Every wire endpoint — the proxy, the supervisor and the four
+// BlobSeer services — answers the metrics-get op with versioned
 // Prometheus text that obs.ParseProm reads back;
 // blobcr-ctl metrics renders the operator view (per-stage suspend-window
 // breakdown, per-provider latency, dedup hit-rate; -watch redraws live),
@@ -208,14 +208,24 @@
 // flight-get op and blobcr-ctl flight; the supervisor mirrors each node's
 // ring during heartbeat rounds and archives the last mirror as a FINAL
 // post-mortem when its failure detector confirms a death (the supervisor's
-// FLIGHT <node> control verb), so a dead provider's final group commits
+// FLIGHT op, supervisor.Flight), so a dead provider's final group commits
 // remain readable after the process is gone. The five introspection ops
 // (trace-get, flight-get, history-get, metrics-get, health-get, bytes
-// 0xE0–0xE4, above every text verb and BlobSeer op) are mounted once per
-// endpoint by transport.Introspect and fetched by one client
-// (transport.Metrics, Trace, Flight, History, Health); oversized
-// expositions continue in chunks that transport.Metrics reassembles,
-// refusing a continuation that does not advance.
+// 0xE0–0xE4) are mounted once per endpoint by transport.Introspect and
+// fetched by one client (transport.Metrics, Trace, Flight, History,
+// Health); oversized expositions continue in chunks that transport.Metrics
+// reassembles, refusing a continuation that does not advance.
+//
+// The whole plane speaks one wire dialect: a request is an op byte followed
+// by wire-encoded fields, and every op byte is named once in the
+// transport's registry (transport.RegisterOps) — BlobSeer's below 0x80, the
+// supervisor's 0xB0–0xB2, the proxy's 0xC0–0xC9 and its stage frames
+// 0xD0–0xD1, introspection 0xE0–0xE4, transport markers from 0xF0. A byte
+// registered twice panics at start-up, an endpoint refuses an op it does
+// not own before decoding anything after it, and a refused request is a
+// handler error — on TCP the response's status byte — so callers see a
+// *transport.RemoteError and transport.Meter counts it under
+// transport_errors_total for its verb.
 //
 // # Cluster health plane
 //

@@ -101,7 +101,7 @@ func (c *Client) rpc(ctx context.Context, addr, verb string, req []byte) ([]byte
 // decodes errors.
 func (c *Client) call(ctx context.Context, addr string, w *wire.Buffer) (*wire.Reader, error) {
 	req := w.Bytes()
-	resp, err := c.rpc(ctx, addr, OpName(req[0]), req)
+	resp, err := c.rpc(ctx, addr, transport.OpName(req[0]), req)
 	if err != nil {
 		return nil, err
 	}
@@ -1025,7 +1025,7 @@ func (c *Client) PutHint(ctx context.Context, blob uint64, indices []uint64) err
 	w := wire.NewBuffer(16 + 3*len(indices))
 	w.PutU8(opHintPut)
 	w.PutU64(blob)
-	putIndices(w, indices)
+	w.PutIndices(indices)
 	_, err := c.call(ctx, c.VMAddr, w)
 	return err
 }
@@ -1040,7 +1040,8 @@ func (c *Client) GetHint(ctx context.Context, blob uint64) ([]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return getIndices(r, ^uint64(0))
+	hint := r.Indices(^uint64(0))
+	return hint, r.Err()
 }
 
 // ReclaimStats reports what a Retire released through the content-addressed

@@ -68,7 +68,7 @@ func TestHintIsOneCappedRecordPerBlob(t *testing.T) {
 	w := wire.NewBuffer(32)
 	w.PutU8(opHintPut)
 	w.PutU64(blob)
-	putIndices(w, []uint64{300, 5})
+	w.PutIndices([]uint64{300, 5})
 	frame := w.Bytes()
 	for cut := 1; cut < len(frame); cut++ {
 		if _, err := c.Net.Call(ctx, d.VMAddr, frame[:cut]); err == nil {

@@ -375,7 +375,7 @@ func batchFrames() map[string][]byte {
 	w = wire.NewBuffer(64)
 	w.PutU8(opHintPut)
 	w.PutU64(1) // the blob handlerFor creates
-	putIndices(w, []uint64{300, 5, 1 << 40})
+	w.PutIndices([]uint64{300, 5, 1 << 40})
 	frames["opHintPut"] = append([]byte(nil), w.Bytes()...)
 
 	return frames

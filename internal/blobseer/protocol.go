@@ -310,43 +310,10 @@ func getManifest(r *wire.Reader) ([]manifestEntry, error) {
 }
 
 // getCount decodes the item count of a list whose items each occupy at
-// least one byte, rejecting a count the rest of the frame cannot hold — so a
-// corrupt count fails the decode before anything is allocated from it.
+// least one byte (wire.Reader.Count).
 func getCount(r *wire.Reader) (uint64, error) {
-	n := r.Uvarint()
-	if err := r.Err(); err != nil {
-		return 0, err
-	}
-	if n > uint64(r.Remaining()) {
-		return 0, fmt.Errorf("blobseer: implausible count %d with %d bytes left in the frame", n, r.Remaining())
-	}
-	return n, nil
-}
-
-// putIndices encodes a chunk-index list: a uvarint count, then the indices.
-func putIndices(w *wire.Buffer, indices []uint64) {
-	w.PutUvarint(uint64(len(indices)))
-	for _, idx := range indices {
-		w.PutUvarint(idx)
-	}
-}
-
-// getIndices decodes a chunk-index list of at most limit entries. A count
-// over the limit, or more than the frame can hold, fails before anything is
-// allocated from it.
-func getIndices(r *wire.Reader, limit uint64) ([]uint64, error) {
-	n, err := getCount(r)
-	if err != nil {
-		return nil, err
-	}
-	if n > limit {
-		return nil, fmt.Errorf("blobseer: %d chunk indices over the limit of %d", n, limit)
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = r.Uvarint()
-	}
-	return out, r.Err()
+	n := r.Count()
+	return n, r.Err()
 }
 
 // getProviderList decodes a write event's replica provider addresses.

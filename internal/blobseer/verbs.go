@@ -9,8 +9,9 @@ import (
 )
 
 // opNames maps every BlobSeer wire op code to a stable metric-friendly
-// verb name. The ranges mirror protocol.go: version manager (1..), provider
-// manager (32..), data providers (64..), metadata providers (96..).
+// verb name, registered in the transport's one op registry. The ranges
+// mirror protocol.go: version manager (1..), provider manager (32..), data
+// providers (64..), metadata providers (96..).
 var opNames = map[byte]string{
 	opCreate:     "create",
 	opTicket:     "ticket",
@@ -52,6 +53,8 @@ var opNames = map[byte]string{
 	opNodeGetBatch: "node-get-batch",
 }
 
+func init() { transport.RegisterOps(opNames) }
+
 // handlerSpan prepares the server-side context for one decoded request —
 // spans below record into the server's own registry, detached from any
 // in-process caller's flat Trace — and opens the handler span, which
@@ -65,28 +68,6 @@ func handlerSpan(ctx context.Context, reg *obs.Registry, op int) (context.Contex
 	return obs.StartSpan(ctx, "handler/"+name)
 }
 
-// OpName returns the verb name of a BlobSeer op code, or "" when the byte
-// is not a known op.
-func OpName(op byte) string { return opNames[op] }
-
-// VerbName maps a request frame to its operation name for the transport
-// Meter: the REST-ful text protocols (proxy, supervisor, repair) are named
-// by their first command word, BlobSeer binary frames and the introspection
-// ops every endpoint answers by their leading op byte. Text is tried first
-// because the data-provider op range (64..) collides with ASCII capitals —
-// "CHECKPOINT..." leads with 'C' (67, also opChunkList); a genuine command
-// word (≥ 3 capitals then a separator) cannot be confused with an op byte
-// followed by wire-encoded lengths.
-// Use with transport.WithMeter.
-func VerbName(req []byte) string {
-	if len(req) == 0 {
-		return ""
-	}
-	if word := transport.TextVerb(req); len(word) >= 3 {
-		return word
-	}
-	if name := opNames[req[0]]; name != "" {
-		return name
-	}
-	return transport.IntrospectOpName(req[0])
-}
+// VerbName is transport.VerbName, kept for callers outside the module tree
+// that name frames through this package.
+func VerbName(req []byte) string { return transport.VerbName(req) }

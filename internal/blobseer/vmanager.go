@@ -478,14 +478,14 @@ func (vm *VersionManager) handle(ctx context.Context, req []byte) ([]byte, error
 			return nil, fmt.Errorf("%w: %d", ErrBlobNotFound, blob)
 		}
 		if op == opHintGet {
-			putIndices(w, b.hint)
+			w.PutIndices(b.hint)
 			break
 		}
 		// Decoded whole before it replaces anything: a corrupt or oversized
 		// record leaves the previous one in place.
-		hint, err := getIndices(r, maxHintBytes/b.chunkSize)
-		if err != nil {
-			return nil, fmt.Errorf("blobseer: bad request for op %d: %w", op, err)
+		hint := r.Indices(maxHintBytes / b.chunkSize)
+		if err := reqErr(op, r); err != nil {
+			return nil, err
 		}
 		b.hint = hint
 

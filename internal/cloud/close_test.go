@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"blobcr/internal/proxy"
 	"blobcr/internal/transport"
 )
 
@@ -49,14 +50,14 @@ func TestCloseStopsProxyListeners(t *testing.T) {
 				t.Fatalf("%d nodes, want 4", len(nodes))
 			}
 			for _, n := range nodes {
-				if _, err := net.Call(ctx, n.ProxyAddr, []byte("PING")); err != nil {
+				if _, err := proxy.Ping(ctx, net, n.ProxyAddr); err != nil {
 					t.Fatalf("%s: ping before close: %v", n.Name, err)
 				}
 			}
 			c.Close()
 			c.Close()
 			for _, n := range nodes {
-				if _, err := tc.probe.Call(ctx, n.ProxyAddr, []byte("PING")); !errors.Is(err, transport.ErrUnreachable) {
+				if _, err := proxy.Ping(ctx, tc.probe, n.ProxyAddr); !errors.Is(err, transport.ErrUnreachable) {
 					t.Errorf("%s: call after Close = %v, want ErrUnreachable", n.Name, err)
 				}
 			}

@@ -199,7 +199,7 @@ func New(cfg Config) (*Cloud, error) {
 	}
 	// Meter outermost: shaping wrappers underneath (Latency, Bandwidth) stay
 	// visible in what it measures, and fault injection forwards through it.
-	net = transport.WithMeter(net, reg, blobseer.VerbName)
+	net = transport.WithMeter(net, reg)
 	newStore := cfg.Stores
 	if newStore == nil {
 		newStore = blobseer.MemStores

@@ -2,8 +2,6 @@ package cloud
 
 import (
 	"bytes"
-	"fmt"
-	"strings"
 	"testing"
 
 	"blobcr/internal/blobseer"
@@ -216,7 +214,7 @@ func TestLocalTierRestartInPlaceDrainsOwnTier(t *testing.T) {
 	}
 }
 
-// TestLocalTierStatusSurfacesBacklog: the proxy STATUS line carries the
+// TestLocalTierStatusSurfacesBacklog: the proxy's STATUS reply carries the
 // owner's staged backlog while the drain is wedged.
 func TestLocalTierStatusSurfacesBacklog(t *testing.T) {
 	c := newTierCloud(t, 2)
@@ -242,18 +240,15 @@ func TestLocalTierStatusSurfacesBacklog(t *testing.T) {
 	if _, err := inst.Proxy.WaitCheckpointLocal(ctx, handle); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := c.Network().Call(ctx, inst.Node.ProxyAddr,
-		[]byte(fmt.Sprintf("STATUS %s %s", inst.VMID, inst.Proxy.Token)))
+	staged, err := inst.Proxy.Staged(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := string(resp)
-	if !strings.Contains(st, "staged=") || strings.Contains(st, "staged=0/0") {
-		t.Errorf("STATUS = %q, want a non-empty staged=<ckpts>/<bytes> field", st)
+	if staged.Checkpoints != 1 || staged.Chunks == 0 || staged.Bytes == 0 {
+		t.Errorf("STATUS staged = %+v, want the one wedged capture", staged)
 	}
-	// The typed client keeps parsing the extended line.
-	if state, _, _, err := inst.Proxy.Status(ctx); err != nil || state == "" {
-		t.Errorf("Client.Status over extended line: %q, %v", state, err)
+	if state, _, _, err := inst.Proxy.Status(ctx); err != nil || state != "running" {
+		t.Errorf("Client.Status beside a staged backlog: %q, %v", state, err)
 	}
 	own, partner, err := proxy.Backlog(ctx, c.Network(), inst.Node.ProxyAddr)
 	if err != nil {

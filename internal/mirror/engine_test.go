@@ -222,7 +222,7 @@ type verbNet struct {
 
 func (n *verbNet) Call(ctx context.Context, addr string, req []byte) ([]byte, error) {
 	n.mu.Lock()
-	n.counts[blobseer.VerbName(req)]++
+	n.counts[transport.VerbName(req)]++
 	n.mu.Unlock()
 	return n.Network.Call(ctx, addr, req)
 }

@@ -15,28 +15,29 @@
 // handle that WAIT or POLL resolve to the published snapshot once the
 // upload completes.
 //
-// For maximum compatibility the protocol is a simple REST-ful text exchange:
+// The proxy speaks the plane's one binary dialect: each request is an op
+// byte named in the transport's op registry, followed by its fields in the
+// wire encoding; a refused request is a handler error, which the caller
+// receives as a *transport.RemoteError. Instance ops carry the VM id and its
+// token as two strings after the op byte:
 //
-//	request:  CHECKPOINT <vm-id> <token>
-//	response: OK <handle> | ERR <message>
+//	op    name        request fields            reply
+//	0xC0  CHECKPOINT  vm, token                 u64 handle
+//	0xC1  WAIT        vm, token, u64 handle     u64 blob, u64 version
+//	0xC2  POLL        vm, token, u64 handle     bool done, u64 blob, u64 version
+//	0xC3  WAITLOCAL   vm, token, u64 handle     u64 seq
+//	0xC4  STATUS      vm, token                 string state, uvarint dirty, uvarint pending, staged backlog
+//	0xC5  PREFETCH    vm, token, index list     empty
+//	0xC6  PING        —                         uvarint instances
+//	0xC7  BACKLOG     —                         own backlog, partner backlog
+//	0xC8  DRAIN-NOW   —                         uvarint modules drained
+//	0xC9  DRAINFOR    owner, u64 seq            u64 blob, u64 version
+//	0xD0  stage-put   capture header, chunks    empty
+//	0xD1  stage-release owner, u64 seq, ref     empty
 //
-//	request:  WAIT <vm-id> <token> <handle>
-//	response: OK <checkpoint-blob> <snapshot-version> | ERR <message>
-//
-//	request:  POLL <vm-id> <token> <handle>
-//	response: OK PENDING | OK LOCAL <seq> | OK DONE <checkpoint-blob> <snapshot-version> | ERR <message>
-//
-//	request:  WAITLOCAL <vm-id> <token> <handle>
-//	response: OK LOCAL <seq> | ERR <message>
-//
-//	request:  STATUS <vm-id> <token>
-//	response: OK <state> <dirty-chunks> <pending-commits> [staged=<ckpts>/<bytes>] | ERR <message>
-//
-//	request:  PREFETCH <vm-id> <token> <idx,idx,...>
-//	response: OK <count> | ERR <message>
-//
-//	request:  PING
-//	response: OK PONG <registered-instances>
+// A backlog is uvarint checkpoints, uvarint chunks, u64 bytes; an index list
+// is wire's (Buffer.PutIndices). The node ops from PING on are tokenless,
+// and all but PING need a local tier (stage.go).
 //
 // PREFETCH pages the listed chunks into the instance's local mirror cache
 // ahead of demand (the paper's adaptive prefetching on restart): the module
@@ -54,11 +55,11 @@ package proxy
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -68,6 +69,7 @@ import (
 	"blobcr/internal/obs"
 	"blobcr/internal/transport"
 	"blobcr/internal/vm"
+	"blobcr/internal/wire"
 )
 
 // Errors surfaced to callers.
@@ -77,6 +79,137 @@ var (
 	ErrProto         = errors.New("proxy: malformed request")
 	ErrUnknownHandle = errors.New("proxy: unknown checkpoint handle")
 )
+
+// Proxy op codes (the table in the package comment).
+const (
+	opCheckpoint = 0xC0 + iota
+	opWait
+	opPoll
+	opWaitLocal
+	opStatus
+	opPrefetch
+	opPing
+	opBacklog
+	opDrainNow
+	opDrainFor
+
+	opStagePut     = 0xD0
+	opStageRelease = 0xD1
+)
+
+func init() {
+	transport.RegisterOps(map[byte]string{
+		opCheckpoint:   "CHECKPOINT",
+		opWait:         "WAIT",
+		opPoll:         "POLL",
+		opWaitLocal:    "WAITLOCAL",
+		opStatus:       "STATUS",
+		opPrefetch:     "PREFETCH",
+		opPing:         "PING",
+		opBacklog:      "BACKLOG",
+		opDrainNow:     "DRAIN-NOW",
+		opDrainFor:     "DRAINFOR",
+		opStagePut:     "stage-put",
+		opStageRelease: "stage-release",
+	})
+}
+
+// request is one proxy request, decoded or to be encoded. Which fields an op
+// carries is the package comment's table.
+type request struct {
+	op      byte
+	vm      string // the instance; the owner of DRAINFOR and stage-release
+	token   string
+	arg     uint64 // the checkpoint handle; the seq of DRAINFOR and stage-release
+	indices []uint64
+	ref     blobseer.SnapshotRef // stage-release
+
+	capture *localtier.Capture // stage-put
+	chunks  []blobseer.Chunk   // stage-put
+}
+
+// encode builds q's request frame.
+func (q request) encode() []byte {
+	if q.op == opStagePut {
+		return encodeStagePut(q.capture, q.chunks)
+	}
+	w := wire.NewBuffer(1 + 2*binary.MaxVarintLen32 + len(q.vm) + len(q.token) + 3*8 + len(q.indices)*binary.MaxVarintLen64)
+	w.PutU8(q.op)
+	switch q.op {
+	case opCheckpoint, opStatus:
+		w.PutString(q.vm)
+		w.PutString(q.token)
+	case opWait, opPoll, opWaitLocal:
+		w.PutString(q.vm)
+		w.PutString(q.token)
+		w.PutU64(q.arg)
+	case opPrefetch:
+		w.PutString(q.vm)
+		w.PutString(q.token)
+		w.PutIndices(q.indices)
+	case opDrainFor:
+		w.PutString(q.vm)
+		w.PutU64(q.arg)
+	case opStageRelease:
+		w.PutString(q.vm)
+		w.PutU64(q.arg)
+		putRef(w, q.ref)
+	}
+	return w.Bytes()
+}
+
+// decodeRequest parses a request frame. The frame comes off the network, so
+// an unknown op, a truncated field or a byte past the last field rejects it
+// whole, before anything is served.
+func decodeRequest(frame []byte) (request, error) {
+	if len(frame) > 0 && frame[0] == opStagePut {
+		c, chunks, err := decodeStagePut(frame)
+		return request{op: opStagePut, capture: &c, chunks: chunks}, err
+	}
+	r := wire.NewReader(frame)
+	q := request{op: r.U8()}
+	switch q.op {
+	case opCheckpoint, opStatus:
+		q.vm, q.token = r.String(), r.String()
+	case opWait, opPoll, opWaitLocal:
+		q.vm, q.token, q.arg = r.String(), r.String(), r.U64()
+	case opPrefetch:
+		q.vm, q.token, q.indices = r.String(), r.String(), r.Indices(math.MaxUint64)
+	case opDrainFor:
+		q.vm, q.arg = r.String(), r.U64()
+	case opStageRelease:
+		q.vm, q.arg, q.ref = r.String(), r.U64(), getRef(r)
+	case opPing, opBacklog, opDrainNow:
+	default:
+		return q, fmt.Errorf("proxy: unknown op 0x%02X", q.op)
+	}
+	if err := r.Err(); err != nil {
+		return q, fmt.Errorf("%w: %s: %w", ErrProto, transport.OpName(q.op), err)
+	}
+	if r.Remaining() != 0 {
+		return q, fmt.Errorf("%w: %s: %d bytes after the last field", ErrProto, transport.OpName(q.op), r.Remaining())
+	}
+	return q, nil
+}
+
+func putRef(w *wire.Buffer, ref blobseer.SnapshotRef) {
+	w.PutU64(ref.Blob)
+	w.PutU64(ref.Version)
+}
+
+func getRef(r *wire.Reader) blobseer.SnapshotRef {
+	return blobseer.SnapshotRef{Blob: r.U64(), Version: r.U64()}
+}
+
+func putBacklog(w *wire.Buffer, b localtier.Backlog) {
+	w.PutUvarint(uint64(b.Checkpoints))
+	w.PutUvarint(uint64(b.Chunks))
+	w.PutU64(b.Bytes)
+}
+
+func getBacklog(r *wire.Reader) localtier.Backlog {
+	return localtier.Backlog{Checkpoints: int(r.Uvarint()), Chunks: int(r.Uvarint()), Bytes: r.U64()}
+}
 
 // target is one locally hosted, checkpointable VM.
 type target struct {
@@ -179,155 +312,79 @@ func (p *Proxy) lookup(vmID, token string) (*target, error) {
 	return t, nil
 }
 
-func (p *Proxy) handle(ctx context.Context, req []byte) ([]byte, error) {
-	// Binary frames (first byte ≥ 0x80) past the introspection wrapper are
-	// the partner-replication ops of the local tier; text verbs start with
-	// ASCII letters.
-	if len(req) > 0 && req[0] >= 0x80 {
-		return p.handleStageFrame(ctx, req)
-	}
-	fields := strings.Fields(string(req))
-	if len(fields) == 1 && fields[0] == "PING" {
-		p.mu.Lock()
-		n := len(p.targets)
-		p.mu.Unlock()
-		return []byte(fmt.Sprintf("OK PONG %d", n)), nil
-	}
-	if len(fields) == 0 {
-		return []byte("ERR malformed request"), nil
-	}
-	// The drain-control verbs are node-level and tokenless like PING; all of
-	// them require a local tier.
-	switch fields[0] {
-	case "BACKLOG", "DRAIN-NOW", "DRAINFOR":
-		if p.Stage == nil {
-			return []byte("ERR no local tier attached"), nil
-		}
-		switch {
-		case fields[0] == "BACKLOG" && len(fields) == 1:
-			return p.backlogReply(), nil
-		case fields[0] == "DRAIN-NOW" && len(fields) == 1:
-			n, err := p.drainAllNow(ctx)
-			if err != nil {
-				return []byte("ERR " + err.Error()), nil
-			}
-			return []byte(fmt.Sprintf("OK %d", n)), nil
-		case fields[0] == "DRAINFOR" && len(fields) == 3:
-			seq, err := strconv.ParseUint(fields[2], 10, 64)
-			if err != nil {
-				return []byte("ERR bad sequence " + fields[2]), nil
-			}
-			ref, err := p.drainFor(ctx, fields[1], seq)
-			if err != nil {
-				return []byte("ERR " + err.Error()), nil
-			}
-			return []byte(fmt.Sprintf("OK %d %d", ref.Blob, ref.Version)), nil
-		default:
-			return []byte("ERR malformed request"), nil
-		}
-	}
-	if len(fields) < 3 {
-		return []byte("ERR malformed request"), nil
-	}
-	verb, vmID, token := fields[0], fields[1], fields[2]
-	t, err := p.lookup(vmID, token)
+func (p *Proxy) handle(ctx context.Context, frame []byte) ([]byte, error) {
+	q, err := decodeRequest(frame)
 	if err != nil {
-		return []byte("ERR " + err.Error()), nil
+		return nil, err
 	}
-	switch verb {
-	case "CHECKPOINT":
-		if len(fields) != 3 {
-			return []byte("ERR malformed request"), nil
-		}
-		handle, err := p.checkpoint(ctx, t)
-		if err != nil {
-			return []byte("ERR " + err.Error()), nil
-		}
-		return []byte(fmt.Sprintf("OK %d", handle)), nil
-	case "WAIT":
-		if len(fields) != 4 {
-			return []byte("ERR malformed request"), nil
-		}
-		ref, err := p.wait(ctx, t, fields[3])
-		if err != nil {
-			return []byte("ERR " + err.Error()), nil
-		}
-		return []byte(fmt.Sprintf("OK %d %d", ref.Blob, ref.Version)), nil
-	case "POLL":
-		if len(fields) != 4 {
-			return []byte("ERR malformed request"), nil
-		}
-		pc, err := t.commit(fields[3])
-		if err != nil {
-			return []byte("ERR " + err.Error()), nil
-		}
-		ref, done, err := p.poll(t, fields[3])
-		if err != nil {
-			return []byte("ERR " + err.Error()), nil
-		}
-		if !done {
-			// Two-watermark state: a capture that reached the local tier is
-			// reported LOCAL (locally safe, not yet globally durable).
-			if pc.LocallySafe() {
-				return []byte(fmt.Sprintf("OK LOCAL %d", pc.Seq())), nil
-			}
-			return []byte("OK PENDING"), nil
-		}
-		return []byte(fmt.Sprintf("OK DONE %d %d", ref.Blob, ref.Version)), nil
-	case "WAITLOCAL":
-		if len(fields) != 4 {
-			return []byte("ERR malformed request"), nil
-		}
-		pc, err := t.commit(fields[3])
-		if err != nil {
-			return []byte("ERR " + err.Error()), nil
-		}
-		if err := pc.WaitLocallySafe(ctx); err != nil {
-			return []byte("ERR " + err.Error()), nil
-		}
-		return []byte(fmt.Sprintf("OK LOCAL %d", pc.Seq())), nil
-	case "STATUS":
-		if len(fields) != 3 {
-			return []byte("ERR malformed request"), nil
-		}
-		resp := fmt.Sprintf("OK %s %d %d", t.inst.State(), t.mirror.DirtyChunks(), t.mirror.PendingCommits())
-		if p.Stage != nil {
-			b := p.Stage.OwnerBacklog(vmID)
-			resp += fmt.Sprintf(" staged=%d/%d", b.Checkpoints, b.Bytes)
-		}
-		return []byte(resp), nil
-	case "PREFETCH":
-		if len(fields) != 4 {
-			return []byte("ERR malformed request"), nil
-		}
-		indices, err := parseIndices(fields[3])
-		if err != nil {
-			return []byte("ERR " + err.Error()), nil
-		}
-		if err := t.mirror.Prefetch(ctx, indices); err != nil {
-			return []byte("ERR " + err.Error()), nil
-		}
-		return []byte(fmt.Sprintf("OK %d", len(indices))), nil
+	w := wire.NewBuffer(32)
+	switch q.op {
+	case opPing:
+		p.mu.Lock()
+		w.PutUvarint(uint64(len(p.targets)))
+		p.mu.Unlock()
+	case opBacklog, opDrainNow, opDrainFor, opStagePut, opStageRelease:
+		err = p.serveTier(ctx, q, w)
 	default:
-		return []byte("ERR unknown verb " + verb), nil
+		var t *target
+		if t, err = p.lookup(q.vm, q.token); err == nil {
+			err = p.serveInstance(ctx, t, q, w)
+		}
 	}
+	if err != nil {
+		return nil, err
+	}
+	return w.Bytes(), nil
 }
 
-// parseIndices decodes a PREFETCH request's comma-separated chunk list.
-func parseIndices(s string) ([]uint64, error) {
-	parts := strings.Split(s, ",")
-	out := make([]uint64, 0, len(parts))
-	for _, p := range parts {
-		if p == "" {
-			continue
-		}
-		v, err := strconv.ParseUint(p, 10, 64)
+// serveInstance answers an instance op for the authenticated target t.
+func (p *Proxy) serveInstance(ctx context.Context, t *target, q request, w *wire.Buffer) error {
+	switch q.op {
+	case opCheckpoint:
+		handle, err := p.checkpoint(ctx, t)
 		if err != nil {
-			return nil, fmt.Errorf("%w: bad chunk index %q", ErrProto, p)
+			return err
 		}
-		out = append(out, v)
+		w.PutU64(handle)
+	case opWait:
+		pc, err := t.commit(q.arg)
+		if err != nil {
+			return err
+		}
+		ref, err := pc.Wait(ctx)
+		if err != nil {
+			return err
+		}
+		putRef(w, ref)
+	case opPoll:
+		ref, done, err := t.poll(q.arg)
+		if err != nil {
+			return err
+		}
+		w.PutBool(done)
+		putRef(w, ref)
+	case opWaitLocal:
+		pc, err := t.commit(q.arg)
+		if err != nil {
+			return err
+		}
+		if err := pc.WaitLocallySafe(ctx); err != nil {
+			return err
+		}
+		w.PutU64(pc.Seq())
+	case opStatus:
+		w.PutString(t.inst.State().String())
+		w.PutUvarint(uint64(t.mirror.DirtyChunks()))
+		w.PutUvarint(uint64(t.mirror.PendingCommits()))
+		var staged localtier.Backlog
+		if p.Stage != nil {
+			staged = p.Stage.OwnerBacklog(q.vm)
+		}
+		putBacklog(w, staged)
+	default: // opPrefetch
+		return t.mirror.Prefetch(ctx, q.indices)
 	}
-	return out, nil
+	return nil
 }
 
 // checkpoint performs the clone-suspend-capture-resume sequence and returns
@@ -421,11 +478,7 @@ func (t *target) pruneHandlesLocked() {
 	}
 }
 
-func (t *target) commit(handleStr string) (*mirror.PendingCommit, error) {
-	h, err := strconv.ParseUint(handleStr, 10, 64)
-	if err != nil {
-		return nil, fmt.Errorf("%w: bad handle %q", ErrProto, handleStr)
-	}
+func (t *target) commit(h uint64) (*mirror.PendingCommit, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	pc, ok := t.pending[h]
@@ -435,29 +488,16 @@ func (t *target) commit(handleStr string) (*mirror.PendingCommit, error) {
 	return pc, nil
 }
 
-// wait blocks until the commit behind handle completes, then returns the
-// published snapshot.
-func (p *Proxy) wait(ctx context.Context, t *target, handleStr string) (blobseer.SnapshotRef, error) {
-	pc, err := t.commit(handleStr)
-	if err != nil {
-		return blobseer.SnapshotRef{}, err
-	}
-	return pc.Wait(ctx)
-}
-
 // poll reports the commit's state without blocking.
-func (p *Proxy) poll(t *target, handleStr string) (blobseer.SnapshotRef, bool, error) {
-	pc, err := t.commit(handleStr)
+func (t *target) poll(h uint64) (blobseer.SnapshotRef, bool, error) {
+	pc, err := t.commit(h)
 	if err != nil {
 		return blobseer.SnapshotRef{}, false, err
 	}
 	select {
 	case <-pc.Done():
-		if err := pc.Err(); err != nil {
-			return blobseer.SnapshotRef{}, true, err
-		}
 		ref, _ := pc.Ref()
-		return ref, true, nil
+		return ref, true, pc.Err()
 	default:
 		return blobseer.SnapshotRef{}, false, nil
 	}
@@ -472,6 +512,12 @@ type Client struct {
 	Token string
 }
 
+// do issues an instance op for this client's VM; handle is the checkpoint
+// handle of WAIT, POLL and WAITLOCAL.
+func (c *Client) do(ctx context.Context, op byte, handle uint64, read func(*wire.Reader)) error {
+	return transport.CallOp(ctx, c.Net, c.Addr, request{op: op, vm: c.VMID, token: c.Token, arg: handle}.encode(), read)
+}
+
 // RequestCheckpointAsync asks the proxy to snapshot this instance's disk.
 // It returns as soon as the instance has resumed: the commit proceeds in
 // the background, identified by the returned handle, which WaitCheckpoint
@@ -479,62 +525,23 @@ type Client struct {
 func (c *Client) RequestCheckpointAsync(ctx context.Context) (handle uint64, err error) {
 	ctx, sp := obs.StartSpan(ctx, "rpc/CHECKPOINT")
 	defer sp.End()
-	resp, err := c.Net.Call(ctx, c.Addr, []byte(fmt.Sprintf("CHECKPOINT %s %s", c.VMID, c.Token)))
-	if err != nil {
-		return 0, err
-	}
-	fields := strings.Fields(string(resp))
-	if len(fields) < 1 || fields[0] != "OK" {
-		return 0, errorFrom(resp)
-	}
-	if len(fields) != 2 {
-		return 0, fmt.Errorf("%w: %q", ErrProto, resp)
-	}
-	h, err := strconv.ParseUint(fields[1], 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("%w: %q", ErrProto, resp)
-	}
-	return h, nil
+	err = c.do(ctx, opCheckpoint, 0, func(r *wire.Reader) { handle = r.U64() })
+	return handle, err
 }
 
 // WaitCheckpoint blocks until the checkpoint behind handle has been
 // committed to the repository and returns the published snapshot.
-func (c *Client) WaitCheckpoint(ctx context.Context, handle uint64) (blobseer.SnapshotRef, error) {
-	resp, err := c.Net.Call(ctx, c.Addr, []byte(fmt.Sprintf("WAIT %s %s %d", c.VMID, c.Token, handle)))
-	if err != nil {
-		return blobseer.SnapshotRef{}, err
-	}
-	return parseRef(resp)
+func (c *Client) WaitCheckpoint(ctx context.Context, handle uint64) (ref blobseer.SnapshotRef, err error) {
+	err = c.do(ctx, opWait, handle, func(r *wire.Reader) { ref = getRef(r) })
+	return ref, err
 }
 
 // PollCheckpoint reports without blocking whether the checkpoint behind
-// handle has completed, and if so returns the published snapshot.
+// handle has completed, and if so returns the published snapshot. A
+// checkpoint that is only locally safe is still pending.
 func (c *Client) PollCheckpoint(ctx context.Context, handle uint64) (ref blobseer.SnapshotRef, done bool, err error) {
-	resp, err := c.Net.Call(ctx, c.Addr, []byte(fmt.Sprintf("POLL %s %s %d", c.VMID, c.Token, handle)))
-	if err != nil {
-		return blobseer.SnapshotRef{}, false, err
-	}
-	fields := strings.Fields(string(resp))
-	if len(fields) < 1 || fields[0] != "OK" {
-		return blobseer.SnapshotRef{}, false, errorFrom(resp)
-	}
-	switch {
-	case len(fields) == 2 && fields[1] == "PENDING":
-		return blobseer.SnapshotRef{}, false, nil
-	case len(fields) == 3 && fields[1] == "LOCAL":
-		// Locally safe but not yet globally durable: still pending from the
-		// durability watermark's point of view.
-		return blobseer.SnapshotRef{}, false, nil
-	case len(fields) == 4 && fields[1] == "DONE":
-		blob, err1 := strconv.ParseUint(fields[2], 10, 64)
-		version, err2 := strconv.ParseUint(fields[3], 10, 64)
-		if err1 != nil || err2 != nil {
-			return blobseer.SnapshotRef{}, false, fmt.Errorf("%w: %q", ErrProto, resp)
-		}
-		return blobseer.SnapshotRef{Blob: blob, Version: version}, true, nil
-	default:
-		return blobseer.SnapshotRef{}, false, fmt.Errorf("%w: %q", ErrProto, resp)
-	}
+	err = c.do(ctx, opPoll, handle, func(r *wire.Reader) { done, ref = r.Bool(), getRef(r) })
+	return ref, done, err
 }
 
 // RequestCheckpoint is the synchronous convenience wrapper: it requests the
@@ -549,27 +556,27 @@ func (c *Client) RequestCheckpoint(ctx context.Context) (blobseer.SnapshotRef, e
 	return c.WaitCheckpoint(ctx, handle)
 }
 
+// status fetches the STATUS reply.
+func (c *Client) status(ctx context.Context) (state string, dirty, pending int, staged localtier.Backlog, err error) {
+	err = c.do(ctx, opStatus, 0, func(r *wire.Reader) {
+		state, dirty, pending = r.String(), int(r.Uvarint()), int(r.Uvarint())
+		staged = getBacklog(r)
+	})
+	return state, dirty, pending, staged, err
+}
+
 // Status returns the instance state, dirty chunk count and in-flight commit
 // count as the proxy sees them.
 func (c *Client) Status(ctx context.Context) (state string, dirtyChunks, pendingCommits int, err error) {
-	resp, err := c.Net.Call(ctx, c.Addr, []byte(fmt.Sprintf("STATUS %s %s", c.VMID, c.Token)))
-	if err != nil {
-		return "", 0, 0, err
-	}
-	fields := strings.Fields(string(resp))
-	if len(fields) < 1 || fields[0] != "OK" {
-		return "", 0, 0, errorFrom(resp)
-	}
-	// A proxy with a local tier appends staged-backlog fields; tolerate them.
-	if len(fields) < 4 {
-		return "", 0, 0, fmt.Errorf("%w: %q", ErrProto, resp)
-	}
-	dirty, err1 := strconv.Atoi(fields[2])
-	pending, err2 := strconv.Atoi(fields[3])
-	if err1 != nil || err2 != nil {
-		return "", 0, 0, fmt.Errorf("%w: %q", ErrProto, resp)
-	}
-	return fields[1], dirty, pending, nil
+	state, dirtyChunks, pendingCommits, _, err = c.status(ctx)
+	return state, dirtyChunks, pendingCommits, err
+}
+
+// Staged returns what the node's local tier holds of this instance's
+// captures not yet drained to the repository; zero without a local tier.
+func (c *Client) Staged(ctx context.Context) (localtier.Backlog, error) {
+	_, _, _, staged, err := c.status(ctx)
+	return staged, err
 }
 
 // Prefetch asks the proxy to page the given chunks of this instance's disk
@@ -582,20 +589,7 @@ func (c *Client) Prefetch(ctx context.Context, indices []uint64) error {
 	if len(indices) == 0 {
 		return nil
 	}
-	parts := make([]string, len(indices))
-	for i, idx := range indices {
-		parts[i] = strconv.FormatUint(idx, 10)
-	}
-	req := fmt.Sprintf("PREFETCH %s %s %s", c.VMID, c.Token, strings.Join(parts, ","))
-	resp, err := c.Net.Call(ctx, c.Addr, []byte(req))
-	if err != nil {
-		return err
-	}
-	fields := strings.Fields(string(resp))
-	if len(fields) < 1 || fields[0] != "OK" {
-		return errorFrom(resp)
-	}
-	return nil
+	return transport.CallOp(ctx, c.Net, c.Addr, request{op: opPrefetch, vm: c.VMID, token: c.Token, indices: indices}.encode(), nil)
 }
 
 // Ping probes the proxy at addr for liveness and returns how many instances
@@ -603,41 +597,6 @@ func (c *Client) Prefetch(ctx context.Context, indices []uint64) error {
 // not instances. An unreachable or partitioned proxy returns the transport
 // error.
 func Ping(ctx context.Context, n transport.Network, addr string) (instances int, err error) {
-	resp, err := n.Call(ctx, addr, []byte("PING"))
-	if err != nil {
-		return 0, err
-	}
-	fields := strings.Fields(string(resp))
-	if len(fields) != 3 || fields[0] != "OK" || fields[1] != "PONG" {
-		return 0, fmt.Errorf("%w: %q", ErrProto, resp)
-	}
-	k, err := strconv.Atoi(fields[2])
-	if err != nil {
-		return 0, fmt.Errorf("%w: %q", ErrProto, resp)
-	}
-	return k, nil
-}
-
-func parseRef(resp []byte) (blobseer.SnapshotRef, error) {
-	fields := strings.Fields(string(resp))
-	if len(fields) < 1 || fields[0] != "OK" {
-		return blobseer.SnapshotRef{}, errorFrom(resp)
-	}
-	if len(fields) != 3 {
-		return blobseer.SnapshotRef{}, fmt.Errorf("%w: %q", ErrProto, resp)
-	}
-	blob, err1 := strconv.ParseUint(fields[1], 10, 64)
-	version, err2 := strconv.ParseUint(fields[2], 10, 64)
-	if err1 != nil || err2 != nil {
-		return blobseer.SnapshotRef{}, fmt.Errorf("%w: %q", ErrProto, resp)
-	}
-	return blobseer.SnapshotRef{Blob: blob, Version: version}, nil
-}
-
-func errorFrom(resp []byte) error {
-	s := string(resp)
-	if strings.HasPrefix(s, "ERR ") {
-		return errors.New(s[4:])
-	}
-	return fmt.Errorf("%w: %q", ErrProto, s)
+	err = transport.CallOp(ctx, n, addr, request{op: opPing}.encode(), func(r *wire.Reader) { instances = int(r.Uvarint()) })
+	return instances, err
 }

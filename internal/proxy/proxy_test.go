@@ -3,12 +3,15 @@ package proxy
 import (
 	"bytes"
 	"context"
+	"errors"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"blobcr/internal/blobseer"
+	"blobcr/internal/chunkstore"
+	"blobcr/internal/localtier"
 	"blobcr/internal/mirror"
 	"blobcr/internal/obs"
 	"blobcr/internal/transport"
@@ -31,7 +34,7 @@ type env struct {
 	pc     *Client
 }
 
-func setup(t *testing.T) *env {
+func setup(t testing.TB) *env {
 	t.Helper()
 	net := transport.NewInProc()
 	d, err := blobseer.Deploy(net, 2, 3)
@@ -241,20 +244,34 @@ func TestStatus(t *testing.T) {
 	}
 }
 
+// TestMalformedRequests: a request frame that is empty, names no proxy op,
+// stops short of its fields or runs past them is refused whole with a
+// handler error — the caller sees a *transport.RemoteError, and the
+// instance it names is not touched.
 func TestMalformedRequests(t *testing.T) {
 	e := setup(t)
-	for _, req := range []string{
-		"", "CHECKPOINT", "CHECKPOINT vm-1", "BOGUS vm-1 secret",
-		"CHECKPOINT vm-1 secret extra", "WAIT vm-1 secret", "WAIT vm-1 secret nonsense",
-		"POLL vm-1 secret", "STATUS vm-1 secret extra",
+	checkpoint := request{op: opCheckpoint, vm: "vm-1", token: "secret"}.encode()
+	wait := request{op: opWait, vm: "vm-1", token: "secret", arg: 1}.encode()
+	for _, tc := range []struct {
+		name string
+		req  []byte
+	}{
+		{"empty", nil},
+		{"unknown op", []byte{0xCF}},
+		{"CHECKPOINT without its token", checkpoint[:len(checkpoint)-len("secret")-1]},
+		{"CHECKPOINT with a trailing byte", append(bytes.Clone(checkpoint), 0)},
+		{"WAIT without its handle", wait[:len(wait)-8]},
+		{"STATUS with a handle", append([]byte{opStatus}, wait[1:]...)},
+		{"PING with an argument", []byte{opPing, 0}},
 	} {
-		resp, err := e.net.Call(ctx, e.pc.Addr, []byte(req))
-		if err != nil {
-			t.Fatalf("%q: transport error %v", req, err)
+		_, err := e.net.Call(ctx, e.pc.Addr, tc.req)
+		var re *transport.RemoteError
+		if !errors.As(err, &re) {
+			t.Errorf("%s: err = %v, want a remote error", tc.name, err)
 		}
-		if !strings.HasPrefix(string(resp), "ERR") {
-			t.Errorf("%q -> %q, want ERR", req, resp)
-		}
+	}
+	if state, dirty, pending, err := e.pc.Status(ctx); err != nil || state != "running" || dirty == 0 || pending != 0 {
+		t.Errorf("instance after the refused requests: %s, %d dirty, %d pending, %v", state, dirty, pending, err)
 	}
 }
 
@@ -378,17 +395,18 @@ func TestPrefetchWarmsLocalCache(t *testing.T) {
 		t.Error("read after prefetch did not hit the local cache")
 	}
 
-	// A bad token is rejected; malformed indices are rejected.
+	// A bad token is rejected; a truncated index list is rejected whole.
 	bad := &Client{Net: e.net, Addr: e.pc.Addr, VMID: "vm-2", Token: "wrong"}
 	if err := bad.Prefetch(ctx, []uint64{0}); err == nil {
 		t.Error("prefetch with bad token succeeded")
 	}
-	resp, err := e.net.Call(ctx, e.pc.Addr, []byte("PREFETCH vm-2 secret2 1,x,3"))
-	if err != nil {
-		t.Fatal(err)
+	list := request{op: opPrefetch, vm: "vm-2", token: "secret2", indices: []uint64{1, 300, 3}}.encode()
+	remote3, _, _ := mod2.Stats()
+	if _, err := e.net.Call(ctx, e.pc.Addr, list[:len(list)-1]); err == nil {
+		t.Error("truncated index list accepted")
 	}
-	if !strings.HasPrefix(string(resp), "ERR") {
-		t.Errorf("malformed index list accepted: %q", resp)
+	if remote, _, _ := mod2.Stats(); remote != remote3 {
+		t.Errorf("a refused PREFETCH fetched %d chunks", remote-remote3)
 	}
 }
 
@@ -445,5 +463,42 @@ func TestFailedCloneNeverSuspends(t *testing.T) {
 	}
 	if e.inst.State() != vm.Running {
 		t.Errorf("instance left %v after a failed clone", e.inst.State())
+	}
+}
+
+// TestRefusalsAreRemoteErrors: a refused request is a handler error, so a
+// metered caller counts it under transport_errors_total for its verb and
+// receives a *transport.RemoteError naming that verb — never a reply the
+// transport files as a success.
+func TestRefusalsAreRemoteErrors(t *testing.T) {
+	e := setup(t)
+	e.proxy.Stage = localtier.New(chunkstore.NewMem(), obs.NewRegistry())
+	e.proxy.Repo = e.client
+	reg := obs.NewRegistry()
+	net := transport.WithMeter(e.net, reg)
+
+	bad := &Client{Net: net, Addr: e.pc.Addr, VMID: "vm-1", Token: "wrong"}
+	_, checkpointErr := bad.RequestCheckpointAsync(ctx)
+	_, drainErr := DrainFor(ctx, net, e.pc.Addr, "no-such-owner", 1)
+	for _, tc := range []struct {
+		verb string
+		err  error
+	}{{"CHECKPOINT", checkpointErr}, {"DRAINFOR", drainErr}} {
+		var re *transport.RemoteError
+		if !errors.As(tc.err, &re) || re.Verb != tc.verb {
+			t.Errorf("%s: err = %v, want a remote error tagged %s", tc.verb, tc.err, tc.verb)
+		}
+		if n := reg.Counter("transport_errors_total", obs.L("verb", tc.verb)).Value(); n != 1 {
+			t.Errorf("transport_errors_total{verb=%s} = %d, want 1", tc.verb, n)
+		}
+		if n := reg.Counter("transport_resp_bytes_total", obs.L("verb", tc.verb)).Value(); n != 0 {
+			t.Errorf("transport_resp_bytes_total{verb=%s} = %d: the refusal was filed as a reply", tc.verb, n)
+		}
+	}
+	if checkpointErr == nil || !strings.Contains(checkpointErr.Error(), "authentication failed") {
+		t.Errorf("bad-token CHECKPOINT: %v, want the authentication failure", checkpointErr)
+	}
+	if e.inst.State() != vm.Running {
+		t.Errorf("instance %v after a refused CHECKPOINT", e.inst.State())
 	}
 }

@@ -1,6 +1,6 @@
 // Multilevel-checkpointing extension of the checkpointing proxy: the
 // node-local write-back tier, partner replication, and the drain-control
-// verbs.
+// ops.
 //
 // With a Stage attached (Proxy.Stage), every registered module stages its
 // captures into the local tier and — when PartnerAddr names a neighbor proxy
@@ -8,26 +8,12 @@
 // The background drain then publishes staged captures into the remote
 // repository; only that publish makes a checkpoint *globally durable*.
 //
-// Partner replication uses two binary frames on the proxy port (first byte
-// ≥ 0x80, so they cannot collide with the ASCII text verbs):
-//
-//	stage-put  0xD0: owner, seq, base ref, size, chunk size, chunks
-//	stage-rel  0xD1: owner, seq, published ref
-//
-// Drain control is text, tokenless like PING — node-level operations issued
-// by the supervisor or an operator, not by a guest:
-//
-//	request:  WAITLOCAL <vm-id> <token> <handle>
-//	response: OK LOCAL <seq> | ERR <message>
-//
-//	request:  BACKLOG
-//	response: OK own=<ckpts>/<chunks>/<bytes> partner=<ckpts>/<chunks>/<bytes>
-//
-//	request:  DRAIN-NOW
-//	response: OK <modules-drained> | ERR <message>
-//
-//	request:  DRAINFOR <owner> <seq>
-//	response: OK <checkpoint-blob> <snapshot-version> | ERR <message>
+// Partner replication is two ops on the proxy port (the package comment's
+// table): stage-put carries a capture's header — owner, seq, base ref, size,
+// chunk size — and its chunks; stage-release tells the partner the capture
+// was published. The drain-control ops BACKLOG, DRAIN-NOW and DRAINFOR are
+// tokenless like PING — node-level operations issued by the supervisor or an
+// operator, not by a guest.
 //
 // DRAIN-NOW is the preemption path: a node that received its spot notice
 // flushes every hosted module's staged captures to the remote plane inside
@@ -40,9 +26,8 @@ package proxy
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"strconv"
-	"strings"
 
 	"blobcr/internal/blobseer"
 	"blobcr/internal/localtier"
@@ -51,47 +36,43 @@ import (
 	"blobcr/internal/wire"
 )
 
-// Binary stage frame op codes (proxy port; distinct from text verbs).
-const (
-	opStagePut     = 0xD0
-	opStageRelease = 0xD1
-)
-
 // minStagedChunkBytes is the least a staged chunk occupies in a stage-put
 // frame: its u64 index and a one-byte length prefix.
 const minStagedChunkBytes = 9
 
-// handleStageFrame dispatches the binary partner-replication frames.
-func (p *Proxy) handleStageFrame(ctx context.Context, req []byte) ([]byte, error) {
+// serveTier answers the ops that need the node's local tier.
+func (p *Proxy) serveTier(ctx context.Context, q request, w *wire.Buffer) error {
 	if p.Stage == nil {
-		return nil, fmt.Errorf("proxy: no local tier attached")
+		return errors.New("proxy: no local tier attached")
 	}
-	r := wire.NewReader(req)
-	switch op := r.U8(); op {
+	switch q.op {
 	case opStagePut:
-		c, chunks, err := decodeStagePut(req)
-		if err != nil {
-			return nil, err
-		}
-		// The bodies are windows of req, which is this handler's until it
-		// returns: Stage.Put has them in its store — copied, or on disk — by
-		// then.
-		if _, err := p.Stage.Put(c.Owner, c.Seq, c.Base, c.Size, c.ChunkSize, chunks, true); err != nil {
-			return nil, err
-		}
-		return []byte("OK"), nil
+		// The bodies are windows of the request frame, which is this
+		// handler's until it returns: Stage.Put has them in its store —
+		// copied, or on disk — by then.
+		c := q.capture
+		_, err := p.Stage.Put(c.Owner, c.Seq, c.Base, c.Size, c.ChunkSize, q.chunks, true)
+		return err
 	case opStageRelease:
-		owner := r.String()
-		seq := r.U64()
-		ref := blobseer.SnapshotRef{Blob: r.U64(), Version: r.U64()}
-		if err := r.Err(); err != nil {
-			return nil, fmt.Errorf("proxy: stage-release: %w", err)
+		p.Stage.MarkDrained(q.vm, q.arg, q.ref)
+	case opBacklog:
+		own, partner := p.Stage.Backlog()
+		putBacklog(w, own)
+		putBacklog(w, partner)
+	case opDrainNow:
+		n, err := p.drainAllNow(ctx)
+		if err != nil {
+			return err
 		}
-		p.Stage.MarkDrained(owner, seq, ref)
-		return []byte("OK"), nil
-	default:
-		return nil, fmt.Errorf("proxy: unknown stage op 0x%02X", op)
+		w.PutUvarint(uint64(n))
+	default: // opDrainFor
+		ref, err := p.drainFor(ctx, q.vm, q.arg)
+		if err != nil {
+			return err
+		}
+		putRef(w, ref)
 	}
+	return nil
 }
 
 // encodeStagePut builds the stage-put frame of a capture and the chunk list
@@ -158,18 +139,6 @@ func decodeStagePut(frame []byte) (localtier.Capture, []blobseer.Chunk, error) {
 	return c, chunks, nil
 }
 
-// releaseReplica tells the partner the capture was published as ref.
-func releaseReplica(ctx context.Context, n transport.Network, addr string, owner string, seq uint64, ref blobseer.SnapshotRef) error {
-	b := wire.NewBuffer(64)
-	b.PutU8(opStageRelease)
-	b.PutString(owner)
-	b.PutU64(seq)
-	b.PutU64(ref.Blob)
-	b.PutU64(ref.Version)
-	_, err := n.Call(ctx, addr, b.Bytes())
-	return err
-}
-
 // stageConfigFor builds the mirror.StageConfig wiring one registered module
 // into this proxy's tier and partner link.
 func (p *Proxy) stageConfigFor(vmID string) mirror.StageConfig {
@@ -177,24 +146,15 @@ func (p *Proxy) stageConfigFor(vmID string) mirror.StageConfig {
 	if p.PartnerAddr != "" && p.Net != nil {
 		net, partner := p.Net, p.PartnerAddr
 		cfg.Replicate = func(ctx context.Context, c *localtier.Capture, chunks []blobseer.Chunk) error {
-			_, err := net.Call(ctx, partner, encodeStagePut(c, chunks))
-			return err
+			return transport.CallOp(ctx, net, partner, request{op: opStagePut, capture: c, chunks: chunks}.encode(), nil)
 		}
 		cfg.Release = func(owner string, seq uint64, ref blobseer.SnapshotRef) {
 			// Best-effort: a lost release only leaves a replica the partner
 			// drains later (the CAS dedups the duplicate publish away).
-			releaseReplica(context.Background(), net, partner, owner, seq, ref)
+			transport.CallOp(context.Background(), net, partner, request{op: opStageRelease, vm: owner, arg: seq, ref: ref}.encode(), nil) //nolint:errcheck // best-effort
 		}
 	}
 	return cfg
-}
-
-// backlogReply renders the BACKLOG response.
-func (p *Proxy) backlogReply() []byte {
-	own, partner := p.Stage.Backlog()
-	return []byte(fmt.Sprintf("OK own=%d/%d/%d partner=%d/%d/%d",
-		own.Checkpoints, own.Chunks, own.Bytes,
-		partner.Checkpoints, partner.Chunks, partner.Bytes))
 }
 
 // drainAllNow flushes every hosted module's pipeline to the remote plane.
@@ -266,68 +226,30 @@ func (p *Proxy) drainFor(ctx context.Context, owner string, seq uint64) (blobsee
 // returns its capture sequence number. Without a local tier this completes
 // together with global durability.
 func (c *Client) WaitCheckpointLocal(ctx context.Context, handle uint64) (seq uint64, err error) {
-	resp, err := c.Net.Call(ctx, c.Addr, []byte(fmt.Sprintf("WAITLOCAL %s %s %d", c.VMID, c.Token, handle)))
-	if err != nil {
-		return 0, err
-	}
-	fields := strings.Fields(string(resp))
-	if len(fields) != 3 || fields[0] != "OK" || fields[1] != "LOCAL" {
-		return 0, errorFrom(resp)
-	}
-	seq, perr := strconv.ParseUint(fields[2], 10, 64)
-	if perr != nil {
-		return 0, fmt.Errorf("%w: %q", ErrProto, resp)
-	}
-	return seq, nil
+	err = c.do(ctx, opWaitLocal, handle, func(r *wire.Reader) { seq = r.U64() })
+	return seq, err
 }
 
 // Backlog probes the proxy at addr for its local-tier drain backlog, split
 // into the node's own staged captures and the partner replicas it holds.
 // Tokenless, like Ping: the supervisor surveys nodes, not instances.
 func Backlog(ctx context.Context, n transport.Network, addr string) (own, partner localtier.Backlog, err error) {
-	resp, err := n.Call(ctx, addr, []byte("BACKLOG"))
-	if err != nil {
-		return own, partner, err
-	}
-	fields := strings.Fields(string(resp))
-	if len(fields) != 3 || fields[0] != "OK" {
-		return own, partner, errorFrom(resp)
-	}
-	if _, err := fmt.Sscanf(fields[1], "own=%d/%d/%d", &own.Checkpoints, &own.Chunks, &own.Bytes); err != nil {
-		return own, partner, fmt.Errorf("%w: %q", ErrProto, resp)
-	}
-	if _, err := fmt.Sscanf(fields[2], "partner=%d/%d/%d", &partner.Checkpoints, &partner.Chunks, &partner.Bytes); err != nil {
-		return own, partner, fmt.Errorf("%w: %q", ErrProto, resp)
-	}
-	return own, partner, nil
+	err = transport.CallOp(ctx, n, addr, request{op: opBacklog}.encode(), func(r *wire.Reader) { own, partner = getBacklog(r), getBacklog(r) })
+	return own, partner, err
 }
 
 // DrainNow asks the proxy at addr to flush every hosted module's staged
 // captures to the remote plane — the preemption path — and returns how many
 // modules were drained.
 func DrainNow(ctx context.Context, n transport.Network, addr string) (modules int, err error) {
-	resp, err := n.Call(ctx, addr, []byte("DRAIN-NOW"))
-	if err != nil {
-		return 0, err
-	}
-	fields := strings.Fields(string(resp))
-	if len(fields) != 2 || fields[0] != "OK" {
-		return 0, errorFrom(resp)
-	}
-	k, perr := strconv.Atoi(fields[1])
-	if perr != nil {
-		return 0, fmt.Errorf("%w: %q", ErrProto, resp)
-	}
-	return k, nil
+	err = transport.CallOp(ctx, n, addr, request{op: opDrainNow}.encode(), func(r *wire.Reader) { modules = int(r.Uvarint()) })
+	return modules, err
 }
 
 // DrainFor asks the proxy at addr to publish owner's staged captures up to
 // seq — the repair path run against a dead node's partner — and returns the
 // snapshot the chain reached.
-func DrainFor(ctx context.Context, n transport.Network, addr, owner string, seq uint64) (blobseer.SnapshotRef, error) {
-	resp, err := n.Call(ctx, addr, []byte(fmt.Sprintf("DRAINFOR %s %d", owner, seq)))
-	if err != nil {
-		return blobseer.SnapshotRef{}, err
-	}
-	return parseRef(resp)
+func DrainFor(ctx context.Context, n transport.Network, addr, owner string, seq uint64) (ref blobseer.SnapshotRef, err error) {
+	err = transport.CallOp(ctx, n, addr, request{op: opDrainFor, vm: owner, arg: seq}.encode(), func(r *wire.Reader) { ref = getRef(r) })
+	return ref, err
 }

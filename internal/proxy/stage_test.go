@@ -136,7 +136,7 @@ func TestStagePutFrameIsSizedOnce(t *testing.T) {
 
 	p := New()
 	p.Stage = localtier.New(chunkstore.NewMem(), obs.NewRegistry())
-	if _, err := p.handleStageFrame(ctx, frame); err != nil {
+	if _, err := p.handle(ctx, frame); err != nil {
 		t.Fatal(err)
 	}
 	back, err := p.Stage.Chunks(p.Stage.Pending("vm-9")[0])
@@ -183,23 +183,16 @@ func TestDecodeStagePutRejectsCorruptFrames(t *testing.T) {
 	}
 }
 
-// FuzzStagePut holds the partner link's stage-put frame to its decoder. Any
-// input decodes or fails without a panic, and a frame it decodes re-encodes
-// to one that decodes alike. A chunk list built from the input round-trips
-// through encodeStagePut, and its frame one byte short, one byte long, or
-// with its first two chunks swapped is rejected.
+// FuzzStagePut holds the partner link's stage-put frame to its codec: a
+// chunk list built from the input round-trips through encodeStagePut, and
+// its frame one byte short, one byte long, or with its first two chunks
+// swapped is rejected. (FuzzProxyRequest holds every accepted frame,
+// stage-put among them, to re-encoding byte for byte.)
 func FuzzStagePut(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte("\x03abc\x00\x05hello"), uint8(2))
 	f.Add(stagePutFrame(2, []blobseer.Chunk{{Index: 0, Body: []byte("zero")}, {Index: 5, Body: []byte("five!")}}), uint8(255))
 	f.Fuzz(func(t *testing.T, data []byte, step uint8) {
-		if c, chunks, err := decodeStagePut(data); err == nil {
-			c2, chunks2, err := decodeStagePut(encodeStagePut(&c, chunks))
-			if err != nil || !reflect.DeepEqual(c, c2) || !sameChunks(chunks, chunks2) {
-				t.Fatalf("accepted frame re-encodes to %+v %q (%v), want %+v %q", c2, chunks2, err, c, chunks)
-			}
-		}
-
 		// An ascending list: each chunk takes a body of up to 15 bytes of
 		// data, the length from the byte before it; indices advance by step+1.
 		var chunks []blobseer.Chunk
@@ -226,6 +219,60 @@ func FuzzStagePut(f *testing.F) {
 			if _, _, err := decodeStagePut(encodeStagePut(&want, chunks)); err == nil {
 				t.Fatal("frame with its chunks out of order decoded")
 			}
+		}
+	})
+}
+
+// FuzzProxyRequest holds every frame the proxy port accepts to its one
+// request decoder, seeded with a real frame of every proxy op. Any input
+// decodes or fails without a panic; a frame the decoder accepts re-encodes
+// to the same bytes; and a frame it refuses is refused by the handler before
+// anything is served: the hosted instance — whose VM id and token the seeds
+// carry, so a lenient decoder would reach it — is not checkpointed or
+// prefetched into, and nothing is staged.
+func FuzzProxyRequest(f *testing.F) {
+	vm, token := "vm-1", "secret"
+	for _, q := range []request{
+		{op: opCheckpoint, vm: vm, token: token},
+		{op: opWait, vm: vm, token: token, arg: 1},
+		{op: opPoll, vm: vm, token: token, arg: 1},
+		{op: opWaitLocal, vm: vm, token: token, arg: 1},
+		{op: opStatus, vm: vm, token: token},
+		{op: opPrefetch, vm: vm, token: token, indices: []uint64{0, 3, 300}},
+		{op: opPing}, {op: opBacklog}, {op: opDrainNow},
+		{op: opDrainFor, vm: vm, arg: 4},
+		{op: opStageRelease, vm: vm, arg: 4, ref: blobseer.SnapshotRef{Blob: 1, Version: 2}},
+	} {
+		f.Add(q.encode())
+	}
+	f.Add(stagePutFrame(2, []blobseer.Chunk{{Index: 0, Body: []byte("zero")}, {Index: 5, Body: []byte("five!")}}))
+
+	e := setup(f)
+	e.proxy.Stage = localtier.New(chunkstore.NewMem(), obs.NewRegistry())
+	e.proxy.Repo = e.client
+	reg := obs.NewRegistry()
+	e.proxy.Obs = reg
+	probe := func() [4]uint64 {
+		remote, _, _ := e.mod.Stats()
+		mine, partner := e.proxy.Stage.Backlog()
+		return [4]uint64{
+			reg.Counter("proxy_checkpoints_total").Value() + reg.Counter("proxy_checkpoint_failures_total").Value(),
+			remote, uint64(e.mod.DirtyChunks()), uint64(mine.Checkpoints + partner.Checkpoints),
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if q, err := decodeRequest(data); err == nil {
+			if again := q.encode(); !bytes.Equal(again, data) {
+				t.Fatalf("accepted frame % x re-encodes to % x", data, again)
+			}
+			return
+		}
+		before := probe()
+		if _, err := e.proxy.handle(ctx, data); err == nil {
+			t.Fatalf("refused frame % x was served", data)
+		}
+		if after := probe(); after != before {
+			t.Fatalf("refused frame % x reached the instance or the tier: %v -> %v", data, before, after)
 		}
 	})
 }

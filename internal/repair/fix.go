@@ -53,17 +53,11 @@ func (r *Repairer) Repair(ctx context.Context) (RepairReport, error) {
 	report, err := r.repairLocked(ctx)
 	r.mu.Lock()
 	r.stats.Repairs++
-	r.lastRepair = report
-	r.haveRepair = true
 	r.mu.Unlock()
 	r.reg.Counter("repair_repairs_total").Inc()
 	if err == nil {
-		r.mu.Lock()
-		// On error the Post survey may never have run (a zero report must
-		// not masquerade as a clean scrub on the STATUS endpoint).
-		r.lastScrub = report.Post
-		r.haveScrub = true
-		r.mu.Unlock()
+		// On error the Post survey may never have run: a zero report must
+		// not masquerade as a clean scrub in the gauges.
 		r.recordScrub(report.Post)
 	}
 	return report, err

@@ -107,8 +107,7 @@ func (r ScrubReport) Clean() bool {
 	return r.UnderReplicated == 0 && r.Corrupt == 0 && r.Unrecoverable == 0 && r.DrainResident == 0
 }
 
-// String renders the report as one line (the SCRUB endpoint and blobcr-ctl
-// print it).
+// String renders the report as one line (blobcr-ctl scrub prints it).
 func (r ScrubReport) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "epoch=%d providers=%d/%d/%d versions=%d chunks=%d checked=%d healthy=%d missing=%d corrupt=%d under-replicated=%d drain-resident=%d unrecoverable=%d elapsed=%s",
@@ -153,12 +152,8 @@ type Repairer struct {
 
 	passMu sync.Mutex // serializes survey/fix passes
 
-	mu         sync.Mutex // guards the fields below
-	stats      Stats
-	lastScrub  ScrubReport
-	lastRepair RepairReport
-	haveScrub  bool
-	haveRepair bool
+	mu    sync.Mutex // guards stats
+	stats Stats
 }
 
 // New builds a repairer for the deployment the client is bound to.
@@ -210,18 +205,4 @@ func (r *Repairer) Stats() Stats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.stats
-}
-
-// LastScrub returns the most recent scrub report, if any.
-func (r *Repairer) LastScrub() (ScrubReport, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.lastScrub, r.haveScrub
-}
-
-// LastRepair returns the most recent repair report, if any.
-func (r *Repairer) LastRepair() (RepairReport, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.lastRepair, r.haveRepair
 }

@@ -261,8 +261,6 @@ func (r *Repairer) Scrub(ctx context.Context) (ScrubReport, error) {
 	}
 	r.mu.Lock()
 	r.stats.Scrubs++
-	r.lastScrub = sv.report
-	r.haveScrub = true
 	r.mu.Unlock()
 	r.recordScrub(sv.report)
 	r.compactStores(ctx, sv.members())

@@ -42,7 +42,7 @@ const (
 	EventRepairFailed  EventType = "storage-repair-failed"
 
 	// EventFlightArchived records that a confirmed-dead node's last mirrored
-	// flight-recorder dump was frozen as its post-mortem (FLIGHT <node>).
+	// flight-recorder dump was frozen as its post-mortem (the FLIGHT op).
 	EventFlightArchived EventType = "flight-archived"
 
 	// Health plane (Config.Health): an SLO rule evaluated over the federated

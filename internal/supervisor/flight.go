@@ -56,7 +56,7 @@ func (s *Supervisor) mirrorFlights(ctx context.Context, nodes []*cloud.Node, err
 // archiveFlight marks a confirmed-dead node's last mirrored dump final and
 // events the archival. Called once per confirmed failure; a node with no
 // mirrored dump (it died before the first mirror round reached it) archives
-// an empty final dump so FLIGHT <node> still answers.
+// an empty final dump so the FLIGHT op still answers.
 func (s *Supervisor) archiveFlight(name string) {
 	s.flightMu.Lock()
 	d := s.flights[name]

@@ -9,7 +9,6 @@ package supervisor_test
 import (
 	"context"
 	"math/rand"
-	"strings"
 	"testing"
 	"time"
 
@@ -129,35 +128,26 @@ func TestConfirmedDeathArchivesFlightDump(t *testing.T) {
 		t.Error("no flight-archived event for the dead node")
 	}
 
-	// The dump is served over the wire under FLIGHT <node>, marked FINAL.
+	// The dump is served over the wire by the FLIGHT op, marked final.
 	srv, err := sup.Serve(net, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	resp, err := net.Call(ctx, srv.Addr(), []byte("FLIGHT "+victim.Name))
+	spans, final, err := supervisor.Flight(ctx, net, srv.Addr(), victim.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	head, body, _ := strings.Cut(string(resp), "\n")
-	if head != "OK v1 FINAL" {
-		t.Fatalf("FLIGHT %s header = %q, want OK v1 FINAL", victim.Name, head)
-	}
-	spans, err := obs.ParseSpans([]byte(body))
-	if err != nil {
-		t.Fatal(err)
+	if !final {
+		t.Errorf("FLIGHT %s is not marked final", victim.Name)
 	}
 	if !hasSpanNamed(spans, "seglog/groupcommit") {
 		t.Error("wire FLIGHT reply lacks the group-commit spans")
 	}
 
 	// Unknown nodes get a clean error, not an empty dump.
-	resp, err = net.Call(ctx, srv.Addr(), []byte("FLIGHT no-such-node"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(string(resp), "ERR ") {
-		t.Errorf("FLIGHT for unknown node returned %q, want an ERR reply", resp)
+	if spans, _, err := supervisor.Flight(ctx, net, srv.Addr(), "no-such-node"); err == nil {
+		t.Errorf("FLIGHT for an unknown node returned %d spans, want an error", len(spans))
 	}
 }
 

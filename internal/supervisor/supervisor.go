@@ -112,7 +112,7 @@ type Config struct {
 	// proxy's and the co-located data provider's flight-get op)
 	// and retains the snapshot. When the failure detector confirms a death,
 	// the node's last snapshot is archived — the post-mortem of its final
-	// spans, served under FLIGHT <node>. Default 1 (every round); 0 uses the
+	// spans, served by the FLIGHT op. Default 1 (every round); 0 uses the
 	// default, negative disables mirroring.
 	FlightEvery int
 
@@ -257,7 +257,7 @@ type Supervisor struct {
 
 	// Flight-recorder mirroring (flight.go): the last dump fetched off each
 	// node, final once the node's death is confirmed. Guarded by its own
-	// mutex — mirroring runs during heartbeat rounds and FLIGHT <node> reads
+	// mutex — mirroring runs during heartbeat rounds and the FLIGHT op reads
 	// come in over the wire; neither should contend with the control loop.
 	flightMu sync.Mutex
 	flights  map[string]FlightDump

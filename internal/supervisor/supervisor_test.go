@@ -334,24 +334,27 @@ func TestEventsEndpoint(t *testing.T) {
 	}
 	defer srv.Close()
 
-	resp, err := h.cl.Network().Call(ctx, srv.Addr(), []byte("EVENTS 0"))
+	lines, err := supervisor.Events(ctx, h.cl.Network(), srv.Addr(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(string(resp), "\n")
-	if !strings.HasPrefix(lines[0], "OK ") || len(lines) < 2 {
-		t.Fatalf("EVENTS response: %q", resp)
+	if !strings.Contains(strings.Join(lines, "\n"), string(supervisor.EventCheckpointDurable)) {
+		t.Errorf("event stream lacks the durable checkpoint: %q", lines)
 	}
-	if !strings.Contains(string(resp), string(supervisor.EventCheckpointDurable)) {
-		t.Errorf("event stream lacks the durable checkpoint: %q", resp)
+	if len(lines) != len(h.sup.Events().Since(0)) {
+		t.Errorf("EVENTS returned %d lines, the log holds %d events", len(lines), len(h.sup.Events().Since(0)))
+	}
+	later, err := supervisor.Events(ctx, h.cl.Network(), srv.Addr(), 1)
+	if err != nil || len(later) != len(lines)-1 {
+		t.Errorf("EVENTS since 1: %d lines (%v), want %d", len(later), err, len(lines)-1)
 	}
 
-	resp, err = h.cl.Network().Call(ctx, srv.Addr(), []byte("STATUS"))
+	status, err := supervisor.Status(ctx, h.cl.Network(), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(resp), "watermark=1") {
-		t.Errorf("STATUS = %q, want watermark=1", resp)
+	if !strings.Contains(status, "watermark=1") {
+		t.Errorf("STATUS = %q, want watermark=1", status)
 	}
 }
 

@@ -12,54 +12,66 @@ import (
 	"blobcr/internal/cas"
 	"blobcr/internal/obs"
 	"blobcr/internal/proxy"
-	"blobcr/internal/repair"
 	"blobcr/internal/supervisor"
 	"blobcr/internal/transport"
 )
 
 // endpointKinds serves one endpoint of every kind the plane runs, observed
-// by reg.
+// by reg. foreign names ops other protocols own, which the endpoint must
+// refuse as unknown.
 var endpointKinds = []struct {
-	name  string
-	serve func(n transport.Network, reg *obs.Registry) (transport.Server, error)
+	name    string
+	serve   func(n transport.Network, reg *obs.Registry) (transport.Server, error)
+	foreign []string
 }{
 	{"proxy", func(n transport.Network, reg *obs.Registry) (transport.Server, error) {
 		p := proxy.New()
 		p.Obs = reg
 		return p.Serve(n, "")
-	}},
+	}, []string{"cas-ref-batch", "EVENTS"}},
 	{"supervisor", func(n transport.Network, reg *obs.Registry) (transport.Server, error) {
 		return supervisor.New(nil, nil, supervisor.Config{Obs: reg}).Serve(n, "")
-	}},
-	{"repairer", func(n transport.Network, reg *obs.Registry) (transport.Server, error) {
-		return repair.New(repair.Config{Client: &blobseer.Client{Net: n}, Obs: reg}).Serve(n, "")
-	}},
+	}, []string{"PING", "create"}},
 	{"version manager", func(n transport.Network, reg *obs.Registry) (transport.Server, error) {
 		vm := blobseer.NewVersionManager()
 		vm.Obs = reg
 		return vm.Serve(n, "")
-	}},
+	}, []string{"DRAINFOR"}},
 	{"provider manager", func(n transport.Network, reg *obs.Registry) (transport.Server, error) {
 		pm := blobseer.NewProviderManager()
 		pm.Obs = reg
 		return pm.Serve(n, "")
-	}},
+	}, []string{"stage-put"}},
 	{"metadata provider", func(n transport.Network, reg *obs.Registry) (transport.Server, error) {
 		mp := blobseer.NewMetadataProvider()
 		mp.Obs = reg
 		return mp.Serve(n, "")
-	}},
+	}, []string{"FLIGHT"}},
 	{"data provider", func(n transport.Network, reg *obs.Registry) (transport.Server, error) {
 		dp := blobseer.NewDataProvider(cas.NewMem())
 		dp.Obs = reg
 		return dp.Serve(n, "")
-	}},
+	}, []string{"CHECKPOINT"}},
+}
+
+// opNamed finds the op byte registered under name.
+func opNamed(t *testing.T, name string) byte {
+	t.Helper()
+	for op := 0; op < 256; op++ {
+		if transport.OpName(byte(op)) == name {
+			return byte(op)
+		}
+	}
+	t.Fatalf("no op registered as %q", name)
+	return 0
 }
 
 // TestIntrospectEveryEndpoint runs the five introspection ops against every
 // endpoint kind over both terminal networks, through the one client: each
 // endpoint answers from its own registry, and a malformed introspection
-// request is refused before the endpoint's own dispatch sees it.
+// request is refused before the endpoint's own dispatch sees it. An op
+// another protocol owns is refused as unknown before anything after the op
+// byte is decoded.
 func TestIntrospectEveryEndpoint(t *testing.T) {
 	networks := []struct {
 		name string
@@ -81,6 +93,14 @@ func TestIntrospectEveryEndpoint(t *testing.T) {
 					t.Fatal(err)
 				}
 				t.Cleanup(func() { srv.Close() })
+				for _, name := range kind.foreign {
+					// A frame far too short for any op's fields: only the op
+					// byte may be read before the refusal.
+					req := []byte{opNamed(t, name), 0xFF}
+					if _, err := n.Call(context.Background(), srv.Addr(), req); err == nil || !strings.Contains(err.Error(), "unknown op") {
+						t.Errorf("foreign op %s (0x%02X): err = %v, want an unknown-op refusal", name, req[0], err)
+					}
+				}
 				testIntrospectEndpoint(t, n, srv, reg)
 			})
 		}
@@ -173,8 +193,7 @@ func testIntrospectEndpoint(t *testing.T, n transport.Network, srv transport.Ser
 	}
 
 	// Malformed introspection requests: the wrapper refuses them, so the
-	// endpoint's own dispatch (which answers text ERR lines or "unknown op")
-	// never sees them.
+	// endpoint's own dispatch (which answers "unknown op") never sees them.
 	for _, req := range [][]byte{
 		{transport.OpTraceGet, 1, 2},
 		{transport.OpTraceGet, 0, 0, 0, 0, 0, 0, 0, 0},
@@ -183,7 +202,7 @@ func testIntrospectEndpoint(t *testing.T, n transport.Network, srv transport.Ser
 		{transport.OpFlightGet, 1},
 		{transport.OpHealthGet, 'n', 'o', 'w'},
 	} {
-		if _, err := n.Call(ctx, addr, req); err == nil || !strings.Contains(err.Error(), "bad "+transport.IntrospectOpName(req[0])+" request") {
+		if _, err := n.Call(ctx, addr, req); err == nil || !strings.Contains(err.Error(), "bad "+transport.OpName(req[0])+" request") {
 			t.Errorf("malformed request % x: err = %v", req, err)
 		}
 	}

@@ -12,12 +12,11 @@ import (
 )
 
 // Introspection ops. Every endpoint — the four BlobSeer services, the
-// checkpointing proxy, the supervisor and the repairer — answers them from
-// its own registry (Introspect), and the functions below are their one
-// client. The op byte sits above both other dialects: BlobSeer ops stay
-// below 0x80 and text verbs start with ASCII letters, while values from
-// 0xF0 up are reserved for transport markers such as the trace-context
-// header.
+// checkpointing proxy and the supervisor — answers them from its own
+// registry (Introspect), and the functions below are their one client. Like
+// every protocol's ops they are named in the one op registry (RegisterOps);
+// values from 0xF0 up are reserved for transport markers such as the
+// trace-context header.
 const (
 	OpTraceGet   = 0xE0 // request: u64 trace id (non-zero); response: obs.MarshalSpans
 	OpFlightGet  = 0xE1 // request: op only; response: obs.MarshalSpans of the flight ring
@@ -26,15 +25,14 @@ const (
 	OpHealthGet  = 0xE4 // request: op only; response: bool ok + uvarint n + n x firing alert name
 )
 
-var introspectNames = [...]string{"trace-get", "flight-get", "history-get", "metrics-get", "health-get"}
-
-// IntrospectOpName returns the verb name of an introspection op, or "" when
-// op is not one.
-func IntrospectOpName(op byte) string {
-	if op < OpTraceGet || op > OpHealthGet {
-		return ""
-	}
-	return introspectNames[op-OpTraceGet]
+func init() {
+	RegisterOps(map[byte]string{
+		OpTraceGet:   "trace-get",
+		OpFlightGet:  "flight-get",
+		OpHistoryGet: "history-get",
+		OpMetricsGet: "metrics-get",
+		OpHealthGet:  "health-get",
+	})
 }
 
 // Introspect wraps an endpoint's handler so the endpoint answers the
@@ -43,7 +41,7 @@ func IntrospectOpName(op byte) string {
 // listens.
 func Introspect(reg func() *obs.Registry, h Handler) Handler {
 	return func(ctx context.Context, req []byte) ([]byte, error) {
-		if len(req) == 0 || IntrospectOpName(req[0]) == "" {
+		if len(req) == 0 || req[0] < OpTraceGet || req[0] > OpHealthGet {
 			return h(ctx, req)
 		}
 		op, arg, err := decodeIntrospectRequest(req)
@@ -66,7 +64,7 @@ func decodeIntrospectRequest(req []byte) (op byte, arg uint64, err error) {
 	case OpHistoryGet, OpMetricsGet:
 		arg = uint64(r.U32())
 	}
-	name := IntrospectOpName(op)
+	name := OpName(op)
 	switch {
 	case r.Err() != nil:
 		return 0, 0, fmt.Errorf("transport: bad %s request: %w", name, r.Err())
@@ -121,7 +119,7 @@ func fetch(ctx context.Context, n Network, addr string, op byte, arg uint64) ([]
 	}
 	resp, err := n.Call(ctx, addr, w.Bytes())
 	if err != nil {
-		return nil, fmt.Errorf("transport: %s from %s: %w", IntrospectOpName(op), addr, err)
+		return nil, fmt.Errorf("transport: %s from %s: %w", OpName(op), addr, err)
 	}
 	return resp, nil
 }
@@ -216,12 +214,8 @@ func Health(ctx context.Context, n Network, addr string) (ok bool, firing []stri
 func decodeHealth(resp []byte) (ok bool, firing []string, err error) {
 	r := wire.NewReader(resp)
 	ok = r.Bool()
-	count := r.Uvarint()
-	// Each name costs at least its length prefix: a count past the bytes
-	// left is corrupt, and is rejected before allocating.
-	if count > uint64(r.Remaining()) {
-		return false, nil, fmt.Errorf("transport: health reply claims %d alerts in %d bytes", count, r.Remaining())
-	}
+	// Each name costs at least its length prefix (wire.Reader.Count).
+	count := r.Count()
 	for i := uint64(0); i < count; i++ {
 		firing = append(firing, r.String())
 	}

@@ -24,23 +24,22 @@ import (
 //	transport_call_ns{verb}            call latency histogram
 //	transport_addr_call_ns{addr}       call latency histogram per address
 //
-// Meter also tags *RemoteError values with the verb name, so failures
-// surface as "remote error: chunk-put: ..." instead of an anonymous
-// message.
+// The verb is the request's registered op name (VerbName); an unregistered
+// op is filed under "other". Meter also tags *RemoteError values with the
+// verb name, so failures surface as "remote error: chunk-put: ..." instead
+// of an anonymous message.
 type Meter struct {
 	inner Network
 	reg   *obs.Registry
-	verb  func(req []byte) string
 }
 
 // WithMeter wraps inner so calls are recorded into reg (obs.Default when
-// nil). verb maps a request frame to its operation name for the per-verb
-// breakdown; nil or an empty result files the call under "other".
-func WithMeter(inner Network, reg *obs.Registry, verb func(req []byte) string) *Meter {
+// nil).
+func WithMeter(inner Network, reg *obs.Registry) *Meter {
 	if reg == nil {
 		reg = obs.Default
 	}
-	return &Meter{inner: inner, reg: reg, verb: verb}
+	return &Meter{inner: inner, reg: reg}
 }
 
 // Registry returns the registry the meter records into.
@@ -54,11 +53,9 @@ func (m *Meter) Listen(addr string, h Handler) (Server, error) {
 // Call implements Network, recording the call and tagging remote errors
 // with the verb name.
 func (m *Meter) Call(ctx context.Context, addr string, req []byte) ([]byte, error) {
-	verb := "other"
-	if m.verb != nil {
-		if v := m.verb(req); v != "" {
-			verb = v
-		}
+	verb := VerbName(req)
+	if verb == "" {
+		verb = "other"
 	}
 	vl := obs.L("verb", verb)
 	m.reg.Counter("transport_calls_total", vl).Inc()
@@ -111,23 +108,3 @@ func (m *Meter) Heal(addr string) {
 }
 
 var _ FaultNetwork = (*Meter)(nil)
-
-// TextVerb is a verb namer for the REST-ful text protocols (proxy,
-// supervisor, repair): the first whitespace-separated token, when it looks
-// like an upper-case command word.
-func TextVerb(req []byte) string {
-	end := 0
-	for end < len(req) && req[end] != ' ' && req[end] != '\n' && req[end] != '\r' && req[end] != '\t' {
-		end++
-	}
-	word := req[:end]
-	if len(word) == 0 || len(word) > 16 {
-		return ""
-	}
-	for _, c := range word {
-		if (c < 'A' || c > 'Z') && c != '-' && c != '_' {
-			return ""
-		}
-	}
-	return string(word)
-}

@@ -117,8 +117,8 @@ func remoteErrorFrom(err error) *RemoteError {
 // Both terminal networks inject it from the caller's context and strip it
 // before the handler runs, re-establishing the span context server-side so
 // handler spans parent under the caller's RPC span. The marker byte cannot
-// collide with a real first request byte: binary protocol op codes stay
-// below 0xF0 and text verbs start with ASCII letters.
+// collide with a real first request byte: RegisterOps refuses op codes
+// from 0xF0 up.
 const (
 	traceMarker    = 0xF7
 	traceVersion   = 1

@@ -81,6 +81,15 @@ func (w *Buffer) PutBool(v bool) {
 // PutF64 appends a float64 as its IEEE-754 bits.
 func (w *Buffer) PutF64(v float64) { w.PutU64(math.Float64bits(v)) }
 
+// PutIndices appends a chunk-index list: a uvarint count, then each index
+// as a uvarint.
+func (w *Buffer) PutIndices(indices []uint64) {
+	w.PutUvarint(uint64(len(indices)))
+	for _, idx := range indices {
+		w.PutUvarint(idx)
+	}
+}
+
 // PutBytes appends a varint length prefix followed by the bytes.
 func (w *Buffer) PutBytes(p []byte) {
 	w.PutUvarint(uint64(len(p)))
@@ -173,18 +182,60 @@ func (r *Reader) U64() uint64 {
 // I64 decodes a little-endian int64.
 func (r *Reader) I64() int64 { return int64(r.U64()) }
 
-// Uvarint decodes an unsigned varint.
+// ErrNonCanonical is returned for a varint encoded in more bytes than it
+// needs: PutUvarint never writes one, and accepting it would let two frames
+// decode alike.
+var ErrNonCanonical = errors.New("wire: non-canonical varint")
+
+// Uvarint decodes an unsigned varint in its shortest encoding.
 func (r *Reader) Uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
+	switch {
+	case n <= 0:
 		r.fail(ErrTruncated)
+		return 0
+	case n > 1 && r.b[r.off+n-1] == 0:
+		r.fail(ErrNonCanonical)
 		return 0
 	}
 	r.off += n
 	return v
+}
+
+// Count decodes the item count of a list whose items each take at least
+// one byte. A count over the bytes left in the frame is corrupt: it fails
+// the reader before anything is allocated from it.
+func (r *Reader) Count() uint64 {
+	n := r.Uvarint()
+	if r.err == nil && n > uint64(r.Remaining()) {
+		r.fail(fmt.Errorf("wire: implausible count %d with %d bytes left in the frame", n, r.Remaining()))
+		return 0
+	}
+	return n
+}
+
+// Indices decodes a chunk-index list PutIndices wrote, of at most limit
+// entries. A count over the limit or over the bytes left fails before
+// anything is allocated from it.
+func (r *Reader) Indices(limit uint64) []uint64 {
+	n := r.Count()
+	if n > limit {
+		r.fail(fmt.Errorf("wire: %d chunk indices over the limit of %d", n, limit))
+	}
+	if r.err != nil {
+		return nil
+	}
+	out := make([]uint64, n)
+	for i := range out {
+		out[i] = r.Uvarint()
+	}
+	if r.err != nil {
+		return nil
+	}
+	return out
 }
 
 // Bool decodes a one-byte boolean.

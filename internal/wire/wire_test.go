@@ -2,9 +2,12 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math"
 	"net"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -175,6 +178,55 @@ func TestQuickVarintRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestUvarintRefusesPaddedEncodings: a varint carrying a redundant
+// zero-valued high byte decodes alike to its shortest form, so a decoder
+// that accepted it would let two distinct frames mean the same request.
+func TestUvarintRefusesPaddedEncodings(t *testing.T) {
+	for _, enc := range [][]byte{{0x80, 0x00}, {0x81, 0x80, 0x00}, {0xAC, 0x82, 0x00}} {
+		r := NewReader(enc)
+		if v := r.Uvarint(); !errors.Is(r.Err(), ErrNonCanonical) {
+			t.Errorf("% x decoded to %d (err %v), want ErrNonCanonical", enc, v, r.Err())
+		}
+	}
+	r := NewReader([]byte{0x00, 0xAC, 0x02})
+	if a, b := r.Uvarint(), r.Uvarint(); a != 0 || b != 300 || r.Err() != nil {
+		t.Errorf("shortest encodings decoded to %d, %d (%v)", a, b, r.Err())
+	}
+}
+
+// TestIndicesCodec: a chunk-index list round-trips, and a count over the
+// limit or over what the frame can hold is refused before the list is
+// allocated.
+func TestIndicesCodec(t *testing.T) {
+	want := []uint64{300, 5, 1 << 40, 0}
+	w := NewBuffer(0)
+	w.PutIndices(want)
+	frame := w.Bytes()
+	if got := NewReader(frame).Indices(4); !slices.Equal(got, want) {
+		t.Fatalf("Indices = %v, want %v", got, want)
+	}
+	if r := NewReader(frame); r.Indices(3) != nil || r.Err() == nil {
+		t.Error("a list over the limit decoded")
+	}
+	for cut := 0; cut < len(frame); cut++ {
+		if r := NewReader(frame[:cut]); r.Indices(math.MaxUint64) != nil || r.Err() == nil {
+			t.Errorf("list cut to %d of %d bytes decoded", cut, len(frame))
+		}
+	}
+	// 1<<24 indices would take 128 MiB; the refusal allocates next to none.
+	huge := NewBuffer(16)
+	huge.PutUvarint(1 << 24)
+	huge.PutUvarint(7)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := NewReader(huge.Bytes())
+	r.Indices(math.MaxUint64)
+	runtime.ReadMemStats(&after)
+	if r.Err() == nil || after.TotalAlloc-before.TotalAlloc > 1<<20 {
+		t.Errorf("implausible count: err %v after allocating %d bytes", r.Err(), after.TotalAlloc-before.TotalAlloc)
 	}
 }
 
