@@ -145,6 +145,21 @@
 // failover. TestStripedStreamsRunConcurrently holds every provider's
 // stream in flight at once; the benchmark/ harness measures the MB/s.
 //
+// Bulk frames have owners. A frame that lives for one exchange comes from
+// the wire frame pool (wire.GetFrame, one sync.Pool per size class) and
+// goes back to it: the client builds each cas-put-batch frame in a pooled
+// buffer and hands it back once Call returns (a Network keeps no reference
+// to a request after that); the TCP server reads every request into a
+// pooled frame and, once the reply is on the wire, hands back the request
+// of a handler that called transport.ReleaseRequest and the reply buffer it
+// registered with transport.RecycleReply. The data provider does both: its
+// chunk-get-batch reply is built in a pooled frame, and its cas-put-batch
+// request is released once the CAS index and the engine have copied the
+// bodies (chunkstore engines keep no reference to what they are handed).
+// The client's chunk-get-batch reply frames are never pooled: the mirror
+// keeps windows of them as chunk memory. InProc recycles nothing, since
+// there the handler's request and reply are the caller's own memory.
+//
 // # Adaptive prefetching on restart
 //
 // A restart is lazy (the paper's Fig. 3): the mirroring module fetches a

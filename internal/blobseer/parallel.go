@@ -208,13 +208,14 @@ func (c *Client) casRefBatch(ctx context.Context, addr string, fps []cas.Fingerp
 }
 
 // casPutBatch uploads a set of bodies under their fingerprints to one
-// provider in a single round trip, taking one reference each.
+// provider in a single round trip, taking one reference each. The frame is
+// pooled: the network keeps no reference to a request once Call returns.
 func (c *Client) casPutBatch(ctx context.Context, addr string, fps []cas.Fingerprint, bodies [][]byte) error {
 	size := 16
 	for _, b := range bodies {
 		size += 48 + len(b)
 	}
-	w := wire.NewBuffer(size)
+	w := wire.NewFrameBuffer(size)
 	w.PutU8(opCasPutBatch)
 	w.PutUvarint(uint64(len(fps)))
 	for i, fp := range fps {
@@ -223,6 +224,7 @@ func (c *Client) casPutBatch(ctx context.Context, addr string, fps []cas.Fingerp
 	}
 	obs.RegistryFrom(ctx).Counter("blobseer_batch_calls_total", obs.L("op", "cas-put-batch")).Inc()
 	resp, err := c.rpc(ctx, addr, "cas-put-batch", w.Bytes())
+	wire.PutFrame(w.Bytes())
 	if err != nil {
 		return fmt.Errorf("blobseer: cas put batch to %s: %w", addr, err)
 	}

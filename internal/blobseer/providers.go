@@ -296,10 +296,11 @@ func (dp *DataProvider) handle(ctx context.Context, req []byte) ([]byte, error) 
 		if err := reqErr(op, r); err != nil {
 			return nil, err
 		}
-		// One allocation for the whole response — a flag, a length prefix and
-		// the body per key, sized from the dedup index — and every body read
-		// from the store straight into it.
-		w = wire.NewBuffer(len(keys)*(1+binary.MaxVarintLen32) + dp.store.BodyBytes(keys))
+		// One pooled frame for the whole response — a flag, a length prefix
+		// and the body per key, sized from the dedup index — and every body
+		// read from the store straight into it. The frame goes back to the
+		// pool once the transport has sent it.
+		w = wire.NewFrameBuffer(len(keys)*(1+binary.MaxVarintLen32) + dp.store.BodyBytes(keys))
 		for _, k := range keys {
 			mark := w.Len()
 			w.PutBool(true)
@@ -313,9 +314,11 @@ func (dp *DataProvider) handle(ctx context.Context, req []byte) ([]byte, error) 
 				// A real backend failure (unreadable file, I/O error) must
 				// not masquerade as absence: fail the frame so the reader
 				// records the true cause while failing over.
+				wire.PutFrame(w.Bytes())
 				return nil, err
 			}
 		}
+		transport.RecycleReply(ctx, w.Bytes())
 
 	case opCasRefBatch:
 		n, err := batchCount(op, r)
@@ -353,6 +356,9 @@ func (dp *DataProvider) handle(ctx context.Context, req []byte) ([]byte, error) 
 		// fingerprint before it applies anything, and hands the engine the
 		// bodies this provider lacks as one batch.
 		dups, err := dp.store.PutContentBatch(fps, bodies)
+		// The CAS index and the engine copy what they store: nothing refers
+		// into the request frame any more.
+		transport.ReleaseRequest(ctx)
 		if err != nil {
 			return nil, err
 		}

@@ -135,7 +135,7 @@ func TestOpenStore(t *testing.T) {
 }
 
 // TestChunkGetBatchBuildsOneSizedResponse: the data provider answers a chunk
-// batch from one buffer sized from the dedup index — no growth while the
+// batch from one pooled frame sized from the dedup index — no growth while the
 // bodies are read into it, whatever their on-disk encoding — reports absent
 // keys per item without leaving a half-written item behind, and still serves
 // a body the index does not know (stored behind its back) by growing.
@@ -196,8 +196,10 @@ func TestChunkGetBatchBuildsOneSizedResponse(t *testing.T) {
 		}
 		sized += 1 + binary.MaxVarintLen32 + len(want[i])
 	}
-	if cap(resp) != sized {
-		t.Errorf("response capacity %d, want the %d it was sized to: the buffer grew or was sized twice", cap(resp), sized)
+	// The response is a pooled frame: its capacity is the size class of
+	// what it was sized to.
+	if class := cap(wire.GetFrame(sized)); cap(resp) != class {
+		t.Errorf("response capacity %d, want the %d-byte class of the %d it was sized to: the buffer grew or was sized twice", cap(resp), class, sized)
 	}
 
 	// A body the dedup index has never seen.

@@ -37,7 +37,9 @@ var ErrExists = errors.New("chunkstore: chunk already exists")
 type Store interface {
 	// Put stores an immutable chunk. Re-putting the same key is an error
 	// (chunks are never overwritten); replicated re-delivery of identical
-	// bytes is tolerated and returns nil.
+	// bytes is tolerated and returns nil. Put keeps no reference to data
+	// once it returns: the data provider stores bodies that are windows of
+	// a request frame it reuses for the next request.
 	Put(k Key, data []byte) error
 	// Get returns the chunk contents. The caller must not modify the
 	// returned slice.

@@ -103,8 +103,9 @@ func ReadInto(s Store, k Key, alloc func(n int) []byte) error {
 type BatchPutter interface {
 	// PutBatch stores bodies[i] under keys[i], each with the semantics of
 	// Put (an identical re-put is a no-op, different content under a stored
-	// key is ErrExists), and returns once all of them are durable. After an
-	// error any subset may have been stored.
+	// key is ErrExists), and returns once all of them are durable. Like Put
+	// it keeps no reference to any body once it returns. After an error any
+	// subset may have been stored.
 	PutBatch(keys []Key, bodies [][]byte) error
 	// DeleteBatch removes every key; one that is not stored is skipped, so
 	// after a nil return none of them is. After an error any subset may

@@ -121,11 +121,11 @@ func BenchmarkCommitTCP(b *testing.B) {
 // TestCommitCopyBudget is the write path's copy budget as a regression gate:
 // client and providers run in this one process, and between the guest's
 // dirty chunk and the provider's log a committed byte may be allocated at
-// most 2.25 times over. It is allocated twice — the request frame, and the
-// server's read of that frame (transport.Network.Call takes one []byte) —
-// and the rest is the log's pooled batch buffer, fingerprints, metadata and
-// slack; the capture hands the guest's own buffers over and allocates an
-// index. The copy the capture used to make is now the guest's: rewriting a
+// most 2.25 times over. The request frame and the server's read of it come
+// from the wire frame pool, and the log's batch buffer from its own, so a
+// committed byte is allocated afresh only when a collection emptied a pool;
+// the rest is fingerprints, metadata and slack. The capture hands the
+// guest's own buffers over and allocates an index. The copy the capture used to make is now the guest's: rewriting a
 // captured chunk gives it a fresh buffer. So the whole round — dirty the
 // device, then commit — has a budget too, 3.25, which keeps that copy from
 // quietly becoming two.

@@ -197,9 +197,10 @@ func BenchmarkLazyRestart(b *testing.B) {
 // TestRestoreCopyBudget is the read path's copy budget as a regression gate:
 // provider and client run in this one process, and between the provider's
 // pread and the mirror's chunk map a restored byte may be allocated at most
-// three times over — it is allocated twice (the provider's response frame,
-// which seglog reads into directly, and the client's receive frame, whose
-// windows the mirror keeps), and the rest is metadata, requests and slack.
+// three times over — it is allocated once, in the client's receive frame,
+// whose windows the mirror keeps (the provider's response frame, which
+// seglog reads into directly, comes from the wire frame pool), and the rest
+// is metadata, requests and slack.
 // The tree this grew from allocated about eight.
 func TestRestoreCopyBudget(t *testing.T) {
 	const budget = 3.0

@@ -32,7 +32,62 @@ import (
 // Returning an error sends a remote error to the caller. The context is the
 // caller's (in-process) or the server's (TCP); long-blocking handlers should
 // honour its cancellation.
+//
+// Buffer ownership. The request belongs to the handler while it runs, and
+// after it returns only for what the handler keeps of it: a handler that
+// stores a window of the request keeps the whole frame alive. The reply
+// belongs to the network from the moment the handler returns it. A handler
+// that moves bulk data may do better, with two calls on its context, both
+// only before it returns:
+//   - ReleaseRequest says it keeps no reference into the request, so the
+//     TCP server hands the frame it read the request into back to the
+//     wire frame pool (wire.PutFrame) once the reply is on the wire;
+//   - RecycleReply registers the pooled buffer (wire.NewFrameBuffer) the
+//     reply was built in, which the TCP server hands back at that moment
+//     too.
+//
+// InProc installs no recycler, so both calls are no-ops there: the
+// client's request is the handler's request, and the handler's reply is the
+// client's reply, which the client may keep for as long as it likes.
 type Handler func(ctx context.Context, req []byte) ([]byte, error)
+
+// recycler is the TCP server's record of what a handler gave back during one
+// exchange. A connection serves its exchanges one after another, so each
+// connection has one, reset before each request.
+type recycler struct {
+	release bool   // the handler keeps no reference into its request frame
+	reply   []byte // the pooled buffer the reply was built in
+}
+
+type recyclerKey struct{}
+
+func recyclerFrom(ctx context.Context) *recycler {
+	rc, _ := ctx.Value(recyclerKey{}).(*recycler)
+	return rc
+}
+
+// ReleaseRequest tells the server that the running handler keeps no
+// reference into its request: no window of it is stored, queued or still
+// read by another goroutine once the handler returns. The server then
+// reuses the request's frame after the reply is sent. A no-op where the
+// network has no frame to reuse (InProc).
+func ReleaseRequest(ctx context.Context) {
+	if rc := recyclerFrom(ctx); rc != nil {
+		rc.release = true
+	}
+}
+
+// RecycleReply registers buf, a buffer from wire.NewFrameBuffer or
+// wire.GetFrame that backs the reply the running handler is about to
+// return, and that the handler gives up: the server hands it back to the
+// wire frame pool once the reply is on the wire. buf must not share memory
+// with the request. Where there is no recycler (InProc) the reply is the
+// caller's and buf is simply left to the collector.
+func RecycleReply(ctx context.Context, buf []byte) {
+	if rc := recyclerFrom(ctx); rc != nil {
+		rc.reply = buf
+	}
+}
 
 // ErrUnreachable is returned by Call when no service is bound at the address.
 var ErrUnreachable = errors.New("transport: address unreachable")
@@ -83,6 +138,9 @@ type Network interface {
 	Listen(addr string, h Handler) (Server, error)
 	// Call sends req to the service at addr and returns its response. A
 	// cancelled or expired context abandons the call and returns ctx.Err().
+	// Call keeps no reference to req once it returns, whatever it returns,
+	// so the caller may reuse req's memory — a pooled frame goes back to
+	// the pool — right after. The response is the caller's to keep.
 	Call(ctx context.Context, addr string, req []byte) ([]byte, error)
 }
 
@@ -241,6 +299,11 @@ func (n *InProc) Call(ctx context.Context, addr string, req []byte) ([]byte, err
 	}
 	if err != nil {
 		return nil, remoteErrorFrom(err)
+	}
+	if recyclerFrom(hctx) != nil {
+		// The caller is itself a TCP handler: its recycler must not reach
+		// this handler, whose request and reply are the caller's memory.
+		hctx = context.WithValue(hctx, recyclerKey{}, (*recycler)(nil))
 	}
 	resp, err := h(hctx, body)
 	if err != nil {
@@ -530,13 +593,19 @@ func (t *TCP) Listen(addr string, h Handler) (Server, error) {
 	return srv, nil
 }
 
+// serveConn serves one connection's exchanges in turn. Each request is read
+// into a pooled frame; the handler's recycler says whether that frame, and
+// a pooled reply buffer, go back to the pool once the reply is written.
 func serveConn(ctx context.Context, conn net.Conn, h Handler) {
 	defer conn.Close()
+	rc := new(recycler)
+	ctx = context.WithValue(ctx, recyclerKey{}, rc)
 	for {
-		req, err := wire.ReadFrame(conn)
+		req, err := wire.ReadPooledFrame(conn)
 		if err != nil {
 			return
 		}
+		*rc = recycler{}
 		hctx, body, herr := extractTraceContext(ctx, req)
 		var resp []byte
 		if herr == nil {
@@ -552,7 +621,12 @@ func serveConn(ctx context.Context, conn net.Conn, h Handler) {
 			}
 			resp = []byte(herr.Error())
 		}
-		if err := wire.WriteFrameParts(conn, status, resp); err != nil {
+		err = wire.WriteFrameParts(conn, status, resp)
+		if rc.release {
+			wire.PutFrame(req)
+		}
+		wire.PutFrame(rc.reply)
+		if err != nil {
 			return
 		}
 	}

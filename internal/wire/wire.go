@@ -16,6 +16,8 @@ import (
 	"math"
 	"net"
 	"slices"
+	"sync"
+	"unsafe"
 )
 
 // ErrTruncated is returned when a Reader runs out of bytes mid-field.
@@ -291,6 +293,13 @@ func WriteFrame(w io.Writer, payload []byte) error {
 // the copy is cheaper than the bookkeeping of a vectored write.
 const joinBelow = 1 << 10
 
+// frameHeads pools the buffer a frame's length prefix and head — and a
+// small body — are assembled in, so sending a frame allocates nothing.
+var frameHeads = sync.Pool{New: func() any {
+	b := make([]byte, 0, 64+joinBelow)
+	return &b
+}}
+
 // WriteFrameParts writes one frame whose payload is head followed by body,
 // without joining the two: the length prefix and head (a status byte, a
 // trace header) share one small buffer, which goes out together with body in
@@ -301,29 +310,38 @@ func WriteFrameParts(w io.Writer, head, body []byte) error {
 	if n > MaxFieldSize {
 		return ErrTooLarge
 	}
-	join := len(body) < joinBelow
-	size := 4 + len(head)
-	if join {
-		size += len(body)
-	}
-	hdr := make([]byte, 4, size)
-	binary.LittleEndian.PutUint32(hdr, uint32(n))
-	hdr = append(hdr, head...)
+	bp := frameHeads.Get().(*[]byte)
+	hdr := append(binary.LittleEndian.AppendUint32((*bp)[:0], uint32(n)), head...)
 	var err error
-	if join {
-		_, err = w.Write(append(hdr, body...))
+	if len(body) < joinBelow {
+		hdr = append(hdr, body...)
+		_, err = w.Write(hdr)
 	} else {
 		bufs := net.Buffers{hdr, body}
 		_, err = bufs.WriteTo(w)
 	}
+	*bp = hdr[:0]
+	frameHeads.Put(bp)
 	if err != nil {
 		return fmt.Errorf("wire: write frame: %w", err)
 	}
 	return nil
 }
 
-// ReadFrame reads one length-prefixed frame from r.
+// ReadFrame reads one length-prefixed frame from r into a fresh slice the
+// caller keeps.
 func ReadFrame(r io.Reader) ([]byte, error) {
+	return readFrame(r, func(n int) []byte { return make([]byte, n) })
+}
+
+// ReadPooledFrame is ReadFrame into GetFrame's memory: for a frame that
+// lives for one exchange, whose reader hands it back with PutFrame once
+// nothing refers into it.
+func ReadPooledFrame(r io.Reader) ([]byte, error) {
+	return readFrame(r, GetFrame)
+}
+
+func readFrame(r io.Reader, alloc func(n int) []byte) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
@@ -332,9 +350,90 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 	if n > MaxFieldSize {
 		return nil, ErrTooLarge
 	}
-	payload := make([]byte, n)
+	payload := alloc(int(n))
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, fmt.Errorf("wire: read frame payload: %w", err)
 	}
 	return payload, nil
+}
+
+// --- Frame pool ---
+
+// A bulk frame — a batch of chunk bodies — usually lives for one exchange:
+// the server decodes a request and drops it, a reply is garbage once it is
+// on the wire. Allocating each afresh makes the runtime zero megabytes per
+// exchange, so such frames come from a pool per size class instead. A class
+// is a power of two from 64 KiB to 8 MiB plus 1/64th of it, so a frame of
+// 4 MiB of bodies — the batch a client sends or asks for — and its per-item
+// framing fits the 4 MiB class instead of taking twice its memory from the
+// next, and the 8 MiB class holds the largest frame a client's batching
+// builds (4 MiB of the smallest bodies, whose framing is then 3 MiB). A frame
+// of 32 KiB or less, cheap to allocate, or one above the largest class is
+// allocated and collected as any other slice.
+const (
+	minFrameShift = 16
+	maxFrameShift = 23
+
+	// MaxPooledFrame is the capacity of the largest pooled size class.
+	MaxPooledFrame = 1<<maxFrameShift + 1<<(maxFrameShift-6)
+)
+
+// framePools holds one pool per class. An entry is the first byte of a
+// backing array whose capacity is its class size, so Put stores a plain
+// pointer and allocates nothing.
+var framePools [maxFrameShift - minFrameShift + 1]sync.Pool
+
+// frameClass returns the capacity of a class: a power of two, plus 1/64th
+// of it for the framing around a payload of that power.
+func frameClass(shift int) int { return 1<<shift + 1<<(shift-6) }
+
+// frameShift returns the shift of the smallest class holding n bytes, or -1
+// when n is allocated afresh: half the smallest class or less, or more than
+// the largest.
+func frameShift(n int) int {
+	if n <= 1<<(minFrameShift-1) {
+		return -1
+	}
+	for shift := minFrameShift; shift <= maxFrameShift; shift++ {
+		if n <= frameClass(shift) {
+			return shift
+		}
+	}
+	return -1
+}
+
+// GetFrame returns a slice of length n. From a pooled class its capacity is
+// the class size and its content is whatever the frame's last user left
+// there, so the caller overwrites every byte it sends; otherwise it is a
+// fresh, zeroed allocation.
+func GetFrame(n int) []byte {
+	shift := frameShift(n)
+	if shift < 0 {
+		return make([]byte, n)
+	}
+	if p, ok := framePools[shift-minFrameShift].Get().(*byte); ok {
+		return unsafe.Slice(p, frameClass(shift))[:n]
+	}
+	return make([]byte, n, frameClass(shift))
+}
+
+// PutFrame hands p's backing array back to its class for a later GetFrame.
+// The caller gives up p and every slice of it: nothing may read or write
+// them afterwards. A slice whose capacity is not a class size — a frame
+// allocated outside the classes, a window into one, a buffer that grew past
+// its class — is left to the collector.
+func PutFrame(p []byte) {
+	c := cap(p)
+	shift := frameShift(c)
+	if shift < 0 || c != frameClass(shift) {
+		return
+	}
+	framePools[shift-minFrameShift].Put(unsafe.SliceData(p))
+}
+
+// NewFrameBuffer returns an empty Buffer of at least the given capacity
+// whose memory comes from GetFrame. Once its message is sent and nothing
+// refers into it, PutFrame(w.Bytes()) hands the memory back.
+func NewFrameBuffer(capacity int) *Buffer {
+	return &Buffer{b: GetFrame(capacity)[:0]}
 }

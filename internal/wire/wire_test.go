@@ -3,10 +3,12 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"testing"
@@ -407,4 +409,126 @@ func TestFrameWindowsWrittenConcurrently(t *testing.T) {
 			t.Errorf("window %d holds bytes written to another", i)
 		}
 	}
+}
+
+// TestFramePoolClasses: GetFrame serves a frame from the smallest class
+// that holds it, a small or oversized frame is a plain allocation that
+// PutFrame leaves alone, and a frame handed back is the one a later Get of
+// its class returns, carrying what its last user wrote.
+func TestFramePoolClasses(t *testing.T) {
+	for _, tc := range []struct{ n, cap int }{
+		{0, 0},
+		{64, 64},
+		{32 << 10, 32 << 10},
+		{32<<10 + 1, 65 << 10},
+		{65 << 10, 65 << 10},
+		{65<<10 + 1, 130 << 10},
+		{4<<20 + 64<<10, 4<<20 + 64<<10},
+		{4<<20 + 64<<10 + 1, 8<<20 + 128<<10},
+		{MaxPooledFrame, MaxPooledFrame},
+		{MaxPooledFrame + 1, MaxPooledFrame + 1},
+	} {
+		if p := GetFrame(tc.n); len(p) != tc.n || cap(p) != tc.cap {
+			t.Errorf("GetFrame(%d): len %d cap %d, want cap %d", tc.n, len(p), cap(p), tc.cap)
+		}
+	}
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop what it is handed at random")
+	}
+	// A collection between Put and Get can empty the pool; it never hands
+	// out an array nobody gave back.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	p := GetFrame(100 << 10)
+	copy(p, "last user")
+	PutFrame(p)
+	q := GetFrame(70 << 10)
+	if &q[0] != &p[0] || string(q[:9]) != "last user" {
+		t.Error("a Get of the class after a Put did not return the frame handed back")
+	}
+	PutFrame(q[1:])                    // a window: capacity is no class size
+	PutFrame(make([]byte, 10, 64<<10)) // nor is this
+	if r := GetFrame(70 << 10); &r[0] == &q[0] {
+		t.Error("PutFrame of a window into a frame returned the frame to the pool")
+	}
+}
+
+// TestReadPooledFrameIsReadFrame: a frame read into pooled memory holds the
+// same bytes as one read into a fresh slice, across the class boundaries.
+func TestReadPooledFrameIsReadFrame(t *testing.T) {
+	for _, n := range []int{0, 5, 32 << 10, 32<<10 + 1, 1 << 20} {
+		p := bytes.Repeat([]byte{byte(n)}, n)
+		var buf bytes.Buffer
+		WriteFrame(&buf, p) //nolint:errcheck // bytes.Buffer
+		WriteFrame(&buf, p) //nolint:errcheck // bytes.Buffer
+		a, err := ReadFrame(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := ReadPooledFrame(&buf)
+		if err != nil || !bytes.Equal(a, b) || !bytes.Equal(b, p) {
+			t.Errorf("%d-byte frame: pooled read %d bytes, err %v", n, len(b), err)
+		}
+		PutFrame(b)
+	}
+}
+
+// BenchmarkWriteFrame is the framing cost of one send into a writer that
+// keeps nothing: a small control frame and a 4 MiB batch frame.
+func BenchmarkWriteFrame(b *testing.B) {
+	for _, n := range []int{64, 4 << 20} {
+		b.Run(frameSizeName(n), func(b *testing.B) {
+			p := bytes.Repeat([]byte{0xA5}, n)
+			b.SetBytes(int64(n))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := WriteFrame(io.Discard, p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkReadFrame reads a small and a 4 MiB frame into a slice the
+// caller keeps (ReadFrame) and, at 4 MiB, into pooled memory handed back
+// after each read (ReadPooledFrame): the difference is the runtime zeroing
+// a fresh frame.
+func BenchmarkReadFrame(b *testing.B) {
+	for _, tc := range []struct {
+		n      int
+		pooled bool
+	}{{64, false}, {4 << 20, false}, {4 << 20, true}} {
+		name := frameSizeName(tc.n)
+		if tc.pooled {
+			name += "/pooled"
+		}
+		b.Run(name, func(b *testing.B) {
+			var buf bytes.Buffer
+			WriteFrame(&buf, bytes.Repeat([]byte{0xA5}, tc.n)) //nolint:errcheck // bytes.Buffer
+			src := bytes.NewReader(buf.Bytes())
+			b.SetBytes(int64(tc.n))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				src.Seek(0, io.SeekStart) //nolint:errcheck // bytes.Reader
+				if !tc.pooled {
+					if _, err := ReadFrame(src); err != nil {
+						b.Fatal(err)
+					}
+					continue
+				}
+				p, err := ReadPooledFrame(src)
+				if err != nil {
+					b.Fatal(err)
+				}
+				PutFrame(p)
+			}
+		})
+	}
+}
+
+func frameSizeName(n int) string {
+	if n >= 1<<20 {
+		return fmt.Sprintf("%dMiB", n>>20)
+	}
+	return fmt.Sprintf("%dB", n)
 }
