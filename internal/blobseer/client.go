@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -179,19 +180,13 @@ func (s *remoteNodeStore) PutNodes(puts []meta.NodePut) error {
 	reg.Counter("blobseer_publish_node_bytes_total").Add(size)
 	return runGroups(s.ctx, s.par, groups, func(ctx context.Context, addr string, batch []meta.NodePut) error {
 		return splitByBytes(len(batch), func(i int) int { return 40 + len(batch[i].Encoded) }, func(start, end int) error {
-			size := 16
+			q := request{op: opNodePutBatch, nodes: make([]meta.NodeKey, 0, end-start), vals: make([][]byte, 0, end-start)}
 			for _, p := range batch[start:end] {
-				size += 40 + len(p.Encoded)
-			}
-			w := wire.NewBuffer(size)
-			w.PutU8(opNodePutBatch)
-			w.PutUvarint(uint64(end - start))
-			for _, p := range batch[start:end] {
-				putNodeKey(w, p.Key)
-				w.PutBytes(p.Encoded)
+				q.nodes = append(q.nodes, p.Key)
+				q.vals = append(q.vals, p.Encoded)
 			}
 			obs.RegistryFrom(ctx).Counter("blobseer_batch_calls_total", obs.L("op", "node-put-batch")).Inc()
-			if _, err := s.c.rpc(ctx, addr, "node-put-batch", w.Bytes()); err != nil {
+			if _, err := s.c.rpc(ctx, addr, "node-put-batch", q.encode().Bytes()); err != nil {
 				return fmt.Errorf("blobseer: put %d nodes to %s: %w", end-start, addr, err)
 			}
 			return nil
@@ -215,15 +210,13 @@ func (s *remoteNodeStore) GetNodes(keys []meta.NodeKey) ([][]byte, error) {
 	out := make([][]byte, len(keys))
 	err := runGroups(s.ctx, s.par, groups, func(ctx context.Context, addr string, positions []int) error {
 		return splitByBytes(len(positions), func(int) int { return meta.NodeSizeHint }, func(start, end int) error {
-			w := wire.NewBuffer(16 + 40*(end-start))
-			w.PutU8(opNodeGetBatch)
-			w.PutUvarint(uint64(end - start))
+			q := request{op: opNodeGetBatch, nodes: make([]meta.NodeKey, 0, end-start)}
 			for _, pos := range positions[start:end] {
-				putNodeKey(w, keys[pos])
+				q.nodes = append(q.nodes, keys[pos])
 			}
 			obs.RegistryFrom(ctx).Counter("blobseer_batch_calls_total", obs.L("op", "node-get-batch")).Inc()
 			s.gets.Add(1)
-			resp, err := s.c.rpc(ctx, addr, "node-get-batch", w.Bytes())
+			resp, err := s.c.rpc(ctx, addr, "node-get-batch", q.encode().Bytes())
 			if err != nil {
 				return fmt.Errorf("blobseer: get %d nodes from %s: %w", end-start, addr, err)
 			}
@@ -245,10 +238,7 @@ func (s *remoteNodeStore) GetNodes(keys []meta.NodeKey) ([][]byte, error) {
 // CreateBlob registers a new empty BLOB with the given chunk size and
 // returns its id.
 func (c *Client) CreateBlob(ctx context.Context, chunkSize uint64) (uint64, error) {
-	w := wire.NewBuffer(16)
-	w.PutU8(opCreate)
-	w.PutU64(chunkSize)
-	r, err := c.call(ctx, c.VMAddr, w)
+	r, err := c.call(ctx, c.VMAddr, request{op: opCreate, arg: chunkSize}.encode())
 	if err != nil {
 		return 0, err
 	}
@@ -259,10 +249,7 @@ func (c *Client) CreateBlob(ctx context.Context, chunkSize uint64) (uint64, erro
 // Latest returns the most recent published version of the blob and the
 // blob's chunk size.
 func (c *Client) Latest(ctx context.Context, blob uint64) (VersionInfo, uint64, error) {
-	w := wire.NewBuffer(16)
-	w.PutU8(opLatest)
-	w.PutU64(blob)
-	r, err := c.call(ctx, c.VMAddr, w)
+	r, err := c.call(ctx, c.VMAddr, request{op: opLatest, blob: blob}.encode())
 	if err != nil {
 		return VersionInfo{}, 0, err
 	}
@@ -274,11 +261,7 @@ func (c *Client) Latest(ctx context.Context, blob uint64) (VersionInfo, uint64, 
 // GetVersion returns the referenced published version and the blob's chunk
 // size.
 func (c *Client) GetVersion(ctx context.Context, ref SnapshotRef) (VersionInfo, uint64, error) {
-	w := wire.NewBuffer(24)
-	w.PutU8(opGetVersion)
-	w.PutU64(ref.Blob)
-	w.PutU64(ref.Version)
-	r, err := c.call(ctx, c.VMAddr, w)
+	r, err := c.call(ctx, c.VMAddr, request{op: opGetVersion, blob: ref.Blob, arg: ref.Version}.encode())
 	if err != nil {
 		return VersionInfo{}, 0, err
 	}
@@ -311,20 +294,13 @@ type BlobInfo struct {
 
 // ListBlobs enumerates all blobs known to the version manager.
 func (c *Client) ListBlobs(ctx context.Context) ([]BlobInfo, error) {
-	w := wire.NewBuffer(8)
-	w.PutU8(opListBlobs)
-	r, err := c.call(ctx, c.VMAddr, w)
+	r, err := c.call(ctx, c.VMAddr, request{op: opListBlobs}.encode())
 	if err != nil {
 		return nil, err
 	}
-	n, err := getCount(r)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]BlobInfo, 0, n)
-	for i := uint64(0); i < n; i++ {
-		out = append(out, BlobInfo{ID: r.U64(), ChunkSize: r.U64(), Versions: r.U64()})
-	}
+	out := getList(r, math.MaxUint64, func(r *wire.Reader) BlobInfo {
+		return BlobInfo{ID: r.U64(), ChunkSize: r.U64(), Versions: r.U64()}
+	})
 	return out, r.Err()
 }
 
@@ -461,10 +437,7 @@ func (c *Client) writeChunksStaged(ctx context.Context, blob uint64, base *Snaps
 	}
 
 	// Ticket: the version number this commit will publish under.
-	w := wire.NewBuffer(16)
-	w.PutU8(opTicket)
-	w.PutU64(blob)
-	r, err := c.call(probeCtx, c.VMAddr, w)
+	r, err := c.call(probeCtx, c.VMAddr, request{op: opTicket, blob: blob}.encode())
 	if err != nil {
 		return VersionInfo{}, stats, err
 	}
@@ -546,12 +519,7 @@ func (c *Client) writeChunksStaged(ctx context.Context, blob uint64, base *Snaps
 	// Commit. The write manifest rides along so the version manager can
 	// track which write supersedes which (refcount GC).
 	info := VersionInfo{Version: version, Size: newSize, Span: newSpan, Root: root}
-	w = wire.NewBuffer(64)
-	w.PutU8(opCommit)
-	w.PutU64(blob)
-	putVersionInfo(w, info)
-	putManifest(w, manifest)
-	if _, err := c.call(durableCtx, c.VMAddr, w); err != nil {
+	if _, err := c.call(durableCtx, c.VMAddr, request{op: opCommit, blob: blob, info: info, manifest: manifest}.encode()); err != nil {
 		// The commit may or may not have landed; releasing refs here could
 		// double-release a published version's chunks. Leave reconciliation
 		// to the mark-and-sweep fallback.
@@ -846,14 +814,8 @@ func (c *Client) releaseRefs(ctx context.Context, manifest []manifestEntry) Recl
 
 // casReleaseBatch drops one reference per fingerprint at one provider.
 func (c *Client) casReleaseBatch(ctx context.Context, addr string, fps []cas.Fingerprint) (reclaimedChunks int, reclaimedBytes uint64, err error) {
-	w := wire.NewBuffer(16 + 40*len(fps))
-	w.PutU8(opCasReleaseBatch)
-	w.PutUvarint(uint64(len(fps)))
-	for _, fp := range fps {
-		putFingerprint(w, fp)
-	}
 	obs.RegistryFrom(ctx).Counter("blobseer_batch_calls_total", obs.L("op", "cas-release-batch")).Inc()
-	r, err := c.call(ctx, addr, w)
+	r, err := c.call(ctx, addr, request{op: opCasReleaseBatch, fps: fps}.encode())
 	if err != nil {
 		return 0, 0, err
 	}
@@ -874,9 +836,7 @@ func (c *Client) casReleaseBatch(ctx context.Context, addr string, fps []cas.Fin
 func (c *Client) CasStats(ctx context.Context, dataProviders []string) (cas.Stats, error) {
 	var total cas.Stats
 	for _, addr := range dataProviders {
-		w := wire.NewBuffer(8)
-		w.PutU8(opCasStats)
-		r, err := c.call(ctx, addr, w)
+		r, err := c.call(ctx, addr, request{op: opCasStats}.encode())
 		if err != nil {
 			return total, err
 		}
@@ -893,14 +853,12 @@ func (c *Client) CasStats(ctx context.Context, dataProviders []string) (cas.Stat
 // backend name ("seglog" or "mem", with a "cas+" prefix under the dedup
 // layer) and its engine-specific counters.
 func (c *Client) StoreEngineStats(ctx context.Context, addr string) (chunkstore.EngineStats, error) {
-	w := wire.NewBuffer(8)
-	w.PutU8(opStoreStats)
-	r, err := c.call(ctx, addr, w)
+	r, err := c.call(ctx, addr, request{op: opStoreStats}.encode())
 	if err != nil {
 		return chunkstore.EngineStats{}, err
 	}
 	es := getEngineStats(r)
-	if err := r.Err(); err != nil {
+	if err := r.End(); err != nil {
 		return chunkstore.EngineStats{}, err
 	}
 	return es, nil
@@ -910,9 +868,7 @@ func (c *Client) StoreEngineStats(ctx context.Context, addr string) (chunkstore.
 // compaction pass now. An engine with nothing to compact (in-memory)
 // answers a zero result.
 func (c *Client) CompactChunkStore(ctx context.Context, addr string) (chunkstore.CompactResult, error) {
-	w := wire.NewBuffer(8)
-	w.PutU8(opStoreCompact)
-	r, err := c.call(ctx, addr, w)
+	r, err := c.call(ctx, addr, request{op: opStoreCompact}.encode())
 	if err != nil {
 		return chunkstore.CompactResult{}, err
 	}
@@ -928,11 +884,7 @@ func (c *Client) CompactChunkStore(ctx context.Context, addr string) (chunkstore
 }
 
 func (c *Client) abort(ctx context.Context, blob, version uint64) {
-	w := wire.NewBuffer(24)
-	w.PutU8(opAbort)
-	w.PutU64(blob)
-	w.PutU64(version)
-	c.call(ctx, c.VMAddr, w) // best effort; the version slot is released
+	c.call(ctx, c.VMAddr, request{op: opAbort, blob: blob, arg: version}.encode()) // best effort; the version slot is released
 }
 
 // latest returns the blob's latest published version and its chunk size,
@@ -1005,11 +957,7 @@ func (c *Client) WriteAt(ctx context.Context, blob uint64, offset uint64, data [
 // Clone creates a new blob whose version 0 is the referenced snapshot of the
 // source blob, sharing all content. This is the CLONE primitive.
 func (c *Client) Clone(ctx context.Context, src SnapshotRef) (uint64, error) {
-	w := wire.NewBuffer(24)
-	w.PutU8(opClone)
-	w.PutU64(src.Blob)
-	w.PutU64(src.Version)
-	r, err := c.call(ctx, c.VMAddr, w)
+	r, err := c.call(ctx, c.VMAddr, request{op: opClone, blob: src.Blob, arg: src.Version}.encode())
 	if err != nil {
 		return 0, err
 	}
@@ -1022,21 +970,14 @@ func (c *Client) Clone(ctx context.Context, src SnapshotRef) (uint64, error) {
 // It replaces the blob's previous hint. The version manager rejects a hint
 // naming more than 32 MiB of chunks.
 func (c *Client) PutHint(ctx context.Context, blob uint64, indices []uint64) error {
-	w := wire.NewBuffer(16 + 3*len(indices))
-	w.PutU8(opHintPut)
-	w.PutU64(blob)
-	w.PutIndices(indices)
-	_, err := c.call(ctx, c.VMAddr, w)
+	_, err := c.call(ctx, c.VMAddr, request{op: opHintPut, blob: blob, indices: indices}.encode())
 	return err
 }
 
 // GetHint returns the blob's latest boot-set hint, empty when none was
 // published.
 func (c *Client) GetHint(ctx context.Context, blob uint64) ([]uint64, error) {
-	w := wire.NewBuffer(16)
-	w.PutU8(opHintGet)
-	w.PutU64(blob)
-	r, err := c.call(ctx, c.VMAddr, w)
+	r, err := c.call(ctx, c.VMAddr, request{op: opHintGet, blob: blob}.encode())
 	if err != nil {
 		return nil, err
 	}
@@ -1065,27 +1006,12 @@ func (c *Client) Retire(ctx context.Context, blob, before uint64) error {
 // no repository sweep. Releases to unreachable providers are counted in Failed and left for the
 // sweep to reconcile.
 func (c *Client) RetireStats(ctx context.Context, blob, before uint64) (ReclaimStats, error) {
-	w := wire.NewBuffer(24)
-	w.PutU8(opRetire)
-	w.PutU64(blob)
-	w.PutU64(before)
-	r, err := c.call(ctx, c.VMAddr, w)
+	r, err := c.call(ctx, c.VMAddr, request{op: opRetire, blob: blob, arg: before}.encode())
 	if err != nil {
 		return ReclaimStats{}, err
 	}
 	r.U64() // retired horizon
-	n, err := getCount(r)
-	if err != nil {
-		return ReclaimStats{}, err
-	}
-	releases := make([]manifestEntry, 0, n)
-	for i := uint64(0); i < n; i++ {
-		rel := manifestEntry{fp: getFingerprint(r)}
-		if rel.providers, err = getProviderList(r); err != nil {
-			return ReclaimStats{}, err
-		}
-		releases = append(releases, rel)
-	}
+	releases := getList(r, math.MaxUint64, getRelease)
 	if err := r.Err(); err != nil {
 		return ReclaimStats{}, err
 	}
@@ -1144,31 +1070,19 @@ func (c *Client) GC(ctx context.Context, dataProviders []string) (GCStats, error
 
 	// Sweep metadata providers.
 	for _, addr := range c.MetaAddrs {
-		w := wire.NewBuffer(8)
-		w.PutU8(opNodeList)
-		r, err := c.call(ctx, addr, w)
+		r, err := c.call(ctx, addr, request{op: opNodeList}.encode())
 		if err != nil {
 			return stats, err
 		}
-		n, err := getCount(r)
-		if err != nil {
-			return stats, err
-		}
-		var dead []meta.NodeKey
-		for i := uint64(0); i < n; i++ {
-			k := getNodeKey(r)
-			if _, ok := liveNodes[k]; !ok {
-				dead = append(dead, k)
-			}
-		}
+		keys := getList(r, math.MaxUint64, getNodeKey)
 		if err := r.Err(); err != nil {
 			return stats, err
 		}
-		for _, k := range dead {
-			w := wire.NewBuffer(40)
-			w.PutU8(opNodeDelete)
-			putNodeKey(w, k)
-			if _, err := c.call(ctx, addr, w); err != nil {
+		for _, k := range keys {
+			if _, live := liveNodes[k]; live {
+				continue
+			}
+			if _, err := c.call(ctx, addr, request{op: opNodeDelete, nodes: []meta.NodeKey{k}}.encode()); err != nil {
 				return stats, err
 			}
 			stats.DeletedNodes++
@@ -1177,31 +1091,19 @@ func (c *Client) GC(ctx context.Context, dataProviders []string) (GCStats, error
 
 	// Sweep data providers.
 	for _, addr := range dataProviders {
-		w := wire.NewBuffer(8)
-		w.PutU8(opChunkList)
-		r, err := c.call(ctx, addr, w)
+		r, err := c.call(ctx, addr, request{op: opChunkList}.encode())
 		if err != nil {
 			return stats, err
 		}
-		n, err := getCount(r)
-		if err != nil {
-			return stats, err
-		}
-		var dead []chunkstore.Key
-		for i := uint64(0); i < n; i++ {
-			k := getChunkKey(r)
-			if _, ok := liveChunks[k]; !ok {
-				dead = append(dead, k)
-			}
-		}
+		keys := getList(r, math.MaxUint64, getChunkKey)
 		if err := r.Err(); err != nil {
 			return stats, err
 		}
-		for _, k := range dead {
-			w := wire.NewBuffer(24)
-			w.PutU8(opChunkDelete)
-			putChunkKey(w, k)
-			if _, err := c.call(ctx, addr, w); err != nil {
+		for _, k := range keys {
+			if _, live := liveChunks[k]; live {
+				continue
+			}
+			if err := c.DeleteChunkAt(ctx, addr, k); err != nil {
 				return stats, err
 			}
 			stats.DeletedChunks++
@@ -1212,48 +1114,31 @@ func (c *Client) GC(ctx context.Context, dataProviders []string) (GCStats, error
 
 // Providers returns the registered data provider addresses.
 func (c *Client) Providers(ctx context.Context) ([]string, error) {
-	w := wire.NewBuffer(8)
-	w.PutU8(opProviders)
-	r, err := c.call(ctx, c.PMAddr, w)
+	r, err := c.call(ctx, c.PMAddr, request{op: opProviders}.encode())
 	if err != nil {
 		return nil, err
 	}
-	n, err := getCount(r)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
-		out = append(out, r.String())
-	}
+	out := getList(r, math.MaxUint64, (*wire.Reader).String)
 	return out, r.Err()
 }
 
 // RegisterProvider announces a data provider to the provider manager.
 func (c *Client) RegisterProvider(ctx context.Context, addr string) error {
-	w := wire.NewBuffer(32)
-	w.PutU8(opRegister)
-	w.PutString(addr)
-	_, err := c.call(ctx, c.PMAddr, w)
+	_, err := c.call(ctx, c.PMAddr, request{op: opRegister, addr: addr}.encode())
 	return err
 }
 
 // UnregisterProvider removes a (failed) data provider from placement. Data
 // it held remains readable only through replicas on other providers.
 func (c *Client) UnregisterProvider(ctx context.Context, addr string) error {
-	w := wire.NewBuffer(32)
-	w.PutU8(opUnregister)
-	w.PutString(addr)
-	_, err := c.call(ctx, c.PMAddr, w)
+	_, err := c.call(ctx, c.PMAddr, request{op: opUnregister, addr: addr}.encode())
 	return err
 }
 
 // Usage sums storage used across the given data providers.
 func (c *Client) Usage(ctx context.Context, dataProviders []string) (bytes uint64, chunks uint64, err error) {
 	for _, addr := range dataProviders {
-		w := wire.NewBuffer(8)
-		w.PutU8(opChunkUsage)
-		r, cerr := c.call(ctx, addr, w)
+		r, cerr := c.call(ctx, addr, request{op: opChunkUsage}.encode())
 		if cerr != nil {
 			return 0, 0, cerr
 		}
@@ -1269,9 +1154,7 @@ func (c *Client) Usage(ctx context.Context, dataProviders []string) (bytes uint6
 // MetaUsage sums metadata bytes across the metadata providers.
 func (c *Client) MetaUsage(ctx context.Context) (bytes uint64, nodes uint64, err error) {
 	for _, addr := range c.MetaAddrs {
-		w := wire.NewBuffer(8)
-		w.PutU8(opNodeUsage)
-		r, cerr := c.call(ctx, addr, w)
+		r, cerr := c.call(ctx, addr, request{op: opNodeUsage}.encode())
 		if cerr != nil {
 			return 0, 0, cerr
 		}

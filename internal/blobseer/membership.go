@@ -23,25 +23,14 @@ import (
 // provider with its state (active or draining) and the epoch that bumps on
 // each change.
 func (c *Client) Membership(ctx context.Context) (Membership, error) {
-	w := wire.NewBuffer(8)
-	w.PutU8(opMembership)
-	r, err := c.call(ctx, c.PMAddr, w)
+	r, err := c.call(ctx, c.PMAddr, request{op: opMembership}.encode())
 	if err != nil {
 		return Membership{}, err
 	}
-	var m Membership
-	m.Epoch = r.U64()
-	n := r.Uvarint()
-	if n > maxBatchItems {
-		return Membership{}, fmt.Errorf("blobseer: implausible membership of %d providers", n)
-	}
-	m.Providers = make([]ProviderInfo, 0, n)
-	for i := uint64(0); i < n && r.Err() == nil; i++ {
-		var p ProviderInfo
-		p.Addr = r.String()
-		p.State = ProviderState(r.U8())
-		m.Providers = append(m.Providers, p)
-	}
+	m := Membership{Epoch: r.U64()}
+	m.Providers = getList(r, maxBatchItems, func(r *wire.Reader) ProviderInfo {
+		return ProviderInfo{Addr: r.String(), State: ProviderState(r.U8())}
+	})
 	return m, r.Err()
 }
 
@@ -50,10 +39,7 @@ func (c *Client) Membership(ctx context.Context) (Membership, error) {
 // replicas elsewhere; once it holds no live chunk, RetireProvider removes it
 // for good. Draining an already-draining provider is a no-op.
 func (c *Client) DrainProvider(ctx context.Context, addr string) error {
-	w := wire.NewBuffer(32)
-	w.PutU8(opDrain)
-	w.PutString(addr)
-	_, err := c.call(ctx, c.PMAddr, w)
+	_, err := c.call(ctx, c.PMAddr, request{op: opDrain, addr: addr}.encode())
 	return err
 }
 
@@ -62,10 +48,7 @@ func (c *Client) DrainProvider(ctx context.Context, addr string) error {
 // still active (placement-eligible); retiring an unknown provider is a
 // no-op.
 func (c *Client) RetireProvider(ctx context.Context, addr string) error {
-	w := wire.NewBuffer(32)
-	w.PutU8(opRetireProvider)
-	w.PutString(addr)
-	_, err := c.call(ctx, c.PMAddr, w)
+	_, err := c.call(ctx, c.PMAddr, request{op: opRetireProvider, addr: addr}.encode())
 	return err
 }
 
@@ -87,9 +70,7 @@ func (c *Client) RelocateWrites(ctx context.Context, apply bool, relocs []Reloca
 	counts := make([]uint64, len(relocs))
 	for start := 0; start < len(relocs); start += maxFrameItems {
 		end := min(start+maxFrameItems, len(relocs))
-		w := wire.NewBuffer(16 + 64*(end-start))
-		putRelocations(w, apply, relocs[start:end])
-		r, err := c.call(ctx, c.VMAddr, w)
+		r, err := c.call(ctx, c.VMAddr, request{op: opRelocate, apply: apply, relocs: relocs[start:end]}.encode())
 		if err != nil {
 			return nil, err
 		}
@@ -113,24 +94,13 @@ type LiveVersion struct {
 // LiveVersions enumerates every non-retired published version of every blob
 // — the root set a scrub walks and the mark-and-sweep GC marks from.
 func (c *Client) LiveVersions(ctx context.Context) ([]LiveVersion, error) {
-	w := wire.NewBuffer(8)
-	w.PutU8(opListLive)
-	r, err := c.call(ctx, c.VMAddr, w)
+	r, err := c.call(ctx, c.VMAddr, request{op: opListLive}.encode())
 	if err != nil {
 		return nil, err
 	}
-	n := r.Uvarint()
-	if n > maxBatchItems {
-		return nil, fmt.Errorf("blobseer: implausible live set of %d versions", n)
-	}
-	out := make([]LiveVersion, 0, n)
-	for i := uint64(0); i < n && r.Err() == nil; i++ {
-		var lv LiveVersion
-		lv.Blob = r.U64()
-		lv.Info = getVersionInfo(r)
-		lv.ChunkSize = r.U64()
-		out = append(out, lv)
-	}
+	out := getList(r, maxBatchItems, func(r *wire.Reader) LiveVersion {
+		return LiveVersion{Blob: r.U64(), Info: getVersionInfo(r), ChunkSize: r.U64()}
+	})
 	return out, r.Err()
 }
 
@@ -283,11 +253,7 @@ func (c *Client) ReleaseCasRefsAt(ctx context.Context, addr string, fp cas.Finge
 	if n == 0 {
 		return 0, nil
 	}
-	w := wire.NewBuffer(48)
-	w.PutU8(opCasReleaseN)
-	putFingerprint(w, fp)
-	w.PutUvarint(n)
-	r, err := c.call(ctx, addr, w)
+	r, err := c.call(ctx, addr, request{op: opCasReleaseN, fps: []cas.Fingerprint{fp}, arg: n}.encode())
 	if err != nil {
 		return 0, err
 	}
@@ -301,9 +267,6 @@ func (c *Client) ReleaseCasRefsAt(ctx context.Context, addr string, fp cas.Finge
 // primitive a repair pass uses to destroy a corrupt replica before
 // re-placing a good one.
 func (c *Client) DeleteChunkAt(ctx context.Context, addr string, key chunkstore.Key) error {
-	w := wire.NewBuffer(24)
-	w.PutU8(opChunkDelete)
-	putChunkKey(w, key)
-	_, err := c.call(ctx, addr, w)
+	_, err := c.call(ctx, addr, request{op: opChunkDelete, chunks: []chunkstore.Key{key}}.encode())
 	return err
 }

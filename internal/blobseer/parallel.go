@@ -134,14 +134,8 @@ func splitByBytes(n int, size func(i int) int, fn func(start, end int) error) er
 // capacity ends where the body does, so an append to one cannot write into
 // the next.
 func (c *Client) getChunkBatch(ctx context.Context, addr string, keys []chunkstore.Key) ([][]byte, error) {
-	w := wire.NewBuffer(16 + 16*len(keys))
-	w.PutU8(opChunkGetBatch)
-	w.PutUvarint(uint64(len(keys)))
-	for _, k := range keys {
-		putChunkKey(w, k)
-	}
 	obs.RegistryFrom(ctx).Counter("blobseer_batch_calls_total", obs.L("op", "chunk-get-batch")).Inc()
-	resp, err := c.rpc(ctx, addr, "chunk-get-batch", w.Bytes())
+	resp, err := c.rpc(ctx, addr, "chunk-get-batch", request{op: opChunkGetBatch, chunks: keys}.encode().Bytes())
 	if err != nil {
 		return nil, fmt.Errorf("blobseer: get %d chunks from %s: %w", len(keys), addr, err)
 	}
@@ -161,11 +155,8 @@ func decodeChunkBatchReply(resp []byte, n int) ([][]byte, error) {
 			out[i] = body[:len(body):len(body)]
 		}
 	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if r.Remaining() != 0 {
-		return nil, fmt.Errorf("blobseer: chunk batch reply: %d bytes past its %d items", r.Remaining(), n)
+	if err := r.End(); err != nil {
+		return nil, fmt.Errorf("blobseer: chunk batch reply of %d items: %w", n, err)
 	}
 	return out, nil
 }
@@ -180,14 +171,8 @@ func (c *Client) casRefBatch(ctx context.Context, addr string, fps []cas.Fingerp
 	held = make([]bool, len(fps))
 	for start := 0; start < len(fps); start += maxFrameItems {
 		end := min(start+maxFrameItems, len(fps))
-		w := wire.NewBuffer(16 + 40*(end-start))
-		w.PutU8(opCasRefBatch)
-		w.PutUvarint(uint64(end - start))
-		for _, fp := range fps[start:end] {
-			putFingerprint(w, fp)
-		}
 		obs.RegistryFrom(ctx).Counter("blobseer_batch_calls_total", obs.L("op", "cas-ref-batch")).Inc()
-		resp, err := c.rpc(ctx, addr, "cas-ref-batch", w.Bytes())
+		resp, err := c.rpc(ctx, addr, "cas-ref-batch", request{op: opCasRefBatch, fps: fps[start:end]}.encode().Bytes())
 		if err != nil {
 			return held, start, fmt.Errorf("blobseer: cas ref batch on %s: %w", addr, err)
 		}
@@ -211,17 +196,7 @@ func (c *Client) casRefBatch(ctx context.Context, addr string, fps []cas.Fingerp
 // provider in a single round trip, taking one reference each. The frame is
 // pooled: the network keeps no reference to a request once Call returns.
 func (c *Client) casPutBatch(ctx context.Context, addr string, fps []cas.Fingerprint, bodies [][]byte) error {
-	size := 16
-	for _, b := range bodies {
-		size += 48 + len(b)
-	}
-	w := wire.NewFrameBuffer(size)
-	w.PutU8(opCasPutBatch)
-	w.PutUvarint(uint64(len(fps)))
-	for i, fp := range fps {
-		putFingerprint(w, fp)
-		w.PutBytes(bodies[i])
-	}
+	w := request{op: opCasPutBatch, fps: fps, bodies: bodies}.encode()
 	obs.RegistryFrom(ctx).Counter("blobseer_batch_calls_total", obs.L("op", "cas-put-batch")).Inc()
 	resp, err := c.rpc(ctx, addr, "cas-put-batch", w.Bytes())
 	wire.PutFrame(w.Bytes())

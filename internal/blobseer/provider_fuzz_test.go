@@ -53,29 +53,40 @@ func fingerprintFrame(op byte, fps []cas.Fingerprint, bodies [][]byte) []byte {
 // mismatchedPut reports whether req is a well-formed cas-put-batch frame
 // carrying a body that does not hash to its fingerprint.
 func mismatchedPut(req []byte) bool {
-	r := wire.NewReader(req)
-	if r.U8() != opCasPutBatch {
+	q, err := decodeRequest(req)
+	if err != nil || q.op != opCasPutBatch {
 		return false
 	}
-	n, err := batchCount(opCasPutBatch, r)
+	for i, fp := range q.fps {
+		if cas.Sum(q.bodies[i]) != fp {
+			return true
+		}
+	}
+	return false
+}
+
+// reencodes fails t unless frame decodes to a request whose encoding is
+// frame itself.
+func reencodes(t *testing.T, frame []byte) {
+	t.Helper()
+	q, err := decodeRequest(frame)
 	if err != nil {
-		return false
+		t.Fatalf("a served frame does not decode: %v", err)
 	}
-	bad := false
-	for i := uint64(0); i < n && r.Err() == nil; i++ {
-		fp := getFingerprint(r)
-		bad = bad || cas.Sum(r.Bytes()) != fp
+	if got := q.encode().Bytes(); !bytes.Equal(got, frame) {
+		t.Fatalf("frame %x re-encodes as %x", frame, got)
 	}
-	return r.Err() == nil && bad
 }
 
 // FuzzDataProviderRequest drives the data provider's request handler with
 // arbitrary frames, seeded with a real frame of each batch op: a
 // chunk-get-batch, a cas-ref-batch, a cas-put-batch of a new and a held
-// body, one whose body does not match its fingerprint, and a
-// cas-release-batch. No input panics; a refused frame leaves the CAS bodies
-// and reference counts as they were; and a cas-put-batch with any body that
-// does not match its fingerprint is refused.
+// body, one whose body does not match its fingerprint, a cas-release-batch,
+// and the non-canonical frames of nonCanonicalFrames. No input panics; a
+// refused frame leaves the CAS bodies and reference counts as they were; a
+// cas-put-batch with any body that does not match its fingerprint is
+// refused; and every accepted frame re-encodes byte for byte, so no two
+// frames are served alike.
 func FuzzDataProviderRequest(f *testing.F) {
 	held := [][]byte{[]byte("held body"), bytes.Repeat([]byte{0xC3}, 700), {}}
 	fresh := []byte("a body the provider lacks")
@@ -93,6 +104,9 @@ func FuzzDataProviderRequest(f *testing.F) {
 	f.Add(fingerprintFrame(opCasPutBatch, []cas.Fingerprint{fps[3], fps[0]}, [][]byte{fresh, held[0]}))
 	f.Add(fingerprintFrame(opCasPutBatch, []cas.Fingerprint{fps[3], fps[0]}, [][]byte{fresh, held[1]}))
 	f.Add(fingerprintFrame(opCasReleaseBatch, []cas.Fingerprint{fps[0], fps[1], fps[3]}, nil))
+	for _, frame := range nonCanonicalFrames() {
+		f.Add(frame)
+	}
 
 	f.Fuzz(func(t *testing.T, req []byte) {
 		store := cas.NewMem()
@@ -111,6 +125,9 @@ func FuzzDataProviderRequest(f *testing.F) {
 		}
 		if err != nil && !snapshotProvider(store, fps).equal(before) {
 			t.Fatalf("a refused frame (%v) changed the provider's bodies or reference counts", err)
+		}
+		if err == nil {
+			reencodes(t, req)
 		}
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"sync"
@@ -109,58 +110,38 @@ func (pm *ProviderManager) Serve(n transport.Network, addr string) (transport.Se
 	return n.Listen(addr, transport.Introspect(pm.registry, pm.handle))
 }
 
-func (pm *ProviderManager) handle(ctx context.Context, req []byte) ([]byte, error) {
-	r := wire.NewReader(req)
-	op := int(r.U8())
-	if err := r.Err(); err != nil {
+func (pm *ProviderManager) handle(ctx context.Context, frame []byte) ([]byte, error) {
+	q, err := decodeFor("provider manager", opRegister, opRetireProvider, frame)
+	if err != nil {
 		return nil, err
 	}
-	_, sp := handlerSpan(ctx, pm.registry(), op)
+	_, sp := handlerSpan(ctx, pm.registry(), q.op)
 	defer sp.End()
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
 	w := wire.NewBuffer(64)
-	switch op {
+	switch q.op {
 	case opRegister:
-		addr := r.String()
-		if err := reqErr(op, r); err != nil {
-			return nil, err
-		}
-		for _, p := range pm.providers {
-			if p == addr {
-				return w.Bytes(), nil // already registered
-			}
+		if slices.Contains(pm.providers, q.addr) {
+			break // already registered
 		}
 		// A draining provider that re-joins is reactivated.
-		pm.draining = removeAddr(pm.draining, addr)
-		pm.providers = append(pm.providers, addr)
+		pm.draining = removeAddr(pm.draining, q.addr)
+		pm.providers = append(pm.providers, q.addr)
 		sort.Strings(pm.providers) // deterministic placement order
 		pm.epoch++
 
 	case opProviders:
-		if err := reqErr(op, r); err != nil {
-			return nil, err
-		}
-		w.PutUvarint(uint64(len(pm.providers)))
-		for _, p := range pm.providers {
-			w.PutString(p)
-		}
+		putList(w, pm.providers, (*wire.Buffer).PutString)
 
 	case opUnregister:
 		// A fail-stopped node's provider leaves the placement rotation;
 		// chunks it held survive only through replicas.
-		addr := r.String()
-		if err := reqErr(op, r); err != nil {
-			return nil, err
-		}
-		pm.providers = removeAddr(pm.providers, addr)
-		pm.draining = removeAddr(pm.draining, addr)
+		pm.providers = removeAddr(pm.providers, q.addr)
+		pm.draining = removeAddr(pm.draining, q.addr)
 		pm.epoch++
 
 	case opMembership:
-		if err := reqErr(op, r); err != nil {
-			return nil, err
-		}
 		w.PutU64(pm.epoch)
 		w.PutUvarint(uint64(len(pm.providers) + len(pm.draining)))
 		for _, p := range pm.providers {
@@ -173,37 +154,26 @@ func (pm *ProviderManager) handle(ctx context.Context, req []byte) ([]byte, erro
 		}
 
 	case opDrain:
-		addr := r.String()
-		if err := reqErr(op, r); err != nil {
-			return nil, err
-		}
-		if slices.Contains(pm.draining, addr) {
+		if slices.Contains(pm.draining, q.addr) {
 			break // already draining
 		}
-		if !slices.Contains(pm.providers, addr) {
-			return nil, fmt.Errorf("blobseer: drain of unknown provider %s", addr)
+		if !slices.Contains(pm.providers, q.addr) {
+			return nil, fmt.Errorf("blobseer: drain of unknown provider %s", q.addr)
 		}
-		pm.providers = removeAddr(pm.providers, addr)
-		pm.draining = append(pm.draining, addr)
+		pm.providers = removeAddr(pm.providers, q.addr)
+		pm.draining = append(pm.draining, q.addr)
 		sort.Strings(pm.draining)
 		pm.epoch++
 
 	case opRetireProvider:
-		addr := r.String()
-		if err := reqErr(op, r); err != nil {
-			return nil, err
+		if slices.Contains(pm.providers, q.addr) {
+			return nil, fmt.Errorf("blobseer: provider %s must drain before retiring", q.addr)
 		}
-		if slices.Contains(pm.providers, addr) {
-			return nil, fmt.Errorf("blobseer: provider %s must drain before retiring", addr)
-		}
-		if !slices.Contains(pm.draining, addr) {
+		if !slices.Contains(pm.draining, q.addr) {
 			break // already gone: retiring twice is idempotent
 		}
-		pm.draining = removeAddr(pm.draining, addr)
+		pm.draining = removeAddr(pm.draining, q.addr)
 		pm.epoch++
-
-	default:
-		return nil, fmt.Errorf("blobseer: provider manager: unknown op %d", op)
 	}
 	return w.Bytes(), nil
 }
@@ -248,58 +218,33 @@ func (dp *DataProvider) Serve(n transport.Network, addr string) (transport.Serve
 	return n.Listen(addr, transport.Introspect(dp.registry, dp.handle))
 }
 
-func (dp *DataProvider) handle(ctx context.Context, req []byte) ([]byte, error) {
-	r := wire.NewReader(req)
-	op := int(r.U8())
-	if err := r.Err(); err != nil {
+func (dp *DataProvider) handle(ctx context.Context, frame []byte) ([]byte, error) {
+	q, err := decodeFor("data provider", opChunkDelete, opStoreCompact, frame)
+	if err != nil {
 		return nil, err
 	}
-	_, sp := handlerSpan(ctx, dp.registry(), op)
+	_, sp := handlerSpan(ctx, dp.registry(), q.op)
 	defer sp.End()
 	w := wire.NewBuffer(64)
-	switch op {
+	switch q.op {
 	case opChunkDelete:
-		key := getChunkKey(r)
-		if err := reqErr(op, r); err != nil {
-			return nil, err
-		}
-		if err := dp.store.Delete(key); err != nil {
+		if err := dp.store.Delete(q.chunks[0]); err != nil {
 			return nil, err
 		}
 
 	case opChunkList:
-		if err := reqErr(op, r); err != nil {
-			return nil, err
-		}
-		keys := dp.store.Keys()
-		w.PutUvarint(uint64(len(keys)))
-		for _, k := range keys {
-			putChunkKey(w, k)
-		}
+		putList(w, dp.store.Keys(), putChunkKey)
 
 	case opChunkUsage:
-		if err := reqErr(op, r); err != nil {
-			return nil, err
-		}
 		w.PutU64(uint64(dp.store.UsedBytes()))
 		w.PutU64(uint64(dp.store.Len()))
 
 	case opChunkGetBatch:
-		n, err := batchCount(op, r)
-		if err != nil {
-			return nil, err
-		}
-		keys := make([]chunkstore.Key, 0, n)
-		for i := uint64(0); i < n && r.Err() == nil; i++ {
-			keys = append(keys, getChunkKey(r))
-		}
-		if err := reqErr(op, r); err != nil {
-			return nil, err
-		}
 		// One pooled frame for the whole response — a flag, a length prefix
 		// and the body per key, sized from the dedup index — and every body
 		// read from the store straight into it. The frame goes back to the
 		// pool once the transport has sent it.
+		keys := q.chunks
 		w = wire.NewFrameBuffer(len(keys)*(1+binary.MaxVarintLen32) + dp.store.BodyBytes(keys))
 		for _, k := range keys {
 			mark := w.Len()
@@ -321,41 +266,17 @@ func (dp *DataProvider) handle(ctx context.Context, req []byte) ([]byte, error) 
 		transport.RecycleReply(ctx, w.Bytes())
 
 	case opCasRefBatch:
-		n, err := batchCount(op, r)
-		if err != nil {
-			return nil, err
-		}
-		fps := make([]cas.Fingerprint, 0, n)
-		for i := uint64(0); i < n && r.Err() == nil; i++ {
-			fps = append(fps, getFingerprint(r))
-		}
-		if err := reqErr(op, r); err != nil {
-			return nil, err
-		}
-		for _, fp := range fps {
+		for _, fp := range q.fps {
 			w.PutBool(dp.store.Ref(fp))
 		}
 
 	case opCasPutBatch:
-		n, err := batchCount(op, r)
-		if err != nil {
-			return nil, err
-		}
-		fps := make([]cas.Fingerprint, 0, n)
-		bodies := make([][]byte, 0, n)
-		for i := uint64(0); i < n && r.Err() == nil; i++ {
-			fps = append(fps, getFingerprint(r))
-			bodies = append(bodies, r.Bytes())
-		}
-		if err := reqErr(op, r); err != nil {
-			return nil, err
-		}
 		// The frame is all-or-nothing: the client treats a failed frame as
 		// "no references taken" and fails the chunks over to other
 		// providers. PutContentBatch verifies every body against its
 		// fingerprint before it applies anything, and hands the engine the
 		// bodies this provider lacks as one batch.
-		dups, err := dp.store.PutContentBatch(fps, bodies)
+		dups, err := dp.store.PutContentBatch(q.fps, q.bodies)
 		// The CAS index and the engine copy what they store: nothing refers
 		// into the request frame any more.
 		transport.ReleaseRequest(ctx)
@@ -367,18 +288,7 @@ func (dp *DataProvider) handle(ctx context.Context, req []byte) ([]byte, error) 
 		}
 
 	case opCasReleaseBatch:
-		n, err := batchCount(op, r)
-		if err != nil {
-			return nil, err
-		}
-		fps := make([]cas.Fingerprint, 0, n)
-		for i := uint64(0); i < n && r.Err() == nil; i++ {
-			fps = append(fps, getFingerprint(r))
-		}
-		if err := reqErr(op, r); err != nil {
-			return nil, err
-		}
-		chunks, freed, err := dp.store.ReleaseBatch(fps)
+		chunks, freed, err := dp.store.ReleaseBatch(q.fps)
 		if err != nil {
 			return nil, err
 		}
@@ -386,13 +296,9 @@ func (dp *DataProvider) handle(ctx context.Context, req []byte) ([]byte, error) 
 		w.PutU64(freed)
 
 	case opCasReleaseN:
-		fp := getFingerprint(r)
-		n := r.Uvarint()
-		if err := reqErr(op, r); err != nil {
-			return nil, err
-		}
+		fp, n := q.fps[0], q.arg
 		if n > maxBatchItems {
-			return nil, fmt.Errorf("blobseer: op %d: implausible release of %d references", op, n)
+			return nil, fmt.Errorf("blobseer: implausible release of %d references", n)
 		}
 		var remaining, totalReclaimed uint64
 		for i := uint64(0); i < n; i++ {
@@ -410,21 +316,12 @@ func (dp *DataProvider) handle(ctx context.Context, req []byte) ([]byte, error) 
 		w.PutU64(totalReclaimed)
 
 	case opCasStats:
-		if err := reqErr(op, r); err != nil {
-			return nil, err
-		}
 		putCasStats(w, dp.store.Stats())
 
 	case opStoreStats:
-		if err := reqErr(op, r); err != nil {
-			return nil, err
-		}
 		putEngineStats(w, dp.store.EngineStats())
 
 	case opStoreCompact:
-		if err := reqErr(op, r); err != nil {
-			return nil, err
-		}
 		res, err := dp.store.CompactNow()
 		if err != nil {
 			return nil, err
@@ -432,9 +329,6 @@ func (dp *DataProvider) handle(ctx context.Context, req []byte) ([]byte, error) 
 		w.PutUvarint(uint64(res.Segments))
 		w.PutUvarint(uint64(res.Relocated))
 		w.PutU64(res.ReclaimedBytes)
-
-	default:
-		return nil, fmt.Errorf("blobseer: data provider: unknown op %d", op)
 	}
 	return w.Bytes(), nil
 }
@@ -538,88 +432,48 @@ func (mp *MetadataProvider) Serve(n transport.Network, addr string) (transport.S
 	return n.Listen(addr, transport.Introspect(mp.registry, mp.handle))
 }
 
-func (mp *MetadataProvider) handle(ctx context.Context, req []byte) ([]byte, error) {
-	r := wire.NewReader(req)
-	op := int(r.U8())
-	if err := r.Err(); err != nil {
+func (mp *MetadataProvider) handle(ctx context.Context, frame []byte) ([]byte, error) {
+	q, err := decodeFor("metadata provider", opNodeList, opNodeGetBatch, frame)
+	if err != nil {
 		return nil, err
 	}
-	_, sp := handlerSpan(ctx, mp.registry(), op)
+	_, sp := handlerSpan(ctx, mp.registry(), q.op)
 	defer sp.End()
 	w := wire.NewBuffer(64)
-	switch op {
+	switch q.op {
 	case opNodeList:
-		if err := reqErr(op, r); err != nil {
-			return nil, err
-		}
 		mp.mu.RLock()
-		keys := make([]meta.NodeKey, 0, len(mp.nodes))
-		for k := range mp.nodes {
-			keys = append(keys, k)
-		}
+		keys := slices.Collect(maps.Keys(mp.nodes))
 		mp.mu.RUnlock()
-		w.PutUvarint(uint64(len(keys)))
-		for _, k := range keys {
-			putNodeKey(w, k)
-		}
+		putList(w, keys, putNodeKey)
 
 	case opNodeDelete:
-		key := getNodeKey(r)
-		if err := reqErr(op, r); err != nil {
-			return nil, err
-		}
 		mp.mu.Lock()
-		mp.deleteLocked(key)
+		mp.deleteLocked(q.nodes[0])
 		mp.mu.Unlock()
 
 	case opNodeUsage:
-		if err := reqErr(op, r); err != nil {
-			return nil, err
-		}
 		mp.mu.RLock()
 		w.PutU64(uint64(mp.bytes))
 		w.PutU64(uint64(len(mp.nodes)))
 		mp.mu.RUnlock()
 
 	case opNodePutBatch:
-		n, err := batchCount(op, r)
-		if err != nil {
-			return nil, err
-		}
-		keys := make([]meta.NodeKey, 0, n)
-		vals := make([][]byte, 0, n)
-		for i := uint64(0); i < n && r.Err() == nil; i++ {
-			keys = append(keys, getNodeKey(r))
-			vals = append(vals, r.Bytes()) // windows of the frame: putLocked copies
-		}
-		if err := reqErr(op, r); err != nil {
-			return nil, err
-		}
+		// The encoded nodes are windows of the frame: putLocked copies.
 		mp.mu.Lock()
-		for i, key := range keys {
-			mp.putLocked(key, vals[i])
+		for i, key := range q.nodes {
+			mp.putLocked(key, q.vals[i])
 		}
 		mp.mu.Unlock()
 
 	case opNodeGetBatch:
-		n, err := batchCount(op, r)
-		if err != nil {
-			return nil, err
-		}
-		keys := make([]meta.NodeKey, 0, n)
-		for i := uint64(0); i < n && r.Err() == nil; i++ {
-			keys = append(keys, getNodeKey(r))
-		}
-		if err := reqErr(op, r); err != nil {
-			return nil, err
-		}
 		// Collect under the lock (stored nodes are immutable), then encode
 		// into a response sized once: a whole tree level can ride one frame.
-		vals := make([][]byte, len(keys))
-		held := make([]bool, len(keys))
+		vals := make([][]byte, len(q.nodes))
+		held := make([]bool, len(q.nodes))
 		size := 0
 		mp.mu.RLock()
-		for i, key := range keys {
+		for i, key := range q.nodes {
 			vals[i], held[i] = mp.getLocked(key)
 			size += 1 + binary.MaxVarintLen32 + len(vals[i])
 		}
@@ -631,9 +485,6 @@ func (mp *MetadataProvider) handle(ctx context.Context, req []byte) ([]byte, err
 				w.PutBytes(val)
 			}
 		}
-
-	default:
-		return nil, fmt.Errorf("blobseer: metadata provider: unknown op %d", op)
 	}
 	return w.Bytes(), nil
 }

@@ -2,7 +2,6 @@ package blobseer
 
 import (
 	"context"
-	"fmt"
 
 	"blobcr/internal/obs"
 	"blobcr/internal/transport"
@@ -59,13 +58,9 @@ func init() { transport.RegisterOps(opNames) }
 // spans below record into the server's own registry, detached from any
 // in-process caller's flat Trace — and opens the handler span, which
 // parents under the caller's RPC span via the wire's trace-context header.
-func handlerSpan(ctx context.Context, reg *obs.Registry, op int) (context.Context, *obs.Span) {
-	name := opNames[byte(op)]
-	if name == "" {
-		name = fmt.Sprintf("op-%d", op)
-	}
+func handlerSpan(ctx context.Context, reg *obs.Registry, op byte) (context.Context, *obs.Span) {
 	ctx = obs.HandlerContext(ctx, reg)
-	return obs.StartSpan(ctx, "handler/"+name)
+	return obs.StartSpan(ctx, "handler/"+opNames[op])
 }
 
 // VerbName is transport.VerbName, kept for callers outside the module tree

@@ -4,7 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 
 	"blobcr/internal/cas"
@@ -215,67 +216,51 @@ func (vm *VersionManager) Serve(n transport.Network, addr string) (transport.Ser
 	return n.Listen(addr, transport.Introspect(vm.registry, vm.handle))
 }
 
-func (vm *VersionManager) handle(ctx context.Context, req []byte) ([]byte, error) {
-	r := wire.NewReader(req)
-	op := int(r.U8())
-	if err := r.Err(); err != nil {
+func (vm *VersionManager) handle(ctx context.Context, frame []byte) ([]byte, error) {
+	q, err := decodeFor("version manager", opCreate, opHintGet, frame)
+	if err != nil {
 		return nil, err
 	}
-	_, sp := handlerSpan(ctx, vm.registry(), op)
+	_, sp := handlerSpan(ctx, vm.registry(), q.op)
 	defer sp.End()
 	vm.mu.Lock()
 	defer vm.mu.Unlock()
-	w := wire.NewBuffer(64)
-	switch op {
-	case opCreate:
-		chunkSize := r.U64()
-		if err := reqErr(op, r); err != nil {
-			return nil, err
+	var b *blobState // the blob of the ops that name one
+	switch q.op {
+	case opTicket, opCommit, opAbort, opGetVersion, opLatest, opClone, opRetire, opHintPut, opHintGet:
+		if b = vm.blobs[q.blob]; b == nil {
+			return nil, fmt.Errorf("%w: %d", ErrBlobNotFound, q.blob)
 		}
-		if chunkSize == 0 {
+	}
+	w := wire.NewBuffer(64)
+	switch q.op {
+	case opCreate:
+		if q.arg == 0 {
 			return nil, errors.New("blobseer: chunk size must be positive")
 		}
 		id := vm.nextBlob
 		vm.nextBlob++
-		vm.blobs[id] = newBlobState(id, chunkSize)
+		vm.blobs[id] = newBlobState(id, q.arg)
 		w.PutU64(id)
 
 	case opTicket:
-		blob := r.U64()
-		if err := reqErr(op, r); err != nil {
-			return nil, err
-		}
-		b, ok := vm.blobs[blob]
-		if !ok {
-			return nil, fmt.Errorf("%w: %d", ErrBlobNotFound, blob)
-		}
 		w.PutU64(b.nextTkt)
 		b.nextTkt++
 
 	case opCommit:
-		blob := r.U64()
-		info := getVersionInfo(r)
-		// A corrupt manifest must fail the frame: the manifest is the only
+		// A corrupt manifest failed the decode: the manifest is the only
 		// record Retire releases from, so publishing without it would leak
 		// every reference the commit took.
-		manifest, err := getManifest(r)
-		if err != nil {
-			return nil, fmt.Errorf("blobseer: bad request for op %d: %w", op, err)
-		}
-		b, ok := vm.blobs[blob]
-		if !ok {
-			return nil, fmt.Errorf("%w: %d", ErrBlobNotFound, blob)
-		}
+		info := q.info
 		if info.Version >= b.nextTkt {
 			return nil, fmt.Errorf("blobseer: commit of unticketed version %d", info.Version)
 		}
 		if info.Version < uint64(len(b.versions)) {
 			return nil, fmt.Errorf("blobseer: version %d already published", info.Version)
 		}
-		cp := info
-		b.pending[info.Version] = &cp
-		if len(manifest) > 0 {
-			b.manifests[info.Version] = manifest
+		b.pending[info.Version] = &info
+		if len(q.manifest) > 0 {
+			b.manifests[info.Version] = q.manifest
 		}
 		// Publish in ticket order. A commit that arrived ahead of an open
 		// predecessor answers only once the predecessor commits or aborts:
@@ -287,71 +272,36 @@ func (vm *VersionManager) handle(ctx context.Context, req []byte) ([]byte, error
 		w.PutU64(uint64(len(b.versions))) // published horizon
 
 	case opAbort:
-		blob := r.U64()
-		version := r.U64()
-		if err := reqErr(op, r); err != nil {
-			return nil, err
-		}
-		b, ok := vm.blobs[blob]
-		if !ok {
-			return nil, fmt.Errorf("%w: %d", ErrBlobNotFound, blob)
-		}
 		// An aborted ticket publishes the predecessor's state under the
 		// reserved number so later versions are not blocked forever.
-		if version >= uint64(len(b.versions)) {
+		if version := q.arg; version >= uint64(len(b.versions)) {
 			var prev VersionInfo
 			if len(b.versions) > 0 {
 				prev = b.versions[len(b.versions)-1]
 			}
 			prev.Version = version
-			cp := prev
-			b.pending[version] = &cp
+			b.pending[version] = &prev
 			vm.publishLocked(b)
 		}
 
 	case opGetVersion:
-		blob := r.U64()
-		version := r.U64()
-		if err := reqErr(op, r); err != nil {
-			return nil, err
+		if q.arg >= uint64(len(b.versions)) {
+			return nil, fmt.Errorf("%w: blob %d version %d", ErrVersionNotFound, q.blob, q.arg)
 		}
-		b, ok := vm.blobs[blob]
-		if !ok {
-			return nil, fmt.Errorf("%w: %d", ErrBlobNotFound, blob)
-		}
-		if version >= uint64(len(b.versions)) {
-			return nil, fmt.Errorf("%w: blob %d version %d", ErrVersionNotFound, blob, version)
-		}
-		putVersionInfo(w, b.versions[version])
+		putVersionInfo(w, b.versions[q.arg])
 		w.PutU64(b.chunkSize)
 
 	case opLatest:
-		blob := r.U64()
-		if err := reqErr(op, r); err != nil {
-			return nil, err
-		}
-		b, ok := vm.blobs[blob]
-		if !ok {
-			return nil, fmt.Errorf("%w: %d", ErrBlobNotFound, blob)
-		}
 		if len(b.versions) == 0 {
-			return nil, fmt.Errorf("%w: blob %d has no versions", ErrVersionNotFound, blob)
+			return nil, fmt.Errorf("%w: blob %d has no versions", ErrVersionNotFound, q.blob)
 		}
 		putVersionInfo(w, b.versions[len(b.versions)-1])
 		w.PutU64(b.chunkSize)
 
 	case opClone:
-		srcBlob := r.U64()
-		srcVersion := r.U64()
-		if err := reqErr(op, r); err != nil {
-			return nil, err
-		}
-		src, ok := vm.blobs[srcBlob]
-		if !ok {
-			return nil, fmt.Errorf("%w: %d", ErrBlobNotFound, srcBlob)
-		}
+		src, srcVersion := b, q.arg
 		if srcVersion >= uint64(len(src.versions)) {
-			return nil, fmt.Errorf("%w: blob %d version %d", ErrVersionNotFound, srcBlob, srcVersion)
+			return nil, fmt.Errorf("%w: blob %d version %d", ErrVersionNotFound, q.blob, srcVersion)
 		}
 		id := vm.nextBlob
 		vm.nextBlob++
@@ -372,49 +322,23 @@ func (vm *VersionManager) handle(ctx context.Context, req []byte) ([]byte, error
 		w.PutU64(id)
 
 	case opListLive:
-		if err := reqErr(op, r); err != nil {
-			return nil, err
-		}
-		// Deterministic order for tests: sort by blob id.
-		ids := make([]uint64, 0, len(vm.blobs))
-		for id := range vm.blobs {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		var entries []VersionInfo
-		var blobsOf []uint64
-		var spans []uint64
-		for _, id := range ids {
+		var live []LiveVersion
+		for _, id := range vm.sortedIDsLocked() {
 			b := vm.blobs[id]
 			for _, v := range b.versions {
-				if v.Version < b.retired {
-					continue
+				if v.Version >= b.retired {
+					live = append(live, LiveVersion{Blob: id, Info: v, ChunkSize: b.chunkSize})
 				}
-				entries = append(entries, v)
-				blobsOf = append(blobsOf, id)
-				spans = append(spans, b.chunkSize)
 			}
 		}
-		w.PutUvarint(uint64(len(entries)))
-		for i, v := range entries {
-			w.PutU64(blobsOf[i])
-			putVersionInfo(w, v)
-			w.PutU64(spans[i])
-		}
+		putList(w, live, func(w *wire.Buffer, lv LiveVersion) {
+			w.PutU64(lv.Blob)
+			putVersionInfo(w, lv.Info)
+			w.PutU64(lv.ChunkSize)
+		})
 
 	case opRetire:
-		blob := r.U64()
-		before := r.U64()
-		if err := reqErr(op, r); err != nil {
-			return nil, err
-		}
-		b, ok := vm.blobs[blob]
-		if !ok {
-			return nil, fmt.Errorf("%w: %d", ErrBlobNotFound, blob)
-		}
-		if before > uint64(len(b.versions)) {
-			before = uint64(len(b.versions))
-		}
+		before := min(q.arg, uint64(len(b.versions)))
 		if before > b.retired {
 			b.retired = before
 		}
@@ -424,7 +348,7 @@ func (vm *VersionManager) handle(ctx context.Context, req []byte) ([]byte, error
 		// data providers. Events a clone still shares are dropped without
 		// release (pinned forever). This is O(superseded events), i.e.
 		// O(chunks written by retired versions) — no repository sweep.
-		var releasable []supersededEvent
+		var releasable []manifestEntry
 		keep := b.superseded[:0]
 		for _, ev := range b.superseded {
 			switch {
@@ -433,80 +357,44 @@ func (vm *VersionManager) handle(ctx context.Context, req []byte) ([]byte, error
 			case b.pinnedIn(ev.version, ev.supersededAt):
 				// dropped: shared with a clone
 			default:
-				releasable = append(releasable, ev)
+				releasable = append(releasable, manifestEntry{fp: ev.fp, providers: ev.providers})
 			}
 		}
 		b.superseded = keep
-		w.PutUvarint(uint64(len(releasable)))
-		for _, ev := range releasable {
-			putFingerprint(w, ev.fp)
-			w.PutUvarint(uint64(len(ev.providers)))
-			for _, p := range ev.providers {
-				w.PutString(p)
-			}
-		}
+		putList(w, releasable, putRelease)
 
 	case opRelocate:
-		apply := r.Bool()
-		n, err := batchCount(op, r)
-		if err != nil {
-			return nil, err
-		}
-		relocs := make([]Relocation, 0, n)
-		for i := uint64(0); i < n && r.Err() == nil; i++ {
-			var rl Relocation
-			rl.FP = getFingerprint(r)
-			rl.From = r.String()
-			rl.To = r.String()
-			relocs = append(relocs, rl)
-		}
-		if err := reqErr(op, r); err != nil {
-			return nil, err
-		}
-		counts := vm.relocateLocked(apply, relocs)
-		for _, c := range counts {
-			w.PutUvarint(c)
+		for _, n := range vm.relocateLocked(q.apply, q.relocs) {
+			w.PutUvarint(n)
 		}
 
-	case opHintPut, opHintGet:
-		blob := r.U64()
-		if err := reqErr(op, r); err != nil {
-			return nil, err
+	case opHintPut:
+		// The record decoded whole before it replaces anything, and one
+		// over the cap is refused: either way a bad record leaves the
+		// previous one in place.
+		if limit := maxHintBytes / b.chunkSize; uint64(len(q.indices)) > limit {
+			return nil, fmt.Errorf("blobseer: hint of %d chunks over the limit of %d", len(q.indices), limit)
 		}
-		b, ok := vm.blobs[blob]
-		if !ok {
-			return nil, fmt.Errorf("%w: %d", ErrBlobNotFound, blob)
-		}
-		if op == opHintGet {
-			w.PutIndices(b.hint)
-			break
-		}
-		// Decoded whole before it replaces anything: a corrupt or oversized
-		// record leaves the previous one in place.
-		hint := r.Indices(maxHintBytes / b.chunkSize)
-		if err := reqErr(op, r); err != nil {
-			return nil, err
-		}
-		b.hint = hint
+		b.hint = q.indices
+
+	case opHintGet:
+		w.PutIndices(b.hint)
 
 	case opListBlobs:
-		if err := reqErr(op, r); err != nil {
-			return nil, err
-		}
-		ids := make([]uint64, 0, len(vm.blobs))
-		for id := range vm.blobs {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		w.PutUvarint(uint64(len(ids)))
-		for _, id := range ids {
+		ids := vm.sortedIDsLocked()
+		putList(w, ids, func(w *wire.Buffer, id uint64) {
 			w.PutU64(id)
 			w.PutU64(vm.blobs[id].chunkSize)
 			w.PutU64(uint64(len(vm.blobs[id].versions)))
-		}
-
-	default:
-		return nil, fmt.Errorf("blobseer: version manager: unknown op %d", op)
+		})
 	}
 	return w.Bytes(), nil
+}
+
+// sortedIDsLocked returns the blob ids in ascending order. Caller holds
+// vm.mu.
+func (vm *VersionManager) sortedIDsLocked() []uint64 {
+	ids := slices.Collect(maps.Keys(vm.blobs))
+	slices.Sort(ids)
+	return ids
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"blobcr/internal/transport"
-	"blobcr/internal/wire"
 )
 
 // TestCommitAnswersOnlyOncePublished: the version manager publishes in
@@ -29,10 +28,7 @@ func TestCommitAnswersOnlyOncePublished(t *testing.T) {
 	}
 	ticket := func() uint64 {
 		t.Helper()
-		w := wire.NewBuffer(16)
-		w.PutU8(opTicket)
-		w.PutU64(blob)
-		r, err := c.call(ctx, c.VMAddr, w)
+		r, err := c.call(ctx, c.VMAddr, request{op: opTicket, blob: blob}.encode())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,12 +37,7 @@ func TestCommitAnswersOnlyOncePublished(t *testing.T) {
 	commit := func(ctx context.Context, v uint64) <-chan error {
 		done := make(chan error, 1)
 		go func() {
-			w := wire.NewBuffer(64)
-			w.PutU8(opCommit)
-			w.PutU64(blob)
-			putVersionInfo(w, VersionInfo{Version: v})
-			putManifest(w, nil)
-			_, err := c.call(ctx, c.VMAddr, w)
+			_, err := c.call(ctx, c.VMAddr, request{op: opCommit, blob: blob, info: VersionInfo{Version: v}}.encode())
 			done <- err
 		}()
 		return done

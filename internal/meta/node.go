@@ -174,11 +174,8 @@ func decodeNode(p []byte, f uint64, bottom bool) (node, error) {
 
 // finish checks that a node decoded whole: nothing truncated, nothing left.
 func finish(r *wire.Reader) error {
-	if err := r.Err(); err != nil {
+	if err := r.End(); err != nil {
 		return fmt.Errorf("meta: decode node: %w", err)
-	}
-	if r.Remaining() != 0 {
-		return fmt.Errorf("meta: %d trailing bytes after node", r.Remaining())
 	}
 	return nil
 }

@@ -183,11 +183,8 @@ func decodeRequest(frame []byte) (request, error) {
 	default:
 		return q, fmt.Errorf("proxy: unknown op 0x%02X", q.op)
 	}
-	if err := r.Err(); err != nil {
+	if err := r.End(); err != nil {
 		return q, fmt.Errorf("%w: %s: %w", ErrProto, transport.OpName(q.op), err)
-	}
-	if r.Remaining() != 0 {
-		return q, fmt.Errorf("%w: %s: %d bytes after the last field", ErrProto, transport.OpName(q.op), r.Remaining())
 	}
 	return q, nil
 }

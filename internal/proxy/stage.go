@@ -133,8 +133,8 @@ func decodeStagePut(frame []byte) (localtier.Capture, []blobseer.Chunk, error) {
 			return c, nil, fmt.Errorf("proxy: stage-put: chunk index %d follows %d: not strictly ascending", chunks[i].Index, chunks[i-1].Index)
 		}
 	}
-	if r.Remaining() != 0 {
-		return c, nil, fmt.Errorf("proxy: stage-put: %d bytes after chunk %d of %d", r.Remaining(), n, n)
+	if err := r.End(); err != nil {
+		return c, nil, fmt.Errorf("proxy: stage-put: after chunk %d of %d: %w", n, n, err)
 	}
 	return c, chunks, nil
 }

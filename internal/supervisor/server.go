@@ -72,11 +72,8 @@ func (s *Supervisor) handle(_ context.Context, req []byte) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("supervisor: unknown op 0x%02X", op)
 	}
-	if err := r.Err(); err != nil {
+	if err := r.End(); err != nil {
 		return nil, fmt.Errorf("supervisor: bad %s request: %w", transport.OpName(op), err)
-	}
-	if r.Remaining() != 0 {
-		return nil, fmt.Errorf("supervisor: bad %s request: %d trailing bytes", transport.OpName(op), r.Remaining())
 	}
 	w := wire.NewBuffer(256)
 	switch op {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -107,15 +108,14 @@ func TestIntrospectEveryEndpoint(t *testing.T) {
 	}
 }
 
-func testIntrospectEndpoint(t *testing.T, n transport.Network, srv transport.Server, reg *obs.Registry) {
-	ctx := context.Background()
-	addr := srv.Addr()
-
-	// Metrics: an exposition past 4 MiB arrives whole over the
-	// continuations. Histograms with every bucket set make it large from few
-	// series, so rendering stays cheap.
-	pad := strings.Repeat("x", 100)
-	for i := 0; i < 480; i++ {
+// wideSeries is a metrics exposition past 4 MiB, parsed. Histograms with
+// every bucket set and kilobyte label values make it large from few lines,
+// which is what rendering and parsing cost. It is built once, and every
+// endpoint case imports the same series into its endpoint's registry.
+var wideSeries = sync.OnceValues(func() ([]obs.Point, error) {
+	reg := obs.NewRegistry()
+	pad := strings.Repeat("x", 1000)
+	for i := 0; i < 64; i++ {
 		h := reg.Histogram("wide_ns", obs.L("instance", fmt.Sprintf("%s-%04d", pad, i)))
 		for b := 0; b < 64; b++ {
 			h.Observe(1 << b)
@@ -124,18 +124,41 @@ func testIntrospectEndpoint(t *testing.T, n transport.Network, srv transport.Ser
 	reg.Counter("marker_total").Add(7)
 	text := reg.PromText()
 	if len(text) <= 4<<20 {
-		t.Fatalf("exposition only %d bytes, need > 4 MiB to exercise chunking", len(text))
+		return nil, fmt.Errorf("exposition only %d bytes, need > 4 MiB to exercise chunking", len(text))
 	}
-	want, err := obs.ParseProm(text)
+	return obs.ParseProm(text)
+})
+
+func testIntrospectEndpoint(t *testing.T, n transport.Network, srv transport.Server, reg *obs.Registry) {
+	ctx := context.Background()
+	addr := srv.Addr()
+
+	// Metrics: an exposition past 4 MiB arrives whole over the
+	// continuations, and is exactly the series the endpoint's registry
+	// holds: its own, and the shared wide set imported beside them.
+	wide, err := wideSeries()
 	if err != nil {
 		t.Fatal(err)
 	}
+	own, err := obs.ParseProm(reg.PromText())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg.Import(wide)
 	points, err := transport.Metrics(ctx, n, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(points, want) {
-		t.Errorf("metrics: scraped %d points that differ from the exposition's %d", len(points), len(want))
+	var gotWide, gotOwn []obs.Point
+	for _, p := range points {
+		if p.Name == "wide_ns" || p.Name == "marker_total" {
+			gotWide = append(gotWide, p)
+		} else {
+			gotOwn = append(gotOwn, p)
+		}
+	}
+	if !reflect.DeepEqual(gotWide, wide) || len(gotOwn) != len(own) || len(own) > 0 && !reflect.DeepEqual(gotOwn, own) {
+		t.Errorf("metrics: scraped %d points that differ from the exposition's %d", len(points), len(wide)+len(own))
 	}
 	if p := obs.Find(points, "marker_total"); p == nil || p.Value != 7 {
 		t.Errorf("metrics: marker_total = %+v, want 7", p)

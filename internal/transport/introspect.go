@@ -65,12 +65,10 @@ func decodeIntrospectRequest(req []byte) (op byte, arg uint64, err error) {
 		arg = uint64(r.U32())
 	}
 	name := OpName(op)
-	switch {
-	case r.Err() != nil:
-		return 0, 0, fmt.Errorf("transport: bad %s request: %w", name, r.Err())
-	case r.Remaining() != 0:
-		return 0, 0, fmt.Errorf("transport: bad %s request: %d trailing bytes", name, r.Remaining())
-	case arg == 0 && (op == OpTraceGet || op == OpHistoryGet):
+	if err := r.End(); err != nil {
+		return 0, 0, fmt.Errorf("transport: bad %s request: %w", name, err)
+	}
+	if arg == 0 && (op == OpTraceGet || op == OpHistoryGet) {
 		return 0, 0, fmt.Errorf("transport: bad %s request: zero argument", name)
 	}
 	return op, arg, nil
@@ -155,11 +153,8 @@ func decodeMetricsChunk(resp []byte) (next int64, chunk string, err error) {
 	r := wire.NewReader(resp)
 	next = r.I64()
 	chunk = r.String()
-	if err := r.Err(); err != nil {
+	if err := r.End(); err != nil {
 		return 0, "", err
-	}
-	if r.Remaining() != 0 {
-		return 0, "", fmt.Errorf("%d trailing bytes", r.Remaining())
 	}
 	return next, chunk, nil
 }
@@ -219,11 +214,8 @@ func decodeHealth(resp []byte) (ok bool, firing []string, err error) {
 	for i := uint64(0); i < count; i++ {
 		firing = append(firing, r.String())
 	}
-	if err := r.Err(); err != nil {
+	if err := r.End(); err != nil {
 		return false, nil, fmt.Errorf("transport: bad health reply: %w", err)
-	}
-	if r.Remaining() != 0 {
-		return false, nil, fmt.Errorf("transport: bad health reply: %d trailing bytes", r.Remaining())
 	}
 	return ok, firing, nil
 }

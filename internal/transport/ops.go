@@ -53,11 +53,8 @@ func CallOp(ctx context.Context, n Network, addr string, req []byte, read func(*
 	if read != nil {
 		read(r)
 	}
-	if err := r.Err(); err != nil {
+	if err := r.End(); err != nil {
 		return fmt.Errorf("transport: bad %s reply from %s: %w", VerbName(req), addr, err)
-	}
-	if r.Remaining() != 0 {
-		return fmt.Errorf("transport: bad %s reply from %s: %d trailing bytes", VerbName(req), addr, r.Remaining())
 	}
 	return nil
 }

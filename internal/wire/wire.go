@@ -135,6 +135,19 @@ func (r *Reader) Err() error { return r.err }
 // Remaining returns the number of unread bytes.
 func (r *Reader) Remaining() int { return len(r.b) - r.off }
 
+// ErrTrailing is End's error for a message with bytes after its last field.
+var ErrTrailing = errors.New("wire: trailing bytes")
+
+// End returns the first decode error, or ErrTrailing when bytes remain after
+// the last field: a decoder that ends with it accepts only a message it
+// consumed exactly, so no two messages decode alike.
+func (r *Reader) End() error {
+	if r.err == nil && r.Remaining() != 0 {
+		return fmt.Errorf("%w: %d after the last field", ErrTrailing, r.Remaining())
+	}
+	return r.err
+}
+
 func (r *Reader) fail(err error) {
 	if r.err == nil {
 		r.err = err
@@ -211,9 +224,21 @@ func (r *Reader) Uvarint() uint64 {
 // one byte. A count over the bytes left in the frame is corrupt: it fails
 // the reader before anything is allocated from it.
 func (r *Reader) Count() uint64 {
+	return r.CountAtMost(math.MaxUint64)
+}
+
+// CountAtMost is Count for a list of at most limit items: a count over the
+// limit fails the reader too.
+func (r *Reader) CountAtMost(limit uint64) uint64 {
 	n := r.Uvarint()
-	if r.err == nil && n > uint64(r.Remaining()) {
+	switch {
+	case r.err != nil:
+		return 0
+	case n > uint64(r.Remaining()):
 		r.fail(fmt.Errorf("wire: implausible count %d with %d bytes left in the frame", n, r.Remaining()))
+		return 0
+	case n > limit:
+		r.fail(fmt.Errorf("wire: %d items over the limit of %d", n, limit))
 		return 0
 	}
 	return n
@@ -223,10 +248,7 @@ func (r *Reader) Count() uint64 {
 // entries. A count over the limit or over the bytes left fails before
 // anything is allocated from it.
 func (r *Reader) Indices(limit uint64) []uint64 {
-	n := r.Count()
-	if n > limit {
-		r.fail(fmt.Errorf("wire: %d chunk indices over the limit of %d", n, limit))
-	}
+	n := r.CountAtMost(limit)
 	if r.err != nil {
 		return nil
 	}
@@ -240,8 +262,20 @@ func (r *Reader) Indices(limit uint64) []uint64 {
 	return out
 }
 
-// Bool decodes a one-byte boolean.
-func (r *Reader) Bool() bool { return r.U8() != 0 }
+// Bool decodes a one-byte boolean. Only 0 and 1 are booleans: PutBool
+// writes nothing else, and reading any other byte as true would let two
+// frames decode alike.
+func (r *Reader) Bool() bool {
+	switch v := r.U8(); v {
+	case 0:
+		return false
+	case 1:
+		return true
+	default:
+		r.fail(fmt.Errorf("wire: boolean byte %d", v))
+		return false
+	}
+}
 
 // F64 decodes an IEEE-754 float64.
 func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
@@ -258,6 +292,19 @@ func (r *Reader) Bytes() []byte {
 		return nil
 	}
 	return r.take(int(n))
+}
+
+// FixedBytes decodes a length-prefixed byte string that must be exactly n
+// bytes long: a fixed-size field such as a fingerprint keeps PutBytes'
+// prefix, and any other length fails the reader instead of being padded or
+// cut to fit.
+func (r *Reader) FixedBytes(n int) []byte {
+	p := r.Bytes()
+	if r.err == nil && len(p) != n {
+		r.fail(fmt.Errorf("wire: %d-byte field where %d bytes belong", len(p), n))
+		return nil
+	}
+	return p
 }
 
 // BytesCopy decodes a length-prefixed byte string into a fresh slice.

@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -196,6 +197,70 @@ func TestUvarintRefusesPaddedEncodings(t *testing.T) {
 	r := NewReader([]byte{0x00, 0xAC, 0x02})
 	if a, b := r.Uvarint(), r.Uvarint(); a != 0 || b != 300 || r.Err() != nil {
 		t.Errorf("shortest encodings decoded to %d, %d (%v)", a, b, r.Err())
+	}
+}
+
+// TestBoolIsCanonical: only 0 and 1 decode as booleans; any other byte
+// would decode as true and re-encode as 1.
+func TestBoolIsCanonical(t *testing.T) {
+	r := NewReader([]byte{0, 1})
+	if a, b := r.Bool(), r.Bool(); a || !b || r.Err() != nil {
+		t.Fatalf("0, 1 decoded to %v, %v (%v)", a, b, r.Err())
+	}
+	for _, v := range []byte{2, 0x80, 0xFF} {
+		r := NewReader([]byte{v})
+		if got := r.Bool(); got || r.Err() == nil {
+			t.Errorf("byte %d decoded to %v (err %v)", v, got, r.Err())
+		}
+	}
+}
+
+// TestEndRefusesTrailingBytes: End is the reader's error, else an
+// ErrTrailing naming how many bytes were left unread.
+func TestEndRefusesTrailingBytes(t *testing.T) {
+	r := NewReader([]byte{7, 1, 2, 3})
+	r.U8()
+	if err := r.End(); !errors.Is(err, ErrTrailing) || !strings.Contains(err.Error(), "3 after") {
+		t.Errorf("End with 3 bytes left = %v", err)
+	}
+	r.U8()
+	r.U8()
+	r.U8()
+	if err := r.End(); err != nil {
+		t.Errorf("End of a consumed message = %v", err)
+	}
+	r.U8()
+	if err := r.End(); err != ErrTruncated {
+		t.Errorf("End after a truncated read = %v, want ErrTruncated", err)
+	}
+}
+
+// TestFixedBytesRefusesOtherLengths: a fixed-size field decodes only at its
+// size — never padded or cut to fit.
+func TestFixedBytesRefusesOtherLengths(t *testing.T) {
+	for n := 30; n <= 34; n++ {
+		w := NewBuffer(0)
+		w.PutBytes(bytes.Repeat([]byte{0xF1}, n))
+		r := NewReader(w.Bytes())
+		got := r.FixedBytes(32)
+		if ok := r.End() == nil; ok != (n == 32) || (ok && len(got) != 32) {
+			t.Errorf("%d-byte field: got %d bytes, End %v", n, len(got), r.End())
+		}
+	}
+}
+
+// TestCountAtMost: a count over the limit fails like one over the bytes
+// left; one within both decodes.
+func TestCountAtMost(t *testing.T) {
+	frame := []byte{3, 0, 0, 0}
+	if n := NewReader(frame).CountAtMost(3); n != 3 {
+		t.Errorf("count 3 at most 3 = %d", n)
+	}
+	if r := NewReader(frame); r.CountAtMost(2) != 0 || r.Err() == nil {
+		t.Error("count 3 at most 2 decoded")
+	}
+	if r := NewReader(frame[:3]); r.CountAtMost(10) != 0 || r.Err() == nil {
+		t.Error("count 3 with 2 bytes left decoded")
 	}
 }
 
