@@ -74,19 +74,28 @@ func (r *Registry) PromText() string {
 // bytes and scrapers follow the continuation offset.
 const ExpositionChunkBytes = 3 << 20
 
-// ExpositionAt renders the registry's exposition and returns the chunk
-// starting at byte offset off plus the offset of the next chunk, or -1 when
-// this chunk completes the exposition. The text is re-rendered per call, so
-// a multi-chunk scrape can tear across concurrent updates — the same
-// consistency a sequence of independent scrapes has.
+// ExpositionAt returns the chunk of the registry's exposition starting at
+// byte offset off plus the offset of the next chunk, or -1 when this chunk
+// completes the exposition. A scrape's first chunk (off 0) renders the
+// exposition; its continuations are served from that rendering while it is
+// the newest one, so a k-chunk scrape renders once and reads one instant.
+// A continuation with no rendering to follow — its last chunk was served,
+// or it lies past the end — renders afresh, and then, like the chunks of
+// scrapes interleaved with this one, can tear across updates.
 func (r *Registry) ExpositionAt(off int) (string, int) {
-	text := r.PromText()
-	if off < 0 || off > len(text) {
-		off = len(text)
+	r.expoMu.Lock()
+	defer r.expoMu.Unlock()
+	text := r.expo
+	if off == 0 || off > len(text) {
+		text = r.PromText()
+		r.renders++
 	}
+	off = min(max(off, 0), len(text))
 	if end := off + ExpositionChunkBytes; end < len(text) {
+		r.expo = text
 		return text[off:end], end
 	}
+	r.expo = ""
 	return text[off:], -1
 }
 

@@ -129,6 +129,7 @@ func BucketBound(i int) uint64 {
 type metric struct {
 	name   string
 	labels []Label
+	order  string // labelString(labels), the Snapshot sort key within a name
 	kind   Kind
 	c      *Counter
 	g      *Gauge
@@ -150,6 +151,13 @@ type Registry struct {
 	// (SetHealth) behind the health-get op and the /healthz endpoint.
 	hist   atomic.Pointer[History]
 	health atomic.Pointer[func() (ok bool, firing []string)]
+
+	// expo is the newest rendering a multi-chunk scrape is mid-way through
+	// (ExpositionAt); empty once its last chunk is served. renders counts
+	// renderings, for tests.
+	expoMu  sync.Mutex
+	expo    string
+	renders int
 }
 
 // NewRegistry returns an empty registry.
@@ -188,7 +196,7 @@ func (r *Registry) lookup(kind Kind, name string, labels []Label) *metric {
 	if m = r.metrics[k]; m != nil {
 		return m
 	}
-	m = &metric{name: name, labels: append([]Label(nil), labels...), kind: kind}
+	m = &metric{name: name, labels: append([]Label(nil), labels...), order: labelString(labels), kind: kind}
 	switch kind {
 	case KindCounter:
 		m.c = new(Counter)
@@ -286,6 +294,17 @@ func (r *Registry) Snapshot() []Point {
 		ms = append(ms, m)
 	}
 	r.mu.RUnlock()
+	sort.Slice(ms, func(i, j int) bool {
+		if ms[i].name != ms[j].name {
+			return ms[i].name < ms[j].name
+		}
+		// Group by kind so WriteProm emits one TYPE line per (name, kind)
+		// run when a name is reused across kinds.
+		if ms[i].kind != ms[j].kind {
+			return ms[i].kind < ms[j].kind
+		}
+		return ms[i].order < ms[j].order
+	})
 
 	points := make([]Point, 0, len(ms))
 	for _, m := range ms {
@@ -306,17 +325,6 @@ func (r *Registry) Snapshot() []Point {
 		}
 		points = append(points, p)
 	}
-	sort.Slice(points, func(i, j int) bool {
-		if points[i].Name != points[j].Name {
-			return points[i].Name < points[j].Name
-		}
-		// Group by kind so WriteProm emits one TYPE line per (name, kind)
-		// run when a name is reused across kinds.
-		if points[i].Kind != points[j].Kind {
-			return points[i].Kind < points[j].Kind
-		}
-		return labelString(points[i].Labels) < labelString(points[j].Labels)
-	})
 	return points
 }
 

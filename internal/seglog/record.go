@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"io"
-	"os"
 
 	"blobcr/internal/chunkstore"
 )
@@ -47,20 +46,19 @@ type header struct {
 }
 
 // encodedRec is one record ready to board a batch: the fixed header with
-// its CRC already stamped, plus a reference to the payload bytes. Keeping
-// the payload by reference instead of materialising header+payload lets
-// the CRC run outside the batch lock and enqueue copy the payload straight
-// into the group-commit buffer — one memcpy per record and no per-record
-// allocation on the put hot path. The payload must stay immutable until
-// the record's enqueue returns.
+// its CRC already stamped, plus a reference to the payload bytes. The batch
+// keeps both by reference and appends them with one vectored write, so the
+// CRC runs outside the batch lock and a payload reaches the file from the
+// caller's own buffer, never copied inside the engine. Header and payload
+// must stay in place and unchanged until the record's enqueue returns.
 type encodedRec struct {
 	hdr     [hdrSize]byte
 	payload []byte
 }
 
-// encodeRec builds the boarding form of one record.
-func encodeRec(h header, payload []byte) encodedRec {
-	var e encodedRec
+// encode stamps e with the boarding form of one record. It fills e in
+// place: the header lives where the batch will reference it from.
+func (e *encodedRec) encode(h header, payload []byte) {
 	binary.BigEndian.PutUint64(e.hdr[4:12], h.key.Blob)
 	binary.BigEndian.PutUint64(e.hdr[12:20], h.key.ID)
 	e.hdr[20] = h.flags
@@ -70,7 +68,6 @@ func encodeRec(h header, payload []byte) encodedRec {
 	crc = crc32.Update(crc, castagnoli, payload)
 	binary.BigEndian.PutUint32(e.hdr[0:4], crc)
 	e.payload = payload
-	return e
 }
 
 // parseHeader decodes a record header. The CRC is not verified here — it
@@ -102,14 +99,16 @@ func verifyRecord(raw []byte) bool {
 // scanSegment walks every record of a segment file from offset 0, calling
 // fn with each record's offset, header and (stored, still-compressed)
 // payload. The payload slice is reused between calls; fn must not retain it.
+// Only recovery scans: compaction reads a victim's live records by their
+// index entries (compact.go).
 //
 // It returns the number of bytes covered by valid records and whether the
 // scan stopped at a torn/corrupt record instead of clean EOF. A torn tail is
 // the expected shape of a crash mid-append (the batch was never acked); the
 // caller decides whether that is recoverable (last segment) or fatal
 // (sealed segment).
-func scanSegment(f *os.File, size int64, fn func(off int64, h header, payload []byte) error) (valid int64, torn bool, err error) {
-	br := bufio.NewReaderSize(io.NewSectionReader(f, 0, size), 1<<20)
+func scanSegment(f io.ReaderAt, size int64, fn func(off int64, h header, payload []byte) error) (valid int64, torn bool, err error) {
+	br := bufio.NewReaderSize(io.NewSectionReader(f, 0, size), int(min(size, 1<<20)))
 	var off int64
 	var hb [hdrSize]byte
 	var payload []byte

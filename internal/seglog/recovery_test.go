@@ -14,7 +14,7 @@ import (
 // the expected contents, the byte range [lastStart, lastEnd) of the final
 // record inside the segment file, and that file's path. The store is closed
 // on return; the caller mutates the file and reopens.
-func tortureLog(t *testing.T, dir string, nChunks int) (want map[chunkstore.Key][]byte, lastKey chunkstore.Key, lastStart, lastEnd int64, segPath string) {
+func tortureLog(t testing.TB, dir string, nChunks int) (want map[chunkstore.Key][]byte, lastKey chunkstore.Key, lastStart, lastEnd int64, segPath string) {
 	t.Helper()
 	s := openTest(t, dir, Options{DisableAutoCompact: true, NoCompress: true})
 	want = make(map[chunkstore.Key][]byte)

@@ -14,8 +14,9 @@
 //     unit — records encoded on parallel workers, then one append and one
 //     fdatasync for all of them; Put and Delete are the one-record case.
 //     Concurrent callers ride one batch: the first to find no open batch
-//     becomes the leader; it claims the batch, writes it with a single
-//     WriteAt and a single fsync, installs the index entries, and wakes every
+//     becomes the leader; it claims the batch, writes it with vectored
+//     writes (pwritev straight from each record's header and its caller's
+//     payload) and a single fsync, installs the index entries, and wakes every
 //     rider. Writers that arrive while a leader is flushing form the next
 //     batch, so the fsync count is at most the number of calls and under
 //     concurrency a fraction of it.
@@ -32,8 +33,9 @@
 //     caller names (ReadInto; Get names a fresh buffer), so the bulk of a
 //     restore is never copied inside the engine.
 //   - Compaction rewrites sealed segments whose live ratio fell below a
-//     threshold (deletes from Retire/GC sweeps leave dead bytes behind),
-//     copying live records through the same group-commit path (compact.go).
+//     threshold (deletes from Retire/GC sweeps leave dead bytes behind): it
+//     reads only the live records the index names, and appends them as
+//     they lie through the same group-commit path (compact.go).
 //
 // Locks, in acquisition order: cmu (one compaction at a time) > fmu (one
 // flush at a time) > wmu (batch formation) > mu (index and segment table) >
@@ -104,26 +106,32 @@ type segment struct {
 	f    *os.File
 	size int64 // durable valid record bytes
 	live int64 // record bytes the index still points at
-	// noCompact marks a segment where compaction found a record whose CRC
-	// no longer verifies: relocating it would launder corruption, so the
+	// tombs names the keys whose tombstones the segment holds (install and
+	// replay fill it), so compaction carries the still-needed ones forward
+	// without reading the segment.
+	tombs []chunkstore.Key
+	// noCompact marks a segment where compaction found a live record whose
+	// CRC no longer verifies: relocating it would launder corruption, so the
 	// segment is left for the scrub plane to repair chunk by chunk.
 	noCompact bool
 }
 
 // pending record kinds.
 const (
-	recPut = iota
+	recNone = iota // nothing to append: the key holds this content, or the put was refused
+	recPut
 	recTomb
 	recReloc     // compaction copy of a live record
 	recTombReloc // compaction copy of a still-needed tombstone
 )
 
-// pendingRec is one record riding a batch.
+// pendingRec is one record riding a batch: its encoded bytes (a relocated
+// record's header and payload as they lay in the victim) and its outcome.
 type pendingRec struct {
+	encodedRec
 	kind  int
 	key   chunkstore.Key
-	off   int // record offset within the batch buffer
-	size  int64
+	off   int64 // record offset within the batch
 	ulen  uint32
 	flags uint8
 	old   entry // recReloc: the entry this copy replaces; recTombReloc: .seg is the victim
@@ -132,9 +140,16 @@ type pendingRec struct {
 	err   error // per-record outcome (ErrExists, ErrNotFound)
 }
 
-// batch is one group commit in formation or flight.
+// size is the record's length on disk.
+func (r *pendingRec) size() int64 { return hdrSize + int64(len(r.payload)) }
+
+// batch is one group commit in formation or flight. It holds its records'
+// bytes by reference — each header, then each non-empty payload, in disk
+// order — so nothing is copied to form it: every rider blocks in enqueue
+// until the batch is durable, which keeps the referenced memory in place.
 type batch struct {
-	buf     []byte
+	parts   [][]byte
+	size    int64
 	recs    []*pendingRec
 	done    chan struct{}
 	err     error
@@ -142,22 +157,6 @@ type batch struct {
 	seg     *segment
 	base    int64
 }
-
-// batchBufs recycles group-commit buffers between batches. A busy batch
-// grows to megabytes one record at a time; growing it from nil re-copies
-// the accumulated bytes on every doubling, and that memmove profiles as the
-// largest single CPU cost of the commit path on small machines. Buffers
-// above maxRetainedBuf are left for the collector so one outlier batch does
-// not pin its high-water mark forever.
-var batchBufs = sync.Pool{New: func() any {
-	b := make([]byte, 0, 64<<10)
-	return &b
-}}
-
-const maxRetainedBuf = 8 << 20
-
-// bufGrain is the granularity a batch buffer's capacity grows in.
-const bufGrain = 1 << 20
 
 type metricHandles struct {
 	puts, gets, deletes, fsyncs, batches   *obs.Counter
@@ -205,6 +204,11 @@ type Store struct {
 
 	m   metricHandles
 	reg *obs.Registry // resolved Options.Registry; group-commit spans record here
+
+	// compactHook, when set (tests only), runs after each compaction group
+	// is durable and installed, with the group's number from 0; an error
+	// stops the pass there, as a crash would.
+	compactHook func(group int) error
 }
 
 // Open opens (creating if needed) a segment log rooted at dir, rebuilding
@@ -332,6 +336,7 @@ func (s *Store) replay(seg *segment) func(off int64, h header, _ []byte) error {
 			delete(s.index, h.key)
 		}
 		if h.flags&flagTombstone != 0 {
+			seg.tombs = append(seg.tombs, h.key)
 			return nil
 		}
 		s.index[h.key] = entry{seg: seg.seq, off: off, size: size, ulen: h.ulen, flags: h.flags}
@@ -420,34 +425,30 @@ func (s *Store) updateGaugesLocked() {
 
 // --- group commit ---
 
-// enqueue rides recs (with their encoded bytes raws) on the open batch,
-// creating one and becoming its leader if none is open. Relocation records
-// are re-checked under the batch lock (see their guards) and may be
-// dropped. Returns once the batch carrying the records is durable.
-func (s *Store) enqueue(recs []*pendingRec, raws []encodedRec) (*batch, error) {
+// enqueue rides recs on the open batch, creating one and becoming its
+// leader if none is open. Relocation records are re-checked under the batch
+// lock (see their guards) and may be dropped. Returns once the batch
+// carrying the records is durable; until then the batch references each
+// record's header and payload, so recs must not move or change.
+func (s *Store) enqueue(recs []pendingRec) error {
 	s.wmu.Lock()
 	if s.closed.Load() {
 		s.wmu.Unlock()
-		return nil, errClosed
+		return errClosed
 	}
 	leader := false
 	if s.cur == nil {
-		s.cur = &batch{buf: (*batchBufs.Get().(*[]byte))[:0], done: make(chan struct{})}
+		// Sized for the first boarder: a lone frame or Put never regrows.
+		s.cur = &batch{
+			parts: make([][]byte, 0, 2*len(recs)),
+			recs:  make([]*pendingRec, 0, len(recs)),
+			done:  make(chan struct{}),
+		}
 		leader = true
 	}
 	b := s.cur
-	// One growth for everything boarding: a put frame arrives as megabytes
-	// at once, and growing by doubling would re-copy what is already aboard.
-	// Capacities are whole multiples of bufGrain, so a pooled buffer that
-	// carried one full frame fits the next, a few header bytes longer.
-	need := len(b.buf)
-	for i := range raws {
-		need += hdrSize + len(raws[i].payload)
-	}
-	if need > cap(b.buf) {
-		b.buf = append(make([]byte, 0, (need+bufGrain-1)/bufGrain*bufGrain), b.buf...)
-	}
-	for i, rec := range recs {
+	for i := range recs {
+		rec := &recs[i]
 		switch rec.kind {
 		case recPut:
 			s.pmu.Lock()
@@ -466,10 +467,13 @@ func (s *Store) enqueue(recs []*pendingRec, raws []encodedRec) (*batch, error) {
 				continue
 			}
 		}
-		rec.off = len(b.buf)
+		rec.off = b.size
 		rec.wrote = true
-		b.buf = append(b.buf, raws[i].hdr[:]...)
-		b.buf = append(b.buf, raws[i].payload...)
+		b.parts = append(b.parts, rec.hdr[:])
+		if len(rec.payload) > 0 {
+			b.parts = append(b.parts, rec.payload)
+		}
+		b.size += rec.size()
 		b.recs = append(b.recs, rec)
 	}
 	s.wmu.Unlock()
@@ -477,7 +481,7 @@ func (s *Store) enqueue(recs []*pendingRec, raws []encodedRec) (*batch, error) {
 		s.flush(b)
 	}
 	<-b.done
-	return b, b.err
+	return b.err
 }
 
 // relocAllowed guards a compaction copy: the entry must still be where the
@@ -544,10 +548,10 @@ const maxFormSpins = 16
 func (s *Store) flush(b *batch) {
 	s.fmu.Lock()
 	defer s.fmu.Unlock()
-	prev := -1
+	prev := int64(-1)
 	for spins := 0; spins < maxFormSpins; spins++ {
 		s.wmu.Lock()
-		n := len(b.buf)
+		n := b.size
 		s.wmu.Unlock()
 		if n == prev {
 			break
@@ -569,18 +573,9 @@ func (s *Store) flush(b *batch) {
 }
 
 // commitBatch writes and installs one claimed batch. Caller holds fmu.
-// The batch buffer goes back to the pool on return: nothing reads it after
-// install (the index holds disk offsets, riders only read b.err/b.recs).
 func (s *Store) commitBatch(b *batch) {
 	defer close(b.done)
-	defer func() {
-		if cap(b.buf) <= maxRetainedBuf {
-			buf := b.buf[:0]
-			batchBufs.Put(&buf)
-		}
-		b.buf = nil
-	}()
-	if len(b.buf) == 0 {
+	if b.size == 0 {
 		return // every record was dropped by its guard
 	}
 	// The group-commit span is the engine's unit of durable work: one append
@@ -601,7 +596,7 @@ func (s *Store) commitBatch(b *batch) {
 // the batch would overflow it) and fsyncs. Caller holds fmu.
 func (s *Store) writeBatch(b *batch) error {
 	seg := s.active
-	if seg.size > 0 && seg.size+int64(len(b.buf)) > s.opts.SegmentBytes {
+	if seg.size > 0 && seg.size+b.size > s.opts.SegmentBytes {
 		ns, err := s.createSegment(seg.seq + 1)
 		if err != nil {
 			return err
@@ -613,7 +608,7 @@ func (s *Store) writeBatch(b *batch) error {
 		seg = ns
 	}
 	sw := obs.StartTimer()
-	if _, err := seg.f.WriteAt(b.buf, seg.size); err != nil {
+	if err := writeParts(seg.f, b.parts, seg.size); err != nil {
 		seg.f.Truncate(seg.size) //nolint:errcheck // best-effort tail drop
 		return fmt.Errorf("seglog: append: %w", err)
 	}
@@ -629,7 +624,7 @@ func (s *Store) writeBatch(b *batch) error {
 	s.m.fsyncs.Inc()
 	s.m.batches.Inc()
 	s.m.batchRecs.Observe(uint64(len(b.recs)))
-	s.m.batchBytes.Observe(uint64(len(b.buf)))
+	s.m.batchBytes.Observe(uint64(b.size))
 	b.seg = seg
 	b.base = seg.size
 	return nil
@@ -642,7 +637,7 @@ func (s *Store) install(b *batch) {
 	s.mu.Lock()
 	seg := b.seg
 	for _, rec := range b.recs {
-		recOff := b.base + int64(rec.off)
+		recOff := b.base + rec.off
 		switch rec.kind {
 		case recPut:
 			s.pendingDone(s.pendingPuts, rec.key)
@@ -650,17 +645,18 @@ func (s *Store) install(b *batch) {
 				// A concurrent writer published this key first. Identical
 				// re-delivery is fine (this copy is dead bytes); different
 				// content violates immutability.
-				if s.sameStoredRecordLocked(old, b.buf[rec.off:rec.off+int(rec.size)]) {
+				if s.sameStoredRecordLocked(old, &rec.encodedRec) {
 					continue
 				}
 				rec.err = fmt.Errorf("%w: %v", chunkstore.ErrExists, rec.key)
 				continue
 			}
-			s.index[rec.key] = entry{seg: seg.seq, off: recOff, size: rec.size, ulen: rec.ulen, flags: rec.flags}
-			seg.live += rec.size
+			s.index[rec.key] = entry{seg: seg.seq, off: recOff, size: rec.size(), ulen: rec.ulen, flags: rec.flags}
+			seg.live += rec.size()
 			s.logical += int64(rec.ulen)
 		case recTomb:
 			s.pendingDone(s.pendingTombs, rec.key)
+			seg.tombs = append(seg.tombs, rec.key)
 			old, ok := s.index[rec.key]
 			if !ok {
 				rec.err = fmt.Errorf("%w: %v", chunkstore.ErrNotFound, rec.key)
@@ -676,19 +672,20 @@ func (s *Store) install(b *batch) {
 			// keep the check so a future race turns into dead bytes, not
 			// resurrection.
 			if cur, ok := s.index[rec.key]; ok && cur == rec.old {
-				s.index[rec.key] = entry{seg: seg.seq, off: recOff, size: rec.size, ulen: rec.ulen, flags: rec.flags}
+				s.index[rec.key] = entry{seg: seg.seq, off: recOff, size: rec.size(), ulen: rec.ulen, flags: rec.flags}
 				if oseg := s.segs[rec.old.seg]; oseg != nil {
 					oseg.live -= rec.old.size
 				}
-				seg.live += rec.size
+				seg.live += rec.size()
 				rec.moved = true
 			}
 		case recTombReloc:
 			// Nothing to index: the bytes carry the delete across the
 			// victim's removal for recovery's sake.
+			seg.tombs = append(seg.tombs, rec.key)
 		}
 	}
-	seg.size += int64(len(b.buf))
+	seg.size += b.size
 	s.updateGaugesLocked()
 	s.mu.Unlock()
 }
@@ -719,8 +716,8 @@ func (s *Store) pendingDone(m map[chunkstore.Key]int, k chunkstore.Key) {
 // sameStoredRecordLocked compares a stored record's raw bytes with a freshly
 // encoded one. Encoding is deterministic, so equal chunks encode equally.
 // Caller holds mu, which also pins the entry's segment open.
-func (s *Store) sameStoredRecordLocked(e entry, raw []byte) bool {
-	if int64(len(raw)) != e.size {
+func (s *Store) sameStoredRecordLocked(e entry, rec *encodedRec) bool {
+	if hdrSize+int64(len(rec.payload)) != e.size {
 		return false
 	}
 	seg := s.segs[e.seg]
@@ -731,15 +728,25 @@ func (s *Store) sameStoredRecordLocked(e entry, raw []byte) bool {
 	if _, err := seg.f.ReadAt(stored, e.off); err != nil {
 		return false
 	}
-	return bytes.Equal(stored, raw)
+	return bytes.Equal(stored[:hdrSize], rec.hdr[:]) && bytes.Equal(stored[hdrSize:], rec.payload)
 }
 
 // --- chunkstore.Store ---
 
 // Put appends the chunk and returns once it is fsync-durable: PutBatch of
-// one record. Concurrent Puts share a batch and an fsync.
+// one record, encoded on the caller's goroutine. Concurrent Puts share a
+// batch and an fsync.
 func (s *Store) Put(k chunkstore.Key, data []byte) error {
-	return s.PutBatch([]chunkstore.Key{k}, [][]byte{data})
+	s.puts.Add(1)
+	s.m.puts.Inc()
+	recs := make([]pendingRec, 1)
+	if err := s.encodePut(&recs[0], k, data); err != nil || recs[0].kind == recNone {
+		return err
+	}
+	if err := s.enqueue(recs); err != nil {
+		return err
+	}
+	return recs[0].err
 }
 
 // PutBatch implements chunkstore.BatchPutter: the records are encoded on
@@ -750,44 +757,48 @@ func (s *Store) Put(k chunkstore.Key, data []byte) error {
 // identical content is a no-op; different content under a stored key is
 // ErrExists (for that record: the others are stored).
 func (s *Store) PutBatch(keys []chunkstore.Key, bodies [][]byte) error {
+	if len(keys) == 1 {
+		return s.Put(keys[0], bodies[0]) // nothing to fan out
+	}
 	s.puts.Add(uint64(len(keys)))
 	s.m.puts.Add(uint64(len(keys)))
-	recs := make([]*pendingRec, len(keys))
-	raws := make([]encodedRec, len(keys))
+	recs := make([]pendingRec, len(keys))
 	errs := make([]error, len(keys))
 	chunkstore.ForEachParallel(len(keys), func(i int) {
-		recs[i], raws[i], errs[i] = s.encodePut(keys[i], bodies[i])
+		errs[i] = s.encodePut(&recs[i], keys[i], bodies[i])
 	})
 	// Records already stored (or refused) drop out; the rest board together.
 	n := 0
-	for i, rec := range recs {
-		if rec != nil {
-			recs[n], raws[n] = rec, raws[i]
+	for i := range recs {
+		if recs[i].kind != recNone {
+			recs[n] = recs[i]
 			n++
 		}
 	}
 	if n > 0 {
-		if _, err := s.enqueue(recs[:n], raws[:n]); err != nil {
+		if err := s.enqueue(recs[:n]); err != nil {
 			return err
 		}
-		for _, rec := range recs[:n] {
-			errs = append(errs, rec.err)
+		for i := range recs[:n] {
+			if recs[i].err != nil {
+				errs = append(errs, recs[i].err)
+			}
 		}
 	}
 	return errors.Join(errs...)
 }
 
-// encodePut builds the boarding form of one put. A nil record means there
-// is nothing to append: the key already holds this content, or err says why
-// it cannot be stored.
-func (s *Store) encodePut(k chunkstore.Key, data []byte) (*pendingRec, encodedRec, error) {
+// encodePut fills rec with the boarding form of one put. rec stays recNone
+// when there is nothing to append: the key already holds this content, or
+// the returned error says why it cannot be stored.
+func (s *Store) encodePut(rec *pendingRec, k chunkstore.Key, data []byte) error {
 	if existing, found, err := s.read(k, ownedBuf); err != nil {
-		return nil, encodedRec{}, err
+		return err
 	} else if found {
 		if bytes.Equal(existing, data) {
-			return nil, encodedRec{}, nil // idempotent replica re-delivery
+			return nil // idempotent replica re-delivery
 		}
-		return nil, encodedRec{}, fmt.Errorf("%w: %v", chunkstore.ErrExists, k)
+		return fmt.Errorf("%w: %v", chunkstore.ErrExists, k)
 	}
 	flags, payload := s.encodePayload(data)
 	switch {
@@ -801,9 +812,9 @@ func (s *Store) encodePut(k chunkstore.Key, data []byte) (*pendingRec, encodedRe
 		s.rawChunks.Add(1)
 		s.m.raw.Inc()
 	}
-	enc := encodeRec(header{key: k, flags: flags, ulen: uint32(len(data)), plen: uint32(len(payload))}, payload)
-	rec := &pendingRec{kind: recPut, key: k, size: int64(hdrSize + len(payload)), ulen: uint32(len(data)), flags: flags}
-	return rec, enc, nil
+	*rec = pendingRec{kind: recPut, key: k, ulen: uint32(len(data)), flags: flags}
+	rec.encode(header{key: k, flags: flags, ulen: rec.ulen, plen: uint32(len(payload))}, payload)
+	return nil
 }
 
 // Get returns the chunk body, verifying the record CRC on the way out.
@@ -962,31 +973,38 @@ func (s *Store) DeleteBatch(keys []chunkstore.Key) error {
 func (s *Store) deleteBatch(keys []chunkstore.Key) (absent int, err error) {
 	s.deletes.Add(uint64(len(keys)))
 	s.m.deletes.Add(uint64(len(keys)))
-	recs := make([]*pendingRec, 0, len(keys))
-	raws := make([]encodedRec, 0, len(keys))
+	recs := make([]pendingRec, 0, len(keys))
 	s.mu.RLock()
 	for _, k := range keys {
 		if _, ok := s.index[k]; !ok {
 			absent++
 			continue
 		}
-		recs = append(recs, &pendingRec{kind: recTomb, key: k, size: hdrSize})
-		raws = append(raws, encodeRec(header{key: k, flags: flagTombstone}, nil))
+		recs = append(recs, pendingRec{})
+		recs[len(recs)-1].tomb(recTomb, k)
 	}
 	s.mu.RUnlock()
 	if len(recs) == 0 {
 		return absent, nil
 	}
-	if _, err := s.enqueue(recs, raws); err != nil {
+	if err := s.enqueue(recs); err != nil {
 		return absent, err
 	}
-	for _, rec := range recs {
-		if rec.err != nil { // only ever ErrNotFound: see install
+	for i := range recs {
+		if recs[i].err != nil { // only ever ErrNotFound: see install
 			absent++
 		}
 	}
 	s.triggerCompact()
 	return absent, nil
+}
+
+// tomb makes r a tombstone for k riding a batch as kind (recTomb, or
+// recTombReloc for a copy out of a compaction victim: a tombstone's bytes
+// are its key's, so the copy is encoded afresh, not read).
+func (r *pendingRec) tomb(kind int, k chunkstore.Key) {
+	*r = pendingRec{kind: kind, key: k}
+	r.encode(header{key: k, flags: flagTombstone}, nil)
 }
 
 // Len implements chunkstore.Store.

@@ -12,7 +12,7 @@ import (
 	"blobcr/internal/obs"
 )
 
-func openTest(t *testing.T, dir string, opts Options) *Store {
+func openTest(t testing.TB, dir string, opts Options) *Store {
 	t.Helper()
 	if opts.Registry == nil {
 		opts.Registry = obs.NewRegistry()
