@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -129,41 +130,57 @@ func TestRenderProducesTable(t *testing.T) {
 // re-deploys only the failed member while healthy members roll back in
 // place — resumes the job faster than tearing everything down. The gap is
 // structural (one cold redeploy instead of three) and the injected 500µs
-// per round trip makes it wide, so the comparison is robust to scheduler
-// noise.
+// per round trip makes it wide; the modes run interleaved, one failure per
+// run, and their median MTTRs are compared, so a burst of load on the box
+// lands on both sides and no single sample decides.
 func TestAvailabilityPartialBeatsFull(t *testing.T) {
-	full, err := RunAvailability(false, 1)
-	if err != nil {
-		t.Fatalf("full restart run: %v", err)
-	}
-	partial, err := RunAvailability(true, 1)
-	if err != nil {
-		t.Fatalf("partial restart run: %v", err)
-	}
-	for _, r := range []AvailabilityResult{full, partial} {
-		if len(r.MTTRMillis) != 1 || r.MeanMTTRMillis <= 0 {
-			t.Fatalf("%s: MTTR not accounted: %+v", r.Mode, r)
+	const trials = 5
+	var fullMTTR, partialMTTR []float64
+	for i := 0; i < trials; i++ {
+		full, err := RunAvailability(false, 1)
+		if err != nil {
+			t.Fatalf("full restart run: %v", err)
 		}
-		if r.UsefulWorkFraction <= 0 || r.UsefulWorkFraction >= 1 {
-			t.Errorf("%s: useful-work fraction %.2f, want in (0, 1) with lost rounds re-done", r.Mode, r.UsefulWorkFraction)
+		partial, err := RunAvailability(true, 1)
+		if err != nil {
+			t.Fatalf("partial restart run: %v", err)
 		}
-		if r.CheckpointsDurable < 2 {
-			t.Errorf("%s: only %d durable checkpoints", r.Mode, r.CheckpointsDurable)
+		for _, r := range []AvailabilityResult{full, partial} {
+			if len(r.MTTRMillis) != 1 || r.MeanMTTRMillis <= 0 {
+				t.Fatalf("%s: MTTR not accounted: %+v", r.Mode, r)
+			}
+			if r.UsefulWorkFraction <= 0 || r.UsefulWorkFraction >= 1 {
+				t.Errorf("%s: useful-work fraction %.2f, want in (0, 1) with lost rounds re-done", r.Mode, r.UsefulWorkFraction)
+			}
+			if r.CheckpointsDurable < 2 {
+				t.Errorf("%s: only %d durable checkpoints", r.Mode, r.CheckpointsDurable)
+			}
 		}
-	}
-	// Structural: partial redeploys only the failed member.
-	if full.RedeployedVMs != availInstances {
-		t.Errorf("full restart redeployed %d VMs, want %d", full.RedeployedVMs, availInstances)
-	}
-	if partial.RedeployedVMs != 1 || partial.InPlaceVMs != availInstances-1 {
-		t.Errorf("partial restart redeployed %d / in-place %d, want 1 / %d",
-			partial.RedeployedVMs, partial.InPlaceVMs, availInstances-1)
+		// Structural: partial redeploys only the failed member.
+		if full.RedeployedVMs != availInstances {
+			t.Errorf("full restart redeployed %d VMs, want %d", full.RedeployedVMs, availInstances)
+		}
+		if partial.RedeployedVMs != 1 || partial.InPlaceVMs != availInstances-1 {
+			t.Errorf("partial restart redeployed %d / in-place %d, want 1 / %d",
+				partial.RedeployedVMs, partial.InPlaceVMs, availInstances-1)
+		}
+		fullMTTR = append(fullMTTR, full.MeanMTTRMillis)
+		partialMTTR = append(partialMTTR, partial.MeanMTTRMillis)
 	}
 	// Time-to-resume: partial beats full for a single-node failure.
-	if partial.MeanMTTRMillis >= full.MeanMTTRMillis {
-		t.Errorf("partial restart MTTR %.2fms not below full restart %.2fms",
-			partial.MeanMTTRMillis, full.MeanMTTRMillis)
+	full, partial := median(fullMTTR), median(partialMTTR)
+	t.Logf("median MTTR over %d failures each: full %.2fms, partial %.2fms", trials, full, partial)
+	if partial >= full {
+		t.Errorf("partial restart median MTTR %.2fms not below full restart %.2fms (full %v, partial %v)",
+			partial, full, fullMTTR, partialMTTR)
 	}
+}
+
+// median returns the middle of xs (the upper middle for an even count).
+func median(xs []float64) float64 {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	return s[len(s)/2]
 }
 
 // TestRepairMTTRShrinksWithProviders: the repair experiment converges to a

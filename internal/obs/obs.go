@@ -146,6 +146,10 @@ type Registry struct {
 	metrics map[string]*metric
 	spans   spanStore
 
+	// spanInstr caches each span name's instruments (spanInstruments).
+	spanMu    sync.RWMutex
+	spanInstr map[string]spanInstruments
+
 	// hist is the registry's metric history ring (history.go), attached by
 	// StartHistory; nil until then. health is the readiness callback
 	// (SetHealth) behind the health-get op and the /healthz endpoint.

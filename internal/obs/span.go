@@ -167,14 +167,41 @@ func (s *Span) End() {
 	if d < 0 {
 		d = 0
 	}
-	label := L("span", s.name)
-	s.reg.Histogram("span_ns", label).Observe(uint64(d))
-	s.reg.Gauge("span_last_ns", label).Set(int64(d))
+	in := s.reg.spanInstruments(s.name)
+	in.ns.Observe(uint64(d))
+	in.last.Set(int64(d))
 	rec := SpanRecord{Trace: s.trace, ID: s.id, Parent: s.parent, Name: s.name, Start: s.start, End: end}
 	if s.tr != nil {
 		s.tr.add(rec)
 	}
 	s.reg.recordSpan(rec)
+}
+
+// spanInstruments is one span name's span_ns histogram and span_last_ns
+// gauge.
+type spanInstruments struct {
+	ns   *Histogram
+	last *Gauge
+}
+
+// spanInstruments resolves name's instruments once per registry, so End
+// neither builds a label nor renders a metric key.
+func (r *Registry) spanInstruments(name string) spanInstruments {
+	r.spanMu.RLock()
+	in, ok := r.spanInstr[name]
+	r.spanMu.RUnlock()
+	if ok {
+		return in
+	}
+	label := L("span", name)
+	in = spanInstruments{ns: r.Histogram("span_ns", label), last: r.Gauge("span_last_ns", label)}
+	r.spanMu.Lock()
+	if r.spanInstr == nil {
+		r.spanInstr = make(map[string]spanInstruments)
+	}
+	r.spanInstr[name] = in
+	r.spanMu.Unlock()
+	return in
 }
 
 // The commit-pipeline stage names, in execution order: mirror records

@@ -6,7 +6,8 @@ import (
 
 // TestPutAllocBudget counts what one Put of a 4 KiB record allocates: the
 // record, its batch and the group-commit span, with no batch buffer and no
-// per-record fan-out.
+// per-record fan-out. The span's metric handles are resolved once per name,
+// so ending it allocates nothing.
 func TestPutAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds allocations of its own")
@@ -24,7 +25,7 @@ func TestPutAllocBudget(t *testing.T) {
 	put() // warm the pools and the metric handles
 	allocs := testing.AllocsPerRun(200, put)
 	t.Logf("one 4 KiB Put: %.1f allocations", allocs)
-	const budget = 10
+	const budget = 6
 	if allocs > budget {
 		t.Fatalf("one 4 KiB Put allocates %.1f times, budget %d", allocs, budget)
 	}

@@ -36,6 +36,12 @@
 //     threshold (deletes from Retire/GC sweeps leave dead bytes behind): it
 //     reads only the live records the index names, and appends them as
 //     they lie through the same group-commit path (compact.go).
+//   - Segments roll small (8 MiB, about two put frames) because checkpoints
+//     die whole and oldest first: a segment holding one checkpoint's
+//     records is fully dead once the checkpoint is retired and is unlinked
+//     unread, where a segment mixing many checkpoints falls below the live
+//     ratio while its younger ones still live and has them copied forward
+//     just before they die too.
 //
 // Locks, in acquisition order: cmu (one compaction at a time) > fmu (one
 // flush at a time) > wmu (batch formation) > mu (index and segment table) >
@@ -64,7 +70,16 @@ import (
 // Options tunes a Store. The zero value is production-ready.
 type Options struct {
 	// SegmentBytes is the roll size: a batch that would push the active
-	// segment past it seals the segment first. Default 64 MiB.
+	// segment past it seals the segment first, so a batch larger than a
+	// segment gets one of its own. Default 8 MiB: a segment then holds one
+	// full put frame (4 MiB of payload) and the smaller batches beside it,
+	// so a checkpoint's records on a provider share segments with little
+	// else and, when the checkpoint is retired, leave them fully dead —
+	// compaction unlinks them without reading or copying a record, and the
+	// active segment (never a victim) strands at most 8 MiB. The cost is
+	// files: every segment keeps its descriptor open, about 128 per GiB
+	// stored (16 at 64 MiB), and a roll's file create and directory fsync
+	// come 8 MiB apart.
 	SegmentBytes int64
 	// CompactRatio is the live-byte fraction below which a sealed segment
 	// becomes a compaction victim. Default 0.5.
@@ -82,7 +97,7 @@ type Options struct {
 }
 
 const (
-	defaultSegmentBytes = 64 << 20
+	defaultSegmentBytes = 8 << 20
 	defaultCompactRatio = 0.5
 )
 
